@@ -22,13 +22,16 @@ floors (full configuration only; smoke asserts correctness, not speed):
 * object engine, failure-free: >= 10k sustained simulated requests/sec
   (the historical floor);
 * SoA engine, failure-free: >= 1,475,950 req/s - ten times the 147,595
-  req/s the object engine recorded on this workload.
+  req/s the object engine recorded on this workload;
+* SoA engine, burst channel: >= 3x the object engine *in the same run*
+  (a ratio inside one run is robust to host-speed drift).
 
-Results land in ``BENCH_traffic.json`` at the repo root: per-channel
-throughput for both engines, and a load sweep over population sizes up
-to one million clients with a peak-RSS column (the SoA engine's
-block-bounded memory is the point of the million-client row).  Set
-``REPRO_BENCH_SMOKE=1`` for a CI-friendly configuration: tiny
+Results land in ``BENCH_traffic.json`` at the repo root, stamped with
+their provenance (commit, CPU count, Python and numpy versions):
+per-channel throughput for both engines, and a load sweep over
+population sizes up to one million clients with a peak-RSS column (the
+SoA engine's block-bounded memory is the point of the million-client
+row).  Set ``REPRO_BENCH_SMOKE=1`` for a CI-friendly configuration: tiny
 populations for the channel grid, plus a 100k-client SoA run under a
 wall-clock budget (no JSON record, no throughput floors).
 """
@@ -39,6 +42,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -61,6 +65,10 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_traffic.json"
 #: SoA floor is ten times it.
 OBJECT_BASELINE_RPS = 147_595
 SOA_FLOOR_RPS = 10 * OBJECT_BASELINE_RPS
+
+#: Faulty-channel floor: SoA burst throughput over the object engine's,
+#: both measured in the same run.
+BURST_SPEEDUP_FLOOR = 3.0
 
 #: Wall-clock budget for the smoke-mode 100k-client SoA run (seconds) -
 #: generous for CI machines; the engine finishes it in low single digits.
@@ -126,6 +134,33 @@ def _peak_rss_mb() -> float:
     if sys.platform == "darwin":
         peak //= 1024
     return round(peak / 1024, 1)
+
+
+def _provenance() -> dict:
+    """Where the record was measured: commit (and whether the tree had
+    uncommitted changes), CPU count, interpreter and numpy versions."""
+    import numpy
+
+    root = RESULT_PATH.parent
+
+    def git(*argv):
+        return subprocess.run(
+            ["git", *argv], cwd=root, capture_output=True, text=True,
+            check=True,
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.CalledProcessError):
+        commit = dirty = None
+    return {
+        "commit": commit,
+        "dirty": dirty,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def _row(label, engine, result):
@@ -211,6 +246,13 @@ def test_sustained_traffic_and_record():
         f"failure-free (10x the recorded object-engine rate), measured "
         f"{soa_rate:,.0f}"
     )
+    burst = "burst 0.02/0.25"
+    burst_speedup = throughput[burst, "soa"] / throughput[burst, "object"]
+    assert burst_speedup >= BURST_SPEEDUP_FLOOR, (
+        f"expected the SoA engine to sustain >= {BURST_SPEEDUP_FLOOR:.0f}x "
+        f"the object engine on the burst channel, measured "
+        f"{burst_speedup:.1f}x"
+    )
 
     sweep = []
     sweep_channel = {"kind": "bernoulli", "probability": 0.05, "seed": 3}
@@ -272,8 +314,9 @@ def test_sustained_traffic_and_record():
                     "think_time": 10,
                     "seed": SEED,
                 },
-                "python": platform.python_version(),
+                "provenance": _provenance(),
                 "soa_floor_requests_per_sec": SOA_FLOOR_RPS,
+                "burst_speedup_floor": BURST_SPEEDUP_FLOOR,
                 "channels": records,
                 "load_sweep": sweep,
             },

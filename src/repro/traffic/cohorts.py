@@ -351,12 +351,6 @@ class MultiChannelTables:
             )
         return cls(tables, candidates, channel_set.tuning_cost)
 
-    def horizon(self, channel: int, fid: int) -> int:
-        """Listening horizon of global file ``fid`` on ``channel``."""
-        return int(
-            self.tables[channel].horizons[self.local_ids[channel, fid]]
-        )
-
     def probe(self, channel: int, fid: int, listen: int) -> tuple[int, int]:
         """Fault-free ``(latency, finish)`` of one channel-local probe."""
         return self.tables[channel].lookup_one(

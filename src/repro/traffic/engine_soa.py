@@ -14,10 +14,12 @@ heap event per client:
   session would have made;
 * fault-free retrievals gather from the precomputed per-``(file,
   phase)`` tables (:class:`~repro.traffic.cohorts.RetrievalTables`);
-* faulty retrievals batch the fault decisions: one
-  ``lost_in`` call per wave over the *union* of candidate occurrence
-  slots, then a short scalar walk per member over the pre-decided
-  outcomes (:class:`_FaultResolver`);
+* faulty retrievals resolve in geometric rounds of candidate
+  occurrences: one ``lost_in`` call per round over the *union* of the
+  candidates' slots, then array operations over per-member held-block
+  bitsets find each finishing occurrence (:class:`_FaultResolver`) -
+  multichannel shards group members by chosen channel and use the
+  same resolver;
 * client caches (LRU / PIX) are rows of a matrix - victims come from a
   vectorized argmin over composite keys that reproduce the scalar
   policies' ``min(resident, key=...)`` orders exactly;
@@ -47,7 +49,6 @@ from repro.bdisk.multichannel import ChannelSet
 from repro.bdisk.program import BroadcastProgram
 from repro.obs import telemetry as obs
 from repro.rtdb.spec import TemporalSpec
-from repro.sim.client import retrieve
 from repro.sim.faults import FaultModel, NoFaults, lost_in
 from repro.traffic.arrivals import popularity_cdf, popularity_weights
 from repro.traffic.clients import RequestRecord
@@ -77,7 +78,11 @@ _BLOCK_MAX = 1 << 20
 #: resolver's candidate matrices) with a smaller block.
 _BLOCK_FAULTY = 1 << 16
 
-#: Candidate occurrences materialized per member per resolver round.
+#: Candidate occurrences per member in the resolver's first round; each
+#: later round doubles the width up to ``_FAULT_CHUNK``.  Most requests
+#: finish within a few candidates, so narrow early rounds gather and
+#: decide little beyond what is heard.
+_FAULT_FIRST = 4
 _FAULT_CHUNK = 64
 
 
@@ -135,22 +140,34 @@ def _pix_rank(
 class _FaultResolver:
     """Batched retrievals over a stochastic channel.
 
-    Per wave: materialize the next ``_FAULT_CHUNK`` candidate
-    occurrences for every unresolved member (broadcasting over the
-    tables' flat occurrence arrays), decide the *union* of their slots
-    in one ``lost_in`` call, then walk each member's pre-decided row
-    scalar-side collecting distinct blocks - exactly the occurrence
-    walk :func:`repro.sim.client.retrieve` performs, with the fault
-    queries hoisted out of the per-client loop.  Decisions are
-    deterministic per ``(seed, slot)``, so query batching cannot change
-    an outcome.
+    Each round materializes the next candidate occurrences of every
+    unresolved member (broadcasting over the tables' flat occurrence
+    arrays), decides the *union* of their slots in one ``lost_in`` call
+    and resolves every member with array operations alone: held blocks
+    are ``uint64`` bitset words, a running OR along the candidates marks
+    each surviving occurrence that adds a new block, and the first
+    candidate whose running distinct count reaches ``m`` is the finish -
+    exactly the occurrence walk :func:`repro.sim.client.retrieve`
+    performs.  Members still short of ``m`` carry their bitset and count
+    into the next, wider round.  Decisions are deterministic per
+    ``(seed, slot)``, so neither query batching nor round width can
+    change an outcome.
     """
 
-    __slots__ = ("_tables", "_model")
+    __slots__ = ("_tables", "_model", "_keys", "_words")
 
     def __init__(self, tables: RetrievalTables, model: FaultModel) -> None:
         self._tables = tables
         self._model = model
+        # Composite keys ``file * cycle + slot`` are globally sorted
+        # (files in id order, each file's slots sorted inside one
+        # cycle), so one searchsorted finds every member's first
+        # candidate.
+        files = np.repeat(
+            np.arange(tables.n_files, dtype=np.int64), tables.counts
+        )
+        self._keys = files * tables.cycle + tables.occ_slots
+        self._words = int(tables.occ_blocks.max(initial=0)) // 64 + 1
 
     def resolve(
         self, file_ids: np.ndarray, starts: np.ndarray
@@ -159,76 +176,65 @@ class _FaultResolver:
         t = self._tables
         cycle = t.cycle
         m = len(file_ids)
-        horizons = t.horizons[file_ids]
-        end = starts + horizons
+        end = starts + t.horizons[file_ids]
         latency = np.full(m, -1, dtype=np.int64)
-        finish = starts + horizons - 1  # the abort default
+        finish = end - 1  # the abort default
         need = np.maximum(1, t.m_needed[file_ids])
         count = t.counts[file_ids]
         offset = t.occ_offsets[file_ids]
 
-        # Occurrence pointer: candidate k of member i is global
-        # occurrence g[i] + k counted from the base of the start's
+        # Occurrence pointer: candidate k of member i is occurrence
+        # g[i] + k of its file, counted from the base of the start's
         # cycle copy (divmod recovers cycle copy + index within).
         quotient, phase = np.divmod(starts, cycle)
         base = quotient * cycle
-        g = np.empty(m, dtype=np.int64)
-        for fid in np.unique(file_ids):
-            rows = file_ids == fid
-            lo, hi = t.occ_offsets[fid], t.occ_offsets[fid + 1]
-            g[rows] = np.searchsorted(
-                t.occ_slots[lo:hi], phase[rows], side="left"
-            )
+        g = np.searchsorted(self._keys, file_ids * cycle + phase) - offset
 
-        seen: list[set[int]] = [set() for _ in range(m)]
-        steps = np.arange(_FAULT_CHUNK, dtype=np.int64)
-        unresolved = np.arange(m, dtype=np.int64)
-        while unresolved.size:
-            idx = unresolved
-            candidates = g[idx][:, None] + steps[None, :]
-            copies, within = np.divmod(candidates, count[idx][:, None])
-            flat = offset[idx][:, None] + within
-            slots = base[idx][:, None] + copies * cycle + t.occ_slots[flat]
-            blocks = t.occ_blocks[flat]
-            valid = slots < end[idx][:, None]
-            lost = np.zeros_like(valid)
+        held = np.zeros((m, self._words), dtype=np.uint64)
+        have = np.zeros(m, dtype=np.int64)
+        word_ids = np.arange(self._words, dtype=np.int64)
+        idx = np.arange(m)
+        width = _FAULT_FIRST
+        while idx.size:
+            candidates = g[idx, None] + np.arange(width, dtype=np.int64)
+            copies, within = np.divmod(candidates, count[idx, None])
+            flat = offset[idx, None] + within
+            slots = base[idx, None] + copies * cycle + t.occ_slots[flat]
+            valid = slots < end[idx, None]
+            heard = valid.copy()
             queried = slots[valid]
             if queried.size:
-                unique = np.unique(queried)
-                decisions = np.asarray(
+                unique, inverse = np.unique(queried, return_inverse=True)
+                lost = np.asarray(
                     lost_in(self._model, unique.tolist()), dtype=bool
                 )
-                lost[valid] = decisions[np.searchsorted(unique, queried)]
-            still: list[int] = []
-            for row in range(len(idx)):
-                member = int(idx[row])
-                collected = seen[member]
-                needed = int(need[member])
-                valid_row = valid[row].tolist()
-                lost_row = lost[row].tolist()
-                block_row = blocks[row].tolist()
-                slot_row = slots[row].tolist()
-                done = False
-                for k in range(_FAULT_CHUNK):
-                    if not valid_row[k]:
-                        done = True  # horizon exhausted: abort defaults
-                        break
-                    if lost_row[k]:
-                        continue
-                    block = block_row[k]
-                    if block not in collected:
-                        collected.add(block)
-                        if len(collected) >= needed:
-                            finish[member] = slot_row[k]
-                            latency[member] = (
-                                slot_row[k] - int(starts[member]) + 1
-                            )
-                            done = True
-                            break
-                if not done:
-                    g[member] += _FAULT_CHUNK
-                    still.append(member)
-            unresolved = np.asarray(still, dtype=np.int64)
+                heard[valid] = ~lost[inverse]
+            blocks = t.occ_blocks[flat, None]
+            # Column 0 carries the held bitset; column k + 1 is the bit
+            # candidate k adds if heard.  A candidate adds a new block
+            # exactly when the running OR changes at its column.
+            bits = np.empty((len(idx), width + 1, self._words), np.uint64)
+            bits[:, 0] = held[idx]
+            on = heard[..., None] & (word_ids == blocks >> 6)
+            bits[:, 1:] = on.astype(np.uint64) << (blocks & 63).astype(
+                np.uint64
+            )
+            prefix = np.bitwise_or.accumulate(bits, axis=1)
+            new = (prefix[:, 1:] != prefix[:, :-1]).any(axis=2)
+            total = np.cumsum(new, axis=1) + have[idx, None]
+            reached = total >= need[idx, None]
+            done = reached.any(axis=1)
+            rows = idx[done]
+            finish[rows] = slots[done, reached[done].argmax(axis=1)]
+            latency[rows] = finish[rows] - starts[rows] + 1
+            # Rows whose last candidate lies past the horizon keep the
+            # abort defaults; the rest carry their state forward.
+            carry = ~done & valid[:, -1]
+            idx = idx[carry]
+            held[idx] = prefix[carry, -1]
+            have[idx] = total[carry, -1]
+            g[idx] += width
+            width = min(2 * width, _FAULT_CHUNK)
         return latency, finish
 
 
@@ -788,30 +794,26 @@ def _simulate_multichannel_shard(
     """The multi-channel population under cohort batching.
 
     Draws and cohort bookkeeping are vectorized; the channel choice is
-    a short scalar walk per member against the per-channel tables - a
-    request's candidate set depends on the client's current tuned
-    channel, which the previous request just moved, so the choice
-    cannot batch across members of a wave without changing outcomes.
-    Fault-free outcomes come straight from the chosen channel's table;
-    faulty channels re-walk the chosen channel's real program (faults
-    never steer the choice itself, exactly as in
-    :func:`repro.sim.client.retrieve_multichannel`).  Metrics feed a
-    real :class:`TrafficMetrics` in wave order (exact mode is
-    order-independent), so shards merge bit-identically with the object
-    engine's.
+    a short scalar probe per member against the per-channel fault-free
+    tables (faults never steer the choice, exactly as in
+    :func:`repro.sim.client.retrieve_multichannel`).  Fault-free
+    outcomes come straight from the chosen channel's table; members on
+    a faulty channel are grouped by channel and resolved together by
+    that channel's :class:`_FaultResolver` from their listen slots.
+    Metrics feed a real :class:`TrafficMetrics` in member order, so
+    shards merge bit-identically with the object engine's.
     """
     if mc_tables is None:
         mc_tables = MultiChannelTables.build(
             channels, catalogue, file_sizes, spec.max_slots
         )
-    faulty = channel_faults is not None and any(
-        not isinstance(model, NoFaults) for model in channel_faults
-    )
-    if faulty and channels is None:
-        raise ValueError(
-            "faulty multichannel shards need the channel set itself, "
-            "not just tables"
-        )
+    resolvers = [
+        None
+        if channel_faults is None or isinstance(channel_faults[c], NoFaults)
+        else _FaultResolver(table, channel_faults[c])
+        for c, table in enumerate(mc_tables.tables)
+    ]
+    faulty = any(resolver is not None for resolver in resolvers)
 
     tel = obs.current()
     c_waves = h_cohort = c_mc = None
@@ -861,56 +863,48 @@ def _simulate_multichannel_shard(
             thinks = (
                 think.sample(draws[members, position + 1])
                 if think is not None
-                else None
+                else 0
             )
-            for row, member in enumerate(members.tolist()):
-                start = int(now[row])
-                fid = int(file_ids[row])
-                channel, listen, latency, finish = mc_tables.choose(
-                    fid, start, int(tuned[member])
-                )
-                completed = latency >= 0
-                if channel_faults is not None:
-                    model = channel_faults[channel]
-                    if not isinstance(model, NoFaults):
-                        horizon = mc_tables.horizon(channel, fid)
-                        file = catalogue[fid]
-                        result = retrieve(
-                            channels.programs[channel],
-                            file,
-                            file_sizes[file],
-                            start=listen,
-                            faults=model,
-                            need_distinct=True,
-                            max_slots=horizon,
-                        )
-                        completed = result.completed
-                        finish = (
-                            result.finish_slot
-                            if result.completed
-                            and result.finish_slot is not None
-                            else listen + horizon - 1
-                        )
-                if channel != tuned[member]:
-                    tuned[member] = channel
-                    metrics.record_channel_switches(1)
-                response = finish - start + 1 if completed else None
+            chosen, listen, latency, finish = np.asarray(
+                [
+                    mc_tables.choose(fid, start, tune)
+                    for fid, start, tune in zip(
+                        file_ids.tolist(), now.tolist(),
+                        tuned[members].tolist(),
+                    )
+                ],
+                dtype=np.int64,
+            ).T
+            switched = chosen != tuned[members]
+            metrics.record_channel_switches(int(np.count_nonzero(switched)))
+            tuned[members] = chosen
+            for channel, resolver in enumerate(resolvers):
+                rows = np.flatnonzero(chosen == channel)
+                if resolver is not None and rows.size:
+                    latency[rows], finish[rows] = resolver.resolve(
+                        mc_tables.local_ids[channel, file_ids[rows]],
+                        listen[rows],
+                    )
+            response = np.where(latency >= 0, finish - now + 1, -1)
+            for member, fid, start, waited in zip(
+                members.tolist(), file_ids.tolist(), now.tolist(),
+                response.tolist(),
+            ):
                 file = catalogue[fid]
-                metrics.record(file, response, deadlines[file])
+                waited = None if waited < 0 else waited
+                metrics.record(file, waited, deadlines[file])
                 if records is not None:
                     records.append(
                         RequestRecord(
                             client=block_lo + member,
                             file=file,
                             issued=start,
-                            latency=response,
+                            latency=waited,
                             deadline=deadlines[file],
                             cache_hit=False,
                         )
                     )
-                next_slot[member] = finish + 1 + (
-                    int(thinks[row]) if thinks is not None else 0
-                )
+            next_slot[members] = finish + 1 + thinks
             left[members] -= 1
     if tel is not None:
         from repro.traffic.simulate import _record_shard_metrics
@@ -937,8 +931,8 @@ def _shard_task_shm_mc(
     set of retrieval tables per channel plus the candidates map - the
     worker rebuilds the whole channel-choice machinery from the mapping
     and never sees a program.  Faulty or temporal multichannel shards
-    go through the generic pickling task instead (they need the real
-    programs or the channel set).
+    go through the generic pickling task instead (this entry carries no
+    fault models, and temporal shards need the channel set).
     """
     from repro.traffic.shm_index import attach_multichannel_tables
 
