@@ -56,7 +56,13 @@ class BroadcastProgram:
         period transmits the same blocks - the plain Figure 5 regime).
     """
 
-    __slots__ = ("_schedule", "_block_counts", "_data_cycle", "_index")
+    # ``__weakref__`` lets the occurrence index point back weakly, so a
+    # program and its index form no reference cycle and are freed as
+    # soon as the last outside reference drops.
+    __slots__ = (
+        "_schedule", "_block_counts", "_files", "_data_cycle", "_index",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -85,6 +91,7 @@ class BroadcastProgram:
                     f"block counts for files not in the program: {unknown}"
                 )
         self._block_counts = counts
+        self._files = tuple(counts)
         # Data cycle: after `k` schedule cycles, file i has had
         # k * per_cycle occurrences; content repeats when every file's
         # occurrence count is a multiple of its n_i.
@@ -117,8 +124,12 @@ class BroadcastProgram:
 
     @property
     def files(self) -> tuple[str, ...]:
-        """Files appearing in the program."""
-        return self._schedule.owners()
+        """Files appearing in the program, in order of first appearance.
+
+        Stored at construction (the block-count keys are exactly the
+        schedule's owners), so membership checks never rescan the cycle.
+        """
+        return self._files
 
     def block_count(self, file: str) -> int:
         """``n_i``: distinct blocks file ``i`` rotates through."""
@@ -152,6 +163,7 @@ class BroadcastProgram:
         self, state: tuple[Schedule, dict[str, int], int]
     ) -> None:
         self._schedule, self._block_counts, self._data_cycle = state
+        self._files = tuple(self._block_counts)
         self._index = None
 
     # ------------------------------------------------------------------

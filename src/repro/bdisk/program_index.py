@@ -14,20 +14,24 @@ simulators need:
 * per-file occurrence arrays (slot positions and block indices), so a
   client can jump occurrence-to-occurrence instead of scanning idle air;
 * per-file prefix counts (O(1) window counting on the infinite program);
-* per-file gap structure (Lemma 2's ``Delta`` without rescanning).
+* per-file gap structure (Lemma 2's ``Delta`` without rescanning);
+* per ``(file, m)``, lazily, the fault-free finish of a retrieval that
+  starts at each occurrence (O(log occurrences) fault-free outcomes for
+  any start slot).
 
-The index is immutable once built and is shared by every consumer of the
-same program; :attr:`BroadcastProgram.index` builds it lazily exactly
-once.  All quantities are defined over the *data cycle* (the period of
-the ``(file, block)`` content), so block indices repeat exactly beyond
-it and the occurrence generator can extend the tables cyclically
-forever.
+The index is immutable once built (the finish tables are a cache) and
+is shared by every consumer of the same program;
+:attr:`BroadcastProgram.index` builds it lazily exactly once.  All
+quantities are defined over the *data cycle* (the period of the
+``(file, block)`` content), so block indices repeat exactly beyond it
+and the occurrence generator can extend the tables cyclically forever.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import ProgramError, SpecificationError
 from repro.core.schedule import IDLE
@@ -51,12 +55,17 @@ class ProgramIndex:
         "_slots",
         "_blocks",
         "_prefix",
+        "_finish",
     )
 
     def __init__(self, program: "BroadcastProgram") -> None:
         from repro.bdisk.program import SlotContent
 
-        self._program = program
+        # Weak: the program owns its index, so a strong back-reference
+        # would make every program a reference cycle whose tables live
+        # until a full garbage collection.
+        self._program = weakref.ref(program)
+        self._finish: dict[tuple[str, int], tuple[int, ...]] = {}
         schedule = program.schedule
         cycle = program.data_cycle_length
         self._cycle = cycle
@@ -101,9 +110,9 @@ class ProgramIndex:
     # ------------------------------------------------------------------
 
     @property
-    def program(self) -> "BroadcastProgram":
-        """The program this index describes."""
-        return self._program
+    def program(self) -> "BroadcastProgram | None":
+        """The program this index describes (``None`` once it is freed)."""
+        return self._program()
 
     @property
     def data_cycle_length(self) -> int:
@@ -118,7 +127,7 @@ class ProgramIndex:
     @property
     def files(self) -> tuple[str, ...]:
         """Files with occurrence tables (= the program's files)."""
-        return self._program.files
+        return tuple(self._slots)
 
     def _occurrence_arrays(
         self, file: str
@@ -194,6 +203,81 @@ class ProgramIndex:
                 k += 1
             base += cycle
             k = 0
+
+    # ------------------------------------------------------------------
+    # Fault-free finish tables
+    # ------------------------------------------------------------------
+
+    def finish_table(self, file: str, m_needed: int) -> tuple[int, ...]:
+        """Per occurrence ``j`` of one data cycle: the slot (relative to
+        occurrence ``j``'s cycle base) at which a fault-free IDA
+        retrieval of ``file`` starting at ``j`` collects its
+        ``m_needed``-th distinct block - ``-1`` when the file never
+        carries that many distinct blocks.
+
+        Built on first use per ``(file, m_needed)``, then cached.
+        """
+        need = max(1, m_needed)  # a 0-block file completes at the 1st block
+        key = (file, need)
+        table = self._finish.get(key)
+        if table is None:
+            slots, blocks = self._occurrence_arrays(file)
+            table = self._finish[key] = self._finish_per_occurrence(
+                slots, blocks, need
+            )
+        return table
+
+    def fault_free_finish(
+        self, file: str, m_needed: int, start: int
+    ) -> int | None:
+        """The slot at which a fault-free IDA retrieval of ``file`` from
+        ``start`` collects ``m_needed`` distinct blocks, ignoring any
+        horizon - ``None`` when it never does.
+
+        A retrieval that listens ``horizon`` slots completes iff the
+        answer is below ``start + horizon``, at exactly the slot
+        :func:`repro.sim.client.retrieve` reports over the clean channel;
+        this costs O(log occurrences) instead of a walk.
+        """
+        table = self.finish_table(file, m_needed)
+        slots = self._slots[file]
+        quotient, within = divmod(start, self._cycle)
+        k = bisect_left(slots, within)
+        if k == len(slots):
+            quotient += 1
+            k = 0
+        relative = table[k]
+        return None if relative < 0 else quotient * self._cycle + relative
+
+    def _finish_per_occurrence(
+        self, slots: Sequence[int], blocks: Sequence[int], need: int
+    ) -> tuple[int, ...]:
+        """Two-pointer sweep over the cyclically doubled occurrence list:
+        the minimal completing occurrence is monotone in the start, so
+        the whole table costs O(occurrences)."""
+        count = len(slots)
+        if len(set(blocks)) < need:
+            return (-1,) * count
+        cycle = self._cycle
+
+        def occurrence(e: int) -> tuple[int, int]:
+            quotient, remainder = divmod(e, count)
+            return slots[remainder] + quotient * cycle, blocks[remainder]
+
+        finish: list[int] = []
+        in_window: dict[int, int] = {}
+        e = 0
+        for j in range(count):
+            while len(in_window) < need:
+                block = occurrence(e)[1]
+                in_window[block] = in_window.get(block, 0) + 1
+                e += 1
+            finish.append(occurrence(e - 1)[0])
+            block = occurrence(j)[1]
+            in_window[block] -= 1
+            if not in_window[block]:
+                del in_window[block]
+        return tuple(finish)
 
     # ------------------------------------------------------------------
     # Window arithmetic

@@ -37,16 +37,11 @@ from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
-from repro.sim.client import choose_channel, default_horizon
-from repro.sim.faults import FaultModel, NoFaults, lost_in
+from repro.sim.client import best_channel, default_horizon, fault_batches
+from repro.sim.faults import FaultModel, NoFaults
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdisk.multichannel import ChannelSet
-
-#: Occurrences per batched fault query (the :mod:`repro.sim.client`
-#: convention): large enough to amortize the batch call, small enough
-#: that an early finish wastes little work.
-_FAULT_BATCH = 128
 
 #: Ceiling on the *derived* default horizon, in slots.  A default past
 #: this is almost certainly a configuration accident (an enormous data
@@ -196,14 +191,6 @@ def retrieve_versioned(
     discards = 0
 
     index = program.index
-    occ_slots = index.occurrence_slots(file)
-    occ_blocks = index.occurrence_blocks(file)
-    count = len(occ_slots)
-    cycle = index.data_cycle_length
-    quotient, within = divmod(start, cycle)
-    base = quotient * cycle
-    i = bisect_left(occ_slots, within)
-
     # The version-absorb step is inlined in both walks below (a per-
     # occurrence function call would dominate the fault-free path):
     # a newer version discards everything held; an older one (never
@@ -211,6 +198,13 @@ def retrieve_versioned(
     # reports the held version's write-slot age.
     if isinstance(fault_model, NoFaults):
         # Fault-free fast path: no decisions to make, walk the arrays.
+        occ_slots = index.occurrence_slots(file)
+        occ_blocks = index.occurrence_blocks(file)
+        count = len(occ_slots)
+        cycle = index.data_cycle_length
+        quotient, within = divmod(start, cycle)
+        base = quotient * cycle
+        i = bisect_left(occ_slots, within)
         held_add = held.add
         while base < end:
             while i < count:
@@ -242,28 +236,9 @@ def retrieve_versioned(
                 base += cycle
                 i = 0
     else:
-        while base < end:
-            # Gather the next batch of service slots inside the horizon
-            # and decide their fates in one fault-model call.
-            batch_slots: list[int] = []
-            batch_blocks: list[int] = []
-            while len(batch_slots) < _FAULT_BATCH:
-                if i >= count:
-                    base += cycle
-                    i = 0
-                    if base >= end:
-                        break
-                    continue
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end
-                    break
-                batch_slots.append(slot)
-                batch_blocks.append(occ_blocks[i])
-                i += 1
-            if not batch_slots:
-                break
-            decisions = lost_in(fault_model, batch_slots)
+        for batch_slots, batch_blocks, decisions in fault_batches(
+            index, file, start, end, fault_model
+        ):
             for slot, block, is_lost in zip(
                 batch_slots, batch_blocks, decisions
             ):
@@ -384,7 +359,8 @@ def retrieve_versioned_quorum(
 
     A single-receiver client reads copies *sequentially*: at each step
     it picks the best remaining candidate channel by the shared
-    fault-free choice rule (:func:`repro.sim.client.choose_channel`),
+    fault-free choice rule (:func:`repro.sim.client.best_channel`, which
+    scores from the finish tables and walks no probe),
     re-tunes if needed (paying ``tuning_cost``), and runs an ordinary
     :func:`retrieve_versioned` there under that channel's fault model.
     Because the update clock is monotone, copy versions are
@@ -426,13 +402,13 @@ def retrieve_versioned_quorum(
     last_busy = start
 
     while remaining:
-        channel, listen, _plain_horizon, _probe = choose_channel(
+        channel, listen, _plain_horizon, _finish = best_channel(
             channels,
             file,
             m_needed,
             start=clock,
             tuned=current,
-            among=tuple(remaining),
+            among=remaining,
         )
         remaining.remove(channel)
         if channel != current:

@@ -17,18 +17,19 @@ requirement; the fault model decides which slots are lost.
 The client is an *occurrence walker*: instead of scanning the program
 slot by slot, it jumps service-to-service along the program's
 precomputed occurrence index (:attr:`BroadcastProgram.index`), asking
-the fault model about whole batches of candidate slots at once.  The
-retrieval outcome is bit-identical to the seed slot-walking loop (kept
-in :mod:`repro.sim.reference` as the executable spec) because fault
-decisions are deterministic per ``(seed, slot)`` and slots carrying
-other files never affected the outcome.
+the fault model about whole batches of candidate slots at once
+(:func:`fault_batches`).  The retrieval outcome is bit-identical to the
+seed slot-walking loop (kept in :mod:`repro.sim.reference` as the
+executable spec) because fault decisions are deterministic per
+``(seed, slot)`` and slots carrying other files never affected the
+outcome.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence, TYPE_CHECKING
+from typing import Iterator, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram
@@ -36,10 +37,16 @@ from repro.sim.faults import FaultModel, NoFaults, lost_in
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdisk.multichannel import ChannelSet
+    from repro.bdisk.program_index import ProgramIndex
 
-#: Occurrences per batched fault query; large enough to amortize the
-#: batch call, small enough that an early finish wastes little work.
-_FAULT_BATCH = 128
+#: Widths of the batched fault queries of an occurrence walk: the first
+#: batch decides ``FAULT_BATCH_FIRST`` occurrences and each later one
+#: doubles, up to ``FAULT_BATCH_MAX``.  Most retrievals finish within a
+#: few occurrences, so little is decided past the finish, while long
+#: walks still take O(log) batch calls.  Decisions are deterministic per
+#: ``(seed, slot)``, so the widths never change an outcome.
+FAULT_BATCH_FIRST = 4
+FAULT_BATCH_MAX = 128
 
 
 def default_horizon(program: BroadcastProgram, m_needed: int) -> int:
@@ -51,6 +58,54 @@ def default_horizon(program: BroadcastProgram, m_needed: int) -> int:
     without reconstructing gives up (the channel is effectively dark).
     """
     return (m_needed + 2) * program.data_cycle_length
+
+
+def fault_batches(
+    index: "ProgramIndex",
+    file: str,
+    start: int,
+    end: int,
+    faults: FaultModel,
+) -> Iterator[tuple[list[int], list[int], list[bool]]]:
+    """Yield ``(slots, blocks, lost)`` batches covering the services of
+    ``file`` in slots ``[start, end)``, in slot order.
+
+    Each batch is decided by one :func:`lost_in` call; widths grow
+    geometrically from :data:`FAULT_BATCH_FIRST` to
+    :data:`FAULT_BATCH_MAX`.  A walker that finishes stops pulling, so
+    it decides at most about twice the occurrences it heard.
+    """
+    occ_slots = index.occurrence_slots(file)
+    occ_blocks = index.occurrence_blocks(file)
+    count = len(occ_slots)
+    cycle = index.data_cycle_length
+    # Pointer (base, i): the next candidate occurrence is occurrence i of
+    # the cycle copy starting at absolute slot `base`.
+    quotient, within = divmod(start, cycle)
+    base = quotient * cycle
+    i = bisect_left(occ_slots, within)
+    width = FAULT_BATCH_FIRST
+    while base < end:
+        batch_slots: list[int] = []
+        batch_blocks: list[int] = []
+        while len(batch_slots) < width:
+            if i >= count:
+                base += cycle
+                i = 0
+                if base >= end:
+                    break
+                continue
+            slot = base + occ_slots[i]
+            if slot >= end:
+                base = end
+                break
+            batch_slots.append(slot)
+            batch_blocks.append(occ_blocks[i])
+            i += 1
+        if not batch_slots:
+            return
+        yield batch_slots, batch_blocks, lost_in(faults, batch_slots)
+        width = min(2 * width, FAULT_BATCH_MAX)
 
 
 @dataclass(frozen=True)
@@ -145,18 +200,17 @@ def retrieve(
     wanted = set(range(m_needed)) if not need_distinct else None
 
     index = program.index
-    occ_slots = index.occurrence_slots(file)
-    occ_blocks = index.occurrence_blocks(file)
-    count = len(occ_slots)
-    cycle = index.data_cycle_length
-    # Pointer (base, i): the next candidate occurrence is occurrence i of
-    # the cycle copy starting at absolute slot `base`.
-    quotient, within = divmod(start, cycle)
-    base = quotient * cycle
-    i = bisect_left(occ_slots, within)
-
     if isinstance(fault_model, NoFaults):
         # Fault-free fast path: no decisions to make, walk the arrays.
+        occ_slots = index.occurrence_slots(file)
+        occ_blocks = index.occurrence_blocks(file)
+        count = len(occ_slots)
+        cycle = index.data_cycle_length
+        # Pointer (base, i): the next candidate occurrence is occurrence
+        # i of the cycle copy starting at absolute slot `base`.
+        quotient, within = divmod(start, cycle)
+        base = quotient * cycle
+        i = bisect_left(occ_slots, within)
         seen_add = seen.add
         append = arrival_order.append
         while base < end:
@@ -189,28 +243,9 @@ def retrieve(
                 base += cycle
                 i = 0
     else:
-        while base < end:
-            # Gather the next batch of service slots inside the horizon
-            # and decide their fates in one fault-model call.
-            batch_slots: list[int] = []
-            batch_blocks: list[int] = []
-            while len(batch_slots) < _FAULT_BATCH:
-                if i >= count:
-                    base += cycle
-                    i = 0
-                    if base >= end:
-                        break
-                    continue
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end
-                    break
-                batch_slots.append(slot)
-                batch_blocks.append(occ_blocks[i])
-                i += 1
-            if not batch_slots:
-                break
-            decisions = lost_in(fault_model, batch_slots)
+        for batch_slots, batch_blocks, decisions in fault_batches(
+            index, file, start, end, fault_model
+        ):
             for slot, block, is_lost in zip(
                 batch_slots, batch_blocks, decisions
             ):
@@ -293,6 +328,82 @@ class MultiChannelRetrieval:
         )
 
 
+def best_channel(
+    channels: "ChannelSet",
+    file: str,
+    m_needed: int,
+    *,
+    start: int,
+    tuned: int,
+    need_distinct: bool = True,
+    max_slots: int | None = None,
+    among: Sequence[int] | None = None,
+) -> tuple[int, int, int, int | None]:
+    """The channel a rational client listens on, and its clean finish.
+
+    Deterministic choice rule shared by every walker (fast, reference,
+    object engine, SoA engine) - they must agree bit-for-bit: score each
+    candidate channel by its **fault-free** finish slot from the slot the
+    client could start listening (``start``, plus the tuning cost when
+    the candidate is not the currently tuned channel); completed probes
+    beat exhausted ones, earlier finishes beat later ones, and ties go
+    to the lowest channel index.  Faults are *not* consulted - the
+    client cannot predict them, so it commits to the channel that is
+    best on the advertised program.
+
+    Returns ``(channel, listen_start, horizon, finish)`` where
+    ``finish`` is the slot the chosen channel's fault-free retrieval
+    completes at, or ``None`` when it exhausts the horizon.  IDA
+    candidates are scored by an O(log n) lookup into the index's finish
+    tables (:meth:`~repro.bdisk.program_index.ProgramIndex.fault_free_finish`);
+    specific-block candidates walk their probes.  ``among`` restricts
+    the candidates to a subset of the file's channels (quorum assembly
+    crosses channels off as it reads them).
+    """
+    candidates = (
+        channels.channels_for(file) if among is None else tuple(among)
+    )
+    if not candidates:
+        raise SimulationError(
+            f"no candidate channels to choose from for {file!r}"
+        )
+    best: tuple[int, int, int] | None = None
+    chosen: tuple[int, int, int, int | None] | None = None
+    for candidate in candidates:
+        listen = channels.listen_start(start, tuned, candidate)
+        program = channels.programs[candidate]
+        horizon = (
+            max_slots
+            if max_slots is not None
+            else default_horizon(program, m_needed)
+        )
+        if not need_distinct:
+            finish = retrieve(
+                program,
+                file,
+                m_needed,
+                start=listen,
+                need_distinct=False,
+                max_slots=horizon,
+            ).finish_slot
+        elif file not in program.files:
+            raise SimulationError(f"file {file!r} is not broadcast")
+        else:
+            finish = program.index.fault_free_finish(file, m_needed, listen)
+            if finish is not None and finish >= listen + horizon:
+                finish = None
+        key = (
+            (0, finish, candidate)
+            if finish is not None
+            else (1, listen + horizon - 1, candidate)
+        )
+        if best is None or key < best:
+            best = key
+            chosen = (candidate, listen, horizon, finish)
+    assert chosen is not None  # channels_for never returns empty
+    return chosen
+
+
 def choose_channel(
     channels: "ChannelSet",
     file: str,
@@ -306,58 +417,29 @@ def choose_channel(
 ) -> tuple[int, int, int, RetrievalResult]:
     """The channel a rational client listens on, and its probe.
 
-    Deterministic choice rule shared by every walker (fast, reference,
-    object engine, SoA engine) - they must agree bit-for-bit: score each
-    candidate channel by its **fault-free** finish slot from the slot the
-    client could start listening (``start``, plus the tuning cost when
-    the candidate is not the currently tuned channel); completed probes
-    beat exhausted ones, earlier finishes beat later ones, and ties go
-    to the lowest channel index.  Faults are *not* consulted - the
-    client cannot predict them, so it commits to the channel that is
-    best on the advertised program.
-
-    Returns ``(channel, listen_start, horizon, probe)`` where ``probe``
-    is the fault-free retrieval on the chosen channel.  ``among``
-    restricts the candidates to a subset of the file's channels (quorum
-    assembly crosses channels off as it reads them).
+    :func:`best_channel`'s choice, plus ``probe``: the fault-free
+    retrieval on the chosen channel, the only probe walked.  Returns
+    ``(channel, listen_start, horizon, probe)``.
     """
-    candidates = (
-        channels.channels_for(file) if among is None else tuple(among)
+    channel, listen, horizon, _ = best_channel(
+        channels,
+        file,
+        m_needed,
+        start=start,
+        tuned=tuned,
+        need_distinct=need_distinct,
+        max_slots=max_slots,
+        among=among,
     )
-    if not candidates:
-        raise SimulationError(
-            f"no candidate channels to choose from for {file!r}"
-        )
-    best: tuple[int, int, int] | None = None
-    chosen: tuple[int, int, int, RetrievalResult] | None = None
-    for candidate in candidates:
-        listen = channels.listen_start(start, tuned, candidate)
-        program = channels.programs[candidate]
-        horizon = (
-            max_slots
-            if max_slots is not None
-            else default_horizon(program, m_needed)
-        )
-        probe = retrieve(
-            program,
-            file,
-            m_needed,
-            start=listen,
-            faults=None,
-            need_distinct=need_distinct,
-            max_slots=horizon,
-        )
-        busy_until = (
-            probe.finish_slot
-            if probe.completed and probe.finish_slot is not None
-            else listen + horizon - 1
-        )
-        key = (0 if probe.completed else 1, busy_until, candidate)
-        if best is None or key < best:
-            best = key
-            chosen = (candidate, listen, horizon, probe)
-    assert chosen is not None  # channels_for never returns empty
-    return chosen
+    probe = retrieve(
+        channels.programs[channel],
+        file,
+        m_needed,
+        start=listen,
+        need_distinct=need_distinct,
+        max_slots=horizon,
+    )
+    return channel, listen, horizon, probe
 
 
 def retrieve_multichannel(
@@ -374,7 +456,7 @@ def retrieve_multichannel(
     """Simulate one retrieval over ``k`` parallel channels.
 
     The client picks the channel with the earliest feasible (fault-free)
-    occurrence run via :func:`choose_channel`, pays ``tuning_cost``
+    occurrence run via :func:`best_channel`, pays ``tuning_cost``
     slots when that channel differs from ``tuned``, then performs the
     ordinary single-channel retrieval there under that channel's fault
     model (``faults[channel]``; ``None`` entries mean a clean channel).
@@ -389,7 +471,7 @@ def retrieve_multichannel(
             f"faults must have one entry per channel: got {len(faults)} "
             f"for {channels.count} channel(s)"
         )
-    channel, listen, horizon, probe = choose_channel(
+    channel, listen, horizon, _ = best_channel(
         channels,
         file,
         m_needed,
@@ -398,19 +480,15 @@ def retrieve_multichannel(
         need_distinct=need_distinct,
         max_slots=max_slots,
     )
-    fault_model = faults[channel] if faults is not None else None
-    if fault_model is None or isinstance(fault_model, NoFaults):
-        result = probe
-    else:
-        result = retrieve(
-            channels.programs[channel],
-            file,
-            m_needed,
-            start=listen,
-            faults=fault_model,
-            need_distinct=need_distinct,
-            max_slots=horizon,
-        )
+    result = retrieve(
+        channels.programs[channel],
+        file,
+        m_needed,
+        start=listen,
+        faults=faults[channel] if faults is not None else None,
+        need_distinct=need_distinct,
+        max_slots=horizon,
+    )
     finish = (
         result.finish_slot
         if result.completed and result.finish_slot is not None

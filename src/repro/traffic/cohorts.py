@@ -58,7 +58,8 @@ class RetrievalTables:
         slot (relative to that occurrence's cycle base) at which a
         retrieval beginning at occurrence ``j`` collects its ``m``-th
         distinct block; ``-1`` when the file's occurrence set never
-        yields ``m`` distinct blocks.
+        yields ``m`` distinct blocks (the index's cached
+        :meth:`~repro.bdisk.program_index.ProgramIndex.finish_table`).
     ``horizons`` / ``m_needed`` / ``counts``
         per-file listening horizon, blocks required, occurrences per
         data cycle.
@@ -140,7 +141,7 @@ class RetrievalTables:
             all_slots.extend(slots)
             all_blocks.extend(blocks)
             offsets.append(len(all_slots))
-            finish.extend(_finish_per_occurrence(slots, blocks, size, cycle))
+            finish.extend(index.finish_table(file, size))
             horizons.append(
                 max_slots
                 if max_slots is not None
@@ -287,9 +288,9 @@ class MultiChannelTables:
     global file ids to per-channel table rows (``-1`` where a channel
     does not carry the file).  :meth:`choose` replicates the
     deterministic channel-choice rule of
-    :func:`repro.sim.client.choose_channel` from the fault-free tables,
+    :func:`repro.sim.client.best_channel` from the fault-free tables,
     so the vectorized engine's multichannel walk is bit-identical to the
-    object engine's memoized oracle.
+    object engine's oracle.
 
     Like :class:`RetrievalTables`, the whole structure is a pure
     function of ``(channel_set, catalogue, sizes, max_slots)`` and
@@ -365,7 +366,7 @@ class MultiChannelTables:
         Fault-free probes only (faults never steer tuning); ``latency``
         is ``-1`` when even the best channel aborts.  Ties break on
         ``(aborted, busy-until, channel index)`` exactly like
-        :func:`repro.sim.client.choose_channel`.
+        :func:`repro.sim.client.best_channel`.
         """
         best: tuple[int, int, int] | None = None
         chosen: tuple[int, int, int, int] | None = None
@@ -380,45 +381,6 @@ class MultiChannelTables:
                 chosen = (candidate, listen, latency, finish)
         assert chosen is not None  # every file is carried somewhere
         return chosen
-
-
-def _finish_per_occurrence(
-    slots: Sequence[int],
-    blocks: Sequence[int],
-    m_needed: int,
-    cycle: int,
-) -> list[int]:
-    """Per occurrence ``j``: the slot (relative to occurrence ``j``'s
-    cycle base) of the occurrence that completes a retrieval starting at
-    ``j`` - the m-th distinct block - or ``-1`` when unreachable.
-
-    Two-pointer sweep over the cyclically doubled occurrence list: the
-    minimal completing occurrence is monotone in the start, so the whole
-    table costs O(occurrences).
-    """
-    count = len(slots)
-    need = max(1, m_needed)  # a 0-block file completes at the 1st block
-    if count == 0 or len(set(blocks)) < need:
-        return [-1] * count
-
-    def occurrence(e: int) -> tuple[int, int]:
-        quotient, remainder = divmod(e, count)
-        return slots[remainder] + quotient * cycle, blocks[remainder]
-
-    finish: list[int] = []
-    in_window: dict[int, int] = {}
-    e = 0
-    for j in range(count):
-        while len(in_window) < need:
-            block = occurrence(e)[1]
-            in_window[block] = in_window.get(block, 0) + 1
-            e += 1
-        finish.append(occurrence(e - 1)[0])
-        block = occurrence(j)[1]
-        in_window[block] -= 1
-        if not in_window[block]:
-            del in_window[block]
-    return finish
 
 
 def cohort_waves(

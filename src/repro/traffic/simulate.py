@@ -42,7 +42,7 @@ from repro.rtdb.updates import (
     versioned_horizon,
 )
 from repro.sim.cache import CachingClient, LruCache, PixCache
-from repro.sim.client import default_horizon, retrieve
+from repro.sim.client import best_channel, default_horizon, retrieve
 from repro.sim.faults import FaultModel, NoFaults
 from repro.sim.metrics import LatencySummary
 from repro.traffic.arrivals import (
@@ -335,18 +335,16 @@ class _VersionedRetriever:
 class _MultiOracle:
     """Shared multichannel retrieval machinery for one shard.
 
-    Implements the deterministic channel-choice rule of
-    :func:`repro.sim.client.choose_channel` with the fault-free probes
-    memoized per ``(channel, file, listen mod channel cycle)`` - a
-    probe's outcome over the clean channel depends on the listen slot
-    only through its phase, so heavy traffic pays one real probe per
-    phase per channel.  End-to-end outcomes are bit-identical to
+    The channel choice is :func:`repro.sim.client.best_channel`, scored
+    from the programs' fault-free finish tables, so a clean channel's
+    outcome costs no walk at all; only a faulty chosen channel walks.
+    End-to-end outcomes are bit-identical to
     :func:`repro.sim.client.retrieve_multichannel` (pinned by
-    ``tests/traffic/test_traffic_multichannel.py``).
+    ``tests/traffic/test_multichannel_traffic.py``).
     """
 
-    __slots__ = ("channels", "faults", "_sizes", "_max_slots", "_cycles",
-                 "_horizons", "_memo", "_c_memo", "_c_walk")
+    __slots__ = ("channels", "faults", "_sizes", "_max_slots", "_c_table",
+                 "_c_walk")
 
     def __init__(
         self,
@@ -359,63 +357,17 @@ class _MultiOracle:
         self.faults = faults
         self._sizes = file_sizes
         self._max_slots = max_slots
-        self._cycles = tuple(
-            program.data_cycle_length for program in channels.programs
-        )
-        self._horizons: dict[tuple[int, str], int] = {}
-        # (channel, file, phase) -> (completed, latency-from-listen).
-        self._memo: dict[tuple[int, str, int], tuple[bool, int]] = {}
         tel = obs.current()
-        self._c_memo = self._c_walk = None
+        self._c_table = self._c_walk = None
         if tel is not None:
-            self._c_memo = tel.counter(
+            self._c_table = tel.counter(
                 "traffic.retrievals", stability="shape",
-                oracle="multichannel", kind="memo",
+                oracle="multichannel", kind="table",
             )
             self._c_walk = tel.counter(
                 "traffic.retrievals", stability="shape",
                 oracle="multichannel", kind="walk",
             )
-
-    def horizon(self, channel: int, file: str) -> int:
-        """Slots a retrieval on ``channel`` listens before giving up."""
-        key = (channel, file)
-        horizon = self._horizons.get(key)
-        if horizon is None:
-            horizon = self._horizons[key] = (
-                self._max_slots
-                if self._max_slots is not None
-                else default_horizon(
-                    self.channels.programs[channel], self._sizes[file]
-                )
-            )
-        return horizon
-
-    def _probe(
-        self, channel: int, file: str, listen: int
-    ) -> tuple[bool, int]:
-        """``(completed, latency from listen)`` of the clean probe."""
-        key = (channel, file, listen % self._cycles[channel])
-        hit = self._memo.get(key)
-        if hit is None:
-            result = retrieve(
-                self.channels.programs[channel],
-                file,
-                self._sizes[file],
-                start=key[2],
-                faults=None,
-                need_distinct=True,
-                max_slots=self.horizon(channel, file),
-            )
-            hit = self._memo[key] = (
-                result.completed,
-                result.latency if result.completed else 0,
-            )
-            if self._c_walk is not None:
-                self._c_walk.add()
-        elif self._c_memo is not None:
-            self._c_memo.add()
-        return hit
 
     def retrieve(
         self, file: str, start: int, tuned: int
@@ -425,49 +377,33 @@ class _MultiOracle:
         ``latency`` is ``None`` on an abort; ``finish`` is the last slot
         listened to either way (tuning cost included in both).
         """
-        best: tuple[int, int, int] | None = None
-        chosen: tuple[int, int, bool, int] | None = None
-        for candidate in self.channels.channels_for(file):
-            listen = self.channels.listen_start(start, tuned, candidate)
-            completed, latency = self._probe(candidate, file, listen)
-            busy = (
-                listen + latency - 1
-                if completed
-                else listen + self.horizon(candidate, file) - 1
-            )
-            key = (0 if completed else 1, busy, candidate)
-            if best is None or key < best:
-                best = key
-                chosen = (candidate, listen, completed, latency)
-        assert chosen is not None  # channels_for never returns empty
-        channel, listen, completed, latency = chosen
-        horizon = self.horizon(channel, file)
+        m_needed = self._sizes[file]
+        channel, listen, horizon, finish = best_channel(
+            self.channels,
+            file,
+            m_needed,
+            start=start,
+            tuned=tuned,
+            max_slots=self._max_slots,
+        )
         model = self.faults[channel] if self.faults is not None else None
         if model is None or isinstance(model, NoFaults):
-            finish = (
-                listen + latency - 1 if completed else listen + horizon - 1
-            )
+            if self._c_table is not None:
+                self._c_table.add()
         else:
-            result = retrieve(
+            finish = retrieve(
                 self.channels.programs[channel],
                 file,
-                self._sizes[file],
+                m_needed,
                 start=listen,
                 faults=model,
-                need_distinct=True,
                 max_slots=horizon,
-            )
-            completed = result.completed
-            finish = (
-                result.finish_slot
-                if result.completed and result.finish_slot is not None
-                else listen + horizon - 1
-            )
-        return (
-            finish - start + 1 if completed else None,
-            finish,
-            channel,
-        )
+            ).finish_slot
+            if self._c_walk is not None:
+                self._c_walk.add()
+        if finish is None:
+            return None, listen + horizon - 1, channel
+        return finish - start + 1, finish, channel
 
 
 class _MultiRetriever:

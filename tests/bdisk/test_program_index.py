@@ -1,5 +1,9 @@
 """Tests for the precomputed occurrence index (ProgramIndex)."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.errors import ProgramError, SpecificationError
@@ -119,3 +123,34 @@ class TestWindows:
 
     def test_min_distinct_absent_file_is_zero(self, program):
         assert program.index.min_distinct_in_window("Z", 4) == 0
+
+
+class TestLifecycle:
+    def test_indexed_program_is_freed_without_the_collector(self):
+        # The index points back at its program weakly, so dropping the
+        # last reference frees both at once - no cycle waits for a
+        # full collection with the index tables attached.
+        gc.disable()
+        try:
+            program = build_aida_flat_program([("A", 5, 10), ("B", 3, 6)])
+            index = program.index
+            index.finish_table("A", 5)
+            ref = weakref.ref(program)
+            del program
+            assert ref() is None
+            assert index.program is None
+        finally:
+            gc.enable()
+
+    def test_files_are_the_owners_in_first_appearance_order(self, program):
+        assert program.files == program.schedule.owners()
+        assert program.index.files == program.files
+
+    def test_files_survive_a_pickle_round_trip(self, program):
+        program.index  # the index itself is never pickled
+        # The pickled state keeps its three fields, so solve-cache
+        # entries written before `files` was stored still load.
+        assert len(program.__getstate__()) == 3
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.files == program.files
+        assert clone.index.occurrences("B") == program.index.occurrences("B")
