@@ -33,9 +33,11 @@ from repro.rtdb.items import DataItem
 from repro.rtdb.temporal import latency_budget_slots
 from repro.rtdb.transactions import ReadTransaction, TransactionResult
 from repro.rtdb.updates import (
+    QuorumRead,
     UpdatingServer,
     VersionedRetrieval,
     versioned_horizon,
+    versioned_listen_horizon,
 )
 
 
@@ -216,8 +218,6 @@ def retrieve_versioned_quorum(
     every channel probe uses :func:`repro.sim.reference.retrieve` and
     every copy uses the slot-walking :func:`retrieve_versioned` above.
     """
-    from repro.rtdb.updates import MAX_DEFAULT_HORIZON, QuorumRead
-
     r = channels.quorum if quorum is None else quorum
     candidates = channels.channels_for(file)
     if r > len(candidates):
@@ -271,16 +271,9 @@ def retrieve_versioned_quorum(
             switches += 1
             current = channel
         program = channels.programs[channel]
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = versioned_horizon(program, m_needed, update_period)
-            if horizon > MAX_DEFAULT_HORIZON:
-                raise SimulationError(
-                    f"default horizon for a versioned retrieval of "
-                    f"{file!r} is {horizon} slots, past the "
-                    f"{MAX_DEFAULT_HORIZON}-slot budget; pass max_slots"
-                )
+        horizon = versioned_listen_horizon(
+            program, file, m_needed, update_period, max_slots=max_slots
+        )
         fault_model = faults[channel] if faults is not None else None
         copy = retrieve_versioned(
             program,

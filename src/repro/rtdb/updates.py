@@ -19,9 +19,9 @@ line of work it cites).  This module models that loop:
 
 :func:`retrieve_versioned` implements the client as an *occurrence
 walker*: it jumps service-to-service along the program's precomputed
-occurrence index (:attr:`BroadcastProgram.index`), asking the fault
-model about whole batches of candidate slots at once - the same
-treatment :func:`repro.sim.client.retrieve` received.  Slots carrying
+occurrence index (:attr:`BroadcastProgram.index`), pulling services and
+batched fault decisions from :func:`repro.sim.client.fault_batches`,
+the same source :func:`repro.sim.client.retrieve` uses.  Slots carrying
 other files never affected the outcome and fault decisions are
 deterministic per ``(seed, slot)``, so the result is bit-identical to
 the seed slot-walking loop (kept in :mod:`repro.rtdb.reference` as the
@@ -31,14 +31,13 @@ frontier between update rate and the retrieval window.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
 from repro.sim.client import best_channel, default_horizon, fault_batches
-from repro.sim.faults import FaultModel, NoFaults
+from repro.sim.faults import FaultModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdisk.multichannel import ChannelSet
@@ -119,6 +118,36 @@ def versioned_horizon(
     return base + min(update_period, base)
 
 
+def versioned_listen_horizon(
+    program: BroadcastProgram,
+    file: str,
+    m_needed: int,
+    update_period: int,
+    *,
+    max_slots: int | None,
+) -> int:
+    """The slots a versioned retrieval of ``file`` listens.
+
+    ``max_slots`` verbatim when given - a caller-chosen horizon is
+    honoured whatever its size - else :func:`versioned_horizon`, which
+    must stay within :data:`MAX_DEFAULT_HORIZON`: a derived default past
+    it raises :class:`SimulationError` instead of silently walking a
+    huge cycle.
+    """
+    if max_slots is not None:
+        return max_slots
+    horizon = versioned_horizon(program, m_needed, update_period)
+    if horizon > MAX_DEFAULT_HORIZON:
+        raise SimulationError(
+            f"default horizon for a versioned retrieval of {file!r} "
+            f"is {horizon} slots (m={m_needed}, data cycle "
+            f"{program.data_cycle_length}, period {update_period}), "
+            f"past the {MAX_DEFAULT_HORIZON}-slot budget; pass "
+            f"max_slots to listen that long deliberately"
+        )
+    return horizon
+
+
 @dataclass(frozen=True)
 class VersionedRetrieval:
     """Outcome of a retrieval against a live-updated item."""
@@ -157,110 +186,53 @@ def retrieve_versioned(
     the version obtained, its age when retrieval completed, and how many
     blocks were thrown away to torn reads.
 
-    The client walks the occurrence index service-to-service with
-    batched fault queries; outcomes are bit-identical to the slot
-    walker preserved in :func:`repro.rtdb.reference.retrieve_versioned`.
+    The client pulls its services from
+    :func:`repro.sim.client.fault_batches`; outcomes are bit-identical
+    to the slot walker preserved in
+    :func:`repro.rtdb.reference.retrieve_versioned`.
 
     Raises
     ------
     SimulationError
-        If ``file`` is not broadcast, or no ``max_slots`` was given and
-        the derived default horizon exceeds :data:`MAX_DEFAULT_HORIZON`
-        (pass an explicit ``max_slots`` to listen longer deliberately).
+        If ``file`` is not broadcast, ``start`` is negative, or no
+        ``max_slots`` was given and the derived default horizon exceeds
+        :data:`MAX_DEFAULT_HORIZON` (pass an explicit ``max_slots`` to
+        listen longer deliberately).
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
-    fault_model = faults if faults is not None else NoFaults()
     update_period = server.period(file)
-    if max_slots is not None:
-        horizon = max_slots
-    else:
-        horizon = versioned_horizon(program, m_needed, update_period)
-        if horizon > MAX_DEFAULT_HORIZON:
-            raise SimulationError(
-                f"default horizon for a versioned retrieval of {file!r} "
-                f"is {horizon} slots (m={m_needed}, data cycle "
-                f"{program.data_cycle_length}, period {update_period}), "
-                f"past the {MAX_DEFAULT_HORIZON}-slot budget; pass "
-                f"max_slots to listen that long deliberately"
-            )
-    end = start + horizon
-
+    horizon = versioned_listen_horizon(
+        program, file, m_needed, update_period, max_slots=max_slots
+    )
     held: set[int] = set()
     held_version: int | None = None
     discards = 0
-
-    index = program.index
-    # The version-absorb step is inlined in both walks below (a per-
-    # occurrence function call would dominate the fault-free path):
-    # a newer version discards everything held; an older one (never
-    # produced by the monotone clock) would be skipped; completion
-    # reports the held version's write-slot age.
-    if isinstance(fault_model, NoFaults):
-        # Fault-free fast path: no decisions to make, walk the arrays.
-        occ_slots = index.occurrence_slots(file)
-        occ_blocks = index.occurrence_blocks(file)
-        count = len(occ_slots)
-        cycle = index.data_cycle_length
-        quotient, within = divmod(start, cycle)
-        base = quotient * cycle
-        i = bisect_left(occ_slots, within)
-        held_add = held.add
-        while base < end:
-            while i < count:
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end  # horizon exhausted
-                    break
-                block = occ_blocks[i]
-                i += 1
-                version = slot // update_period
-                if version != held_version:
-                    if held:
-                        discards += len(held)
-                        held = set()
-                        held_add = held.add
-                    held_version = version
-                held_add(block)
-                if len(held) >= m_needed:
-                    return VersionedRetrieval(
-                        file=file,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        version=version,
-                        age_at_completion=slot - version * update_period,
-                        torn_discards=discards,
-                    )
-            else:
-                base += cycle
-                i = 0
-    else:
-        for batch_slots, batch_blocks, decisions in fault_batches(
-            index, file, start, end, fault_model
-        ):
-            for slot, block, is_lost in zip(
-                batch_slots, batch_blocks, decisions
-            ):
-                if is_lost:
-                    continue
-                version = slot // update_period
-                if version != held_version:
-                    if held:
-                        discards += len(held)
-                        held = set()
-                    held_version = version
-                held.add(block)
-                if len(held) >= m_needed:
-                    return VersionedRetrieval(
-                        file=file,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        version=version,
-                        age_at_completion=slot - version * update_period,
-                        torn_discards=discards,
-                    )
+    for batch_slots, batch_blocks, decisions in fault_batches(
+        program.index, file, start, start + horizon, faults
+    ):
+        for slot, block, is_lost in zip(batch_slots, batch_blocks, decisions):
+            if is_lost:
+                continue
+            # A newer version discards everything held (the clock is
+            # monotone, so an older one never arrives).
+            version = slot // update_period
+            if version != held_version:
+                if held:
+                    discards += len(held)
+                    held = set()
+                held_version = version
+            held.add(block)
+            if len(held) >= m_needed:
+                return VersionedRetrieval(
+                    file=file,
+                    completed=True,
+                    finish_slot=slot,
+                    latency=slot - start + 1,
+                    version=version,
+                    age_at_completion=slot - version * update_period,
+                    torn_discards=discards,
+                )
     return VersionedRetrieval(
         file=file,
         completed=False,
@@ -415,19 +387,9 @@ def retrieve_versioned_quorum(
             switches += 1
             current = channel
         program = channels.programs[channel]
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = versioned_horizon(program, m_needed, update_period)
-            if horizon > MAX_DEFAULT_HORIZON:
-                raise SimulationError(
-                    f"default horizon for a versioned retrieval of "
-                    f"{file!r} is {horizon} slots (m={m_needed}, data "
-                    f"cycle {program.data_cycle_length}, period "
-                    f"{update_period}), past the "
-                    f"{MAX_DEFAULT_HORIZON}-slot budget; pass max_slots "
-                    f"to listen that long deliberately"
-                )
+        horizon = versioned_listen_horizon(
+            program, file, m_needed, update_period, max_slots=max_slots
+        )
         fault_model = faults[channel] if faults is not None else None
         copy = retrieve_versioned(
             program,

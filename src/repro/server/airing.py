@@ -16,9 +16,10 @@ occurrences dovetail with the outgoing tail.
 
 The schedule is also the retrieval oracle for clients that live through
 splices: :meth:`retrieve` (distinct-block IDA reads) and
-:meth:`retrieve_versioned` (version-consistent temporal reads) walk the
-per-segment occurrence indexes service-to-service, crossing segment
-boundaries transparently.  Cross-segment rules:
+:meth:`retrieve_versioned` (version-consistent temporal reads) share one
+walk that pulls each segment's services from
+:func:`repro.sim.client.fault_batches`, crossing segment boundaries
+transparently.  Cross-segment rules:
 
 * **fault decisions are keyed on absolute slots** - the channel is one
   physical medium; a splice does not reshuffle its loss process;
@@ -26,7 +27,8 @@ boundaries transparently.  Cross-segment rules:
   file's IDA level ``m`` is unchanged - a fault-budget bump only grows
   the transmission set ``n_i = m + r``, and any ``m`` distinct blocks
   of the same dispersal still reconstruct; only a genuine re-dispersal
-  (different ``m``) restarts collection, counted in ``torn_discards``;
+  (different ``m``) restarts collection, counted in ``torn_discards``,
+  judged at the first *heard* service of each later segment;
 * **version clocks are wall clocks**: a version boundary falls at every
   absolute multiple of the segment's update period, so staleness ages
   carry across the switch un-reset (temporal continuity);
@@ -43,13 +45,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram, SlotContent
-from repro.sim.client import default_horizon
-from repro.sim.faults import FaultModel, NoFaults
-from repro.rtdb.updates import MAX_DEFAULT_HORIZON, versioned_horizon
+from repro.sim.client import default_horizon, fault_batches
+from repro.sim.faults import FaultModel
+from repro.rtdb.updates import versioned_listen_horizon
 
 
 @dataclass(frozen=True)
@@ -201,55 +203,16 @@ class AirSchedule:
     # Retrieval across segments
     # ------------------------------------------------------------------
 
-    def _occurrences(
-        self, file: str, start: int, end: int
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(abs_slot, block, epoch)`` services of ``file``.
-
-        Walks ``[start, end)`` in absolute-slot order, jumping
-        service-to-service along each segment's occurrence index and
-        skipping segments that do not air the file.
-        """
-        first = self.epoch_of(start)
+    def _home(self, file: str, start: int, first: int) -> Segment:
+        """The first segment from epoch ``first`` (the one covering
+        ``start``) onward that airs ``file``."""
         for epoch in range(first, len(self._segments)):
-            segment = self._segments[epoch]
-            seg_end = (
-                self._starts[epoch + 1]
-                if epoch + 1 < len(self._segments)
-                else end
-            )
-            hi = min(end, seg_end)
-            if hi <= segment.start and epoch > first:
-                break
-            if file not in segment.program.files:
-                continue
-            lo = max(start, segment.start)
-            for slot, block in segment.program.index.occurrences_from(
-                file, segment.phase(lo)
-            ):
-                abs_slot = segment.absolute(slot)
-                if abs_slot >= hi:
-                    break
-                yield abs_slot, block, epoch
-
-    def _first_segment_with(self, file: str, start: int) -> Segment | None:
-        for epoch in range(self.epoch_of(start), len(self._segments)):
             if file in self._segments[epoch].program.files:
                 return self._segments[epoch]
-        return None
-
-    def _dispersal_basis(self, epoch: int, file: str) -> int:
-        """The reconstruction-compatibility key for ``file`` in ``epoch``.
-
-        The IDA level ``m`` when the segment declares it; the aired
-        block count otherwise (a conservative stand-in - it also moves
-        when only the fault budget ``r`` changed).
-        """
-        segment = self._segments[epoch]
-        m = segment.dispersal_of(file)
-        if m is not None:
-            return m
-        return segment.program.block_count(file)
+        raise SimulationError(
+            f"file {file!r} is not broadcast anywhere on the "
+            f"timeline from slot {start}"
+        )
 
     def retrieve(
         self,
@@ -270,54 +233,15 @@ class AirSchedule:
         :class:`~repro.errors.SimulationError` when no segment from
         ``start`` onward ever airs the file.
         """
-        home = self._first_segment_with(file, start)
-        if home is None:
-            raise SimulationError(
-                f"file {file!r} is not broadcast anywhere on the "
-                f"timeline from slot {start}"
-            )
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = default_horizon(home.program, m_needed)
-        if horizon < 1:
-            raise SimulationError(f"horizon must be >= 1: {horizon}")
-        end = start + horizon
-        fault_model = faults if faults is not None else NoFaults()
-
-        held: set[int] = set()
-        discards = 0
-        prev_epoch: int | None = None
-        prev_m: int | None = None
-        first_epoch = self.epoch_of(start)
-        for slot, block, epoch in self._occurrences(file, start, end):
-            if fault_model.is_lost(slot):
-                continue
-            m_here = self._dispersal_basis(epoch, file)
-            if prev_epoch is not None and epoch != prev_epoch:
-                if m_here != prev_m and held:
-                    discards += len(held)
-                    held.clear()
-            prev_epoch, prev_m = epoch, m_here
-            held.add(block)
-            if len(held) >= m_needed:
-                return SplicedRetrieval(
-                    file=file,
-                    completed=True,
-                    finish_slot=slot,
-                    latency=slot - start + 1,
-                    segments_crossed=self.epoch_of(slot) - first_epoch,
-                    torn_discards=discards,
-                )
-        return SplicedRetrieval(
-            file=file,
-            completed=False,
-            finish_slot=start + horizon - 1,
-            latency=None,
-            segments_crossed=(
-                self.epoch_of(start + horizon - 1) - first_epoch
-            ),
-            torn_discards=discards,
+        first = self.epoch_of(start)
+        home = self._home(file, start, first)
+        horizon = (
+            max_slots
+            if max_slots is not None
+            else default_horizon(home.program, m_needed)
+        )
+        return self._walk(
+            file, m_needed, start, first, horizon, faults, False
         )
 
     def retrieve_versioned(
@@ -338,74 +262,94 @@ class AirSchedule:
         item's age nor tears a read by itself - only a genuine version
         boundary (or a re-dispersal) discards held blocks.
         """
-        home = self._first_segment_with(file, start)
-        if home is None:
-            raise SimulationError(
-                f"file {file!r} is not broadcast anywhere on the "
-                f"timeline from slot {start}"
-            )
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = versioned_horizon(
-                home.program, m_needed, home.period(file)
-            )
-            if horizon > MAX_DEFAULT_HORIZON:
-                raise SimulationError(
-                    f"default horizon for a versioned retrieval of "
-                    f"{file!r} is {horizon} slots, past the "
-                    f"{MAX_DEFAULT_HORIZON}-slot budget; pass "
-                    f"max_slots to listen that long deliberately"
-                )
+        first = self.epoch_of(start)
+        home = self._home(file, start, first)
+        horizon = versioned_listen_horizon(
+            home.program, file, m_needed, home.period(file),
+            max_slots=max_slots,
+        )
+        return self._walk(
+            file, m_needed, start, first, horizon, faults, True
+        )
+
+    def _walk(
+        self,
+        file: str,
+        m_needed: int,
+        start: int,
+        first: int,
+        horizon: int,
+        faults: FaultModel | None,
+        versioned: bool,
+    ) -> SplicedRetrieval:
+        """The one spliced walk: :func:`~repro.sim.client.fault_batches`
+        per segment, at that segment's shift, over ``[start, start +
+        horizon)``; ``first`` is the epoch covering ``start``.
+
+        A change of ``m`` is judged at the first *heard* service of each
+        later segment, against the ``m`` of the last segment that had
+        one - a segment whose every service was lost changes nothing.
+        """
         if horizon < 1:
             raise SimulationError(f"horizon must be >= 1: {horizon}")
         end = start + horizon
-        fault_model = faults if faults is not None else NoFaults()
-
         held: set[int] = set()
+        held_m: int | None = None
         held_write: int | None = None
         discards = 0
-        prev_epoch: int | None = None
-        prev_m: int | None = None
-        first_epoch = self.epoch_of(start)
-        for slot, block, epoch in self._occurrences(file, start, end):
-            if fault_model.is_lost(slot):
-                continue
+        for epoch in range(first, len(self._segments)):
             segment = self._segments[epoch]
-            m_here = self._dispersal_basis(epoch, file)
-            if prev_epoch is not None and epoch != prev_epoch:
-                if m_here != prev_m and held:
-                    discards += len(held)
-                    held.clear()
-                    held_write = None
-            prev_epoch, prev_m = epoch, m_here
-            period = segment.period(file)
-            write_slot = slot - slot % period
-            if write_slot != held_write:
-                if held:
-                    discards += len(held)
-                    held.clear()
-                held_write = write_slot
-            held.add(block)
-            if len(held) >= m_needed:
-                return SplicedRetrieval(
-                    file=file,
-                    completed=True,
-                    finish_slot=slot,
-                    latency=slot - start + 1,
-                    segments_crossed=self.epoch_of(slot) - first_epoch,
-                    age_at_completion=slot - write_slot,
-                    torn_discards=discards,
-                )
+            lo = max(start, segment.start)
+            hi = (
+                min(end, self._starts[epoch + 1])
+                if epoch + 1 < len(self._starts)
+                else end
+            )
+            if hi <= lo:
+                break
+            if file not in segment.program.files:
+                continue
+            # The IDA level m when declared, else the aired block count
+            # (conservative: it also moves when only the budget r does).
+            m_here = segment.dispersal_of(file)
+            if m_here is None:
+                m_here = segment.program.block_count(file)
+            period = segment.period(file) if versioned else 0
+            shift = segment.absolute(0)
+            for slots, blocks, decisions in fault_batches(
+                segment.program.index, file, lo - shift, hi - shift,
+                faults, shift=shift,
+            ):
+                for slot, block, dropped in zip(slots, blocks, decisions):
+                    if dropped:
+                        continue
+                    if m_here != held_m:
+                        discards += len(held)
+                        held.clear()
+                        held_m, held_write = m_here, None
+                    if versioned and slot - slot % period != held_write:
+                        discards += len(held)
+                        held.clear()
+                        held_write = slot - slot % period
+                    held.add(block)
+                    if len(held) >= m_needed:
+                        return SplicedRetrieval(
+                            file=file,
+                            completed=True,
+                            finish_slot=slot,
+                            latency=slot - start + 1,
+                            segments_crossed=epoch - first,
+                            age_at_completion=(
+                                slot - held_write if versioned else None
+                            ),
+                            torn_discards=discards,
+                        )
         return SplicedRetrieval(
             file=file,
             completed=False,
-            finish_slot=start + horizon - 1,
+            finish_slot=end - 1,
             latency=None,
-            segments_crossed=(
-                self.epoch_of(start + horizon - 1) - first_epoch
-            ),
-            age_at_completion=None,
+            segments_crossed=self.epoch_of(end - 1) - first,
             torn_discards=discards,
         )
 

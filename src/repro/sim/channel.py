@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.errors import BlockCodecError, SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
 from repro.ida.blocks import Block, decode_block, encode_block
+from repro.sim.client import default_horizon
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,9 @@ def broadcast_retrieve(
     point IDA reconstruction runs.  Returns ``(payload, frame_log)``;
     payload is ``None`` when the horizon expires first.  Corruption is
     deterministic per ``(seed, slot)``, so the walk is bit-identical to
-    the seed slot-scanning loop.
+    the seed slot-scanning loop.  Losses come from decoding each frame,
+    not from a fault model, so this walk does not pull
+    :func:`repro.sim.client.fault_batches`.
 
     ``blocks_on_air`` maps each file to its full dispersal (index order),
     i.e. what the server would actually rotate through.
@@ -125,7 +128,7 @@ def broadcast_retrieve(
     horizon = (
         max_slots
         if max_slots is not None
-        else (m_needed + 2) * program.data_cycle_length
+        else default_horizon(program, m_needed)
     )
     end = start + horizon
     held: dict[int, Block] = {}

@@ -18,18 +18,20 @@ The client is an *occurrence walker*: instead of scanning the program
 slot by slot, it jumps service-to-service along the program's
 precomputed occurrence index (:attr:`BroadcastProgram.index`), asking
 the fault model about whole batches of candidate slots at once
-(:func:`fault_batches`).  The retrieval outcome is bit-identical to the
-seed slot-walking loop (kept in :mod:`repro.sim.reference` as the
-executable spec) because fault decisions are deterministic per
-``(seed, slot)`` and slots carrying other files never affected the
-outcome.
+(:func:`fault_batches`, the occurrence source it shares with the
+versioned and spliced-timeline walkers).  The retrieval outcome is
+bit-identical to the seed slot-walking loop (kept in
+:mod:`repro.sim.reference` as the executable spec) because fault
+decisions are deterministic per ``(seed, slot)`` and slots carrying
+other files never affected the outcome.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TYPE_CHECKING
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram
@@ -48,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
 FAULT_BATCH_FIRST = 4
 FAULT_BATCH_MAX = 128
 
+#: The clean channel's decisions.  A ``repeat`` iterator keeps no
+#: position, so every walk can share this one.
+_NEVER_LOST = repeat(False)
+
 
 def default_horizon(program: BroadcastProgram, m_needed: int) -> int:
     """The default listening horizon: ``(m_needed + 2)`` data cycles.
@@ -65,24 +71,40 @@ def fault_batches(
     file: str,
     start: int,
     end: int,
-    faults: FaultModel,
-) -> Iterator[tuple[list[int], list[int], list[bool]]]:
+    faults: FaultModel | None,
+    *,
+    shift: int = 0,
+) -> Iterator[tuple[list[int], list[int], Iterable[bool]]]:
     """Yield ``(slots, blocks, lost)`` batches covering the services of
-    ``file`` in slots ``[start, end)``, in slot order.
+    ``file`` in program slots ``[start, end)``, in slot order.
 
-    Each batch is decided by one :func:`lost_in` call; widths grow
-    geometrically from :data:`FAULT_BATCH_FIRST` to
+    The one occurrence source of every scalar walker.  Slots are
+    reported, and decided, as ``program_slot + shift``: a program
+    spliced onto an airing timeline airs program slot ``s`` at absolute
+    slot ``s + shift``.  Each batch is decided by one :func:`lost_in`
+    call; widths grow geometrically from :data:`FAULT_BATCH_FIRST` to
     :data:`FAULT_BATCH_MAX`.  A walker that finishes stops pulling, so
-    it decides at most about twice the occurrences it heard.
+    it decides at most about twice the occurrences it heard.  On the
+    clean channel (``None`` or :class:`NoFaults`) nothing is decided:
+    every batch shares one all-False stream.
+
+    Raises :class:`SimulationError` when ``start < 0`` - the channel
+    has no slots before slot 0.
     """
+    if start < 0:
+        raise SimulationError(
+            f"a retrieval cannot start before slot 0: start={start}"
+        )
+    clean = faults is None or isinstance(faults, NoFaults)
     occ_slots = index.occurrence_slots(file)
     occ_blocks = index.occurrence_blocks(file)
     count = len(occ_slots)
     cycle = index.data_cycle_length
     # Pointer (base, i): the next candidate occurrence is occurrence i of
-    # the cycle copy starting at absolute slot `base`.
+    # the cycle copy whose program slot 0 airs at slot `base`.
     quotient, within = divmod(start, cycle)
-    base = quotient * cycle
+    base = quotient * cycle + shift
+    end += shift
     i = bisect_left(occ_slots, within)
     width = FAULT_BATCH_FIRST
     while base < end:
@@ -104,7 +126,9 @@ def fault_batches(
             i += 1
         if not batch_slots:
             return
-        yield batch_slots, batch_blocks, lost_in(faults, batch_slots)
+        yield batch_slots, batch_blocks, (
+            _NEVER_LOST if clean else lost_in(faults, batch_slots)
+        )
         width = min(2 * width, FAULT_BATCH_MAX)
 
 
@@ -182,94 +206,45 @@ def retrieve(
     ------
     SimulationError
         If ``file`` is not in the program (the retrieval could never
-        finish, which is a configuration error rather than a timeout).
+        finish, which is a configuration error rather than a timeout),
+        or ``start`` is negative.
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
-    fault_model = faults if faults is not None else NoFaults()
     horizon = (
         max_slots
         if max_slots is not None
         else default_horizon(program, m_needed)
     )
-    end = start + horizon
-
     seen: set[int] = set()
     arrival_order: list[int] = []
     lost: list[int] = []
     wanted = set(range(m_needed)) if not need_distinct else None
-
-    index = program.index
-    if isinstance(fault_model, NoFaults):
-        # Fault-free fast path: no decisions to make, walk the arrays.
-        occ_slots = index.occurrence_slots(file)
-        occ_blocks = index.occurrence_blocks(file)
-        count = len(occ_slots)
-        cycle = index.data_cycle_length
-        # Pointer (base, i): the next candidate occurrence is occurrence
-        # i of the cycle copy starting at absolute slot `base`.
-        quotient, within = divmod(start, cycle)
-        base = quotient * cycle
-        i = bisect_left(occ_slots, within)
-        seen_add = seen.add
-        append = arrival_order.append
-        while base < end:
-            while i < count:
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end  # horizon exhausted
-                    break
-                block = occ_blocks[i]
-                i += 1
-                if block not in seen:
-                    seen_add(block)
-                    append(block)
-                done = (
-                    len(seen) >= m_needed
-                    if need_distinct
-                    else wanted is not None and wanted <= seen
+    for batch_slots, batch_blocks, decisions in fault_batches(
+        program.index, file, start, start + horizon, faults
+    ):
+        for slot, block, is_lost in zip(batch_slots, batch_blocks, decisions):
+            if is_lost:
+                lost.append(slot)
+                continue
+            if block not in seen:
+                seen.add(block)
+                arrival_order.append(block)
+            done = (
+                len(seen) >= m_needed
+                if need_distinct
+                else wanted is not None and wanted <= seen
+            )
+            if done:
+                return RetrievalResult(
+                    file=file,
+                    start=start,
+                    completed=True,
+                    finish_slot=slot,
+                    latency=slot - start + 1,
+                    received=tuple(arrival_order),
+                    lost_slots=tuple(lost),
                 )
-                if done:
-                    return RetrievalResult(
-                        file=file,
-                        start=start,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        received=tuple(arrival_order),
-                        lost_slots=(),
-                    )
-            else:
-                base += cycle
-                i = 0
-    else:
-        for batch_slots, batch_blocks, decisions in fault_batches(
-            index, file, start, end, fault_model
-        ):
-            for slot, block, is_lost in zip(
-                batch_slots, batch_blocks, decisions
-            ):
-                if is_lost:
-                    lost.append(slot)
-                    continue
-                if block not in seen:
-                    seen.add(block)
-                    arrival_order.append(block)
-                done = (
-                    len(seen) >= m_needed
-                    if need_distinct
-                    else wanted is not None and wanted <= seen
-                )
-                if done:
-                    return RetrievalResult(
-                        file=file,
-                        start=start,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        received=tuple(arrival_order),
-                        lost_slots=tuple(lost),
-                    )
     return RetrievalResult(
         file=file,
         start=start,
@@ -402,44 +377,6 @@ def best_channel(
             chosen = (candidate, listen, horizon, finish)
     assert chosen is not None  # channels_for never returns empty
     return chosen
-
-
-def choose_channel(
-    channels: "ChannelSet",
-    file: str,
-    m_needed: int,
-    *,
-    start: int,
-    tuned: int,
-    need_distinct: bool = True,
-    max_slots: int | None = None,
-    among: Sequence[int] | None = None,
-) -> tuple[int, int, int, RetrievalResult]:
-    """The channel a rational client listens on, and its probe.
-
-    :func:`best_channel`'s choice, plus ``probe``: the fault-free
-    retrieval on the chosen channel, the only probe walked.  Returns
-    ``(channel, listen_start, horizon, probe)``.
-    """
-    channel, listen, horizon, _ = best_channel(
-        channels,
-        file,
-        m_needed,
-        start=start,
-        tuned=tuned,
-        need_distinct=need_distinct,
-        max_slots=max_slots,
-        among=among,
-    )
-    probe = retrieve(
-        channels.programs[channel],
-        file,
-        m_needed,
-        start=listen,
-        need_distinct=need_distinct,
-        max_slots=horizon,
-    )
-    return channel, listen, horizon, probe
 
 
 def retrieve_multichannel(

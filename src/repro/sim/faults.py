@@ -142,7 +142,8 @@ class BurstFaults:
     chunks of a compact byte table: queries are O(1), order-independent,
     and bit-identical regardless of query pattern.  Growth is bounded by
     ``max_horizon``; a query beyond it raises :class:`SimulationError`
-    instead of silently consuming unbounded memory.
+    instead of silently consuming unbounded memory, and so does a query
+    before slot 0 (which would otherwise index the table from its end).
     """
 
     #: Slots materialized per extension step.
@@ -175,7 +176,12 @@ class BurstFaults:
         self._rng = random.Random(seed)
         self._current_bad = False
 
-    def _extend_to(self, t: int) -> None:
+    def _extend_to(self, t: int, lowest: int) -> None:
+        if lowest < 0:
+            raise SimulationError(
+                f"BurstFaults query at slot {lowest}: the channel has "
+                f"no slots before slot 0"
+            )
         if t >= self.max_horizon:
             raise SimulationError(
                 f"BurstFaults query at slot {t} exceeds max_horizon="
@@ -207,14 +213,23 @@ class BurstFaults:
         states.extend(chunk)
 
     def is_lost(self, t: int) -> bool:
-        self._extend_to(t)
+        self._extend_to(t, t)
         return bool(self._states[t])
 
     def lost_in(self, slots: Sequence[int]) -> list[bool]:
-        if slots:
-            self._extend_to(max(slots))
+        if not slots:
+            return []
+        # One pass finds the lowest slot; every walker's batch ascends,
+        # so its last slot bounds the table, and an unordered batch that
+        # reaches past it extends on the IndexError.
+        lowest = min(slots)
+        self._extend_to(slots[-1], lowest)
         states = self._states
-        return [bool(states[t]) for t in slots]
+        try:
+            return [bool(states[t]) for t in slots]
+        except IndexError:
+            self._extend_to(max(slots), lowest)
+            return [bool(states[t]) for t in slots]
 
     def __repr__(self) -> str:
         return (

@@ -2,11 +2,11 @@
 
 :func:`repro.rtdb.updates.retrieve_versioned_quorum` scores channels
 from the index's finish tables and walks copies in geometric fault
-batches; :func:`repro.sim.client.choose_channel` scores the same way and
-walks only the chosen probe.  Both must agree field for field with the
-slot-walking specs - :func:`repro.rtdb.reference.retrieve_versioned_quorum`
-and a choice rule re-derived here from :func:`repro.sim.reference.retrieve`
-probes - on small random channel sets: up to three channels, any quorum
+batches; :func:`repro.sim.client.best_channel` is the choice it makes.
+Both must agree field for field with the slot-walking specs -
+:func:`repro.rtdb.reference.retrieve_versioned_quorum` and a choice rule
+re-derived here from :func:`repro.sim.reference.retrieve` probes - on
+small random channel sets: up to three channels, any quorum
 the carriers allow, tuning costs 0-3, update periods on both sides of
 the data cycle, mixed per-channel fault models, starts around cycle
 boundaries, and every tuned channel.
@@ -26,7 +26,7 @@ from repro.rtdb.updates import (
     retrieve_versioned_quorum,
 )
 from repro.sim import reference as sim_reference
-from repro.sim.client import best_channel, choose_channel
+from repro.sim.client import best_channel
 from repro.sim.faults import (
     AdversarialFaults,
     BernoulliFaults,
@@ -197,17 +197,13 @@ class TestChoiceDifferential:
                 heard = probe.finish_slot - listen + 1
                 horizons += [heard - 1, heard, heard + 1]
             for max_slots in horizons:
-                expected = reference_choice(
+                channel, listen, horizon, probe = reference_choice(
                     channels, TARGET, m_needed, start, tuned, among,
                     max_slots,
                 )
-                chosen = choose_channel(
-                    channels, TARGET, m_needed, start=start, tuned=tuned,
-                    among=among, max_slots=max_slots,
-                )
-                assert chosen == expected, (tuned, max_slots)
-                channel, listen, horizon, probe = chosen
                 assert best_channel(
                     channels, TARGET, m_needed, start=start, tuned=tuned,
                     among=among, max_slots=max_slots,
-                ) == (channel, listen, horizon, probe.finish_slot)
+                ) == (channel, listen, horizon, probe.finish_slot), (
+                    tuned, max_slots,
+                )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api.engine import BroadcastEngine
-from repro.api.scenario import Scenario
+from repro.api.scenario import FaultSpec, Scenario
 from repro.bdisk.file import FileSpec
 from repro.errors import SpecificationError
 from repro.ida.aida import RedundancyPolicy
@@ -57,7 +57,7 @@ def temporal_scenario(**overrides) -> Scenario:
             TemporalItemSpec("tracks", 2, max_age_ms=400),
             TemporalItemSpec("terrain", 2, max_age_ms=2000),
         ),
-        update_periods={"tracks": 10, "terrain": 100},
+        update_periods={"tracks": 60, "terrain": 200},
         transactions=(
             TransactionSpec("scan", ("tracks",), deadline_slots=40),
             TransactionSpec(
@@ -78,53 +78,59 @@ def temporal_scenario(**overrides) -> Scenario:
     return Scenario(**params)
 
 
+#: Channels every parity case runs on: clean, i.i.d. and bursty.
+PARITY_CHANNELS = (
+    FaultSpec(),
+    FaultSpec("bernoulli", probability=0.1, seed=5),
+    FaultSpec("burst", p_enter=0.05, p_exit=0.3, seed=5),
+)
+
+
+def offline_and_live(scenario):
+    """Metrics of the offline traffic run and of a mutation-free live
+    server run of ``scenario``, both on the scenario's channel."""
+    engine = BroadcastEngine(scenario)
+    design = engine.design()
+    offline = simulate_traffic(
+        design.program,
+        [spec.name for spec in scenario.files],
+        scenario.traffic,
+        file_sizes={s.name: s.blocks for s in scenario.files},
+        deadlines=engine._deadlines(design),
+        faults=scenario.faults,
+        temporal=scenario.temporal,
+    )
+    server = BroadcastServer(scenario)
+    server.advance()
+    return offline.metrics, server.close().metrics
+
+
 class TestZeroMutationParity:
     def test_plain_traffic_is_bit_identical_to_offline(self):
-        scenario = traffic_scenario()
-        engine = BroadcastEngine(scenario)
-        design = engine.design()
-        offline = simulate_traffic(
-            design.program,
-            [spec.name for spec in scenario.files],
-            scenario.traffic,
-            file_sizes={s.name: s.blocks for s in scenario.files},
-            deadlines=engine._deadlines(design),
-        )
-        server = BroadcastServer(scenario)
-        server.advance()
-        live = server.close()
-        om, lm = offline.metrics, live.metrics
-        assert (lm.requests, lm.completions, lm.aborts,
-                lm.deadline_misses) == (
-            om.requests, om.completions, om.aborts, om.deadline_misses
-        )
-        assert lm.counts == om.counts
-        assert lm.summary() == om.summary()
+        for faults in PARITY_CHANNELS:
+            om, lm = offline_and_live(traffic_scenario(faults=faults))
+            assert (lm.requests, lm.completions, lm.aborts,
+                    lm.deadline_misses) == (
+                om.requests, om.completions, om.aborts, om.deadline_misses
+            ), faults.kind
+            assert lm.counts == om.counts, faults.kind
+            assert lm.summary() == om.summary(), faults.kind
 
     def test_temporal_traffic_is_bit_identical_to_offline(self):
-        scenario = temporal_scenario()
-        engine = BroadcastEngine(scenario)
-        design = engine.design()
-        offline = simulate_traffic(
-            design.program,
-            [spec.name for spec in scenario.files],
-            scenario.traffic,
-            file_sizes={s.name: s.blocks for s in scenario.files},
-            deadlines=engine._deadlines(design),
-            temporal=scenario.temporal,
-        )
-        server = BroadcastServer(scenario)
-        server.advance()
-        live = server.close()
-        om, lm = offline.metrics, live.metrics
-        assert (lm.requests, lm.completions, lm.aborts,
-                lm.deadline_misses) == (
-            om.requests, om.completions, om.aborts, om.deadline_misses
-        )
-        assert (lm.item_reads, lm.stale_reads, lm.torn_discards) == (
-            om.item_reads, om.stale_reads, om.torn_discards
-        )
-        assert lm.counts == om.counts
+        for faults in PARITY_CHANNELS:
+            om, lm = offline_and_live(temporal_scenario(faults=faults))
+            assert (lm.requests, lm.completions, lm.aborts,
+                    lm.deadline_misses) == (
+                om.requests, om.completions, om.aborts, om.deadline_misses
+            ), faults.kind
+            assert (lm.item_reads, lm.stale_reads, lm.torn_discards) == (
+                om.item_reads, om.stale_reads, om.torn_discards
+            ), faults.kind
+            assert lm.counts == om.counts, faults.kind
+            # Not vacuous: versioned walks complete, and some tear.
+            assert lm.completions > 0, faults.kind
+            assert lm.item_reads > 0, faults.kind
+            assert lm.torn_discards > 0, faults.kind
 
 
 class TestModeChangeRun:

@@ -191,6 +191,30 @@ class TestBurstBounds:
         with pytest.raises(SimulationError):
             model.lost_in([5, 100])
 
+    def test_unordered_batch_reaching_past_its_last_slot(self):
+        # The last slot is not the highest: the table still grows to
+        # cover every slot, and the horizon bound still holds.
+        chunk = BurstFaults.CHUNK
+        slots = [3 * chunk, 3, chunk + 7, 1]
+        batch = BurstFaults(0.05, 0.4, seed=11).lost_in(slots)
+        fresh = BurstFaults(0.05, 0.4, seed=11)
+        assert batch == [fresh.is_lost(t) for t in slots]
+        bounded = BurstFaults(0.1, 0.5, seed=1, max_horizon=100)
+        with pytest.raises(SimulationError, match="max_horizon"):
+            bounded.lost_in([150, 5])
+
+    def test_query_before_slot_zero_rejected(self):
+        # A negative slot would index the state table from its end.
+        fresh = BurstFaults(0.1, 0.5, seed=1)
+        with pytest.raises(SimulationError, match="before slot 0"):
+            fresh.is_lost(-1)
+        grown = BurstFaults(0.1, 0.5, seed=1)
+        grown.lost_in(list(range(50)))
+        with pytest.raises(SimulationError, match="before slot 0"):
+            grown.is_lost(-3)
+        with pytest.raises(SimulationError, match="before slot 0"):
+            grown.lost_in([4, -3, 9])
+
     def test_growth_capped_at_max_horizon(self):
         model = BurstFaults(0.1, 0.5, seed=1, max_horizon=10)
         model.is_lost(9)

@@ -8,7 +8,7 @@ from repro.bdisk.multichannel import design_multichannel_program
 from repro.api.scenario import ChannelSpec
 from repro.sim import reference
 from repro.sim.client import (
-    choose_channel,
+    best_channel,
     retrieve,
     retrieve_multichannel,
 )
@@ -50,13 +50,20 @@ class TestChoiceRule:
         channels = channel_set(3, assignment="replicated", tuning_cost=2)
         for start in range(0, 30):
             for tuned in range(3):
-                first = choose_channel(
+                first = best_channel(
                     channels, "a", 2, start=start, tuned=tuned
                 )
-                again = choose_channel(
+                again = best_channel(
                     channels, "a", 2, start=start, tuned=tuned
                 )
-                assert first[:3] == again[:3]
+                assert first == again
+                # The scored finish is the slot-walking probe's.
+                channel, listen, horizon, finish = first
+                probe = reference.retrieve(
+                    channels.programs[channel], "a", 2, start=listen,
+                    max_slots=horizon,
+                )
+                assert finish == probe.finish_slot
 
     def test_prohibitive_tuning_cost_pins_the_tuned_channel(self):
         # A tuning cost longer than any data cycle makes re-tuning
@@ -65,7 +72,7 @@ class TestChoiceRule:
         # file.
         channels = channel_set(3, assignment="replicated", tuning_cost=100)
         for tuned in range(3):
-            channel, listen, _, _ = choose_channel(
+            channel, listen, _, _ = best_channel(
                 channels, "b", 3, start=5, tuned=tuned
             )
             assert channel == tuned
@@ -73,14 +80,14 @@ class TestChoiceRule:
 
     def test_zero_cost_ties_go_to_lowest_channel(self):
         channels = channel_set(2, assignment="replicated", tuning_cost=0)
-        channel, _, _, _ = choose_channel(
+        channel, _, _, _ = best_channel(
             channels, "b", 3, start=7, tuned=1
         )
         assert channel == 0
 
     def test_among_restricts_candidates(self):
         channels = channel_set(3, assignment="replicated")
-        channel, _, _, _ = choose_channel(
+        channel, _, _, _ = best_channel(
             channels, "a", 2, start=0, tuned=0, among=(2,)
         )
         assert channel == 2
