@@ -154,9 +154,9 @@ class BroadcastProgram:
 
     def __getstate__(self) -> tuple[Schedule, dict[str, int], int]:
         # The occurrence index never crosses a pickle: pool tasks that
-        # need it rebuild lazily (or, in the vectorized engine, attach
-        # the parent's shared-memory tables instead), so shipping a
-        # program costs the schedule alone.
+        # need it rebuild lazily (vectorized non-temporal shards get the
+        # parent's retrieval tables instead), so shipping a program
+        # costs the schedule alone.
         return self._schedule, self._block_counts, self._data_cycle
 
     def __setstate__(

@@ -239,6 +239,8 @@ class ProgramIndex:
         :func:`repro.sim.client.retrieve` reports over the clean channel;
         this costs O(log occurrences) instead of a walk.
         """
+        if start < 0:
+            raise SpecificationError(f"slot index must be >= 0, got {start}")
         table = self.finish_table(file, m_needed)
         slots = self._slots[file]
         quotient, within = divmod(start, self._cycle)

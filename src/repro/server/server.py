@@ -143,8 +143,7 @@ class _Epoch:
         self.mix_cum_weights: list[float] | None = None
         self.max_age: dict[str, int] | None = None
         spec = scenario.traffic
-        seed = 0 if spec is None else spec.seed
-        self.metrics = TrafficMetrics(seed=seed)
+        self.metrics = TrafficMetrics()
         if scenario.temporal is not None:
             self.max_age = scenario.temporal.max_age_slots()
         if spec is None:
@@ -917,8 +916,7 @@ class BroadcastServer:
         metrics: TrafficMetrics | None = None
         if self._epochs[0].scenario.traffic is not None:
             metrics = TrafficMetrics.merged(
-                [epoch.metrics for epoch in self._epochs],
-                seed=self._epochs[0].scenario.traffic.seed,
+                [epoch.metrics for epoch in self._epochs]
             )
         splice_slots = tuple(
             sorted(

@@ -503,9 +503,7 @@ def run_sweep(
                             parts.append(metrics)
                             if tel is not None and shard_tel is not None:
                                 tel.merge_dict(shard_tel)
-                        merged = TrafficMetrics.merged(
-                            parts, seed=traffic_spec.seed
-                        )
+                        merged = TrafficMetrics.merged(parts)
                         # Submission to last-task-completion covers both
                         # phases (they overlap on the pool) without
                         # double-counting, and keeps simulate_traffic's

@@ -13,14 +13,14 @@ the shared broadcast channel.  The pieces:
 * :mod:`repro.traffic.clients` - session state machines with
   think-time, optional client caching, and the single-receiver
   constraint;
-* :mod:`repro.traffic.metrics` - streaming metrics: P2 quantile
-  estimators, seeded reservoir sampling, exact latency histograms, and
-  exact shard merging;
+* :mod:`repro.traffic.metrics` - streaming metrics: exact latency,
+  age and quorum histograms with exact shard merging;
 * :mod:`repro.traffic.spec` - the declarative, JSON-round-trippable
   :class:`TrafficSpec` that :class:`repro.api.Scenario` embeds;
 * :mod:`repro.traffic.simulate` - :func:`simulate_traffic`: advance
   every session service-to-service via the program's occurrence index,
-  sharding the population across processes for multi-core runs.
+  sharding the population across processes for multi-core runs (pooled
+  vectorized shards receive the parent's retrieval tables pickled).
 
 Quickstart::
 
@@ -52,11 +52,7 @@ from repro.traffic.clients import (
     TransactionSession,
 )
 from repro.traffic.kernel import EventKernel
-from repro.traffic.metrics import (
-    P2Quantile,
-    ReservoirSample,
-    TrafficMetrics,
-)
+from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.spec import CACHE_KINDS, TrafficSpec
 from repro.traffic.simulate import (
     ENGINES,
@@ -73,9 +69,7 @@ __all__ = [
     "POPULARITY_KINDS",
     "ClientSession",
     "EventKernel",
-    "P2Quantile",
     "RequestRecord",
-    "ReservoirSample",
     "TrafficMetrics",
     "TrafficResult",
     "TrafficSpec",

@@ -12,8 +12,8 @@ retrieval tables the engine resolves requests against:
   retrieval lookup derived from :class:`~repro.bdisk.program_index.ProgramIndex`:
   flat occurrence arrays plus, per occurrence, the slot at which a
   retrieval starting there collects its ``m``-th distinct block.  The
-  flat layout is what the shared-memory export
-  (:mod:`repro.traffic.shm_index`) maps into pool workers;
+  arrays are flat ``int64``, so pooled runs ship them to workers as a
+  plain pickle;
 * vectorized mirrors of the scalar arrival / popularity / think-time
   draws, bit-identical to :mod:`repro.traffic.arrivals` by construction
   (same uniforms, same float expressions).
@@ -67,9 +67,8 @@ class RetrievalTables:
         the schedule-level quantities PIX frequencies derive from.
 
     The tables are a pure function of ``(program, catalogue, sizes,
-    max_slots)`` and are position-addressed, so they can be exported as
-    one flat shared-memory block and attached zero-copy by pool workers
-    (:mod:`repro.traffic.shm_index`).
+    max_slots)`` and hold nothing but flat arrays, so a pool worker
+    receives them pickled and never touches the program or its index.
     """
 
     __slots__ = (
@@ -91,7 +90,6 @@ class RetrievalTables:
         m_needed: np.ndarray,
         counts: np.ndarray,
         sched_total: np.ndarray,
-        dense: np.ndarray | None = None,
     ) -> None:
         self.cycle = int(cycle)
         self.period = int(period)
@@ -103,9 +101,11 @@ class RetrievalTables:
         self.m_needed = m_needed
         self.counts = counts
         self.sched_total = sched_total
-        self.dense = dense
-        if dense is None and self.n_files * self.cycle <= DENSE_LUT_CAP:
-            self.dense = self._build_dense()
+        self.dense = (
+            self._build_dense()
+            if self.n_files * self.cycle <= DENSE_LUT_CAP
+            else None
+        )
 
     @property
     def n_files(self) -> int:
@@ -244,40 +244,6 @@ class RetrievalTables:
             return -1, int(start) + int(self.horizons[fid]) - 1
         return latency, int(start) + latency - 1
 
-    def array_fields(self) -> dict[str, np.ndarray]:
-        """The flat arrays, by name (the shared-memory export set)."""
-        fields = {
-            "occ_offsets": self.occ_offsets,
-            "occ_slots": self.occ_slots,
-            "occ_blocks": self.occ_blocks,
-            "finish_rel": self.finish_rel,
-            "horizons": self.horizons,
-            "m_needed": self.m_needed,
-            "counts": self.counts,
-            "sched_total": self.sched_total,
-        }
-        if self.dense is not None:
-            fields["dense"] = self.dense
-        return fields
-
-    @classmethod
-    def from_arrays(
-        cls, cycle: int, period: int, arrays: Mapping[str, np.ndarray]
-    ) -> "RetrievalTables":
-        """Rehydrate from :meth:`array_fields` output (shm attach side)."""
-        return cls(
-            cycle=cycle,
-            period=period,
-            dense=arrays.get("dense"),
-            **{
-                name: arrays[name]
-                for name in (
-                    "occ_offsets", "occ_slots", "occ_blocks", "finish_rel",
-                    "horizons", "m_needed", "counts", "sched_total",
-                )
-            },
-        )
-
 
 class MultiChannelTables:
     """Per-channel retrieval tables plus the channel-choice machinery.
@@ -293,10 +259,8 @@ class MultiChannelTables:
     object engine's oracle.
 
     Like :class:`RetrievalTables`, the whole structure is a pure
-    function of ``(channel_set, catalogue, sizes, max_slots)`` and
-    flattens to named arrays plus a small metadata dict, so pool workers
-    can attach it from shared memory without the programs themselves
-    (:func:`repro.traffic.shm_index.export_multichannel_tables`).
+    function of ``(channel_set, catalogue, sizes, max_slots)`` that
+    pickles without the programs themselves.
     """
 
     __slots__ = ("tables", "candidates", "tuning_cost", "local_ids")

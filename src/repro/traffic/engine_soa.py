@@ -24,9 +24,9 @@ heap event per client:
   vectorized argmin over composite keys that reproduce the scalar
   policies' ``min(resident, key=...)`` orders exactly;
 * metrics accumulate as numpy counters and per-wave histogram merges,
-  finalized through :meth:`TrafficMetrics.from_totals` - exact mode is
-  order-independent, which is what makes any-order batch accumulation
-  legal.
+  finalized through :meth:`TrafficMetrics.from_totals` - the accumulator
+  is order-independent, which is what makes any-order batch
+  accumulation legal.
 
 Temporal (version-consistent) populations batch the per-request draws
 and cohort bookkeeping but retrieve items through the scalar
@@ -397,7 +397,6 @@ class _ShardAccumulator:
 
     def finalize(
         self,
-        spec: TrafficSpec,
         catalogue: Sequence[str],
         cache_hits: int,
         cache_misses: int,
@@ -406,7 +405,6 @@ class _ShardAccumulator:
         req = self.req_by_file.tolist()
         hit = self.hit_by_file.tolist()
         return TrafficMetrics.from_totals(
-            seed=spec.seed,
             requests=self.requests,
             completions=self.completions,
             aborts=self.aborts,
@@ -445,17 +443,19 @@ def simulate_shard_soa(
 ) -> tuple[TrafficMetrics, list[RequestRecord]]:
     """Simulate clients ``[lo, hi)`` with the vectorized engine.
 
-    Same contract as the object engine's shard runner; ``tables`` lets
-    pool workers pass in shared-memory retrieval tables (``program``
-    may then be ``None`` for non-temporal populations), and
-    ``cohort_window`` overrides the batching window (tests narrow it to
-    exercise wave boundaries - outcomes never depend on it).
+    Same contract as the object engine's shard runner; ``tables``
+    passes in prebuilt retrieval tables (``program`` may then be
+    ``None`` for non-temporal populations), and ``cohort_window``
+    overrides the batching window (tests narrow it to exercise wave
+    boundaries - outcomes never depend on it).
 
     ``channels`` switches the shard to the multi-channel retrieval
-    protocol (``program`` is then ignored); ``mc_tables`` optionally
-    supplies prebuilt (possibly shared-memory) per-channel tables - a
-    fault-free non-temporal shard can run from the tables alone with
-    ``channels=None``.
+    protocol (``program`` is then ignored); ``mc_tables`` supplies
+    prebuilt per-channel tables instead, so a non-temporal shard runs
+    from the tables alone with ``channels=None``.  Prebuilt tables are
+    how :func:`repro.traffic.simulate.simulate_traffic` ships a shard
+    to a pool worker: they pickle as flat arrays, and the worker never
+    builds an occurrence index.
     """
     from repro.traffic.simulate import (
         _build_fault_model,
@@ -616,7 +616,7 @@ def simulate_shard_soa(
             cache_evictions += cache.evictions
 
     metrics = accumulator.finalize(
-        spec, catalogue, cache_hits, cache_misses, cache_evictions
+        catalogue, cache_hits, cache_misses, cache_evictions
     )
     if tel is not None:
         from repro.traffic.simulate import _record_shard_metrics
@@ -668,7 +668,7 @@ def _simulate_temporal_shard(
     is a short sequential chain - each item's start depends on the
     previous finish - so there is nothing to batch inside it).  Metrics
     feed a real :class:`TrafficMetrics` in wave order, which is legal
-    because exact mode is order-independent.
+    because the accumulator is order-independent.
 
     With ``channels`` each client gets its own quorum retriever (tuned
     state persists across that client's transactions), mirroring the
@@ -700,7 +700,7 @@ def _simulate_temporal_shard(
         )
     )
     max_age = temporal.max_age_slots()
-    metrics = TrafficMetrics(seed=spec.seed)
+    metrics = TrafficMetrics()
     records: list[RequestRecord] | None = [] if trace else None
     think = ThinkSampler(spec.think_time) if spec.think_time > 0 else None
     window = cohort_window if cohort_window is not None else _DEFAULT_WINDOW
@@ -833,7 +833,7 @@ def _simulate_multichannel_shard(
     )
     cum_weights = np.asarray(cdf, dtype=np.float64)
     total_weight = cdf[-1] + 0.0
-    metrics = TrafficMetrics(seed=spec.seed)
+    metrics = TrafficMetrics()
     records: list[RequestRecord] | None = [] if trace else None
     think = ThinkSampler(spec.think_time) if spec.think_time > 0 else None
     window = cohort_window if cohort_window is not None else _DEFAULT_WINDOW
@@ -911,87 +911,3 @@ def _simulate_multichannel_shard(
 
         _record_shard_metrics(metrics, "soa")
     return metrics, records if records is not None else []
-
-
-def _shard_task_shm_mc(
-    meta: Mapping[str, Any],
-    catalogue: Sequence[str],
-    spec: TrafficSpec,
-    file_sizes: Mapping[str, int],
-    deadlines: Mapping[str, int],
-    lo: int,
-    hi: int,
-    trace: bool,
-    *,
-    telemetry: bool = False,
-) -> tuple[TrafficMetrics, list[RequestRecord], dict[str, Any] | None]:
-    """Pool-worker entry for fault-free multichannel shards.
-
-    Same contract as :func:`_shard_task_shm`, but the segment holds one
-    set of retrieval tables per channel plus the candidates map - the
-    worker rebuilds the whole channel-choice machinery from the mapping
-    and never sees a program.  Faulty or temporal multichannel shards
-    go through the generic pickling task instead (this entry carries no
-    fault models, and temporal shards need the channel set).
-    """
-    from repro.traffic.shm_index import attach_multichannel_tables
-
-    tables, shared = attach_multichannel_tables(meta)
-    try:
-        if not telemetry:
-            metrics, records = simulate_shard_soa(
-                None, catalogue, spec, file_sizes, deadlines, None,
-                None, lo, hi, trace, mc_tables=tables,
-            )
-            return metrics, records, None
-        with obs.capture() as tel:
-            with tel.span("traffic.shard", engine="soa", lo=lo, hi=hi):
-                metrics, records = simulate_shard_soa(
-                    None, catalogue, spec, file_sizes, deadlines, None,
-                    None, lo, hi, trace, mc_tables=tables,
-                )
-        return metrics, records, tel.to_dict()
-    finally:
-        shared.close()
-
-
-def _shard_task_shm(
-    meta: Mapping[str, Any],
-    catalogue: Sequence[str],
-    spec: TrafficSpec,
-    file_sizes: Mapping[str, int],
-    deadlines: Mapping[str, int],
-    faults: Any,
-    lo: int,
-    hi: int,
-    trace: bool,
-    *,
-    telemetry: bool = False,
-) -> tuple[TrafficMetrics, list[RequestRecord], dict[str, Any] | None]:
-    """Pool-worker entry: attach the parent's shared-memory tables.
-
-    The worker maps the parent's segment, runs its shard against
-    zero-copy views, and unmaps - no program pickle crosses the pool
-    and no worker ever reconstructs a ``ProgramIndex``.  With
-    ``telemetry`` the worker captures its own registry and ships the
-    payload back as the third element (``None`` otherwise).
-    """
-    from repro.traffic.shm_index import attach_tables
-
-    tables, shared = attach_tables(meta)
-    try:
-        if not telemetry:
-            metrics, records = simulate_shard_soa(
-                None, catalogue, spec, file_sizes, deadlines, faults,
-                None, lo, hi, trace, tables=tables,
-            )
-            return metrics, records, None
-        with obs.capture() as tel:
-            with tel.span("traffic.shard", engine="soa", lo=lo, hi=hi):
-                metrics, records = simulate_shard_soa(
-                    None, catalogue, spec, file_sizes, deadlines, faults,
-                    None, lo, hi, trace, tables=tables,
-                )
-        return metrics, records, tel.to_dict()
-    finally:
-        shared.close()

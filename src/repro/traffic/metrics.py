@@ -1,39 +1,27 @@
-"""Streaming metrics for traffic runs.
+"""Exact streaming metrics for traffic runs.
 
 A population run produces millions of latencies; holding them all to
-sort at the end would defeat the point of a streaming simulator.  This
-module keeps everything online:
+sort at the end would defeat the point of a streaming simulator.
+:class:`TrafficMetrics` is the per-shard accumulator instead: request /
+completion / abort / deadline-miss counters, running mean and worst
+latency, per-file hit counts (aggregate per disk via
+:meth:`TrafficMetrics.hits_by`), and - for version-consistent (temporal)
+workloads - staleness tracking: per-item read ages, consistency rate,
+and torn-read discards.
 
-* :class:`P2Quantile` - the Jain & Chlamtac P-square estimator: one
-  quantile tracked in O(1) memory (five markers), updated per
-  observation;
-* :class:`ReservoirSample` - a seeded fixed-size uniform sample of the
-  stream, for tail inspection and debugging;
-* :class:`TrafficMetrics` - the per-shard accumulator: request /
-  completion / abort / deadline-miss counters, running mean and worst
-  latency, live P2 quantiles, a reservoir, per-file hit counts
-  (aggregate per disk via :meth:`TrafficMetrics.hits_by`), and - for
-  version-consistent (temporal) workloads - staleness tracking: per-item
-  read ages, consistency rate, and torn-read discards, kept as an exact
-  age histogram so shard merging stays exact.
-
-By default the accumulator keeps the exact integer-latency histogram -
-latencies are slot counts, so the histogram is bounded by the retrieval
-horizon rather than by the request count - which is what makes shard
-merging *exact*: :meth:`TrafficMetrics.merged` sums histograms and
-recomputes quantiles from the merged counts
-(:meth:`repro.sim.metrics.LatencySummary.merge` works the same way);
-the estimators stay idle.  Pass ``exact_counts=False`` for strictly
-constant memory: the P2 estimators and the reservoir then consume the
-stream and summaries are approximate (and not exactly mergeable).
+Latencies, ages and quorum assembly times are slot counts, so each is
+kept as an exact integer histogram bounded by the retrieval horizon
+rather than by the request count.  That is what makes shard merging
+*exact*: :meth:`TrafficMetrics.merged` sums histograms and recomputes
+quantiles from the merged counts
+(:meth:`repro.sim.metrics.LatencySummary.merge` works the same way), so
+a merged accumulator is independent of the shard layout.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from bisect import insort
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import SimulationError, SpecificationError
 from repro.sim.metrics import (
@@ -43,190 +31,10 @@ from repro.sim.metrics import (
 )
 
 
-class P2Quantile:
-    """One streaming quantile via the P-square algorithm.
-
-    Five markers track the running quantile without storing the sample;
-    memory is O(1) and each observation costs O(1).  Estimates converge
-    on the exact quantile for stationary streams (tested against the
-    exact histogram in ``tests/traffic/test_metrics.py``).
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_rate", "_count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise SpecificationError(f"quantile must be in (0, 1): {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]
-        self._desired = [0.0, 2 * q, 4 * q, 2 + 2 * q, 4.0]
-        self._rate = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-        self._count = 0
-
-    def add(self, value: float) -> None:
-        """Feed one observation."""
-        self._count += 1
-        heights = self._heights
-        if self._count <= 5:
-            insort(heights, value)
-            return
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and heights[cell + 1] <= value:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._rate[i]
-        for i in (1, 2, 3):
-            gap = desired[i] - positions[i]
-            ahead = positions[i + 1] - positions[i]
-            behind = positions[i - 1] - positions[i]
-            if (gap >= 1 and ahead > 1) or (gap <= -1 and behind < -1):
-                step = 1 if gap > 0 else -1
-                candidate = heights[i] + step / (
-                    positions[i + 1] - positions[i - 1]
-                ) * (
-                    (positions[i] - positions[i - 1] + step)
-                    * (heights[i + 1] - heights[i])
-                    / (positions[i + 1] - positions[i])
-                    + (positions[i + 1] - positions[i] - step)
-                    * (heights[i] - heights[i - 1])
-                    / (positions[i] - positions[i - 1])
-                )
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:  # parabolic prediction left the bracket: go linear
-                    heights[i] = heights[i] + step * (
-                        heights[i + step] - heights[i]
-                    ) / (positions[i + step] - positions[i])
-                positions[i] += step
-
-    @property
-    def count(self) -> int:
-        """Observations fed so far."""
-        return self._count
-
-    def value(self) -> float:
-        """The current estimate (``nan`` before any observation).
-
-        Until the five markers initialize (``count <= 5``) the sorted
-        sample is still complete, so the returned value is the *exact*
-        nearest-rank quantile, not an estimate - the guard that keeps
-        short streams from reading marker garbage.
-        """
-        if self._count == 0:
-            return math.nan
-        if self._count <= 5:
-            rank = max(1, math.ceil(self.q * self._count))
-            return self._heights[rank - 1]
-        return self._heights[2]
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, n={self._count})"
-
-
-class ReservoirSample:
-    """A seeded uniform fixed-size sample of a stream."""
-
-    __slots__ = ("capacity", "_rng", "_sample", "_seen")
-
-    def __init__(self, capacity: int, *, seed: int = 0) -> None:
-        if capacity < 1:
-            raise SpecificationError(f"capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self._rng = random.Random(f"{seed}:reservoir")
-        self._sample: list[float] = []
-        self._seen = 0
-
-    @property
-    def seen(self) -> int:
-        """Stream length so far."""
-        return self._seen
-
-    @property
-    def sample(self) -> tuple[float, ...]:
-        """The current sample (unordered)."""
-        return tuple(self._sample)
-
-    def add(self, value: float) -> None:
-        """Feed one observation (algorithm R)."""
-        self._seen += 1
-        if len(self._sample) < self.capacity:
-            self._sample.append(value)
-            return
-        slot = self._rng.randrange(self._seen)
-        if slot < self.capacity:
-            self._sample[slot] = value
-
-    @classmethod
-    def from_counts(
-        cls,
-        counts: Mapping[int, int] | Iterable[tuple[int, int]],
-        capacity: int,
-        *,
-        seed: int = 0,
-    ) -> "ReservoirSample":
-        """An exact uniform sample (without replacement) of a histogram.
-
-        Used when merging shards: per-shard reservoirs cannot be merged
-        into a uniform sample directly, but the merged exact histogram
-        can be resampled - the result is distributed identically to a
-        reservoir fed the whole merged stream, and is deterministic in
-        the seed alone (independent of the shard layout).
-        """
-        pairs = sorted(
-            counts.items() if isinstance(counts, Mapping) else counts
-        )
-        total = sum(count for _, count in pairs)
-        reservoir = cls(capacity, seed=seed)
-        reservoir._seen = total
-        if total <= capacity:
-            reservoir._sample = [
-                float(value) for value, count in pairs for _ in range(count)
-            ]
-            return reservoir
-        ranks = sorted(reservoir._rng.sample(range(total), capacity))
-        sample: list[float] = []
-        cumulative = 0
-        index = 0
-        for value, count in pairs:
-            cumulative += count
-            while index < capacity and ranks[index] < cumulative:
-                sample.append(float(value))
-                index += 1
-        reservoir._sample = sample
-        return reservoir
-
-    def __repr__(self) -> str:
-        return (
-            f"ReservoirSample(capacity={self.capacity}, seen={self._seen})"
-        )
-
-
-#: Quantiles every accumulator tracks live.
-TRACKED_QUANTILES = (0.50, 0.95, 0.99)
-
-
 class TrafficMetrics:
     """Streaming accumulator for one traffic shard (or a merged run)."""
 
-    def __init__(
-        self,
-        *,
-        exact_counts: bool = True,
-        reservoir_capacity: int = 512,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self) -> None:
         self.requests = 0
         self.completions = 0
         self.aborts = 0
@@ -247,13 +55,9 @@ class TrafficMetrics:
         self.quorum_reads: dict[str, int] = {}
         self.quorum_latency_sum = 0
         self.worst_quorum_latency = 0
-        self.reservoir = ReservoirSample(reservoir_capacity, seed=seed)
-        self._counts: dict[int, int] | None = {} if exact_counts else None
-        self._ages: dict[int, int] | None = {} if exact_counts else None
-        self._quorum_counts: dict[int, int] | None = (
-            {} if exact_counts else None
-        )
-        self._estimators = {q: P2Quantile(q) for q in TRACKED_QUANTILES}
+        self._counts: dict[int, int] = {}
+        self._ages: dict[int, int] = {}
+        self._quorum_counts: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -280,16 +84,7 @@ class TrafficMetrics:
             self.worst = latency
         if deadline is not None and latency > deadline:
             self.deadline_misses += 1
-        if self._counts is not None:
-            # Exact mode: the histogram answers every quantile query and
-            # merged() resamples the reservoir from it, so feeding the
-            # P2/reservoir estimators per completion would be pure
-            # overhead on the hot path.
-            self._counts[latency] = self._counts.get(latency, 0) + 1
-        else:
-            for estimator in self._estimators.values():
-                estimator.add(latency)
-            self.reservoir.add(latency)
+        self._counts[latency] = self._counts.get(latency, 0) + 1
 
     def record_cache(self, hits: int, misses: int, evictions: int) -> None:
         """Fold in one session's cache statistics."""
@@ -319,8 +114,7 @@ class TrafficMetrics:
         self.age_sum += age
         if age > self.worst_age:
             self.worst_age = age
-        if self._ages is not None:
-            self._ages[age] = self._ages.get(age, 0) + 1
+        self._ages[age] = self._ages.get(age, 0) + 1
 
     def record_channel_switches(self, switches: int) -> None:
         """Fold in re-tunes performed by one retrieval (0 is free)."""
@@ -341,10 +135,9 @@ class TrafficMetrics:
         self.quorum_latency_sum += latency
         if latency > self.worst_quorum_latency:
             self.worst_quorum_latency = latency
-        if self._quorum_counts is not None:
-            self._quorum_counts[latency] = (
-                self._quorum_counts.get(latency, 0) + 1
-            )
+        self._quorum_counts[latency] = (
+            self._quorum_counts.get(latency, 0) + 1
+        )
 
     # ------------------------------------------------------------------
     # Reading
@@ -374,19 +167,11 @@ class TrafficMetrics:
 
     @property
     def quorum_counts(self) -> dict[int, int]:
-        """The exact quorum-latency histogram (requires ``exact_counts``)."""
-        if self._quorum_counts is None:
-            raise SimulationError(
-                "this accumulator was built with exact_counts=False"
-            )
+        """The exact quorum-latency histogram."""
         return dict(self._quorum_counts)
 
     def quorum_quantile(self, q: float) -> float:
-        """The ``q``-quantile of quorum assembly latencies (exact mode)."""
-        if self._quorum_counts is None:
-            raise SimulationError(
-                "this accumulator was built with exact_counts=False"
-            )
+        """The ``q``-quantile of quorum assembly latencies."""
         if not self.quorum_ok:
             return math.nan
         if not 0.0 < q < 1.0:
@@ -440,19 +225,11 @@ class TrafficMetrics:
 
     @property
     def ages(self) -> dict[int, int]:
-        """The exact age histogram (requires ``exact_counts``)."""
-        if self._ages is None:
-            raise SimulationError(
-                "this accumulator was built with exact_counts=False"
-            )
+        """The exact age histogram."""
         return dict(self._ages)
 
     def age_quantile(self, q: float) -> float:
-        """The ``q``-quantile of completed read ages (exact mode only)."""
-        if self._ages is None:
-            raise SimulationError(
-                "this accumulator was built with exact_counts=False"
-            )
+        """The ``q``-quantile of completed read ages."""
         if not self.item_reads:
             return math.nan
         if not 0.0 < q < 1.0:
@@ -464,13 +241,8 @@ class TrafficMetrics:
         )
 
     def quantile(self, q: float) -> float:
-        """The ``q``-quantile of completed latencies.
-
-        Exact (nearest rank over the histogram) when exact counts are
-        kept; the live P2 estimate otherwise.
-        """
-        if self._counts is None:
-            return self.estimated_quantile(q)
+        """The ``q``-quantile of completed latencies (nearest rank over
+        the exact histogram; ``nan`` with no completions)."""
         if not self.completions:
             return math.nan
         if not 0.0 < q < 1.0:
@@ -481,41 +253,10 @@ class TrafficMetrics:
             )
         )
 
-    def estimated_quantile(self, q: float) -> float:
-        """The streaming P2 estimate for one of the tracked quantiles.
-
-        Estimators are fed only in constant-memory mode
-        (``exact_counts=False``); in exact mode use :meth:`quantile`,
-        which answers from the histogram.
-
-        The P-square markers need five observations to initialize;
-        below that :meth:`P2Quantile.value` answers with the exact
-        nearest-rank quantile of its (complete) sorted sample - never
-        estimator garbage - and ``nan`` with no completions at all.
-        Short sweep cells therefore read exact sample statistics
-        (pinned by ``tests/traffic/test_traffic_metrics.py``).
-        """
-        estimator = self._estimators.get(q)
-        if estimator is None:
-            raise SimulationError(
-                f"quantile {q} is not tracked (tracked: "
-                f"{TRACKED_QUANTILES})"
-            )
-        return estimator.value()
-
     @property
     def counts(self) -> dict[int, int]:
-        """The exact latency histogram (requires ``exact_counts``)."""
-        if self._counts is None:
-            raise SimulationError(
-                "this accumulator was built with exact_counts=False"
-            )
+        """The exact latency histogram."""
         return dict(self._counts)
-
-    @property
-    def exact(self) -> bool:
-        """Whether the exact latency histogram is kept."""
-        return self._counts is not None
 
     def hits_by(self, groups: Mapping[str, str]) -> dict[str, int]:
         """Completed retrievals aggregated by group (e.g. per disk).
@@ -532,34 +273,20 @@ class TrafficMetrics:
     def summary(self) -> LatencySummary:
         """A :class:`LatencySummary` of the run so far.
 
-        ``misses`` counts aborts plus deadline misses.  With exact
-        counts the percentiles are exact and the summary carries its
-        histogram (so :meth:`LatencySummary.merge` works on it); without,
-        they are the P2 estimates and the histogram is absent.
+        ``misses`` counts aborts plus deadline misses.  The percentiles
+        are exact and the summary carries its histogram, so
+        :meth:`LatencySummary.merge` works on it.
         """
         if not self.requests:
             raise SimulationError("no requests recorded")
-        misses = self.aborts + self.deadline_misses
-        if self._counts is not None:
-            return _summary_from_counts(
-                sorted(
-                    (float(value), count)
-                    for value, count in self._counts.items()
-                ),
-                self.requests,
-                misses,
-                None,
-            )
-        if not self.completions:
-            return _summary_from_counts((), self.requests, misses, None)
-        return LatencySummary(
-            count=self.requests,
-            mean=self.mean_latency,
-            p50=self.estimated_quantile(0.50),
-            p95=self.estimated_quantile(0.95),
-            p99=self.estimated_quantile(0.99),
-            worst=float(self.worst),
-            misses=misses,
+        return _summary_from_counts(
+            sorted(
+                (float(value), count)
+                for value, count in self._counts.items()
+            ),
+            self.requests,
+            self.aborts + self.deadline_misses,
+            None,
         )
 
     # ------------------------------------------------------------------
@@ -570,7 +297,6 @@ class TrafficMetrics:
     def from_totals(
         cls,
         *,
-        seed: int = 0,
         requests: int = 0,
         completions: int = 0,
         aborts: int = 0,
@@ -588,24 +314,16 @@ class TrafficMetrics:
         quorum_latency_sum: int = 0,
         worst_quorum_latency: int = 0,
         quorum_counts: Mapping[int, int] | None = None,
-        reservoir_capacity: int = 512,
     ) -> "TrafficMetrics":
-        """An exact accumulator assembled from batch totals.
+        """An accumulator assembled from batch totals.
 
         The vectorized engine's finalizer: it accumulates counters and
         histograms in numpy batches and builds the accumulator in one
         step.  The result is indistinguishable from feeding the same
         observations through :meth:`record` one at a time in any order -
-        exact mode is order-independent, and the estimators and the
-        reservoir stay unfed exactly as per-request exact recording
-        leaves them (merging resamples the reservoir from the
-        histogram).
+        the accumulator is order-independent.
         """
-        out = cls(
-            exact_counts=True,
-            reservoir_capacity=reservoir_capacity,
-            seed=seed,
-        )
+        out = cls()
         out.requests = requests
         out.completions = completions
         out.aborts = aborts
@@ -630,35 +348,17 @@ class TrafficMetrics:
     # ------------------------------------------------------------------
 
     @classmethod
-    def merged(
-        cls,
-        parts: Sequence["TrafficMetrics"],
-        *,
-        reservoir_capacity: int | None = None,
-        seed: int = 0,
-    ) -> "TrafficMetrics":
+    def merged(cls, parts: Sequence["TrafficMetrics"]) -> "TrafficMetrics":
         """Aggregate per-shard accumulators exactly.
 
-        Counters and histograms sum; quantiles of the result come from
-        the merged histogram (exact); the reservoir is resampled from
-        the merged histogram, so the merged accumulator is a pure
+        Counters and histograms sum, and quantiles of the result come
+        from the merged histogram, so the merged accumulator is a pure
         function of the union of observations - independent of how the
-        population was sharded.  Every part must keep exact counts.
+        population was sharded.
         """
         if not parts:
             raise SimulationError("cannot merge zero accumulators")
-        for part in parts:
-            if part._counts is None:
-                raise SimulationError(
-                    "cannot merge accumulators built with "
-                    "exact_counts=False"
-                )
-        capacity = (
-            reservoir_capacity
-            if reservoir_capacity is not None
-            else max(part.reservoir.capacity for part in parts)
-        )
-        out = cls(exact_counts=True, reservoir_capacity=capacity, seed=seed)
+        out = cls()
         counts: dict[int, int] = {}
         ages: dict[int, int] = {}
         quorum_counts: dict[int, int] = {}
@@ -686,30 +386,21 @@ class TrafficMetrics:
                 out.quorum_reads[outcome] = (
                     out.quorum_reads.get(outcome, 0) + n
                 )
-            if part._quorum_counts is not None:
-                for value, n in part._quorum_counts.items():
-                    quorum_counts[value] = quorum_counts.get(value, 0) + n
+            for value, n in part._quorum_counts.items():
+                quorum_counts[value] = quorum_counts.get(value, 0) + n
             for file, n in part.requests_by_file.items():
                 out.requests_by_file[file] = (
                     out.requests_by_file.get(file, 0) + n
                 )
             for file, n in part.hits_by_file.items():
                 out.hits_by_file[file] = out.hits_by_file.get(file, 0) + n
-            assert part._counts is not None
             for value, n in part._counts.items():
                 counts[value] = counts.get(value, 0) + n
-            if part._ages is not None:
-                for value, n in part._ages.items():
-                    ages[value] = ages.get(value, 0) + n
+            for value, n in part._ages.items():
+                ages[value] = ages.get(value, 0) + n
         out._counts = counts
         out._ages = ages
         out._quorum_counts = quorum_counts
-        # The reservoir is resampled from the merged histogram; the live
-        # P2 estimators stay unfed (the stream was consumed shard-side)
-        # and quantile() answers exactly from the histogram instead.
-        out.reservoir = ReservoirSample.from_counts(
-            counts, capacity, seed=seed
-        )
         return out
 
     def __repr__(self) -> str:

@@ -10,14 +10,17 @@ population against a designed :class:`~repro.bdisk.program.BroadcastProgram`:
    the failure-free channel, memoizes one real retrieval per
    ``(file, phase)`` of the periodic program (every other request at the
    same phase is a shift);
-3. metrics stream (P2 quantiles, reservoir, exact latency histogram) -
-   nothing per-request is retained unless tracing is requested.
+3. metrics stream into exact integer histograms - nothing per-request
+   is retained unless tracing is requested.
 
 Because clients are derived from their index alone and fault decisions
 are deterministic per ``(seed, slot)``, the population shards exactly:
 ``max_workers=N`` splits the index range across a process pool and
 merges the per-shard accumulators, producing bit-identical counters,
-histograms, and summaries regardless of worker count.
+histograms, and summaries regardless of worker count.  A pooled
+shard carries what it retrieves from: the program or channel set, or -
+for non-temporal ``"soa"`` populations - the parent's flat retrieval
+tables, pickled, so no worker rebuilds an occurrence index.
 """
 
 from __future__ import annotations
@@ -113,12 +116,9 @@ def _record_shard_metrics(metrics: TrafficMetrics, engine: str) -> None:
         tel.inc(
             "traffic.quorum.reads", count, engine=engine, outcome=outcome
         )
-    if metrics.exact:
-        hist = tel.histogram(
-            "traffic.latency_slots", unit="slots", engine=engine
-        )
-        for value, count in sorted(metrics.counts.items()):
-            hist.observe(value, count)
+    hist = tel.histogram("traffic.latency_slots", unit="slots", engine=engine)
+    for value, count in sorted(metrics.counts.items()):
+        hist.observe(value, count)
 
 
 class _Retriever:
@@ -670,11 +670,10 @@ def simulate_traffic_shard(
     sweep orchestrator interleaves these with other scenarios' work on
     one shared pool instead of letting every :func:`simulate_traffic`
     call spin up its own.  Merge the per-shard accumulators with
-    :meth:`TrafficMetrics.merged` (seeded with ``spec.seed``) to get the
-    exact whole-population metrics; the merge is independent of the
-    shard layout *and* of the engine each shard ran.  Per-request
-    tracing is a whole-run concern - use :func:`simulate_traffic` for
-    it.
+    :meth:`TrafficMetrics.merged` to get the exact whole-population
+    metrics; the merge is independent of the shard layout *and* of the
+    engine each shard ran.  Per-request tracing is a whole-run concern -
+    use :func:`simulate_traffic` for it.
     """
     catalogue = tuple(catalogue)
     _check_engine(engine)
@@ -693,19 +692,20 @@ def simulate_traffic_shard(
         )
     sizes = {file: file_sizes[file] for file in catalogue}
     limits = {file: deadlines[file] for file in catalogue}
-    if engine == "soa":
-        from repro.traffic.engine_soa import simulate_shard_soa
-
-        metrics, _ = simulate_shard_soa(
-            program, catalogue, spec, sizes, limits, faults, temporal,
-            lo, hi, False, channels=channels,
-        )
-        return metrics
-    metrics, _ = _simulate_shard(
+    metrics, _ = _shard_runner(engine)(
         program, catalogue, spec, sizes, limits, faults, temporal,
         lo, hi, False, channels=channels,
     )
     return metrics
+
+
+def _shard_runner(engine: str):
+    """The shard function of ``engine``; both share one signature."""
+    if engine == "soa":
+        from repro.traffic.engine_soa import simulate_shard_soa
+
+        return simulate_shard_soa
+    return _simulate_shard
 
 
 def _pool_shard_task(
@@ -721,32 +721,29 @@ def _pool_shard_task(
     hi: int,
     trace: bool,
     telemetry: bool,
-    channels: ChannelSet | None = None,
+    shard_state: Mapping[str, Any],
 ) -> tuple[TrafficMetrics, list[RequestRecord], dict[str, Any] | None]:
     """Pool task: one shard, optionally capturing worker telemetry.
 
+    ``shard_state`` holds the runner's keyword arguments: the channel
+    set, or a vectorized shard's prebuilt ``tables`` / ``mc_tables``.
     The third element is the worker's telemetry payload for the parent
     to merge (``None`` when telemetry is off) - the shard itself records
     into the capture via :func:`_record_shard_metrics` and the engine's
     own instruments.
     """
-    if engine == "soa":
-        from repro.traffic.engine_soa import simulate_shard_soa
-
-        runner = simulate_shard_soa
-    else:
-        runner = _simulate_shard
+    runner = _shard_runner(engine)
     if not telemetry:
         metrics, records = runner(
             program, catalogue, spec, sizes, limits, faults, temporal,
-            lo, hi, trace, channels=channels,
+            lo, hi, trace, **shard_state,
         )
         return metrics, records, None
     with obs.capture() as tel:
         with tel.span("traffic.shard", engine=engine, lo=lo, hi=hi):
             metrics, records = runner(
                 program, catalogue, spec, sizes, limits, faults,
-                temporal, lo, hi, trace, channels=channels,
+                temporal, lo, hi, trace, **shard_state,
             )
     return metrics, records, tel.to_dict()
 
@@ -808,7 +805,7 @@ def _simulate_shard(
         hot_fraction=spec.hot_fraction,
         hot_weight=spec.hot_weight,
     )
-    metrics = TrafficMetrics(seed=spec.seed)
+    metrics = TrafficMetrics()
     records: list[RequestRecord] | None = [] if trace else None
 
     if temporal is not None:
@@ -1226,9 +1223,10 @@ def simulate_traffic(
         event kernel; ``"soa"`` runs the vectorized structure-of-arrays
         engine (:mod:`repro.traffic.engine_soa`, requires numpy).
         Metrics and traces are bit-identical between the two - the
-        engine is purely a performance choice.  Pooled ``"soa"`` runs
-        export the retrieval tables once into shared memory and workers
-        attach them zero-copy instead of unpickling per-shard state.
+        engine is purely a performance choice.  Pooled non-temporal
+        ``"soa"`` runs build the retrieval tables once in the parent
+        and ship them pickled with each shard, so workers never build
+        an occurrence index.
     """
     catalogue = tuple(catalogue)
     _check_engine(engine)
@@ -1262,123 +1260,54 @@ def simulate_traffic(
     workers = 1
     if max_workers is not None:
         workers = min(max_workers, spec.clients)
+    # Resolved before the pool forks: workers inherit the engine module
+    # instead of importing it per shard.
+    runner = _shard_runner(engine)
     tel = obs.current()
     begin = time.perf_counter()
-    if workers == 1:
-        if engine == "soa":
-            from repro.traffic.engine_soa import simulate_shard_soa
+    shard_state: dict[str, Any] = {"channels": channels}
+    if engine == "soa" and temporal is None:
+        # A non-temporal vectorized shard retrieves from flat int64
+        # tables alone: build them once here and hand them to every
+        # shard (pickled, for pooled runs) in place of the program.
+        from repro.traffic.cohorts import MultiChannelTables, RetrievalTables
 
-            parts = [
-                simulate_shard_soa(
-                    program, catalogue, spec, sizes, limits, faults,
-                    temporal, 0, spec.clients, trace, channels=channels,
+        if channels is None:
+            shard_state = {
+                "tables": RetrievalTables.build(
+                    program, catalogue, sizes, spec.max_slots
                 )
-            ]
+            }
         else:
-            parts = [
-                _simulate_shard(
-                    program, catalogue, spec, sizes, limits, faults,
-                    temporal, 0, spec.clients, trace, channels=channels,
+            shard_state = {
+                "mc_tables": MultiChannelTables.build(
+                    channels, catalogue, sizes, spec.max_slots
                 )
-            ]
+            }
+        program = None
+    if workers == 1:
+        parts = [
+            runner(
+                program, catalogue, spec, sizes, limits, faults, temporal,
+                0, spec.clients, trace, **shard_state,
+            )
+        ]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = shard_bounds(spec.clients, workers)
-        if (
-            engine == "soa"
-            and temporal is None
-            and channels is not None
-            and faults is None
-        ):
-            # Multichannel vectorized pool path: per-channel retrieval
-            # tables packed into one shared-memory segment; workers
-            # attach and rebuild the channel tables without the
-            # programs themselves.  Faulty channels fall back to the
-            # generic task below - they need the real programs.
-            from repro.traffic.cohorts import MultiChannelTables
-            from repro.traffic.engine_soa import _shard_task_shm_mc
-            from repro.traffic.shm_index import export_multichannel_tables
-
-            mc_tables = MultiChannelTables.build(
-                channels, catalogue, sizes, spec.max_slots
-            )
-            shared = export_multichannel_tables(mc_tables)
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _shard_task_shm_mc,
-                            shared.meta, catalogue, spec, sizes, limits,
-                            lo, hi, trace,
-                            telemetry=tel is not None,
-                        )
-                        for lo, hi in bounds
-                    ]
-                    pooled = [future.result() for future in futures]
-            finally:
-                shared.unlink()
-        elif channels is not None:
-            # Multichannel object engine, faulty channels, or temporal
-            # quorum populations: the channel set pickles whole (its
-            # programs drop their indexes; workers rebuild lazily).
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _pool_shard_task,
-                        engine, None, catalogue, spec, sizes, limits,
-                        faults, temporal, lo, hi, trace,
-                        tel is not None, channels,
-                    )
-                    for lo, hi in bounds
-                ]
-                pooled = [future.result() for future in futures]
-        elif engine == "soa" and temporal is None:
-            # Vectorized pool path: build the retrieval tables once,
-            # export them into one shared-memory segment, and hand
-            # workers the tiny attach handle - no program pickle, no
-            # per-worker index reconstruction.  The parent owns the
-            # segment and destroys it once the pool has drained.
-            from repro.traffic.cohorts import RetrievalTables
-            from repro.traffic.engine_soa import _shard_task_shm
-            from repro.traffic.shm_index import export_tables
-
-            tables = RetrievalTables.build(
-                program, catalogue, sizes, spec.max_slots
-            )
-            shared = export_tables(tables)
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _shard_task_shm,
-                            shared.meta, catalogue, spec, sizes, limits,
-                            faults, lo, hi, trace,
-                            telemetry=tel is not None,
-                        )
-                        for lo, hi in bounds
-                    ]
-                    pooled = [future.result() for future in futures]
-            finally:
-                shared.unlink()
-        else:
-            # Temporal SoA populations retrieve through the versioned
-            # scalar oracle, which needs the program itself; the
-            # program pickles without its index (workers rebuild
-            # lazily), so only the schedule crosses the pool.
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _pool_shard_task,
-                        engine, program, catalogue, spec, sizes, limits,
-                        faults, temporal, lo, hi, trace,
-                        tel is not None,
-                    )
-                    for lo, hi in bounds
-                ]
-                # Collected in submission order: shard position is
-                # bound at submit time, so merge order is deterministic.
-                pooled = [future.result() for future in futures]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(
+                    _pool_shard_task,
+                    engine, program, catalogue, spec, sizes, limits,
+                    faults, temporal, lo, hi, trace, tel is not None,
+                    shard_state,
+                )
+                for lo, hi in shard_bounds(spec.clients, workers)
+            ]
+            # Collected in submission order: shard position is bound at
+            # submit time, so merge order is deterministic.
+            pooled = [future.result() for future in futures]
         # Worker telemetry rides back on the shard results and merges
         # exactly, in the same deterministic submission order.
         parts = []
@@ -1387,7 +1316,7 @@ def simulate_traffic(
                 tel.merge_dict(part_tel)
             parts.append((part_metrics, part_records))
     metrics = TrafficMetrics.merged(
-        [part_metrics for part_metrics, _ in parts], seed=spec.seed
+        [part_metrics for part_metrics, _ in parts]
     )
     elapsed = time.perf_counter() - begin
     if tel is not None:

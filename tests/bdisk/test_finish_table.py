@@ -6,8 +6,10 @@ channel choice and the SoA retrieval tables rely on it agreeing with
 :func:`repro.sim.client.retrieve` exactly, whatever the horizon.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SpecificationError
 from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
@@ -77,6 +79,15 @@ class TestFinishLookup:
             assert index.fault_free_finish(
                 "A", 5, start + 3 * cycle
             ) == first + 3 * cycle
+
+    def test_negative_start_rejected(self):
+        # Like next_occurrence / occurrences_from / content: no finish
+        # is answered for a slot before the program begins.
+        index = build_aida_flat_program([("A", 5, 10), ("B", 3, 6)]).index
+        with pytest.raises(SpecificationError):
+            index.fault_free_finish("A", 5, -3)
+        with pytest.raises(SpecificationError):
+            index.fault_free_finish("B", 3, -1)
 
 
 class TestFinishTable:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ProgramError, SpecificationError
 from repro.bdisk.flat import build_aida_flat_program, build_flat_program
+from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from repro.bdisk.program_index import ProgramIndex
 
 
@@ -15,6 +16,16 @@ from repro.bdisk.program_index import ProgramIndex
 def program():
     """Figure 6: A 5-of-10, B 3-of-6 - data cycle of two periods."""
     return build_aida_flat_program([("A", 5, 10), ("B", 3, 6)])
+
+
+def multidisk_world():
+    files = [("hot", 2), ("warm", 3), ("cold", 4)]
+    program = build_multidisk_program(
+        config_from_demand(
+            files, {"hot": 6.0, "warm": 2.0, "cold": 1.0}, levels=(4, 2, 1)
+        )
+    )
+    return program, [name for name, _ in files], dict(files)
 
 
 class TestConstruction:
@@ -154,3 +165,23 @@ class TestLifecycle:
         clone = pickle.loads(pickle.dumps(program))
         assert clone.files == program.files
         assert clone.index.occurrences("B") == program.index.occurrences("B")
+
+
+class TestProgramPickling:
+    def test_pickle_excludes_the_occurrence_index(self):
+        program, catalogue, sizes = multidisk_world()
+        program.index  # force the expensive build
+        payload = pickle.dumps(program)
+        clone = pickle.loads(payload)
+        assert clone._index is None
+        # ... and the clone still works: the index rebuilds lazily.
+        assert (
+            clone.index.data_cycle_length
+            == program.index.data_cycle_length
+        )
+        assert clone.schedule.cycle == program.schedule.cycle
+
+    def test_pickle_is_schedule_sized(self):
+        program = build_aida_flat_program([("A", 5, 10), ("B", 3, 6)])
+        program.index
+        assert len(pickle.dumps(program)) < 2_000

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.file import FileSpec
 from repro.bdisk.multichannel import design_multichannel_program
 from repro.api.scenario import ChannelSpec
@@ -84,6 +84,14 @@ class TestChoiceRule:
             channels, "b", 3, start=7, tuned=1
         )
         assert channel == 0
+
+    def test_negative_start_rejected(self):
+        # retrieve_multichannel refuses a start before the program
+        # begins; the choice it is built on must not answer one either.
+        channels = channel_set(2, assignment="replicated", tuning_cost=2)
+        for tuned in range(2):
+            with pytest.raises(SpecificationError):
+                best_channel(channels, "a", 2, start=-3, tuned=tuned)
 
     def test_among_restricts_candidates(self):
         channels = channel_set(3, assignment="replicated")

@@ -8,11 +8,15 @@ latency histogram, per-file tallies, and (where traced) every
 :class:`RequestRecord` - for exact equality, never approximate.
 """
 
+import pickle
 import random
 
 import pytest
 
+from repro.api.scenario import ChannelSpec
+from repro.bdisk.file import FileSpec
 from repro.bdisk.flat import build_aida_flat_program
+from repro.bdisk.multichannel import design_multichannel_program
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from repro.errors import SpecificationError
 from repro.rtdb import TemporalItemSpec, TemporalSpec, TransactionSpec
@@ -156,6 +160,58 @@ def test_soa_matches_object_on_randomized_specs():
             seed=meta.randrange(1000),
         )
         run_both(program, catalogue, sizes, spec)
+
+
+class TestLookupForms:
+    """The dense ``(file, phase)`` table and the per-file lookup agree.
+
+    Programs whose ``files x data cycle`` exceeds ``DENSE_LUT_CAP``
+    answer fault-free retrievals per file instead of from the dense
+    table; a cap of 0 forces that form onto the small test worlds.
+    """
+
+    @pytest.mark.parametrize("case", ["lru", "pix", "pooled", "two-channel"])
+    @pytest.mark.parametrize("lut", ["dense", "sparse"])
+    def test_soa_matches_object(self, lut, case, monkeypatch):
+        from repro.traffic import cohorts
+
+        if lut == "sparse":
+            monkeypatch.setattr(cohorts, "DENSE_LUT_CAP", 0)
+        program, catalogue, sizes = multidisk_world()
+        tables = cohorts.RetrievalTables.build(program, catalogue, sizes, None)
+        assert (tables.dense is None) == (lut == "sparse")
+        spec = TrafficSpec(
+            clients=30, duration=300, arrival="poisson", popularity="zipf",
+            zipf_skew=1.2, requests_per_client=3, think_time=5,
+            cache=case if case in ("lru", "pix") else None,
+            cache_capacity=2, seed=97,
+        )
+        kwargs = dict(
+            file_sizes=sizes,
+            deadlines={name: 10_000 for name in catalogue},
+            trace=True,
+        )
+        if case == "pooled":
+            # Pooled shards receive the tables pickled, form included.
+            clone = pickle.loads(pickle.dumps(tables))
+            assert (clone.dense is None) == (lut == "sparse")
+            kwargs["max_workers"] = 2
+        if case == "two-channel":
+            program = None
+            kwargs["channels"] = design_multichannel_program(
+                [FileSpec(name, sizes[name], 4 * sizes[name])
+                 for name in catalogue],
+                ChannelSpec(count=2, assignment="striped", tuning_cost=2),
+            ).channel_set
+        obj = simulate_traffic(
+            program, catalogue, spec, engine="object",
+            **{**kwargs, "max_workers": None},
+        )
+        soa = simulate_traffic(
+            program, catalogue, spec, engine="soa", **kwargs
+        )
+        assert fingerprint(soa.metrics) == fingerprint(obj.metrics)
+        assert soa.trace == obj.trace
 
 
 class TestTemporalEquivalence:
@@ -356,7 +412,7 @@ class TestEngineSelection:
                 )
                 for lo, hi in [(0, 7), (7, 13), (13, 20)]
             ]
-            merged[engine] = TrafficMetrics.merged(parts, seed=spec.seed)
+            merged[engine] = TrafficMetrics.merged(parts)
         assert fingerprint(merged["soa"]) == fingerprint(merged["object"])
 
 
@@ -390,9 +446,7 @@ class TestFaultDrawShardInvariance:
                 )
                 for lo, hi in bounds
             ]
-            return fingerprint(
-                TrafficMetrics.merged(parts, seed=spec.seed)
-            )
+            return fingerprint(TrafficMetrics.merged(parts))
 
         whole = run([(0, 30)])
         assert run([(0, 15), (15, 30)]) == whole

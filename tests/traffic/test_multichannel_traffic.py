@@ -1,8 +1,7 @@
-"""Traffic over a channel set: engine parity, degeneracy, shm tables."""
+"""Traffic over a channel set: engine parity, degeneracy, validation."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import SpecificationError
@@ -12,11 +11,8 @@ from repro.api.scenario import ChannelSpec, FaultSpec
 from repro.rtdb import TemporalItemSpec, TemporalSpec
 from repro.sim.faults import BernoulliFaults
 from repro.traffic import TrafficSpec, simulate_traffic
-from repro.traffic.cohorts import MultiChannelTables
-from repro.traffic.shm_index import (
-    attach_multichannel_tables,
-    export_multichannel_tables,
-)
+
+pytest.importorskip("numpy")
 
 CATALOGUE = ("a", "b", "c", "d")
 SIZES = {"a": 2, "b": 3, "c": 2, "d": 4}
@@ -212,32 +208,3 @@ class TestValidation:
                 channel_set(2),
                 spec=population(cache="lru"),
             )
-
-
-class TestSharedMemoryTables:
-    def test_multichannel_export_attach_round_trip(self):
-        channels = channel_set(2, tuning_cost=3)
-        tables = MultiChannelTables.build(
-            channels, CATALOGUE, SIZES, None
-        )
-        shared = export_multichannel_tables(tables)
-        try:
-            remote, handle = attach_multichannel_tables(shared.meta)
-            try:
-                assert remote.count == tables.count
-                assert remote.tuning_cost == tables.tuning_cost
-                assert remote.candidates == tables.candidates
-                np.testing.assert_array_equal(
-                    remote.local_ids, tables.local_ids
-                )
-                for mine, theirs in zip(tables.tables, remote.tables):
-                    assert mine.cycle == theirs.cycle
-                    assert mine.period == theirs.period
-                    for name, array in mine.array_fields().items():
-                        np.testing.assert_array_equal(
-                            array, theirs.array_fields()[name]
-                        )
-            finally:
-                handle.close()
-        finally:
-            shared.close()

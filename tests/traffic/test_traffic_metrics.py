@@ -1,108 +1,19 @@
-"""Tests for streaming traffic metrics: P2, reservoir, accumulator."""
+"""Tests for the exact streaming traffic-metrics accumulator."""
 
 import math
 import random
 
 import pytest
 
-from repro.errors import SimulationError, SpecificationError
+from repro.errors import SimulationError
 from repro.sim.metrics import LatencySummary
-from repro.traffic.metrics import (
-    P2Quantile,
-    ReservoirSample,
-    TrafficMetrics,
-)
+from repro.traffic.metrics import TrafficMetrics
 
 
 def exact_quantile(values, q):
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[rank - 1]
-
-
-class TestP2Quantile:
-    def test_small_samples_are_exact(self):
-        estimator = P2Quantile(0.5)
-        for value in (5, 1, 3):
-            estimator.add(value)
-        assert estimator.value() == 3
-
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value())
-
-    @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
-    def test_converges_on_uniform_stream(self, q):
-        rng = random.Random(42)
-        estimator = P2Quantile(q)
-        values = [rng.random() * 1000 for _ in range(20_000)]
-        for value in values:
-            estimator.add(value)
-        # P2 is approximate; on a uniform stream it lands within a few
-        # percent of the exact empirical quantile.
-        assert estimator.value() == pytest.approx(
-            exact_quantile(values, q), rel=0.05
-        )
-
-    def test_converges_on_skewed_stream(self):
-        rng = random.Random(7)
-        estimator = P2Quantile(0.99)
-        values = [rng.expovariate(0.1) for _ in range(20_000)]
-        for value in values:
-            estimator.add(value)
-        assert estimator.value() == pytest.approx(
-            exact_quantile(values, 0.99), rel=0.15
-        )
-
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(SpecificationError):
-            P2Quantile(0.0)
-        with pytest.raises(SpecificationError):
-            P2Quantile(1.0)
-
-
-class TestReservoir:
-    def test_holds_everything_under_capacity(self):
-        reservoir = ReservoirSample(10)
-        for value in range(5):
-            reservoir.add(value)
-        assert sorted(reservoir.sample) == [0, 1, 2, 3, 4]
-
-    def test_capacity_is_bounded(self):
-        reservoir = ReservoirSample(16, seed=3)
-        for value in range(10_000):
-            reservoir.add(value)
-        assert len(reservoir.sample) == 16
-        assert reservoir.seen == 10_000
-
-    def test_seeded_and_reproducible(self):
-        def build():
-            r = ReservoirSample(8, seed=5)
-            for value in range(1000):
-                r.add(value)
-            return r.sample
-
-        assert build() == build()
-
-    def test_roughly_uniform_over_stream(self):
-        reservoir = ReservoirSample(500, seed=1)
-        for value in range(10_000):
-            reservoir.add(value)
-        mean = sum(reservoir.sample) / 500
-        assert 4000 < mean < 6000
-
-    def test_from_counts_small_expands_exactly(self):
-        reservoir = ReservoirSample.from_counts({3: 2, 7: 1}, 10, seed=0)
-        assert sorted(reservoir.sample) == [3.0, 3.0, 7.0]
-        assert reservoir.seen == 3
-
-    def test_from_counts_sample_without_replacement(self):
-        counts = {value: 5 for value in range(100)}
-        reservoir = ReservoirSample.from_counts(counts, 50, seed=2)
-        assert len(reservoir.sample) == 50
-        assert reservoir.seen == 500
-        # No value can appear more often than its multiplicity.
-        for value in set(reservoir.sample):
-            assert reservoir.sample.count(value) <= 5
 
 
 class TestTrafficMetrics:
@@ -130,66 +41,18 @@ class TestTrafficMetrics:
         for q in (0.5, 0.95, 0.99):
             assert metrics.quantile(q) == exact_quantile(values, q)
 
-    def test_p2_estimates_track_exact(self):
-        rng = random.Random(23)
-        values = [rng.randrange(1, 1000) for _ in range(20_000)]
-        exact = TrafficMetrics()
-        streaming = TrafficMetrics(exact_counts=False)
-        self.fill(exact, values, deadline=10**9)
-        self.fill(streaming, values, deadline=10**9)
-        for q in (0.5, 0.95, 0.99):
-            assert streaming.estimated_quantile(q) == pytest.approx(
-                exact.quantile(q), rel=0.05
-            )
-
-    def test_short_stream_quantiles_fall_back_to_exact_sample(self):
-        # Regression: before the P2 markers have their five
-        # initialization observations, tracked-quantile reads must
-        # answer from the exact sample (short sweep cells used to get
-        # estimator garbage).
-        for size in range(1, 5):
-            values = [7 * (i + 1) for i in range(size)]
-            streaming = TrafficMetrics(exact_counts=False)
-            exact = TrafficMetrics()
-            self.fill(streaming, values, deadline=10**9)
-            self.fill(exact, values, deadline=10**9)
-            for q in (0.5, 0.95, 0.99):
-                assert streaming.quantile(q) == exact.quantile(q), (
-                    size, q,
-                )
-
     def test_short_stream_summary_is_finite(self):
-        metrics = TrafficMetrics(exact_counts=False)
+        metrics = TrafficMetrics()
         self.fill(metrics, [3, 9], deadline=10**9)
         summary = metrics.summary()
         assert summary.p50 == 3 and summary.p99 == 9
         assert summary.worst == 9
 
     def test_empty_stream_quantile_is_nan(self):
-        metrics = TrafficMetrics(exact_counts=False)
-        assert math.isnan(metrics.estimated_quantile(0.5))
-        metrics.record("f", None, None)  # an abort is not a completion
-        assert math.isnan(metrics.estimated_quantile(0.99))
-
-    def test_exact_mode_leaves_estimators_idle(self):
-        # Exact mode answers from the histogram; the per-completion
-        # estimator/reservoir feeds are skipped on the hot path.
         metrics = TrafficMetrics()
-        self.fill(metrics, [1, 2, 3], deadline=10)
-        assert metrics.reservoir.seen == 0
-        assert math.isnan(metrics.estimated_quantile(0.5))
-        assert metrics.quantile(0.5) == 2
-
-    def test_constant_memory_mode_estimates(self):
-        metrics = TrafficMetrics(exact_counts=False)
-        self.fill(metrics, list(range(1, 1001)), deadline=10**9)
-        assert not metrics.exact
-        with pytest.raises(SimulationError):
-            metrics.counts
-        assert metrics.quantile(0.5) == pytest.approx(500, rel=0.05)
-        summary = metrics.summary()
-        assert summary.count == 1000
-        assert summary.counts == ()
+        assert math.isnan(metrics.quantile(0.5))
+        metrics.record("f", None, None)  # an abort is not a completion
+        assert math.isnan(metrics.quantile(0.99))
 
     def test_summary_is_mergeable(self):
         metrics = TrafficMetrics()
@@ -219,29 +82,22 @@ class TestTrafficMetrics:
             rng.randrange(1, 50) if rng.random() > 0.05 else None
             for _ in range(2000)
         ]
-        whole = TrafficMetrics(seed=9)
+        whole = TrafficMetrics()
         self.fill(whole, values, deadline=30)
         parts = []
         for chunk_start in range(0, 2000, 500):
-            part = TrafficMetrics(seed=9)
+            part = TrafficMetrics()
             self.fill(
                 part, values[chunk_start:chunk_start + 500], deadline=30
             )
             parts.append(part)
-        merged = TrafficMetrics.merged(parts, seed=9)
-        finalized = TrafficMetrics.merged([whole], seed=9)
+        merged = TrafficMetrics.merged(parts)
+        finalized = TrafficMetrics.merged([whole])
         assert merged.requests == finalized.requests
         assert merged.aborts == finalized.aborts
         assert merged.deadline_misses == finalized.deadline_misses
         assert merged.counts == finalized.counts
         assert merged.summary() == finalized.summary()
-        assert merged.reservoir.sample == finalized.reservoir.sample
-
-    def test_merge_requires_exact_counts(self):
-        approx = TrafficMetrics(exact_counts=False)
-        approx.record("f", 1, 10)
-        with pytest.raises(SimulationError):
-            TrafficMetrics.merged([approx])
 
     def test_merge_of_nothing_rejected(self):
         with pytest.raises(SimulationError):
@@ -290,15 +146,15 @@ class TestChannelDimension:
 
     def test_merged_equals_single_stream(self):
         reads = self.reads()
-        whole = TrafficMetrics(seed=9)
+        whole = TrafficMetrics()
         self.fill(whole, reads)
         parts = []
         for start in range(0, len(reads), 75):
-            part = TrafficMetrics(seed=9)
+            part = TrafficMetrics()
             self.fill(part, reads[start:start + 75])
             parts.append(part)
-        merged = TrafficMetrics.merged(parts, seed=9)
-        finalized = TrafficMetrics.merged([whole], seed=9)
+        merged = TrafficMetrics.merged(parts)
+        finalized = TrafficMetrics.merged([whole])
         assert merged.channel_switches == finalized.channel_switches
         assert merged.quorum_reads == finalized.quorum_reads
         assert merged.quorum_latency_sum == finalized.quorum_latency_sum
@@ -310,14 +166,13 @@ class TestChannelDimension:
 
     def test_from_totals_matches_recording(self):
         reads = self.reads()
-        recorded = TrafficMetrics(seed=9)
+        recorded = TrafficMetrics()
         self.fill(recorded, reads)
         counts = {}
         for outcome, latency, _ in reads:
             if latency is not None:
                 counts[latency] = counts.get(latency, 0) + 1
         totals = TrafficMetrics.from_totals(
-            seed=9,
             channel_switches=recorded.channel_switches,
             quorum_reads=recorded.quorum_reads,
             quorum_latency_sum=recorded.quorum_latency_sum,

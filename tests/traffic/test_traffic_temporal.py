@@ -65,22 +65,13 @@ class TestVersionedMetrics:
             part.record("t", 5, 10)
             part.record_versioned_read(base + 5, base == 0, base)
             parts.append(part)
-        merged = TrafficMetrics.merged(parts, seed=0)
+        merged = TrafficMetrics.merged(parts)
         assert merged.item_reads == 2
         assert merged.stale_reads == 1
         assert merged.torn_discards == 10
         assert merged.age_sum == 20
         assert merged.worst_age == 15
         assert merged.ages == {5: 1, 15: 1}
-
-    def test_constant_memory_mode_has_no_age_histogram(self):
-        metrics = TrafficMetrics(exact_counts=False)
-        metrics.record_versioned_read(5, True, 0)
-        assert metrics.item_reads == 1
-        with pytest.raises(SimulationError):
-            metrics.ages
-        with pytest.raises(SimulationError):
-            metrics.age_quantile(0.5)
 
 
 class TestVersionedRetriever:
@@ -238,7 +229,7 @@ class TestTemporalSimulation:
             )
             for lo, hi in ((0, 11), (11, 17), (17, 30))
         ]
-        merged = TrafficMetrics.merged(parts, seed=spec.seed)
+        merged = TrafficMetrics.merged(parts)
         assert merged.counts == whole.metrics.counts
         assert merged.ages == whole.metrics.ages
         assert merged.item_reads == whole.metrics.item_reads
