@@ -197,8 +197,8 @@ def test_sustained_traffic_and_record():
             )
             assert result.requests == CLIENTS * REQUESTS_PER_CLIENT
             summary = result.summary
-            # The streaming P2 estimates must track the exact histogram
-            # quantiles the summary reports.
+            # Merging the run's one exact histogram summary must give
+            # back the summary the result reports.
             shards = [result.metrics.summary()]
             assert LatencySummary.merge(shards) == summary
             fingerprints[engine] = (

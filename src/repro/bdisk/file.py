@@ -48,6 +48,18 @@ class FileSpec:
     data: bytes | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        # ``type(...) is int`` also turns away bool, which isinstance
+        # passes as 0 or 1.  One chained test keeps valid specs cheap.
+        if not (
+            type(self.blocks) is type(self.latency) is type(self.fault_budget)
+            is int
+        ):
+            for key in ("blocks", "latency", "fault_budget"):
+                value = getattr(self, key)
+                if type(value) is not int:
+                    raise SpecificationError(
+                        f"file {self.name!r}: {key}={value!r} must be an int"
+                    )
         if self.blocks < 1:
             raise SpecificationError(
                 f"file {self.name!r}: blocks={self.blocks} must be >= 1"

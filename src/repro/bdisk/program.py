@@ -204,7 +204,7 @@ class BroadcastProgram:
 
     def min_count_in_window(self, file: str, window: int) -> int:
         """Minimum service slots of ``file`` over all windows of ``window``."""
-        return self._schedule.min_in_any_window(file, window)
+        return self._schedule.min_window(file, window)[1]
 
     def min_distinct_in_window(self, file: str, window: int) -> int:
         """Minimum *distinct block indices* of ``file`` in any window.

@@ -13,8 +13,6 @@ simulators need:
   O(1) list lookup);
 * per-file occurrence arrays (slot positions and block indices), so a
   client can jump occurrence-to-occurrence instead of scanning idle air;
-* per-file prefix counts (O(1) window counting on the infinite program);
-* per-file gap structure (Lemma 2's ``Delta`` without rescanning);
 * per ``(file, m)``, lazily, the fault-free finish of a retrieval that
   starts at each occurrence (O(log occurrences) fault-free outcomes for
   any start slot).
@@ -25,6 +23,9 @@ is shared by every consumer of the same program;
 quantities are defined over the *data cycle* (the period of the
 ``(file, block)`` content), so block indices repeat exactly beyond it
 and the occurrence generator can extend the tables cyclically forever.
+Service counts and gaps depend only on the slot-to-file map, so
+:class:`~repro.core.schedule.Schedule` answers them; the data cycle is a
+multiple of the schedule cycle, so its answers hold here too.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class ProgramIndex:
         "_contents",
         "_slots",
         "_blocks",
-        "_prefix",
         "_finish",
     )
 
@@ -93,17 +93,6 @@ class ProgramIndex:
         self._contents: tuple["SlotContent" | None, ...] = tuple(contents)
         self._slots = {f: tuple(s) for f, s in slots.items()}
         self._blocks = {f: tuple(b) for f, b in blocks.items()}
-        # prefix[file][t] = occurrences of `file` in slots [0, t) of the
-        # data cycle; length cycle + 1 so windows are pure subtractions.
-        prefix: dict[str, tuple[int, ...]] = {}
-        for file, positions in self._slots.items():
-            row = [0] * (cycle + 1)
-            for slot in positions:
-                row[slot + 1] = 1
-            for t in range(cycle):
-                row[t + 1] += row[t]
-            prefix[file] = tuple(row)
-        self._prefix = prefix
 
     # ------------------------------------------------------------------
     # Structure
@@ -290,44 +279,6 @@ class ProgramIndex:
         if t < 0:
             raise SpecificationError(f"slot index must be >= 0, got {t}")
         return self._contents[t % self._cycle]
-
-    def count_in_window(self, file: str, start: int, length: int) -> int:
-        """Services of ``file`` in slots ``[start, start + length)``.
-
-        O(1) via the per-file prefix table, valid for any window of the
-        infinite program.
-        """
-        if start < 0 or length < 0:
-            raise ProgramError(
-                f"window must satisfy start >= 0 and length >= 0: "
-                f"({start}, {length})"
-            )
-        prefix = self._prefix.get(file)
-        if prefix is None:
-            raise ProgramError(
-                f"file {file!r} never appears in the program"
-            )
-        cycle = self._cycle
-        total = prefix[cycle]
-
-        def cumulative(upto: int) -> int:
-            full, rem = divmod(upto, cycle)
-            return full * total + prefix[rem]
-
-        return cumulative(start + length) - cumulative(start)
-
-    def max_gap(self, file: str) -> int:
-        """Largest cyclic spacing between consecutive services of
-        ``file`` (Lemma 2's ``Delta``)."""
-        slots, _ = self._occurrence_arrays(file)
-        if not slots:
-            raise ProgramError(f"file {file!r} never appears in the program")
-        if len(slots) == 1:
-            return self._cycle
-        best = self._cycle - slots[-1] + slots[0]
-        for i in range(len(slots) - 1):
-            best = max(best, slots[i + 1] - slots[i])
-        return best
 
     def min_distinct_in_window(self, file: str, window: int) -> int:
         """Minimum distinct block indices of ``file`` in any window.

@@ -34,6 +34,11 @@ from repro.core.task import PinwheelSystem, PinwheelTask
 ConditionKey = Hashable
 
 
+def _positive_int(value: object) -> bool:
+    """True for an ``int`` >= 1 (a ``bool`` is not a slot count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True, slots=True)
 class PinwheelCondition:
     """``pc(task, a, b)``: at least ``a`` service slots in every ``b``."""
@@ -91,7 +96,7 @@ class BroadcastCondition:
         self._validate()
 
     def _validate(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _positive_int(self.m):
             raise SpecificationError(
                 f"bc({self.file!r}): size m={self.m!r} must be a positive int"
             )
@@ -100,7 +105,7 @@ class BroadcastCondition:
                 f"bc({self.file!r}): latency vector must be non-empty"
             )
         for j, latency in enumerate(self.d):
-            if not isinstance(latency, int) or latency < 1:
+            if not _positive_int(latency):
                 raise SpecificationError(
                     f"bc({self.file!r}): d({j})={latency!r} must be a "
                     f"positive int"

@@ -6,19 +6,22 @@ represent the infinite periodic schedule by one cycle: slot ``t`` is owned by
 ``cycle[t mod L]``.  The sentinel :data:`IDLE` marks unallocated slots (the
 paper writes ``*`` in Example 1 and ``P(t) = 0`` in Section 4.1).
 
-The class supports the window arithmetic the rest of the library needs:
+The class is the library's one authority on window arithmetic, and it
+answers every question from each owner's sorted service slots:
 
-* ``count_in_window(start, length)`` - occurrences of an owner in *any*
-  window of the infinite schedule, computed from per-owner prefix sums in
-  O(1) after O(L) preprocessing;
-* ``min_in_any_window(owner, length)`` - the worst window, which is exactly
-  what a ``pc`` condition bounds;
+* ``count_in_window(owner, start, length)`` - services of an owner in
+  *any* window of the infinite schedule, by bisection over one cycle's
+  service slots;
+* ``min_window(owner, length)`` - the earliest sparsest window and its
+  count, which is exactly what a ``pc`` condition bounds.  Only ``n + 1``
+  starts need checking for ``n`` services per cycle (see the method);
 * ``max_gap(owner)`` - the largest spacing between consecutive services,
   which is the AIDA quantity ``Delta`` of Lemma 2.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SpecificationError
@@ -39,16 +42,14 @@ class Schedule:
         unallocated slot.  The cycle must be non-empty.
     """
 
-    __slots__ = ("_cycle", "_prefix", "_totals", "_positions")
+    __slots__ = ("_cycle", "_positions")
 
     def __init__(self, cycle: Iterable[OwnerKey]) -> None:
         cycle_tuple = tuple(cycle)
         if not cycle_tuple:
             raise SpecificationError("schedule cycle must be non-empty")
         self._cycle: tuple[OwnerKey, ...] = cycle_tuple
-        # Lazily-built per-owner caches.
-        self._prefix: dict[OwnerKey, list[int]] = {}
-        self._totals: dict[OwnerKey, int] = {}
+        # Lazily-built per-owner service slots.
         self._positions: dict[OwnerKey, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -137,20 +138,9 @@ class Schedule:
     # Window arithmetic
     # ------------------------------------------------------------------
 
-    def _prefix_for(self, owner: OwnerKey) -> list[int]:
-        prefix = self._prefix.get(owner)
-        if prefix is None:
-            prefix = [0]
-            for slot_owner in self._cycle:
-                prefix.append(prefix[-1] + (1 if slot_owner == owner else 0))
-            self._prefix[owner] = prefix
-            self._totals[owner] = prefix[-1]
-        return prefix
-
     def total(self, owner: OwnerKey) -> int:
         """Occurrences of ``owner`` per cycle."""
-        self._prefix_for(owner)
-        return self._totals[owner]
+        return len(self.service_slots(owner))
 
     def count_in_window(self, owner: OwnerKey, start: int, length: int) -> int:
         """Occurrences of ``owner`` in slots ``[start, start + length)``.
@@ -163,28 +153,36 @@ class Schedule:
         if start < 0:
             raise SpecificationError(f"window start must be >= 0: {start}")
         cycle_len = len(self._cycle)
-        prefix = self._prefix_for(owner)
-        total = self._totals[owner]
+        positions = self.service_slots(owner)
 
         def cumulative(upto: int) -> int:
             """Occurrences in slots [0, upto) of the infinite schedule."""
             full, rem = divmod(upto, cycle_len)
-            return full * total + prefix[rem]
+            return full * len(positions) + bisect_left(positions, rem)
 
         return cumulative(start + length) - cumulative(start)
 
-    def min_in_any_window(self, owner: OwnerKey, length: int) -> int:
-        """Minimum occurrences of ``owner`` over all windows of ``length``.
+    def min_window(self, owner: OwnerKey, length: int) -> tuple[int, int]:
+        """``(start, count)`` of the sparsest window of ``length`` slots.
 
-        Because the schedule is periodic with period ``L``, the minimum over
-        all windows of the infinite schedule equals the minimum over the
-        ``L`` windows starting at ``0 .. L-1``.
+        ``start`` is the earliest minimizing start in ``[0, L)``; by
+        periodicity the minimum over those ``L`` windows is the minimum
+        over every window of the infinite schedule.  As a window's start
+        moves right through a gap between services it loses no service,
+        so its count never falls: only slot 0 and the slot just after
+        each service can start a sparsest window.  Slot 0 also stands for
+        the gap that wraps past the end of the cycle.
         """
+        best_start = 0
+        best = self.count_in_window(owner, 0, length)
         cycle_len = len(self._cycle)
-        return min(
-            self.count_in_window(owner, start, length)
-            for start in range(cycle_len)
-        )
+        for slot in self.service_slots(owner):
+            # A service in the last slot wraps to start 0, checked above.
+            start = (slot + 1) % cycle_len
+            count = self.count_in_window(owner, start, length)
+            if count < best:
+                best_start, best = start, count
+        return best_start, best
 
     def service_slots(self, owner: OwnerKey) -> tuple[int, ...]:
         """Slots within one cycle at which ``owner`` is served (sorted).

@@ -2,11 +2,10 @@
 
 Schedulers in this library never return an unverified schedule: whatever
 clever reduction produced a candidate cycle, the final word is an exact
-sliding-window check performed here.  The checker exploits periodicity -
-the minimum service count over all windows of length ``w`` in the infinite
-schedule equals the minimum over the ``L`` windows starting inside one
-cycle - so verification is ``O(L)`` per condition after ``O(L)`` prefix-sum
-preprocessing (see :meth:`repro.core.schedule.Schedule.count_in_window`).
+window check performed here.  Each ``pc`` condition asks one question of
+:meth:`repro.core.schedule.Schedule.min_window`: the earliest sparsest
+window of its length, which costs ``O(n log n)`` for ``n`` services of the
+task per cycle.  That start is the witness a :class:`Violation` reports.
 
 Two entry points are provided: :func:`check_schedule` returns a structured
 :class:`VerificationReport` (used by tests and benches to show witnesses),
@@ -17,12 +16,11 @@ on the first violation (used inside schedulers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from repro.errors import VerificationError
 from repro.core.conditions import (
     BroadcastCondition,
-    ConditionKey,
     NiceConjunct,
     PinwheelCondition,
 )
@@ -72,23 +70,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _worst_window(
-    schedule: Schedule, owner: ConditionKey, length: int
-) -> tuple[int, int]:
-    """Return ``(start, count)`` of the sparsest window of ``length``."""
-    worst_start = 0
-    worst_count = schedule.count_in_window(owner, 0, length)
-    for start in range(1, schedule.cycle_length):
-        count = schedule.count_in_window(owner, start, length)
-        if count < worst_count:
-            worst_start, worst_count = start, count
-    return worst_start, worst_count
-
-
 def satisfies_pc(schedule: Schedule, condition: PinwheelCondition) -> bool:
     """Whether the schedule satisfies one pinwheel condition exactly."""
-    __, count = _worst_window(schedule, condition.task, condition.b)
-    return count >= condition.a
+    return schedule.min_window(condition.task, condition.b)[1] >= condition.a
 
 
 def satisfies_bc(schedule: Schedule, condition: BroadcastCondition) -> bool:
@@ -135,7 +119,7 @@ def check_schedule(
     for original, sub in _iter_pc(conditions):
         if not checked or checked[-1] is not original:
             checked.append(original)
-        start, count = _worst_window(schedule, sub.task, sub.b)
+        start, count = schedule.min_window(sub.task, sub.b)
         if count < sub.a:
             violations.append(
                 Violation(original, start, sub.b, sub.a, count)
@@ -166,22 +150,3 @@ def project_to_files(schedule: Schedule, conjunct: NiceConjunct) -> Schedule:
     original ``bc`` conditions or for building a broadcast program.
     """
     return schedule.relabel(conjunct.file_of)
-
-
-def brute_force_min_in_window(
-    slots: Sequence[ConditionKey], owner: ConditionKey, length: int
-) -> int:
-    """Naive reference implementation used to cross-check the fast path.
-
-    Treats ``slots`` as one period of a cyclic schedule and scans every
-    window start explicitly, counting occurrences by iteration.  Quadratic;
-    only for tests.
-    """
-    period = len(slots)
-    best: int | None = None
-    for start in range(period):
-        count = sum(
-            1 for k in range(length) if slots[(start + k) % period] == owner
-        )
-        best = count if best is None else min(best, count)
-    return best if best is not None else 0

@@ -66,9 +66,9 @@ from repro.traffic.spec import TrafficSpec
 
 #: Shard-engine implementations ``simulate_traffic`` can run:
 #: ``"object"`` is the per-client session/event-kernel engine (the
-#: executable spec, no dependencies); ``"soa"`` is the vectorized
-#: structure-of-arrays engine (:mod:`repro.traffic.engine_soa`, needs
-#: numpy) - bit-identical results, order-of-magnitude faster.
+#: executable spec); ``"soa"`` is the vectorized structure-of-arrays
+#: engine (:mod:`repro.traffic.engine_soa`) - bit-identical results,
+#: order-of-magnitude faster.
 ENGINES = ("object", "soa")
 
 
@@ -78,14 +78,6 @@ def _check_engine(engine: str) -> None:
             f"unknown traffic engine {engine!r} (choose from "
             f"{', '.join(ENGINES)})"
         )
-    if engine == "soa":
-        try:
-            import numpy  # noqa: F401
-        except ImportError as error:  # pragma: no cover - numpy present in CI
-            raise SpecificationError(
-                "the 'soa' traffic engine requires numpy, which is not "
-                "installed; install numpy or use engine='object'"
-            ) from error
 
 
 def _record_shard_metrics(metrics: TrafficMetrics, engine: str) -> None:
@@ -1221,7 +1213,7 @@ def simulate_traffic(
     engine:
         ``"object"`` (default) runs per-client session objects over the
         event kernel; ``"soa"`` runs the vectorized structure-of-arrays
-        engine (:mod:`repro.traffic.engine_soa`, requires numpy).
+        engine (:mod:`repro.traffic.engine_soa`).
         Metrics and traces are bit-identical between the two - the
         engine is purely a performance choice.  Pooled non-temporal
         ``"soa"`` runs build the retrieval tables once in the parent

@@ -169,8 +169,7 @@ def uniform_matrix(seed: int, tag: int, lo: int, hi: int, draws: int):
 
     The vectorized mirror of :class:`Substream`: entry ``[i - lo, j]``
     equals what ``Substream(stream_base(seed, tag, i))`` returns on its
-    ``(j + 1)``-th ``random()`` call, bit for bit.  Requires numpy (the
-    scalar path never does).
+    ``(j + 1)``-th ``random()`` call, bit for bit.
     """
     import numpy as np
 

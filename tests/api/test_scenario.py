@@ -290,6 +290,11 @@ class TestRoundTrip:
              "requests must be an integer"),
             ({"faults": {"kind": "bernoulli", "probability": None}},
              "probability must be a number"),
+            ({"files": [{"name": "a", "blocks": 2.0, "latency": 4}]},
+             "blocks=2.0 must be an int"),
+            ({"files": [{"name": "a", "blocks": True,
+                         "latency_vector": [4]}]},
+             "size m=True"),
         ],
     )
     def test_null_and_wrong_typed_scalars_rejected(self, payload, match):

@@ -32,6 +32,19 @@ class TestFileSpec:
             FileSpec("F", 1, 0)
         with pytest.raises(SpecificationError):
             FileSpec("F", 1, 1, fault_budget=-1)
+        # Sizes must be ints: a str, None, list, float or bool is named.
+        for kwargs, key in [
+            ({"blocks": "2"}, "blocks"),
+            ({"blocks": 2.0}, "blocks"),
+            ({"blocks": True}, "blocks"),
+            ({"latency": None}, "latency"),
+            ({"latency": [5, 6]}, "latency"),
+            ({"fault_budget": "1"}, "fault_budget"),
+            ({"fault_budget": True}, "fault_budget"),
+        ]:
+            params = {"blocks": 1, "latency": 1, **kwargs}
+            with pytest.raises(SpecificationError, match=key):
+                FileSpec("F", **params)
 
     def test_payload_deterministic(self):
         spec = FileSpec("F", 3, 5)
@@ -52,6 +65,10 @@ class TestGeneralizedFileSpec:
     def test_validation_delegated_to_bc(self):
         with pytest.raises(SpecificationError):
             GeneralizedFileSpec("F", 3, (5, 3))
+        with pytest.raises(SpecificationError, match="size m"):
+            GeneralizedFileSpec("F", True, (5,))
+        with pytest.raises(SpecificationError, match=r"d\(1\)"):
+            GeneralizedFileSpec("F", 1, (5, True))
 
     def test_regular_constructor(self):
         spec = GeneralizedFileSpec.regular("F", 2, 9)

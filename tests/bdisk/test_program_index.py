@@ -60,8 +60,6 @@ class TestConstruction:
             index.occurrence_slots("Z")
         with pytest.raises(ProgramError):
             index.next_occurrence("Z", 0)
-        with pytest.raises(ProgramError):
-            index.count_in_window("Z", 0, 4)
 
 
 class TestOccurrenceWalk:
@@ -109,20 +107,16 @@ class TestOccurrenceWalk:
 
 
 class TestWindows:
-    def test_max_gap_matches_program(self, program):
-        for file in program.files:
-            assert program.index.max_gap(file) == program.max_gap(file)
-
     def test_single_service_gap_is_cycle(self):
         flat = build_flat_program([("A", 1)])
-        assert flat.index.max_gap("A") == flat.data_cycle_length
+        assert flat.max_gap("A") == flat.data_cycle_length
 
     def test_count_in_window_wraps_cycles(self, program):
-        index = program.index
+        schedule = program.schedule
         cycle = program.data_cycle_length
-        per_cycle = index.occurrences_per_cycle("B")
-        assert index.count_in_window("B", 0, 3 * cycle) == 3 * per_cycle
-        assert index.count_in_window("B", 5, 0) == 0
+        per_cycle = program.index.occurrences_per_cycle("B")
+        assert schedule.count_in_window("B", 0, 3 * cycle) == 3 * per_cycle
+        assert schedule.count_in_window("B", 5, 0) == 0
 
     def test_min_distinct_consistent_with_verify(self, program):
         # Figure 6's headline property: every window of one period holds

@@ -115,7 +115,7 @@ class TestRuleSoundness:
         length = 20
         schedule = balanced_schedule(ticks, length)
         window = length // ticks * 2
-        base = pc("i", schedule.min_in_any_window("i", window), window)
+        base = pc("i", schedule.min_window("i", window)[1], window)
         if base.a - x < 1 or base.b - x < base.a - x:
             return
         assert satisfies_pc(schedule, base)

@@ -1,11 +1,11 @@
 """Unit tests for cyclic schedules and their window arithmetic."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.schedule import IDLE, Schedule
-from repro.core.verify import brute_force_min_in_window
 from repro.errors import SpecificationError
+from window_reference import brute_force_min_window
 
 
 class TestBasics:
@@ -55,9 +55,9 @@ class TestWindows:
 
     def test_min_in_any_window(self):
         schedule = Schedule([1, 2, 1, IDLE, 2])
-        assert schedule.min_in_any_window(1, 5) == 2
-        assert schedule.min_in_any_window(2, 3) == 1
-        assert schedule.min_in_any_window(2, 2) == 0
+        assert schedule.min_window(1, 5) == (0, 2)
+        assert schedule.min_window(2, 3) == (0, 1)
+        assert schedule.min_window(2, 2) == (2, 0)
 
     def test_rejects_bad_window_arguments(self):
         schedule = Schedule([1])
@@ -65,17 +65,26 @@ class TestWindows:
             schedule.count_in_window(1, 0, -1)
         with pytest.raises(SpecificationError):
             schedule.count_in_window(1, -1, 1)
+        with pytest.raises(SpecificationError):
+            schedule.min_window(1, -1)
 
     @given(
         cycle=st.lists(st.sampled_from([1, 2, 3, None]), min_size=1, max_size=12),
-        owner=st.sampled_from([1, 2, 3]),
-        length=st.integers(0, 20),
+        owner=st.sampled_from([1, 2, 3, 4]),
+        length=st.integers(0, 30),
     )
+    @example(cycle=[1, 2, None], owner=1, length=0)
+    @example(cycle=[1, None, 2, 1], owner=2, length=9)
+    @example(cycle=[None, 1, None, None, 1], owner=1, length=11)
+    @example(cycle=[1, 2, 3], owner=4, length=4)
+    @example(cycle=[None], owner=1, length=3)
+    @example(cycle=[None, None, None], owner=2, length=7)
     def test_min_window_matches_brute_force(self, cycle, owner, length):
+        # Owner 4 never appears; lengths run past 2L for every L <= 12.
         schedule = Schedule(cycle)
-        fast = schedule.min_in_any_window(owner, length)
-        slow = brute_force_min_in_window(cycle, owner, length)
-        assert fast == slow
+        assert schedule.min_window(owner, length) == brute_force_min_window(
+            cycle, owner, length
+        )
 
 
 class TestGaps:
@@ -129,17 +138,15 @@ class TestTransforms:
         rotated = schedule.rotated(2)
         for owner in (1, 2):
             for window in (2, 3, 5):
-                assert rotated.min_in_any_window(owner, window) == (
-                    schedule.min_in_any_window(owner, window)
+                assert rotated.min_window(owner, window)[1] == (
+                    schedule.min_window(owner, window)[1]
                 )
 
     def test_repeat_preserves_window_minima(self):
         schedule = Schedule([1, 2, IDLE])
         tripled = schedule.repeated(3)
         assert tripled.cycle_length == 9
-        assert tripled.min_in_any_window(1, 3) == (
-            schedule.min_in_any_window(1, 3)
-        )
+        assert tripled.min_window(1, 3)[1] == schedule.min_window(1, 3)[1]
 
     def test_repeat_rejects_nonpositive(self):
         with pytest.raises(SpecificationError):

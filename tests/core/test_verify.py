@@ -1,10 +1,12 @@
 """Unit tests for schedule verification."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.conditions import NiceConjunct, bc, pc, virtual_key
 from repro.core.schedule import IDLE, Schedule
 from repro.core.verify import (
+    Violation,
     check_schedule,
     project_to_files,
     satisfies_bc,
@@ -12,6 +14,7 @@ from repro.core.verify import (
     verify_schedule,
 )
 from repro.errors import VerificationError
+from window_reference import brute_force_min_window
 
 
 class TestSatisfiesPc:
@@ -87,6 +90,31 @@ class TestCheckAndVerify:
     def test_rejects_unknown_condition_type(self):
         with pytest.raises(TypeError):
             check_schedule(Schedule([1]), ["not a condition"])
+
+    @given(
+        cycle=st.lists(
+            st.sampled_from(["x", "y", IDLE]), min_size=1, max_size=14
+        ),
+        conditions=st.lists(
+            st.tuples(
+                st.sampled_from(["x", "y", "z"]),
+                st.integers(1, 6),
+                st.integers(0, 30),
+            ).filter(lambda t: t[1] <= t[2]),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_witness_is_earliest_sparsest_window(self, cycle, conditions):
+        expected = []
+        for task, a, b in conditions:
+            start, count = brute_force_min_window(cycle, task, b)
+            if count < a:
+                expected.append(Violation(pc(task, a, b), start, b, a, count))
+        report = check_schedule(
+            Schedule(cycle), [pc(task, a, b) for task, a, b in conditions]
+        )
+        assert report.violations == tuple(expected)
 
 
 class TestProjection:

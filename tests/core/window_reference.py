@@ -1,0 +1,23 @@
+"""Slot-by-slot reference for the window kernel, shared by the core tests."""
+
+from typing import Hashable, Sequence
+
+
+def brute_force_min_window(
+    slots: Sequence[Hashable], owner: Hashable, length: int
+) -> tuple[int, int]:
+    """``(start, count)`` of the earliest sparsest window of ``length``.
+
+    Treats ``slots`` as one period of a cyclic schedule and counts every
+    window start's occurrences slot by slot.  Quadratic, so only small
+    cycles belong here.
+    """
+    period = len(slots)
+    best_start, best = 0, None
+    for start in range(period):
+        count = sum(
+            1 for k in range(length) if slots[(start + k) % period] == owner
+        )
+        if best is None or count < best:
+            best_start, best = start, count
+    return best_start, best

@@ -68,14 +68,14 @@ def faulty_models(draw):
 
 def heard(program, file, start, last):
     """Occurrences of ``file`` in slots ``[start, last]``."""
-    return program.index.count_in_window(file, start, last - start + 1)
+    return program.schedule.count_in_window(file, start, last - start + 1)
 
 
 def bounded(program, file, start, horizon, result_finish, decided):
     if result_finish is not None:
         assert decided <= 2 * heard(program, file, start, result_finish) + 4
     # Never a decision past the horizon, complete or not.
-    assert decided <= program.index.count_in_window(file, start, horizon)
+    assert decided <= program.schedule.count_in_window(file, start, horizon)
 
 
 class TestDecisionBound:
@@ -132,7 +132,7 @@ class TestBatchWidths:
         widths = [len(slots) for slots, _, _ in batches]
         assert widths[:6] == [4, 8, 16, 32, 64, 128]
         assert max(widths) == FAULT_BATCH_MAX
-        assert sum(widths) == index.count_in_window("A", 0, 2_000)
+        assert sum(widths) == program.schedule.count_in_window("A", 0, 2_000)
         slots = [slot for batch, _, _ in batches for slot in batch]
         assert slots == sorted(slots) and slots[-1] < 2_000
 

@@ -146,7 +146,7 @@ class TestWindowEquivalence:
     @given(program=programs())
     @settings(max_examples=40, deadline=None)
     def test_count_in_window(self, program):
-        index = program.index
+        schedule = program.schedule
         cycle = program.data_cycle_length
         for file in program.files:
             for start in range(0, 2 * cycle, 3):
@@ -157,7 +157,7 @@ class TestWindowEquivalence:
                         if (c := reference.slot_content(program, t))
                         is not None and c.file == file
                     )
-                    assert index.count_in_window(
+                    assert schedule.count_in_window(
                         file, start, length
                     ) == naive
 

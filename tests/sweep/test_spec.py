@@ -200,3 +200,10 @@ class TestSweepSpec:
         )
         with pytest.raises(SpecificationError):
             spec.cells()
+        wrong_type = SweepSpec(
+            name="bad",
+            base=base_scenario(),
+            axes=(SweepAxis("files.0.fault_budget", (0, "1")),),
+        )
+        with pytest.raises(SpecificationError, match="fault_budget"):
+            wrong_type.cells()
