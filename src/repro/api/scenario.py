@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import (
+    SpecificationError,
+    check_int,
+    check_number,
+    require_keys,
+)
 from repro.core.partition import get_partitioner
 from repro.core.registry import POLICIES, get_scheduler
 from repro.ida.aida import RedundancyPolicy
@@ -40,40 +45,6 @@ FAULT_KINDS = ("none", "bernoulli", "burst", "adversarial")
 
 #: File-to-channel assignment policies a :class:`ChannelSpec` understands.
 ASSIGNMENT_POLICIES = ("striped", "replicated", "explicit")
-
-
-def _check_int(value: Any, what: str, *, minimum: int | None = None) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be an integer, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-    if minimum is not None and value < minimum:
-        raise SpecificationError(f"{what} must be >= {minimum}: {value}")
-
-
-def _check_number(value: Any, what: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be a number, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-
-
-def _require_keys(
-    payload: Mapping[str, Any], allowed: set[str], what: str
-) -> None:
-    if not isinstance(payload, Mapping):
-        raise SpecificationError(
-            f"{what} must be an object, got {type(payload).__name__}: "
-            f"{payload!r}"
-        )
-    unknown = set(payload) - allowed
-    if unknown:
-        raise SpecificationError(
-            f"{what}: unknown keys {sorted(unknown)} "
-            f"(allowed: {sorted(allowed)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -102,10 +73,10 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r} "
                 f"(expected one of {FAULT_KINDS})"
             )
-        _check_number(self.probability, "fault probability")
-        _check_number(self.p_enter, "fault p_enter")
-        _check_number(self.p_exit, "fault p_exit")
-        _check_int(self.seed, "fault seed")
+        check_number(self.probability, "fault probability")
+        check_number(self.p_enter, "fault p_enter")
+        check_number(self.p_exit, "fault p_exit")
+        check_int(self.seed, "fault seed")
         try:
             object.__setattr__(self, "lost_slots", tuple(self.lost_slots))
         except TypeError as error:
@@ -169,7 +140,7 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        _require_keys(
+        require_keys(
             payload,
             {"kind", "probability", "p_enter", "p_exit", "lost_slots",
              "seed"},
@@ -226,15 +197,15 @@ class ChannelSpec:
     quorum: int = 1
 
     def __post_init__(self) -> None:
-        _check_int(self.count, "channels count", minimum=1)
+        check_int(self.count, "channels count", minimum=1)
         if self.assignment not in ASSIGNMENT_POLICIES:
             raise SpecificationError(
                 f"unknown channel assignment {self.assignment!r} "
                 f"(expected one of {ASSIGNMENT_POLICIES})"
             )
         get_partitioner(self.partitioner)  # raises when unknown
-        _check_int(self.tuning_cost, "channels tuning_cost", minimum=0)
-        _check_int(self.quorum, "channels quorum", minimum=1)
+        check_int(self.tuning_cost, "channels tuning_cost", minimum=0)
+        check_int(self.quorum, "channels quorum", minimum=1)
         if self.quorum > self.count:
             raise SpecificationError(
                 f"channels quorum must be <= count: "
@@ -254,7 +225,7 @@ class ChannelSpec:
                     f"channel: got {len(budgets)} for count {self.count}"
                 )
             for c, budget in enumerate(budgets):
-                _check_int(
+                check_int(
                     budget, f"channels fault_budgets[{c}]", minimum=0
                 )
             object.__setattr__(self, "fault_budgets", budgets)
@@ -286,7 +257,7 @@ class ChannelSpec:
                         f"one channel"
                     )
                 for c in ids:
-                    _check_int(
+                    check_int(
                         c, f"channels explicit[{name!r}] entry", minimum=0
                     )
                     if c >= self.count:
@@ -356,7 +327,7 @@ class ChannelSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ChannelSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        _require_keys(
+        require_keys(
             payload,
             {"count", "assignment", "explicit", "partitioner",
              "fault_budgets", "tuning_cost", "quorum"},
@@ -393,10 +364,10 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_int(self.requests, "workload requests", minimum=1)
-        _check_int(self.horizon, "workload horizon", minimum=1)
-        _check_number(self.zipf_skew, "workload zipf_skew")
-        _check_int(self.seed, "workload seed")
+        check_int(self.requests, "workload requests", minimum=1)
+        check_int(self.horizon, "workload horizon", minimum=1)
+        check_number(self.zipf_skew, "workload zipf_skew")
+        check_int(self.seed, "workload seed")
         if self.zipf_skew < 0:
             raise SpecificationError(
                 f"workload zipf_skew must be >= 0: {self.zipf_skew}"
@@ -414,7 +385,7 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "WorkloadSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        _require_keys(
+        require_keys(
             payload,
             {"requests", "horizon", "zipf_skew", "seed"},
             "workload spec",
@@ -471,7 +442,7 @@ def _file_from_dict(
             "name", "blocks", "latency", "fault_budget", "data",
         }, {"name", "blocks", "latency"}
     what = "generalized file" if "latency_vector" in payload else "file"
-    _require_keys(payload, allowed, what)
+    require_keys(payload, allowed, what)
     missing = required - set(payload)
     if missing:
         raise SpecificationError(
@@ -627,7 +598,7 @@ class Scenario:
             raise SpecificationError(
                 f"scenario {self.name!r}: duplicate file names {dupes}"
             )
-        _check_int(
+        check_int(
             self.block_size,
             f"scenario {self.name!r}: block_size",
             minimum=1,
@@ -638,7 +609,7 @@ class Scenario:
                     f"scenario {self.name!r}: bandwidth cannot be forced "
                     f"for generalized files (latencies are already slots)"
                 )
-            _check_int(
+            check_int(
                 self.bandwidth,
                 f"scenario {self.name!r}: bandwidth",
                 minimum=1,
@@ -655,7 +626,7 @@ class Scenario:
                 f"tolerance in their latency vectors)"
             )
         if self.delay_errors is not None:
-            _check_int(
+            check_int(
                 self.delay_errors,
                 f"scenario {self.name!r}: delay_errors",
                 minimum=0,
@@ -924,7 +895,7 @@ class Scenario:
                 f"scenario payload must be a mapping, got "
                 f"{type(payload).__name__}"
             )
-        _require_keys(
+        require_keys(
             payload,
             {"name", "files", "bandwidth", "block_size", "mode",
              "redundancy", "faults", "workload", "traffic", "temporal",
@@ -943,7 +914,7 @@ class Scenario:
         redundancy_payload = payload.get("redundancy")
         redundancy = None
         if redundancy_payload is not None:
-            _require_keys(
+            require_keys(
                 redundancy_payload, {"default", "budgets"}, "redundancy"
             )
             budgets = redundancy_payload.get("budgets", {})

@@ -32,7 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import (
+    SpecificationError,
+    check_int,
+    check_number,
+    require_keys,
+)
 from repro.bdisk.file import FileSpec
 from repro.rtdb.items import DataItem
 from repro.rtdb.temporal import (
@@ -42,40 +47,6 @@ from repro.rtdb.temporal import (
 )
 from repro.rtdb.transactions import ReadTransaction
 from repro.rtdb.updates import UpdatingServer
-
-
-def _check_int(value: Any, what: str, *, minimum: int | None = None) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be an integer, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-    if minimum is not None and value < minimum:
-        raise SpecificationError(f"{what} must be >= {minimum}: {value}")
-
-
-def _check_number(value: Any, what: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be a number, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-
-
-def _require_keys(
-    payload: Mapping[str, Any], allowed: set[str], what: str
-) -> None:
-    if not isinstance(payload, Mapping):
-        raise SpecificationError(
-            f"{what} must be an object, got {type(payload).__name__}: "
-            f"{payload!r}"
-        )
-    unknown = set(payload) - allowed
-    if unknown:
-        raise SpecificationError(
-            f"{what}: unknown keys {sorted(unknown)} "
-            f"(allowed: {sorted(allowed)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -107,7 +78,7 @@ class TemporalItemSpec:
                 f"temporal item name must be a non-empty string: "
                 f"{self.name!r}"
             )
-        _check_int(
+        check_int(
             self.blocks, f"temporal item {self.name!r}: blocks", minimum=1
         )
         kinematic = (
@@ -126,21 +97,21 @@ class TemporalItemSpec:
                 f"velocity_kmh and accuracy_m"
             )
         if self.max_age_ms is not None:
-            _check_int(
+            check_int(
                 self.max_age_ms,
                 f"temporal item {self.name!r}: max_age_ms",
                 minimum=1,
             )
         else:
-            _check_number(
+            check_number(
                 self.velocity_kmh,
                 f"temporal item {self.name!r}: velocity_kmh",
             )
-            _check_number(
+            check_number(
                 self.accuracy_m,
                 f"temporal item {self.name!r}: accuracy_m",
             )
-        _check_int(
+        check_int(
             self.default_faults,
             f"temporal item {self.name!r}: default_faults",
             minimum=0,
@@ -152,7 +123,7 @@ class TemporalItemSpec:
             )
         object.__setattr__(self, "criticality", dict(self.criticality))
         for mode, budget in self.criticality.items():
-            _check_int(
+            check_int(
                 budget,
                 f"temporal item {self.name!r}: fault budget for mode "
                 f"{mode!r}",
@@ -206,7 +177,7 @@ class TemporalItemSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TemporalItemSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        _require_keys(
+        require_keys(
             payload,
             {"name", "blocks", "max_age_ms", "velocity_kmh",
              "accuracy_m", "criticality", "default_faults"},
@@ -247,7 +218,7 @@ class TransactionSpec:
         # ReadTransaction owns the structural rules (non-empty, unique
         # items, positive deadline); building one validates them.
         self.as_transaction()
-        _check_number(
+        check_number(
             self.weight, f"transaction {self.name!r}: weight"
         )
         if self.weight <= 0:
@@ -274,7 +245,7 @@ class TransactionSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TransactionSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        _require_keys(
+        require_keys(
             payload,
             {"name", "items", "deadline_slots", "weight"},
             "transaction spec",
@@ -334,12 +305,12 @@ class TemporalSpec:
     transactions: tuple[TransactionSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_number(self.slot_ms, "temporal slot_ms")
+        check_number(self.slot_ms, "temporal slot_ms")
         if self.slot_ms <= 0:
             raise SpecificationError(
                 f"temporal slot_ms must be > 0: {self.slot_ms}"
             )
-        _check_number(self.update_overhead_ms, "temporal update_overhead_ms")
+        check_number(self.update_overhead_ms, "temporal update_overhead_ms")
         if self.update_overhead_ms < 0:
             raise SpecificationError(
                 f"temporal update_overhead_ms must be >= 0: "
@@ -418,7 +389,7 @@ class TemporalSpec:
                 f"{sorted(unknown)}"
             )
         for name, period in self.update_periods.items():
-            _check_int(
+            check_int(
                 period,
                 f"temporal update period for {name!r}",
                 minimum=1,
@@ -546,7 +517,7 @@ class TemporalSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TemporalSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        _require_keys(
+        require_keys(
             payload,
             {"slot_ms", "items", "update_periods", "mode", "modes",
              "update_overhead_ms", "transactions"},

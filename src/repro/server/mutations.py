@@ -26,22 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, require_keys
 from repro.ida.aida import RedundancyPolicy
-from repro.bdisk.file import FileSpec, GeneralizedFileSpec
 from repro.rtdb.spec import TemporalItemSpec, TemporalSpec
-from repro.api.scenario import Scenario
-
-
-def _require_keys(
-    payload: Mapping[str, Any], allowed: set[str], what: str
-) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise SpecificationError(
-            f"{what}: unknown keys {sorted(unknown)} "
-            f"(allowed: {sorted(allowed)})"
-        )
+from repro.api.scenario import Scenario, _file_from_dict
 
 
 def _replace_temporal(scenario: Scenario, temporal: TemporalSpec) -> Scenario:
@@ -101,7 +89,7 @@ class ModeChange:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ModeChange":
         """Build from :meth:`to_dict` output / parsed JSON."""
-        _require_keys(payload, {"kind", "mode"}, "mode_change mutation")
+        require_keys(payload, {"kind", "mode"}, "mode_change mutation")
         mode = payload.get("mode")
         if not isinstance(mode, str) or not mode:
             raise SpecificationError(
@@ -115,11 +103,12 @@ class ModeChange:
 class AddFile:
     """Add a file (or temporal item) to the airing catalogue.
 
-    ``file`` is the spec payload: for regular scenarios the
-    ``{name, blocks, latency[, fault_budget]}`` (or ``latency_vector``
-    for generalized catalogues) shape scenario JSON uses; for temporal
-    scenarios a :class:`~repro.rtdb.spec.TemporalItemSpec` payload,
-    plus the mandatory ``update_period`` runtime knob.
+    ``file`` is the spec payload: for regular scenarios a scenario
+    JSON file entry, parsed by the scenario parser itself (``{name,
+    blocks, latency[, fault_budget][, data]}``, or ``latency_vector``
+    for generalized catalogues); for temporal scenarios a
+    :class:`~repro.rtdb.spec.TemporalItemSpec` payload, plus the
+    mandatory ``update_period`` runtime knob.
     """
 
     file: Mapping[str, Any]
@@ -161,31 +150,9 @@ class AddFile:
                 f"add_file {name!r}: 'update_period' applies to "
                 f"temporal scenarios only"
             )
-        payload = dict(self.file)
-        if "latency_vector" in payload:
-            _require_keys(
-                payload,
-                {"name", "blocks", "latency_vector"},
-                f"add_file {name!r} (generalized)",
-            )
-            spec: FileSpec | GeneralizedFileSpec = GeneralizedFileSpec(
-                payload["name"],
-                payload["blocks"],
-                tuple(payload["latency_vector"]),
-            )
-        else:
-            _require_keys(
-                payload,
-                {"name", "blocks", "latency", "fault_budget"},
-                f"add_file {name!r}",
-            )
-            spec = FileSpec(
-                payload["name"],
-                payload["blocks"],
-                payload["latency"],
-                fault_budget=payload.get("fault_budget", 0),
-            )
-        return replace(scenario, files=scenario.files + (spec,))
+        return replace(
+            scenario, files=scenario.files + (_file_from_dict(self.file),)
+        )
 
     def describe(self) -> str:
         """One-line human summary."""
@@ -201,7 +168,7 @@ class AddFile:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "AddFile":
         """Build from :meth:`to_dict` output / parsed JSON."""
-        _require_keys(
+        require_keys(
             payload, {"kind", "file", "update_period"}, "add_file mutation"
         )
         file = payload.get("file")
@@ -272,7 +239,7 @@ class RemoveFile:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RemoveFile":
         """Build from :meth:`to_dict` output / parsed JSON."""
-        _require_keys(payload, {"kind", "name"}, "remove_file mutation")
+        require_keys(payload, {"kind", "name"}, "remove_file mutation")
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise SpecificationError(
@@ -397,7 +364,7 @@ class FaultBudgetBump:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultBudgetBump":
         """Build from :meth:`to_dict` output / parsed JSON."""
-        _require_keys(
+        require_keys(
             payload, {"kind", "name", "delta"}, "fault_budget mutation"
         )
         name = payload.get("name")
@@ -490,7 +457,7 @@ class TemporalEdit:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TemporalEdit":
         """Build from :meth:`to_dict` output / parsed JSON."""
-        _require_keys(
+        require_keys(
             payload,
             {"kind", "name", "update_period", "max_age_ms"},
             "temporal_edit mutation",

@@ -4,34 +4,24 @@
 engine's shard runner (``repro.traffic.simulate._simulate_shard``):
 same inputs, same :class:`~repro.traffic.metrics.TrafficMetrics` out,
 bit-identical - but client state lives in flat numpy arrays (next-event
-slot, remaining requests, per-client cache rows) instead of one session
-object per client, and whole *cohorts* advance per batch instead of one
-heap event per client:
+slot, remaining requests) instead of one session object per client, and
+whole *cohorts* advance per batch instead of one heap event per client.
 
-* uniforms come pre-drawn from the counter-based substreams
-  (:func:`repro.traffic.substreams.uniform_matrix`) - request ``r`` of
-  client ``i`` reads a fixed matrix cell, exactly the draw the scalar
-  session would have made;
-* fault-free retrievals gather from the precomputed per-``(file,
-  phase)`` tables (:class:`~repro.traffic.cohorts.RetrievalTables`);
-* faulty retrievals resolve in geometric rounds of candidate
-  occurrences: one ``lost_in`` call per round over the *union* of the
-  candidates' slots, then array operations over per-member held-block
-  bitsets find each finishing occurrence (:class:`_FaultResolver`) -
-  multichannel shards group members by chosen channel and use the
-  same resolver;
-* client caches (LRU / PIX) are rows of a matrix - victims come from a
-  vectorized argmin over composite keys that reproduce the scalar
-  policies' ``min(resident, key=...)`` orders exactly;
-* metrics accumulate as numpy counters and per-wave histogram merges,
-  finalized through :meth:`TrafficMetrics.from_totals` - the accumulator
-  is order-independent, which is what makes any-order batch
-  accumulation legal.
+One cohort loop serves every population kind.  It owns what the kinds
+share: uniforms pre-drawn from the counter-based substreams
+(:func:`repro.traffic.substreams.uniform_matrix` - request ``r`` of
+client ``i`` reads a fixed matrix cell, exactly the draw the scalar
+session would have made), each wave member's pick and think time, and
+recording through :meth:`TrafficMetrics.record_many` - the accumulator
+is order-independent, which is what makes any-order batch accumulation
+legal.  Each kind adds only its per-block state and a wave step:
 
-Temporal (version-consistent) populations batch the per-request draws
-and cohort bookkeeping but retrieve items through the scalar
-``_VersionedRetriever`` - transactions are short sequential item chains
-whose cost is dominated by the memoized retrieval, not the loop.
+* :class:`_SingleChannel` - fault-free table lookups or the batched
+  :class:`_FaultResolver`, behind :class:`_VectorCache` client rows;
+* :class:`_MultiChannel` - the fault-free channel choice, then each
+  faulty channel's resolver;
+* :class:`_Temporal` - each member's item chain through the scalar
+  versioned or quorum retriever.
 
 The equivalence is pinned by ``tests/traffic/test_engine_soa.py``:
 per-shard metrics equal the object engine's field for field across
@@ -40,6 +30,7 @@ arrival x popularity x cache x fault-model grids.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Mapping, Sequence
 
@@ -61,6 +52,14 @@ from repro.traffic.cohorts import (
     file_draw,
 )
 from repro.traffic.metrics import TrafficMetrics
+from repro.traffic.simulate import (
+    _build_fault_model,
+    _channel_fault_models,
+    _QuorumRetriever,
+    _record_shard_metrics,
+    _temporal_mix,
+    _VersionedRetriever,
+)
 from repro.traffic.spec import TrafficSpec
 from repro.traffic.substreams import TAG_CLIENT, uniform_matrix
 
@@ -342,86 +341,288 @@ class _VectorCache:
             self.last_use[members, slot] = now
 
 
-class _ShardAccumulator:
-    """Order-independent numpy-side metric totals for one shard."""
-
-    __slots__ = (
-        "requests", "completions", "aborts", "deadline_misses",
-        "latency_sum", "worst", "counts", "req_by_file", "hit_by_file",
+def _retrievals(tel: Any, kind: str) -> Any:
+    """The shard's ``traffic.retrievals`` counter of ``kind``, if traced."""
+    if tel is None:
+        return None
+    return tel.counter(
+        "traffic.retrievals", stability="shape", oracle="soa", kind=kind
     )
 
-    def __init__(self, n_files: int) -> None:
-        self.requests = 0
-        self.completions = 0
-        self.aborts = 0
-        self.deadline_misses = 0
-        self.latency_sum = 0
-        self.worst = 0
-        self.counts: dict[int, int] = {}
-        self.req_by_file = np.zeros(n_files, dtype=np.int64)
-        self.hit_by_file = np.zeros(n_files, dtype=np.int64)
 
-    def record_wave(
+def _popularity(
+    law: Callable[..., Sequence[float]], spec: TrafficSpec, count: int
+) -> Sequence[float]:
+    """The spec's popularity ``law`` (weights or their running totals)."""
+    return law(
+        spec.popularity,
+        count,
+        zipf_skew=spec.zipf_skew,
+        hot_fraction=spec.hot_fraction,
+        hot_weight=spec.hot_weight,
+    )
+
+
+class _Population:
+    """One population kind's share of the cohort driver.
+
+    A request for pick ``k`` records under ``names[k]`` against
+    ``deadlines[k]``; picks bisect the running weight totals, as the
+    scalar sessions' ``choices`` draw does.  By default the picks are
+    the catalogue's files under the spec's popularity law.  ``step``
+    resolves one wave to ``(latency, finish, cache_hit)``: ``latency``
+    is ``-1`` on an abort, ``finish`` the last slot listened to either
+    way, and ``cache_hit`` ``None`` without client caches.
+    """
+
+    #: Some channel loses slots (narrows the client block).
+    faulty = False
+    #: Client cache slots (each costs the block budget two draws).
+    cache_capacity = 0
+
+    def __init__(
         self,
-        file_ids: np.ndarray,
-        latency: np.ndarray,
-        deadline_by_file: np.ndarray,
+        metrics: TrafficMetrics,
+        spec: TrafficSpec,
+        catalogue: tuple[str, ...],
+        deadlines: Mapping[str, int],
     ) -> None:
-        n = len(file_ids)
-        self.requests += n
-        self.req_by_file += np.bincount(
-            file_ids, minlength=len(self.req_by_file)
+        self.metrics = metrics
+        self._pick_from(
+            catalogue,
+            _popularity(popularity_cdf, spec, len(catalogue)),
+            [deadlines[file] for file in catalogue],
         )
-        completed = latency >= 0
-        n_completed = int(np.count_nonzero(completed))
-        self.completions += n_completed
-        self.aborts += n - n_completed
-        if not n_completed:
-            return
-        files = file_ids[completed]
-        values = latency[completed]
-        self.hit_by_file += np.bincount(
-            files, minlength=len(self.hit_by_file)
-        )
-        self.latency_sum += int(values.sum())
-        worst = int(values.max())
-        if worst > self.worst:
-            self.worst = worst
-        self.deadline_misses += int(
-            np.count_nonzero(values > deadline_by_file[files])
-        )
-        counts = self.counts
-        unique, tally = np.unique(values, return_counts=True)
-        for value, n_value in zip(unique.tolist(), tally.tolist()):
-            counts[value] = counts.get(value, 0) + n_value
 
-    def finalize(
+    def _pick_from(
         self,
-        catalogue: Sequence[str],
-        cache_hits: int,
-        cache_misses: int,
-        cache_evictions: int,
-    ) -> TrafficMetrics:
-        req = self.req_by_file.tolist()
-        hit = self.hit_by_file.tolist()
-        return TrafficMetrics.from_totals(
-            requests=self.requests,
-            completions=self.completions,
-            aborts=self.aborts,
-            deadline_misses=self.deadline_misses,
-            latency_sum=self.latency_sum,
-            worst=self.worst,
-            counts=self.counts,
-            requests_by_file={
-                catalogue[i]: n for i, n in enumerate(req) if n
-            },
-            hits_by_file={
-                catalogue[i]: n for i, n in enumerate(hit) if n
-            },
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_evictions=cache_evictions,
+        names: Sequence[str],
+        cdf: Sequence[float],
+        deadlines: Sequence[int],
+    ) -> None:
+        self.names = names
+        self.cum_weights = np.asarray(cdf, dtype=np.float64)
+        self.total_weight = cdf[-1] + 0.0
+        self.deadlines = np.asarray(deadlines, dtype=np.int64)
+
+    def begin_block(self, n: int) -> None:
+        """Fresh per-client state for a block of ``n`` clients."""
+
+    def end_block(self) -> None:
+        """Fold the finished block's state into the metrics."""
+
+
+class _SingleChannel(_Population):
+    """Files on one channel: fault-free retrievals gather from the
+    per-``(file, phase)`` tables and faulty ones go to the
+    :class:`_FaultResolver`, both behind optional :class:`_VectorCache`
+    rows."""
+
+    def __init__(
+        self,
+        metrics: TrafficMetrics,
+        spec: TrafficSpec,
+        catalogue: tuple[str, ...],
+        deadlines: Mapping[str, int],
+        tables: RetrievalTables,
+        fault_model: FaultModel,
+        tel: Any,
+    ) -> None:
+        super().__init__(metrics, spec, catalogue, deadlines)
+        self.faulty = not isinstance(fault_model, NoFaults)
+        self._tables = tables
+        self._resolver = (
+            _FaultResolver(tables, fault_model) if self.faulty else None
         )
+        lut, walker = _retrievals(tel, "lut"), _retrievals(tel, "walker")
+        self._counter = walker if self.faulty else lut
+        self._lru = spec.cache != "pix"
+        self._victim_rank: np.ndarray | None = None
+        if spec.cache == "pix":
+            weights = _popularity(popularity_weights, spec, len(catalogue))
+            self._victim_rank = _pix_rank(catalogue, weights, tables)
+        elif spec.cache is not None:
+            self._victim_rank = _lexical_rank(catalogue)
+        if spec.cache is not None:
+            self.cache_capacity = spec.cache_capacity
+        self._cache: _VectorCache | None = None
+
+    def _resolve(
+        self, file_ids: np.ndarray, starts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if self._counter is not None:
+            self._counter.add(len(file_ids))
+        if self._resolver is None:
+            return self._tables.lookup(file_ids, starts)
+        return self._resolver.resolve(file_ids, starts)
+
+    def begin_block(self, n: int) -> None:
+        if self._victim_rank is not None:
+            self._cache = _VectorCache(
+                n, self.cache_capacity, self._lru, self._victim_rank,
+                len(self.names),
+            )
+
+    def step(
+        self, members: np.ndarray, picks: np.ndarray, now: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        if self._cache is None:
+            return (*self._resolve(picks, now), None)
+        hit, latency, finish = self._cache.access(
+            members, picks, now, self._resolve
+        )
+        return latency, finish, hit
+
+    def end_block(self) -> None:
+        cache = self._cache
+        if cache is not None:
+            self.metrics.record_cache(
+                cache.hits, cache.misses, cache.evictions
+            )
+
+
+class _MultiChannel(_Population):
+    """Files over a channel set: :meth:`MultiChannelTables.choose`
+    probes each member's candidate channels in the fault-free tables
+    (faults never steer the choice, exactly as in
+    :func:`repro.sim.client.retrieve_multichannel`), then each faulty
+    channel's :class:`_FaultResolver` re-resolves the members tuned to
+    it from their listen slots."""
+
+    def __init__(
+        self,
+        metrics: TrafficMetrics,
+        spec: TrafficSpec,
+        catalogue: tuple[str, ...],
+        deadlines: Mapping[str, int],
+        mc_tables: MultiChannelTables,
+        channel_faults: Sequence[FaultModel] | None,
+        tel: Any,
+    ) -> None:
+        super().__init__(metrics, spec, catalogue, deadlines)
+        self._tables = mc_tables
+        self._resolvers = [
+            None
+            if channel_faults is None
+            or isinstance(channel_faults[c], NoFaults)
+            else _FaultResolver(table, channel_faults[c])
+            for c, table in enumerate(mc_tables.tables)
+        ]
+        self.faulty = any(r is not None for r in self._resolvers)
+        self._counter = _retrievals(tel, "multichannel")
+        self._tuned = np.zeros(0, dtype=np.int64)
+
+    def begin_block(self, n: int) -> None:
+        self._tuned = np.zeros(n, dtype=np.int64)  # clients sign on to 0
+
+    def step(
+        self, members: np.ndarray, picks: np.ndarray, now: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        if self._counter is not None:
+            self._counter.add(len(members))
+        tables = self._tables
+        tuned = self._tuned
+        chosen, listen, latency, finish = np.asarray(
+            [
+                tables.choose(fid, start, tune)
+                for fid, start, tune in zip(
+                    picks.tolist(), now.tolist(), tuned[members].tolist()
+                )
+            ],
+            dtype=np.int64,
+        ).T
+        self.metrics.record_channel_switches(
+            int(np.count_nonzero(chosen != tuned[members]))
+        )
+        tuned[members] = chosen
+        for channel, resolver in enumerate(self._resolvers):
+            rows = np.flatnonzero(chosen == channel)
+            if resolver is not None and rows.size:
+                latency[rows], finish[rows] = resolver.resolve(
+                    tables.local_ids[channel, picks[rows]], listen[rows]
+                )
+        return np.where(latency >= 0, finish - now + 1, -1), finish, None
+
+
+class _Temporal(_Population):
+    """Version-consistent read transactions.
+
+    A transaction is a short sequential item chain - each item starts
+    after the previous one finishes - read through the scalar memoized
+    ``_VersionedRetriever``, or over a channel set through the member's
+    own ``_QuorumRetriever``, whose tuned state persists across that
+    client's transactions as in the object engine's sessions.
+    ``faults`` is the channel's fault model, or the per-channel models
+    of a channel set.
+    """
+
+    def __init__(
+        self,
+        metrics: TrafficMetrics,
+        spec: TrafficSpec,
+        catalogue: tuple[str, ...],
+        deadlines: Mapping[str, int],
+        temporal: TemporalSpec,
+        file_sizes: Mapping[str, int],
+        program: BroadcastProgram | None,
+        channels: ChannelSet | None,
+        faults: Any,
+    ) -> None:
+        super().__init__(metrics, spec, catalogue, deadlines)
+        mix, mix_weights = _temporal_mix(
+            temporal,
+            catalogue,
+            deadlines,
+            _popularity(popularity_weights, spec, len(catalogue)),
+        )
+        self._pick_from(
+            [txn.name for txn in mix],
+            list(accumulate(mix_weights)),
+            [txn.deadline_slots for txn in mix],
+        )
+        self._items = [txn.items for txn in mix]
+        self._max_age = temporal.max_age_slots()
+        server = temporal.server()
+        self._shared = None
+        if channels is None:
+            self._shared = _VersionedRetriever(
+                program, file_sizes, server, faults, spec.max_slots
+            )
+        self._new_reader = partial(
+            _QuorumRetriever, channels, file_sizes, server, faults,
+            spec.max_slots, metrics,
+        )
+        self._readers: list[_QuorumRetriever] = []
+
+    def begin_block(self, n: int) -> None:
+        if self._shared is None:
+            self._readers = [self._new_reader() for _ in range(n)]
+
+    def step(
+        self, members: np.ndarray, picks: np.ndarray, now: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        record_read = self.metrics.record_versioned_read
+        max_age = self._max_age
+        latency = np.empty(len(members), dtype=np.int64)
+        finish = np.empty(len(members), dtype=np.int64)
+        for row, (member, pick, start) in enumerate(
+            zip(members.tolist(), picks.tolist(), now.tolist())
+        ):
+            reader = self._shared or self._readers[member]
+            clock = end = start
+            for item in self._items[pick]:
+                got, end, age, torn = reader(item, clock)
+                record_read(
+                    age, age is not None and age <= max_age[item], torn
+                )
+                if got is None:
+                    latency[row] = -1
+                    break
+                clock = end + 1
+            else:  # every item completed
+                latency[row] = end - start + 1
+            finish[row] = end
+        return latency, finish, None
 
 
 def simulate_shard_soa(
@@ -437,136 +638,75 @@ def simulate_shard_soa(
     trace: bool,
     *,
     tables: RetrievalTables | None = None,
-    cohort_window: int | None = None,
     channels: ChannelSet | None = None,
     mc_tables: MultiChannelTables | None = None,
 ) -> tuple[TrafficMetrics, list[RequestRecord]]:
     """Simulate clients ``[lo, hi)`` with the vectorized engine.
 
-    Same contract as the object engine's shard runner; ``tables``
-    passes in prebuilt retrieval tables (``program`` may then be
-    ``None`` for non-temporal populations), and ``cohort_window``
-    overrides the batching window (tests narrow it to exercise wave
-    boundaries - outcomes never depend on it).
+    Same contract as the object engine's shard runner.  ``temporal``
+    selects version-consistent transactions and ``channels`` the
+    multi-channel protocol; otherwise the shard runs on ``program``'s
+    channel.  Prebuilt ``tables`` (or, unless the shard is temporal,
+    ``mc_tables``) can stand in for the program (or channel set): that
+    is how :func:`repro.traffic.simulate.simulate_traffic` ships a
+    shard to a pool worker, which then never builds an occurrence index.
 
-    ``channels`` switches the shard to the multi-channel retrieval
-    protocol (``program`` is then ignored); ``mc_tables`` supplies
-    prebuilt per-channel tables instead, so a non-temporal shard runs
-    from the tables alone with ``channels=None``.  Prebuilt tables are
-    how :func:`repro.traffic.simulate.simulate_traffic` ships a shard
-    to a pool worker: they pickle as flat arrays, and the worker never
-    builds an occurrence index.
+    This is the one cohort loop.  Clients run in blocks sized to the
+    draw budget; each wave draws its members' picks and think times,
+    lets the population kind resolve it, records it through
+    :meth:`TrafficMetrics.record_many` and moves every member to its
+    next event.
     """
-    from repro.traffic.simulate import (
-        _build_fault_model,
-        _channel_fault_models,
-    )
-
     catalogue = tuple(catalogue)
-    if channels is not None or mc_tables is not None:
-        count = channels.count if channels is not None else mc_tables.count
-        channel_faults = _channel_fault_models(faults, count)
-        if temporal is not None:
-            if channels is None:
-                raise ValueError(
-                    "temporal multichannel shards need the channel set "
-                    "itself, not just tables"
-                )
-            return _simulate_temporal_shard(
-                None, catalogue, spec, file_sizes, deadlines, None,
-                temporal, lo, hi, trace, cohort_window,
-                channels=channels, channel_faults=channel_faults,
-            )
-        return _simulate_multichannel_shard(
-            channels, mc_tables, catalogue, spec, file_sizes, deadlines,
-            channel_faults, lo, hi, trace, cohort_window,
-        )
-    fault_model = _build_fault_model(faults)
-    if temporal is not None:
-        return _simulate_temporal_shard(
-            program, catalogue, spec, file_sizes, deadlines, fault_model,
-            temporal, lo, hi, trace, cohort_window,
-        )
-    if tables is None:
-        if program is None:
-            raise ValueError(
-                "simulate_shard_soa needs a program or prebuilt tables"
-            )
-        tables = RetrievalTables.build(
-            program, catalogue, file_sizes, spec.max_slots
-        )
-
-    fault_free = isinstance(fault_model, NoFaults)
-    resolver = (
-        None if fault_free else _FaultResolver(tables, fault_model)
-    )
-    # Counter cells resolved once per shard; the per-WAVE (never
+    metrics = TrafficMetrics()
+    # Instruments resolved once per shard; the per-WAVE (never
     # per-request) telemetry cost is a None check when disabled, so the
     # vectorized hot path keeps its bench floor.  Wave composition
     # depends on the shard layout, hence "shape" stability.
     tel = obs.current()
-    c_waves = c_lut = c_walker = h_cohort = None
+    c_waves = h_cohort = None
     if tel is not None:
         c_waves = tel.counter("soa.waves", stability="shape")
         h_cohort = tel.histogram("soa.cohort_size", stability="shape")
-        c_lut = tel.counter(
-            "traffic.retrievals", stability="shape",
-            oracle="soa", kind="lut",
+    common = (metrics, spec, catalogue, deadlines)
+    kind: _Population
+    if channels is not None or mc_tables is not None:
+        count = channels.count if channels is not None else mc_tables.count
+        models = _channel_fault_models(faults, count)
+    else:
+        models = _build_fault_model(faults)
+    if temporal is not None:
+        if channels is None and mc_tables is not None:
+            raise ValueError(
+                "temporal multichannel shards need the channel set "
+                "itself, not just tables"
+            )
+        kind = _Temporal(
+            *common, temporal, file_sizes, program, channels, models
         )
-        c_walker = tel.counter(
-            "traffic.retrievals", stability="shape",
-            oracle="soa", kind="walker",
-        )
-    cdf = popularity_cdf(
-        spec.popularity,
-        len(catalogue),
-        zipf_skew=spec.zipf_skew,
-        hot_fraction=spec.hot_fraction,
-        hot_weight=spec.hot_weight,
-    )
-    cum_weights = np.asarray(cdf, dtype=np.float64)
-    total_weight = cdf[-1] + 0.0
-    deadline_by_file = np.asarray(
-        [deadlines[file] for file in catalogue], dtype=np.int64
-    )
+    elif channels is not None or mc_tables is not None:
+        if mc_tables is None:
+            mc_tables = MultiChannelTables.build(
+                channels, catalogue, file_sizes, spec.max_slots
+            )
+        kind = _MultiChannel(*common, mc_tables, models, tel)
+    else:
+        if tables is None:
+            if program is None:
+                raise ValueError(
+                    "simulate_shard_soa needs a program or prebuilt tables"
+                )
+            tables = RetrievalTables.build(
+                program, catalogue, file_sizes, spec.max_slots
+            )
+        kind = _SingleChannel(*common, tables, models, tel)
+
     think = ThinkSampler(spec.think_time) if spec.think_time > 0 else None
-    window = cohort_window if cohort_window is not None else _DEFAULT_WINDOW
-
-    victim_rank: np.ndarray | None = None
-    lru = True
-    if spec.cache == "pix":
-        lru = False
-        weights = popularity_weights(
-            spec.popularity,
-            len(catalogue),
-            zipf_skew=spec.zipf_skew,
-            hot_fraction=spec.hot_fraction,
-            hot_weight=spec.hot_weight,
-        )
-        victim_rank = _pix_rank(catalogue, weights, tables)
-    elif spec.cache is not None:
-        victim_rank = _lexical_rank(catalogue)
-
-    def resolve(
-        file_ids: np.ndarray, starts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if resolver is None:
-            if c_lut is not None:
-                c_lut.add(len(file_ids))
-            return tables.lookup(file_ids, starts)
-        if c_walker is not None:
-            c_walker.add(len(file_ids))
-        return resolver.resolve(file_ids, starts)
-
     requests = spec.requests_per_client
     stride = 2 if spec.think_time > 0 else 1
-    per_client = requests * stride + 2 * (
-        spec.cache_capacity if spec.cache is not None else 0
+    block = _block_size(
+        hi - lo, requests * stride + 2 * kind.cache_capacity, kind.faulty
     )
-    block = _block_size(hi - lo, per_client, not fault_free)
-
-    accumulator = _ShardAccumulator(len(catalogue))
-    cache_hits = cache_misses = cache_evictions = 0
     trace_waves: list[tuple] | None = [] if trace else None
 
     for block_lo in range(lo, hi, block):
@@ -577,31 +717,21 @@ def simulate_shard_soa(
         )
         next_slot = arrival_vector(spec, block_lo, block_hi)
         left = np.full(n, requests, dtype=np.int64)
-        cache: _VectorCache | None = None
-        if spec.cache is not None:
-            cache = _VectorCache(
-                n, spec.cache_capacity, lru, victim_rank, len(catalogue)
-            )
-        for members in cohort_waves(next_slot, left, window):
+        kind.begin_block(n)
+        for members in cohort_waves(next_slot, left, _DEFAULT_WINDOW):
             if c_waves is not None:
                 c_waves.add()
                 h_cohort.observe(len(members))
             now = next_slot[members]
             position = (requests - left[members]) * stride
-            file_ids = file_draw(
-                cum_weights, total_weight, draws[members, position]
+            picks = file_draw(
+                kind.cum_weights, kind.total_weight, draws[members, position]
             )
-            if cache is None:
-                latency, finish = resolve(file_ids, now)
-                hit = None
-            else:
-                hit, latency, finish = cache.access(
-                    members, file_ids, now, resolve
-                )
-            accumulator.record_wave(file_ids, latency, deadline_by_file)
+            latency, finish, hit = kind.step(members, picks, now)
+            metrics.record_many(kind.names, picks, latency, kind.deadlines)
             if trace_waves is not None:
                 trace_waves.append(
-                    (members + block_lo, file_ids, now, latency, hit)
+                    (members + block_lo, picks, now, latency, hit)
                 )
             left[members] -= 1
             upcoming = finish + 1
@@ -610,304 +740,24 @@ def simulate_shard_soa(
                     draws[members, position + 1]
                 )
             next_slot[members] = upcoming
-        if cache is not None:
-            cache_hits += cache.hits
-            cache_misses += cache.misses
-            cache_evictions += cache.evictions
+        kind.end_block()
 
-    metrics = accumulator.finalize(
-        catalogue, cache_hits, cache_misses, cache_evictions
-    )
     if tel is not None:
-        from repro.traffic.simulate import _record_shard_metrics
-
         _record_shard_metrics(metrics, "soa")
-    records: list[RequestRecord] = []
-    if trace_waves is not None:
-        for clients, file_ids, issued, latency, hit in trace_waves:
-            hit_list = (
-                hit.tolist() if hit is not None else [False] * len(clients)
-            )
-            for c, f, s, l, h in zip(
-                clients.tolist(), file_ids.tolist(), issued.tolist(),
-                latency.tolist(), hit_list,
-            ):
-                records.append(
-                    RequestRecord(
-                        client=c,
-                        file=catalogue[f],
-                        issued=s,
-                        latency=None if l < 0 else l,
-                        deadline=int(deadline_by_file[f]),
-                        cache_hit=bool(h),
-                    )
-                )
-    return metrics, records
-
-
-def _simulate_temporal_shard(
-    program: BroadcastProgram | None,
-    catalogue: tuple[str, ...],
-    spec: TrafficSpec,
-    file_sizes: Mapping[str, int],
-    deadlines: Mapping[str, int],
-    fault_model: FaultModel | None,
-    temporal: TemporalSpec,
-    lo: int,
-    hi: int,
-    trace: bool,
-    cohort_window: int | None,
-    *,
-    channels: ChannelSet | None = None,
-    channel_faults: Sequence[FaultModel] | None = None,
-) -> tuple[TrafficMetrics, list[RequestRecord]]:
-    """The temporal population under cohort batching.
-
-    Draws and cohort bookkeeping are vectorized; item retrievals go
-    through the scalar memoized ``_VersionedRetriever`` (a transaction
-    is a short sequential chain - each item's start depends on the
-    previous finish - so there is nothing to batch inside it).  Metrics
-    feed a real :class:`TrafficMetrics` in wave order, which is legal
-    because the accumulator is order-independent.
-
-    With ``channels`` each client gets its own quorum retriever (tuned
-    state persists across that client's transactions), mirroring the
-    object engine's per-session retrievers exactly.
-    """
-    from repro.traffic.simulate import (
-        _QuorumRetriever,
-        _temporal_mix,
-        _VersionedRetriever,
-    )
-
-    weights = popularity_weights(
-        spec.popularity,
-        len(catalogue),
-        zipf_skew=spec.zipf_skew,
-        hot_fraction=spec.hot_fraction,
-        hot_weight=spec.hot_weight,
-    )
-    mix, mix_weights = _temporal_mix(temporal, catalogue, deadlines, weights)
-    cdf = list(accumulate(mix_weights))
-    cum_weights = np.asarray(cdf, dtype=np.float64)
-    total_weight = cdf[-1] + 0.0
-    server = temporal.server()
-    versioned = (
-        None
-        if channels is not None
-        else _VersionedRetriever(
-            program, file_sizes, server, fault_model, spec.max_slots
+    records = [
+        RequestRecord(
+            client=c,
+            file=kind.names[k],
+            issued=s,
+            latency=None if l < 0 else l,
+            deadline=int(kind.deadlines[k]),
+            cache_hit=bool(h),
         )
-    )
-    max_age = temporal.max_age_slots()
-    metrics = TrafficMetrics()
-    records: list[RequestRecord] | None = [] if trace else None
-    think = ThinkSampler(spec.think_time) if spec.think_time > 0 else None
-    window = cohort_window if cohort_window is not None else _DEFAULT_WINDOW
-    requests = spec.requests_per_client
-    stride = 2 if spec.think_time > 0 else 1
-    block = _block_size(hi - lo, requests * stride, False)
-
-    for block_lo in range(lo, hi, block):
-        block_hi = min(hi, block_lo + block)
-        n = block_hi - block_lo
-        draws = uniform_matrix(
-            spec.seed, TAG_CLIENT, block_lo, block_hi, requests * stride
+        for clients, picks, issued, latency, hit in trace_waves or ()
+        for c, k, s, l, h in zip(
+            clients.tolist(), picks.tolist(), issued.tolist(),
+            latency.tolist(),
+            [False] * len(clients) if hit is None else hit.tolist(),
         )
-        next_slot = arrival_vector(spec, block_lo, block_hi)
-        left = np.full(n, requests, dtype=np.int64)
-        retrievers: dict[int, Any] = {}
-        for members in cohort_waves(next_slot, left, window):
-            now = next_slot[members]
-            position = (requests - left[members]) * stride
-            picks = file_draw(
-                cum_weights, total_weight, draws[members, position]
-            )
-            thinks = (
-                think.sample(draws[members, position + 1])
-                if think is not None
-                else None
-            )
-            for row, member in enumerate(members.tolist()):
-                start = int(now[row])
-                txn = mix[picks[row]]
-                clock = start
-                finish = start
-                aborted = False
-                if channels is not None:
-                    reader = retrievers.get(member)
-                    if reader is None:
-                        reader = retrievers[member] = _QuorumRetriever(
-                            channels, file_sizes, server, channel_faults,
-                            spec.max_slots, metrics,
-                        )
-                else:
-                    reader = versioned
-                for item in txn.items:
-                    latency, finish, age, torn = reader(item, clock)
-                    metrics.record_versioned_read(
-                        age,
-                        age is not None and age <= max_age[item],
-                        torn,
-                    )
-                    if latency is None:
-                        aborted = True
-                        break
-                    clock = finish + 1
-                response = None if aborted else finish - start + 1
-                metrics.record(txn.name, response, txn.deadline_slots)
-                if records is not None:
-                    records.append(
-                        RequestRecord(
-                            client=block_lo + member,
-                            file=txn.name,
-                            issued=start,
-                            latency=response,
-                            deadline=txn.deadline_slots,
-                            cache_hit=False,
-                        )
-                    )
-                next_slot[member] = finish + 1 + (
-                    int(thinks[row]) if thinks is not None else 0
-                )
-            left[members] -= 1
-    if obs.current() is not None:
-        from repro.traffic.simulate import _record_shard_metrics
-
-        _record_shard_metrics(metrics, "soa")
-    return metrics, records if records is not None else []
-
-
-def _simulate_multichannel_shard(
-    channels: ChannelSet | None,
-    mc_tables: MultiChannelTables | None,
-    catalogue: tuple[str, ...],
-    spec: TrafficSpec,
-    file_sizes: Mapping[str, int],
-    deadlines: Mapping[str, int],
-    channel_faults: Sequence[FaultModel] | None,
-    lo: int,
-    hi: int,
-    trace: bool,
-    cohort_window: int | None,
-) -> tuple[TrafficMetrics, list[RequestRecord]]:
-    """The multi-channel population under cohort batching.
-
-    Draws and cohort bookkeeping are vectorized; the channel choice is
-    a short scalar probe per member against the per-channel fault-free
-    tables (faults never steer the choice, exactly as in
-    :func:`repro.sim.client.retrieve_multichannel`).  Fault-free
-    outcomes come straight from the chosen channel's table; members on
-    a faulty channel are grouped by channel and resolved together by
-    that channel's :class:`_FaultResolver` from their listen slots.
-    Metrics feed a real :class:`TrafficMetrics` in member order, so
-    shards merge bit-identically with the object engine's.
-    """
-    if mc_tables is None:
-        mc_tables = MultiChannelTables.build(
-            channels, catalogue, file_sizes, spec.max_slots
-        )
-    resolvers = [
-        None
-        if channel_faults is None or isinstance(channel_faults[c], NoFaults)
-        else _FaultResolver(table, channel_faults[c])
-        for c, table in enumerate(mc_tables.tables)
     ]
-    faulty = any(resolver is not None for resolver in resolvers)
-
-    tel = obs.current()
-    c_waves = h_cohort = c_mc = None
-    if tel is not None:
-        c_waves = tel.counter("soa.waves", stability="shape")
-        h_cohort = tel.histogram("soa.cohort_size", stability="shape")
-        c_mc = tel.counter(
-            "traffic.retrievals", stability="shape",
-            oracle="soa", kind="multichannel",
-        )
-    cdf = popularity_cdf(
-        spec.popularity,
-        len(catalogue),
-        zipf_skew=spec.zipf_skew,
-        hot_fraction=spec.hot_fraction,
-        hot_weight=spec.hot_weight,
-    )
-    cum_weights = np.asarray(cdf, dtype=np.float64)
-    total_weight = cdf[-1] + 0.0
-    metrics = TrafficMetrics()
-    records: list[RequestRecord] | None = [] if trace else None
-    think = ThinkSampler(spec.think_time) if spec.think_time > 0 else None
-    window = cohort_window if cohort_window is not None else _DEFAULT_WINDOW
-    requests = spec.requests_per_client
-    stride = 2 if spec.think_time > 0 else 1
-    block = _block_size(hi - lo, requests * stride, faulty)
-
-    for block_lo in range(lo, hi, block):
-        block_hi = min(hi, block_lo + block)
-        n = block_hi - block_lo
-        draws = uniform_matrix(
-            spec.seed, TAG_CLIENT, block_lo, block_hi, requests * stride
-        )
-        next_slot = arrival_vector(spec, block_lo, block_hi)
-        left = np.full(n, requests, dtype=np.int64)
-        tuned = np.zeros(n, dtype=np.int64)  # clients sign on tuned to 0
-        for members in cohort_waves(next_slot, left, window):
-            if c_waves is not None:
-                c_waves.add()
-                h_cohort.observe(len(members))
-                c_mc.add(len(members))
-            now = next_slot[members]
-            position = (requests - left[members]) * stride
-            file_ids = file_draw(
-                cum_weights, total_weight, draws[members, position]
-            )
-            thinks = (
-                think.sample(draws[members, position + 1])
-                if think is not None
-                else 0
-            )
-            chosen, listen, latency, finish = np.asarray(
-                [
-                    mc_tables.choose(fid, start, tune)
-                    for fid, start, tune in zip(
-                        file_ids.tolist(), now.tolist(),
-                        tuned[members].tolist(),
-                    )
-                ],
-                dtype=np.int64,
-            ).T
-            switched = chosen != tuned[members]
-            metrics.record_channel_switches(int(np.count_nonzero(switched)))
-            tuned[members] = chosen
-            for channel, resolver in enumerate(resolvers):
-                rows = np.flatnonzero(chosen == channel)
-                if resolver is not None and rows.size:
-                    latency[rows], finish[rows] = resolver.resolve(
-                        mc_tables.local_ids[channel, file_ids[rows]],
-                        listen[rows],
-                    )
-            response = np.where(latency >= 0, finish - now + 1, -1)
-            for member, fid, start, waited in zip(
-                members.tolist(), file_ids.tolist(), now.tolist(),
-                response.tolist(),
-            ):
-                file = catalogue[fid]
-                waited = None if waited < 0 else waited
-                metrics.record(file, waited, deadlines[file])
-                if records is not None:
-                    records.append(
-                        RequestRecord(
-                            client=block_lo + member,
-                            file=file,
-                            issued=start,
-                            latency=waited,
-                            deadline=deadlines[file],
-                            cache_hit=False,
-                        )
-                    )
-            next_slot[members] = finish + 1 + thinks
-            left[members] -= 1
-    if tel is not None:
-        from repro.traffic.simulate import _record_shard_metrics
-
-        _record_shard_metrics(metrics, "soa")
-    return metrics, records if records is not None else []
+    return metrics, records

@@ -23,12 +23,23 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError, SpecificationError
 from repro.sim.metrics import (
     LatencySummary,
     _percentile_from_counts,
     _summary_from_counts,
 )
+
+
+def _tally(
+    into: dict[str, int], names: Sequence[str], ids: np.ndarray
+) -> None:
+    """Add one count per id to ``into[names[id]]``."""
+    for i, n in enumerate(np.bincount(ids).tolist()):
+        if n:
+            into[names[i]] = into.get(names[i], 0) + n
 
 
 class TrafficMetrics:
@@ -85,6 +96,41 @@ class TrafficMetrics:
         if deadline is not None and latency > deadline:
             self.deadline_misses += 1
         self._counts[latency] = self._counts.get(latency, 0) + 1
+
+    def record_many(
+        self,
+        names: Sequence[str],
+        ids: np.ndarray,
+        latency: np.ndarray,
+        deadlines: np.ndarray,
+    ) -> None:
+        """Record a batch of finished requests at once.
+
+        Request ``k`` asked for ``names[ids[k]]`` and took
+        ``latency[k]`` slots (``-1`` for an abort) against the deadline
+        ``deadlines[ids[k]]``.  The result equals calling :meth:`record`
+        once per request, in any order - the vectorized engine records
+        a whole cohort wave this way.
+        """
+        completed = latency >= 0
+        values = latency[completed]
+        self.requests += len(ids)
+        self.completions += len(values)
+        self.aborts += len(ids) - len(values)
+        _tally(self.requests_by_file, names, ids)
+        if not len(values):
+            return
+        finished = ids[completed]
+        _tally(self.hits_by_file, names, finished)
+        self.latency_sum += int(values.sum())
+        self.worst = max(self.worst, int(values.max()))
+        self.deadline_misses += int(
+            np.count_nonzero(values > deadlines[finished])
+        )
+        counts = self._counts
+        unique, tally = np.unique(values, return_counts=True)
+        for value, n in zip(unique.tolist(), tally.tolist()):
+            counts[value] = counts.get(value, 0) + n
 
     def record_cache(self, hits: int, misses: int, evictions: int) -> None:
         """Fold in one session's cache statistics."""
@@ -288,60 +334,6 @@ class TrafficMetrics:
             self.aborts + self.deadline_misses,
             None,
         )
-
-    # ------------------------------------------------------------------
-    # Batch construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_totals(
-        cls,
-        *,
-        requests: int = 0,
-        completions: int = 0,
-        aborts: int = 0,
-        deadline_misses: int = 0,
-        latency_sum: int = 0,
-        worst: int = 0,
-        counts: Mapping[int, int] | None = None,
-        requests_by_file: Mapping[str, int] | None = None,
-        hits_by_file: Mapping[str, int] | None = None,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-        cache_evictions: int = 0,
-        channel_switches: int = 0,
-        quorum_reads: Mapping[str, int] | None = None,
-        quorum_latency_sum: int = 0,
-        worst_quorum_latency: int = 0,
-        quorum_counts: Mapping[int, int] | None = None,
-    ) -> "TrafficMetrics":
-        """An accumulator assembled from batch totals.
-
-        The vectorized engine's finalizer: it accumulates counters and
-        histograms in numpy batches and builds the accumulator in one
-        step.  The result is indistinguishable from feeding the same
-        observations through :meth:`record` one at a time in any order -
-        the accumulator is order-independent.
-        """
-        out = cls()
-        out.requests = requests
-        out.completions = completions
-        out.aborts = aborts
-        out.deadline_misses = deadline_misses
-        out.latency_sum = latency_sum
-        out.worst = worst
-        out.cache_hits = cache_hits
-        out.cache_misses = cache_misses
-        out.cache_evictions = cache_evictions
-        out.requests_by_file = dict(requests_by_file or {})
-        out.hits_by_file = dict(hits_by_file or {})
-        out._counts = dict(counts or {})
-        out.channel_switches = channel_switches
-        out.quorum_reads = dict(quorum_reads or {})
-        out.quorum_latency_sum = quorum_latency_sum
-        out.worst_quorum_latency = worst_quorum_latency
-        out._quorum_counts = dict(quorum_counts or {})
-        return out
 
     # ------------------------------------------------------------------
     # Merging

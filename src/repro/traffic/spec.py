@@ -19,29 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, check_int, check_number
 from repro.traffic.arrivals import ARRIVAL_KINDS, POPULARITY_KINDS
 
 #: Cache policies a session population can run in front of retrievals.
 CACHE_KINDS = ("lru", "pix")
-
-
-def _check_int(value: Any, what: str, *, minimum: int | None = None) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be an integer, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-    if minimum is not None and value < minimum:
-        raise SpecificationError(f"{what} must be >= {minimum}: {value}")
-
-
-def _check_number(value: Any, what: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be a number, got {type(value).__name__}: "
-            f"{value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -100,8 +82,8 @@ class TrafficSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_int(self.clients, "traffic clients", minimum=1)
-        _check_int(self.duration, "traffic duration", minimum=1)
+        check_int(self.clients, "traffic clients", minimum=1)
+        check_int(self.duration, "traffic duration", minimum=1)
         if self.arrival not in ARRIVAL_KINDS:
             raise SpecificationError(
                 f"unknown arrival kind {self.arrival!r} "
@@ -112,39 +94,39 @@ class TrafficSpec:
                 f"unknown popularity kind {self.popularity!r} "
                 f"(expected one of {POPULARITY_KINDS})"
             )
-        _check_number(self.zipf_skew, "traffic zipf_skew")
+        check_number(self.zipf_skew, "traffic zipf_skew")
         if self.zipf_skew < 0:
             raise SpecificationError(
                 f"traffic zipf_skew must be >= 0: {self.zipf_skew}"
             )
-        _check_number(self.hot_fraction, "traffic hot_fraction")
+        check_number(self.hot_fraction, "traffic hot_fraction")
         if not 0.0 < self.hot_fraction <= 1.0:
             raise SpecificationError(
                 f"traffic hot_fraction must be in (0, 1]: "
                 f"{self.hot_fraction}"
             )
-        _check_number(self.hot_weight, "traffic hot_weight")
+        check_number(self.hot_weight, "traffic hot_weight")
         if not 0.0 <= self.hot_weight <= 1.0:
             raise SpecificationError(
                 f"traffic hot_weight must be in [0, 1]: {self.hot_weight}"
             )
-        _check_int(self.bursts, "traffic bursts", minimum=1)
-        _check_int(self.burst_width, "traffic burst_width", minimum=1)
-        _check_int(
+        check_int(self.bursts, "traffic bursts", minimum=1)
+        check_int(self.burst_width, "traffic burst_width", minimum=1)
+        check_int(
             self.requests_per_client,
             "traffic requests_per_client",
             minimum=1,
         )
-        _check_int(self.think_time, "traffic think_time", minimum=0)
+        check_int(self.think_time, "traffic think_time", minimum=0)
         if self.cache is not None and self.cache not in CACHE_KINDS:
             raise SpecificationError(
                 f"unknown cache kind {self.cache!r} "
                 f"(expected one of {CACHE_KINDS} or null)"
             )
-        _check_int(self.cache_capacity, "traffic cache_capacity", minimum=1)
+        check_int(self.cache_capacity, "traffic cache_capacity", minimum=1)
         if self.max_slots is not None:
-            _check_int(self.max_slots, "traffic max_slots", minimum=1)
-        _check_int(self.seed, "traffic seed")
+            check_int(self.max_slots, "traffic max_slots", minimum=1)
+        check_int(self.seed, "traffic seed")
 
     @property
     def total_requests(self) -> int:

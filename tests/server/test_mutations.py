@@ -106,6 +106,34 @@ class TestAddRemove:
         with pytest.raises(SpecificationError, match="temporal"):
             mutation.apply(plain_scenario())
 
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ({"name": "wx", "latency": 9}, r"keys \['blocks'\]"),
+            ({"name": "wx", "blocks": 2}, r"keys \['latency'\]"),
+            (
+                {"name": "wx", "blocks": 2, "latency_vector": 5},
+                "latency_vector must be a list",
+            ),
+            (
+                {"name": "wx", "latency_vector": [6, 10, 14]},
+                r"keys \['blocks'\]",
+            ),
+        ],
+        ids=[
+            "missing-blocks", "missing-latency", "scalar-latency-vector",
+            "generalized-missing-blocks",
+        ],
+    )
+    def test_malformed_file_entry_rejected(self, entry, match):
+        base = plain_scenario()
+        if "latency_vector" in entry:
+            base = plain_scenario(
+                files=(GeneralizedFileSpec("a", 2, (4, 8, 12)),)
+            )
+        with pytest.raises(SpecificationError, match=match):
+            AddFile(entry).apply(base)
+
     def test_remove_plain_file(self):
         after = RemoveFile("map").apply(plain_scenario())
         assert [spec.name for spec in after.files] == ["pos"]

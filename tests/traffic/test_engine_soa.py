@@ -84,7 +84,7 @@ def run_both(program, catalogue, sizes, spec, *, faults=None, temporal=None):
         file_sizes=sizes,
         deadlines={name: 10_000 for name in catalogue},
         temporal=temporal,
-        trace=temporal is None,
+        trace=True,
     )
     obj = simulate_traffic(
         program, catalogue, spec, faults=faults, engine="object", **kwargs
@@ -285,14 +285,15 @@ class TestCohortEdgeCases:
             assert fingerprint(soa.metrics) == fingerprint(obj.metrics)
             assert soa.trace == obj.trace
         else:
-            from repro.traffic.engine_soa import simulate_shard_soa
+            from repro.traffic import engine_soa
 
-            metrics, records = simulate_shard_soa(
-                program, catalogue, spec, sizes,
-                {name: 10_000 for name in catalogue},
-                None, None, 0, spec.clients, True,
-                cohort_window=window,
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine_soa, "_DEFAULT_WINDOW", window)
+                metrics, records = engine_soa.simulate_shard_soa(
+                    program, catalogue, spec, sizes,
+                    {name: 10_000 for name in catalogue},
+                    None, None, 0, spec.clients, True,
+                )
             assert fingerprint(metrics) == fingerprint(obj.metrics)
             assert sorted(
                 records, key=lambda r: (r.issued, r.client)

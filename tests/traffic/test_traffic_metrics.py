@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -99,6 +100,45 @@ class TestTrafficMetrics:
         assert merged.counts == finalized.counts
         assert merged.summary() == finalized.summary()
 
+    def test_record_many_matches_recording(self):
+        # Batches in arbitrary id order, with aborts, deadline misses,
+        # an empty batch and names that are never requested, must leave
+        # every observable equal to recording request by request.
+        rng = random.Random(43)
+        names = ["a", "b", "c", "d", "e"]
+        deadlines = np.asarray([5, 40, 12, 25, 60], dtype=np.int64)
+        batched = TrafficMetrics()
+        recorded = TrafficMetrics()
+        for size in [0] + [rng.randrange(1, 60) for _ in range(25)]:
+            ids = np.asarray(
+                [rng.choice([0, 1, 3]) for _ in range(size)], dtype=np.int64
+            )
+            latency = np.asarray(
+                [
+                    -1 if rng.random() < 0.1 else rng.randrange(0, 70)
+                    for _ in range(size)
+                ],
+                dtype=np.int64,
+            )
+            batched.record_many(names, ids, latency, deadlines)
+            for fid, waited in zip(ids.tolist(), latency.tolist()):
+                recorded.record(
+                    names[fid],
+                    None if waited < 0 else waited,
+                    int(deadlines[fid]),
+                )
+        assert recorded.aborts and recorded.deadline_misses
+        assert set(recorded.requests_by_file) == {"a", "b", "d"}
+        for field in (
+            "requests", "completions", "aborts", "deadline_misses",
+            "latency_sum", "worst", "requests_by_file", "hits_by_file",
+            "counts",
+        ):
+            assert getattr(batched, field) == getattr(recorded, field)
+        assert batched.summary() == recorded.summary()
+        for q in (0.5, 0.95, 0.99):
+            assert batched.quantile(q) == recorded.quantile(q)
+
     def test_merge_of_nothing_rejected(self):
         with pytest.raises(SimulationError):
             TrafficMetrics.merged([])
@@ -163,24 +203,3 @@ class TestChannelDimension:
         )
         for q in (0.5, 0.9, 0.99):
             assert merged.quorum_quantile(q) == finalized.quorum_quantile(q)
-
-    def test_from_totals_matches_recording(self):
-        reads = self.reads()
-        recorded = TrafficMetrics()
-        self.fill(recorded, reads)
-        counts = {}
-        for outcome, latency, _ in reads:
-            if latency is not None:
-                counts[latency] = counts.get(latency, 0) + 1
-        totals = TrafficMetrics.from_totals(
-            channel_switches=recorded.channel_switches,
-            quorum_reads=recorded.quorum_reads,
-            quorum_latency_sum=recorded.quorum_latency_sum,
-            worst_quorum_latency=recorded.worst_quorum_latency,
-            quorum_counts=counts,
-        )
-        assert totals.channel_switches == recorded.channel_switches
-        assert totals.quorum_reads == recorded.quorum_reads
-        assert totals.quorum_success_rate == recorded.quorum_success_rate
-        for q in (0.5, 0.95):
-            assert totals.quorum_quantile(q) == recorded.quorum_quantile(q)
