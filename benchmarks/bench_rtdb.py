@@ -14,8 +14,9 @@ measures that rewrite two ways on a multidisk hierarchy:
   outcomes, not speed).
 * **transaction-mix load sweep** - populations of transaction sessions
   (:func:`repro.traffic.simulate_traffic` with a
-  :class:`repro.rtdb.TemporalSpec`) at increasing client counts, and a
-  sweep over update periods showing the feasibility frontier: faster
+  :class:`repro.rtdb.TemporalSpec`) at increasing client counts, run on
+  both traffic engines with identical metrics asserted, and a sweep
+  over update periods showing the feasibility frontier: faster
   re-dissemination keeps values fresh until the period undercuts the
   retrieval window, where torn reads abort everything.
 
@@ -28,11 +29,10 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import time
 from pathlib import Path
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, provenance
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from repro.rtdb import (
     TemporalItemSpec,
@@ -192,29 +192,39 @@ def test_versioned_retrieval_speedup_and_record():
     load_points = (100,) if SMOKE else (1_000, 5_000, 20_000)
     load_sweep = []
     for clients in load_points:
-        result = simulate_traffic(
-            program,
-            [name for name, _ in FILES],
-            TrafficSpec(
-                clients=clients,
-                duration=max(2_000, clients * 10),
-                requests_per_client=4,
-                think_time=20,
-                seed=SEED,
-            ),
-            file_sizes=SIZES,
-            deadlines=deadlines,
-            temporal=temporal,
-            faults=_fault_spec(
-                {"kind": "bernoulli", "probability": 0.02, "seed": 3}
-            ),
-        )
-        m = result.metrics
+        runs = {
+            engine: simulate_traffic(
+                program,
+                [name for name, _ in FILES],
+                TrafficSpec(
+                    clients=clients,
+                    duration=max(2_000, clients * 10),
+                    requests_per_client=4,
+                    think_time=20,
+                    seed=SEED,
+                ),
+                file_sizes=SIZES,
+                deadlines=deadlines,
+                temporal=temporal,
+                faults=_fault_spec(
+                    {"kind": "bernoulli", "probability": 0.02, "seed": 3}
+                ),
+                engine=engine,
+            )
+            for engine in ("object", "soa")
+        }
+        m = runs["object"].metrics
+        # The vectorized engine must not buy its speed with a single
+        # changed observable: every accumulator field, histograms too.
+        assert vars(runs["soa"].metrics) == vars(m), clients
         load_sweep.append(
             {
                 "clients": clients,
                 "requests": m.requests,
-                "requests_per_sec": round(result.requests_per_sec),
+                "requests_per_sec": round(runs["object"].requests_per_sec),
+                "soa_requests_per_sec": round(
+                    runs["soa"].requests_per_sec
+                ),
                 "consistency_rate": round(m.consistency_rate, 4),
                 "deadline_miss_rate": round(m.deadline_miss_rate, 4),
                 "abort_rate": round(m.abort_rate, 4),
@@ -224,11 +234,12 @@ def test_versioned_retrieval_speedup_and_record():
         )
     print_table(
         "RTDB: transaction-mix load sweep (bernoulli p=0.02)",
-        ["clients", "requests", "req/s", "consistency", "deadline miss",
-         "abort", "mean age"],
+        ["clients", "requests", "object req/s", "soa req/s",
+         "consistency", "deadline miss", "abort", "mean age"],
         [
             [f"{e['clients']:,}", f"{e['requests']:,}",
              f"{e['requests_per_sec']:,}",
+             f"{e['soa_requests_per_sec']:,}",
              f"{e['consistency_rate']:.4f}",
              f"{e['deadline_miss_rate']:.4f}",
              f"{e['abort_rate']:.4f}", f"{e['mean_age']:.0f}"]
@@ -308,7 +319,7 @@ def test_versioned_retrieval_speedup_and_record():
                     "update_periods": PERIODS,
                     "seed": SEED,
                 },
-                "python": platform.python_version(),
+                "provenance": provenance(),
                 "versioned_retrieval": arms,
                 "transaction_load_sweep": load_sweep,
                 "update_period_frontier": frontier,

@@ -40,16 +40,14 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import resource
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, provenance
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from repro.sim.metrics import LatencySummary
 from repro.traffic import TrafficSpec, simulate_traffic
@@ -134,33 +132,6 @@ def _peak_rss_mb() -> float:
     if sys.platform == "darwin":
         peak //= 1024
     return round(peak / 1024, 1)
-
-
-def _provenance() -> dict:
-    """Where the record was measured: commit (and whether the tree had
-    uncommitted changes), CPU count, interpreter and numpy versions."""
-    import numpy
-
-    root = RESULT_PATH.parent
-
-    def git(*argv):
-        return subprocess.run(
-            ["git", *argv], cwd=root, capture_output=True, text=True,
-            check=True,
-        ).stdout.strip()
-
-    try:
-        commit = git("rev-parse", "HEAD")
-        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    except (OSError, subprocess.CalledProcessError):
-        commit = dirty = None
-    return {
-        "commit": commit,
-        "dirty": dirty,
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
 
 
 def _row(label, engine, result):
@@ -314,7 +285,7 @@ def test_sustained_traffic_and_record():
                     "think_time": 10,
                     "seed": SEED,
                 },
-                "provenance": _provenance(),
+                "provenance": provenance(),
                 "soa_floor_requests_per_sec": SOA_FLOOR_RPS,
                 "burst_speedup_floor": BURST_SPEEDUP_FLOOR,
                 "channels": records,

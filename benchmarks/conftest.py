@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import platform
 import random
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,33 @@ def figure5_program():
 def figure6_program():
     """Figure 6: AIDA flat program, A 5-of-10, B 3-of-6."""
     return build_aida_flat_program([("A", 5, 10), ("B", 3, 6)])
+
+
+def provenance() -> dict:
+    """Where a bench record was measured: commit (and whether the tree
+    had uncommitted changes), CPU count, interpreter and numpy versions."""
+    import numpy
+
+    root = Path(__file__).resolve().parents[1]
+
+    def git(*argv):
+        return subprocess.run(
+            ["git", *argv], cwd=root, capture_output=True, text=True,
+            check=True,
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.CalledProcessError):
+        commit = dirty = None
+    return {
+        "commit": commit,
+        "dirty": dirty,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def print_table(title: str, header: list[str], rows: list[list]) -> None:

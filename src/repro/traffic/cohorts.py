@@ -222,41 +222,19 @@ class RetrievalTables:
         )
         return latency, finish
 
-    def lookup_one(self, fid: int, start: int) -> tuple[int, int]:
-        """Scalar :meth:`lookup`: one ``(latency, finish)`` outcome.
-
-        The multichannel walk probes one ``(channel, file, listen)``
-        triple at a time - the channel choice depends on the previous
-        request's finish, so requests cannot batch across the choice.
-        Same contract as :meth:`lookup` (``latency == -1`` on abort,
-        ``finish`` the last slot listened to either way).
-        """
-        phase = int(start) % self.cycle
-        if self.dense is not None:
-            latency = int(self.dense[fid, phase])
-        else:
-            latency = int(
-                self._latency_for_file(
-                    fid, np.asarray([phase], dtype=np.int64)
-                )[0]
-            )
-        if latency < 0:
-            return -1, int(start) + int(self.horizons[fid]) - 1
-        return latency, int(start) + latency - 1
-
 
 class MultiChannelTables:
-    """Per-channel retrieval tables plus the channel-choice machinery.
+    """Per-channel retrieval tables plus the channel-choice rule.
 
     One :class:`RetrievalTables` per channel, each built over the
     *channel-local* catalogue (the files that channel carries, in global
     catalogue order), with a ``(channels, files)`` local-id map joining
     global file ids to per-channel table rows (``-1`` where a channel
-    does not carry the file).  :meth:`choose` replicates the
-    deterministic channel-choice rule of
-    :func:`repro.sim.client.best_channel` from the fault-free tables,
-    so the vectorized engine's multichannel walk is bit-identical to the
-    object engine's oracle.
+    does not carry the file).  :meth:`choose` is the deterministic
+    choice rule of :func:`repro.sim.client.best_channel` over a whole
+    batch, scored from the fault-free tables; both the multichannel
+    wave step and every copy step of a quorum read use it, so the
+    vectorized engine is bit-identical to the object engine's oracles.
 
     Like :class:`RetrievalTables`, the whole structure is a pure
     function of ``(channel_set, catalogue, sizes, max_slots)`` that
@@ -316,35 +294,56 @@ class MultiChannelTables:
             )
         return cls(tables, candidates, channel_set.tuning_cost)
 
-    def probe(self, channel: int, fid: int, listen: int) -> tuple[int, int]:
-        """Fault-free ``(latency, finish)`` of one channel-local probe."""
-        return self.tables[channel].lookup_one(
-            int(self.local_ids[channel, fid]), listen
-        )
-
     def choose(
-        self, fid: int, start: int, tuned: int
-    ) -> tuple[int, int, int, int]:
-        """The channel-choice rule: ``(channel, listen, latency, finish)``.
+        self,
+        file_ids: np.ndarray,
+        starts: np.ndarray,
+        tuned: np.ndarray,
+        among: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The channel-choice rule: ``(channel, listen, latency, finish)``
+        per request.
 
-        Fault-free probes only (faults never steer tuning); ``latency``
-        is ``-1`` when even the best channel aborts.  Ties break on
-        ``(aborted, busy-until, channel index)`` exactly like
-        :func:`repro.sim.client.best_channel`.
+        Request ``i`` considers the channels carrying ``file_ids[i]``,
+        or only those set in row ``i`` of the ``(requests, channels)``
+        mask ``among``, and listens from ``starts[i]`` plus the tuning
+        cost on any channel but ``tuned[i]``.  Fault-free lookups only
+        (faults never steer tuning); ``latency`` is ``-1`` when even
+        the best channel aborts, and ``finish`` is the slot the client
+        is busy until either way.  Channels are scanned in index order
+        and one replaces the best so far only on a strictly smaller
+        ``(aborted, busy-until)``, so ties keep the lower channel,
+        exactly like :func:`repro.sim.client.best_channel`.
         """
-        best: tuple[int, int, int] | None = None
-        chosen: tuple[int, int, int, int] | None = None
-        for candidate in self.candidates[fid]:
-            listen = (
-                start + self.tuning_cost if candidate != tuned else start
+        n = len(file_ids)
+        channel = np.full(n, -1, dtype=np.int64)
+        listen = np.zeros(n, dtype=np.int64)
+        latency = np.zeros(n, dtype=np.int64)
+        finish = np.zeros(n, dtype=np.int64)
+        for candidate, table in enumerate(self.tables):
+            local = self.local_ids[candidate, file_ids]
+            rows = np.flatnonzero(
+                local >= 0 if among is None else among[:, candidate]
             )
-            latency, finish = self.probe(candidate, fid, listen)
-            key = (0 if latency >= 0 else 1, finish, candidate)
-            if best is None or key < best:
-                best = key
-                chosen = (candidate, listen, latency, finish)
-        assert chosen is not None  # every file is carried somewhere
-        return chosen
+            if not rows.size:
+                continue
+            at = starts[rows] + np.where(
+                tuned[rows] == candidate, 0, self.tuning_cost
+            )
+            got, busy = table.lookup(local[rows], at)
+            aborted = got < 0
+            best_aborted = latency[rows] < 0
+            better = (
+                (channel[rows] < 0)
+                | (best_aborted & ~aborted)
+                | ((best_aborted == aborted) & (busy < finish[rows]))
+            )
+            rows = rows[better]
+            channel[rows] = candidate
+            listen[rows] = at[better]
+            latency[rows] = got[better]
+            finish[rows] = busy[better]
+        return channel, listen, latency, finish
 
 
 def cohort_waves(

@@ -20,17 +20,19 @@ legal.  Each kind adds only its per-block state and a wave step:
   :class:`_FaultResolver`, behind :class:`_VectorCache` client rows;
 * :class:`_MultiChannel` - the fault-free channel choice, then each
   faulty channel's resolver;
-* :class:`_Temporal` - each member's item chain through the scalar
-  versioned or quorum retriever.
+* :class:`_Temporal` - item position ``p`` of every member's
+  transaction as one batch: versioned reads through the resolver's
+  versioned mode, and quorum reads as at most k copy steps of the
+  array channel choice plus one resolve per chosen channel.
 
 The equivalence is pinned by ``tests/traffic/test_engine_soa.py``:
 per-shard metrics equal the object engine's field for field across
-arrival x popularity x cache x fault-model grids.
+arrival x popularity x cache x fault-model grids and random temporal
+and quorum populations.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Mapping, Sequence
 
@@ -38,8 +40,10 @@ import numpy as np
 
 from repro.bdisk.multichannel import ChannelSet
 from repro.bdisk.program import BroadcastProgram
+from repro.errors import SimulationError
 from repro.obs import telemetry as obs
 from repro.rtdb.spec import TemporalSpec
+from repro.rtdb.updates import versioned_listen_horizon
 from repro.sim.faults import FaultModel, NoFaults, lost_in
 from repro.traffic.arrivals import popularity_cdf, popularity_weights
 from repro.traffic.clients import RequestRecord
@@ -55,10 +59,8 @@ from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.simulate import (
     _build_fault_model,
     _channel_fault_models,
-    _QuorumRetriever,
     _record_shard_metrics,
     _temporal_mix,
-    _VersionedRetriever,
 )
 from repro.traffic.spec import TrafficSpec
 from repro.traffic.substreams import TAG_CLIENT, uniform_matrix
@@ -150,14 +152,24 @@ class _FaultResolver:
     performs.  Members still short of ``m`` carry their bitset and count
     into the next, wider round.  Decisions are deterministic per
     ``(seed, slot)``, so neither query batching nor round width can
-    change an outcome.
+    change an outcome.  A clean channel (``None`` or :class:`NoFaults`)
+    hears every candidate and decides nothing.
+
+    :meth:`resolve_versioned` walks the same rounds for
+    :func:`repro.rtdb.updates.retrieve_versioned`: a member stops its
+    round at the first *heard* candidate of another version
+    (``slot // period``) than the blocks it holds, counts those blocks
+    as torn and restarts holding that candidate's block alone, so each
+    round still moves it past at least one occurrence.
     """
 
     __slots__ = ("_tables", "_model", "_keys", "_words")
 
-    def __init__(self, tables: RetrievalTables, model: FaultModel) -> None:
+    def __init__(
+        self, tables: RetrievalTables, model: FaultModel | None
+    ) -> None:
         self._tables = tables
-        self._model = model
+        self._model = None if isinstance(model, NoFaults) else model
         # Composite keys ``file * cycle + slot`` are globally sorted
         # (files in id order, each file's slots sorted inside one
         # cycle), so one searchsorted finds every member's first
@@ -172,15 +184,48 @@ class _FaultResolver:
         self, file_ids: np.ndarray, starts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(latency, finish)`` per request; latency ``-1`` on abort."""
+        latency, finish, _, _ = self._walk(
+            file_ids, starts, self._tables.horizons[file_ids], None
+        )
+        return latency, finish
+
+    def resolve_versioned(
+        self,
+        file_ids: np.ndarray,
+        starts: np.ndarray,
+        horizons: np.ndarray,
+        periods: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(latency, finish, version, torn)`` per versioned request.
+
+        Request ``i`` listens ``horizons[i]`` slots to an item updated
+        every ``periods[i]`` slots.  ``version`` is the version held at
+        the end (``-1`` if nothing was heard) and ``torn`` the blocks
+        discarded to newer versions, as in
+        :func:`repro.rtdb.updates.retrieve_versioned`.
+        """
+        return self._walk(file_ids, starts, horizons, periods)
+
+    def _walk(
+        self,
+        file_ids: np.ndarray,
+        starts: np.ndarray,
+        horizons: np.ndarray,
+        periods: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, Any, Any]:
         t = self._tables
         cycle = t.cycle
         m = len(file_ids)
-        end = starts + t.horizons[file_ids]
+        end = starts + horizons
         latency = np.full(m, -1, dtype=np.int64)
         finish = end - 1  # the abort default
         need = np.maximum(1, t.m_needed[file_ids])
         count = t.counts[file_ids]
         offset = t.occ_offsets[file_ids]
+        version = torn = None
+        if periods is not None:
+            version = np.full(m, -1, dtype=np.int64)
+            torn = np.zeros(m, dtype=np.int64)
 
         # Occurrence pointer: candidate k of member i is occurrence
         # g[i] + k of its file, counted from the base of the start's
@@ -195,19 +240,37 @@ class _FaultResolver:
         idx = np.arange(m)
         width = _FAULT_FIRST
         while idx.size:
-            candidates = g[idx, None] + np.arange(width, dtype=np.int64)
+            ks = np.arange(width, dtype=np.int64)
+            candidates = g[idx, None] + ks
             copies, within = np.divmod(candidates, count[idx, None])
             flat = offset[idx, None] + within
             slots = base[idx, None] + copies * cycle + t.occ_slots[flat]
             valid = slots < end[idx, None]
             heard = valid.copy()
-            queried = slots[valid]
-            if queried.size:
+            queried = slots[valid] if self._model is not None else ()
+            if len(queried):
                 unique, inverse = np.unique(queried, return_inverse=True)
                 lost = np.asarray(
                     lost_in(self._model, unique.tolist()), dtype=bool
                 )
                 heard[valid] = ~lost[inverse]
+            if version is not None:
+                # The version a row holds this round: its held blocks',
+                # else that of the first candidate it hears.  The round
+                # stops at the first heard candidate of another one.
+                epochs = slots // periods[idx, None]
+                rows = np.arange(len(idx))
+                current = np.where(
+                    have[idx] > 0,
+                    version[idx],
+                    epochs[rows, heard.argmax(axis=1)],
+                )
+                changed = heard & (epochs != current[:, None])
+                cut = np.where(
+                    changed.any(axis=1), changed.argmax(axis=1), width
+                )
+                heard_any = heard.any(axis=1)
+                heard &= ks < cut[:, None]
             blocks = t.occ_blocks[flat, None]
             # Column 0 carries the held bitset; column k + 1 is the bit
             # candidate k adds if heard.  A candidate adds a new block
@@ -223,18 +286,37 @@ class _FaultResolver:
             total = np.cumsum(new, axis=1) + have[idx, None]
             reached = total >= need[idx, None]
             done = reached.any(axis=1)
-            rows = idx[done]
-            finish[rows] = slots[done, reached[done].argmax(axis=1)]
-            latency[rows] = finish[rows] - starts[rows] + 1
+            finished = idx[done]
+            finish[finished] = slots[done, reached[done].argmax(axis=1)]
+            latency[finished] = finish[finished] - starts[finished] + 1
             # Rows whose last candidate lies past the horizon keep the
             # abort defaults; the rest carry their state forward.
             carry = ~done & valid[:, -1]
+            advance = carry
+            if version is not None:
+                version[idx[heard_any]] = current[heard_any]
+                # A row cut short discards what it held and restarts
+                # holding the cut candidate's block (it cannot finish
+                # there: a row holding anything needs two or more).
+                restart = ~done & (cut < width)
+                rows, at, over = rows[restart], cut[restart], idx[restart]
+                torn[over] += total[restart, -1]
+                version[over] = epochs[rows, at]
+                block = t.occ_blocks[flat[rows, at], None]
+                held[over] = (word_ids == block >> 6).astype(
+                    np.uint64
+                ) << (block & 63).astype(np.uint64)
+                have[over] = 1
+                g[over] += at + 1
+                advance = carry & ~restart
+                carry = carry | restart
+            moved = idx[advance]
+            held[moved] = prefix[advance, -1]
+            have[moved] = total[advance, -1]
+            g[moved] += width
             idx = idx[carry]
-            held[idx] = prefix[carry, -1]
-            have[idx] = total[carry, -1]
-            g[idx] += width
             width = min(2 * width, _FAULT_CHUNK)
-        return latency, finish
+        return latency, finish, version, torn
 
 
 class _VectorCache:
@@ -483,7 +565,7 @@ class _SingleChannel(_Population):
 
 class _MultiChannel(_Population):
     """Files over a channel set: :meth:`MultiChannelTables.choose`
-    probes each member's candidate channels in the fault-free tables
+    scores every member's candidate channels in the fault-free tables
     (faults never steer the choice, exactly as in
     :func:`repro.sim.client.retrieve_multichannel`), then each faulty
     channel's :class:`_FaultResolver` re-resolves the members tuned to
@@ -520,17 +602,10 @@ class _MultiChannel(_Population):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         if self._counter is not None:
             self._counter.add(len(members))
-        tables = self._tables
         tuned = self._tuned
-        chosen, listen, latency, finish = np.asarray(
-            [
-                tables.choose(fid, start, tune)
-                for fid, start, tune in zip(
-                    picks.tolist(), now.tolist(), tuned[members].tolist()
-                )
-            ],
-            dtype=np.int64,
-        ).T
+        chosen, listen, latency, finish = self._tables.choose(
+            picks, now, tuned[members]
+        )
         self.metrics.record_channel_switches(
             int(np.count_nonzero(chosen != tuned[members]))
         )
@@ -539,7 +614,8 @@ class _MultiChannel(_Population):
             rows = np.flatnonzero(chosen == channel)
             if resolver is not None and rows.size:
                 latency[rows], finish[rows] = resolver.resolve(
-                    tables.local_ids[channel, picks[rows]], listen[rows]
+                    self._tables.local_ids[channel, picks[rows]],
+                    listen[rows],
                 )
         return np.where(latency >= 0, finish - now + 1, -1), finish, None
 
@@ -547,14 +623,22 @@ class _MultiChannel(_Population):
 class _Temporal(_Population):
     """Version-consistent read transactions.
 
-    A transaction is a short sequential item chain - each item starts
-    after the previous one finishes - read through the scalar memoized
-    ``_VersionedRetriever``, or over a channel set through the member's
-    own ``_QuorumRetriever``, whose tuned state persists across that
-    client's transactions as in the object engine's sessions.
-    ``faults`` is the channel's fault model, or the per-channel models
-    of a channel set.
+    A transaction is a short sequential item chain: each item starts
+    after the previous one finishes.  A wave resolves item position
+    ``p`` of every member still reading as one batch.  On one program
+    that is one :meth:`_FaultResolver.resolve_versioned` call.  Over a
+    channel set each item is an r-of-k quorum read, as in
+    :func:`repro.rtdb.updates.retrieve_versioned_quorum`, assembled in
+    at most k copy steps: each step chooses among the carriers a member
+    has not read yet (:meth:`MultiChannelTables.choose`), resolves the
+    copies per chosen channel and extends or restarts each member's run
+    of one version.  A client's tuned channel persists across its
+    transactions, in one array per block.  ``faults`` is the channel's
+    fault model, or the per-channel models of a channel set.
     """
+
+    #: Copy reads always walk (narrows the client block).
+    faulty = True
 
     def __init__(
         self,
@@ -567,6 +651,7 @@ class _Temporal(_Population):
         program: BroadcastProgram | None,
         channels: ChannelSet | None,
         faults: Any,
+        tel: Any,
     ) -> None:
         super().__init__(metrics, spec, catalogue, deadlines)
         mix, mix_weights = _temporal_mix(
@@ -580,49 +665,187 @@ class _Temporal(_Population):
             list(accumulate(mix_weights)),
             [txn.deadline_slots for txn in mix],
         )
-        self._items = [txn.items for txn in mix]
-        self._max_age = temporal.max_age_slots()
-        server = temporal.server()
-        self._shared = None
-        if channels is None:
-            self._shared = _VersionedRetriever(
-                program, file_sizes, server, faults, spec.max_slots
-            )
-        self._new_reader = partial(
-            _QuorumRetriever, channels, file_sizes, server, faults,
-            spec.max_slots, metrics,
+        # Item ids per transaction, padded with -1 past its last item.
+        ids = {name: fid for fid, name in enumerate(catalogue)}
+        self._items = np.full(
+            (len(mix), max(len(txn.items) for txn in mix)), -1,
+            dtype=np.int64,
         )
-        self._readers: list[_QuorumRetriever] = []
+        for row, txn in enumerate(mix):
+            self._items[row, : len(txn.items)] = [
+                ids[item] for item in txn.items
+            ]
+        max_age = temporal.max_age_slots()
+        server = temporal.server()
+        self._max_age = np.asarray(
+            [max_age[name] for name in catalogue], dtype=np.int64
+        )
+        self._periods = np.asarray(
+            [server.period(name) for name in catalogue], dtype=np.int64
+        )
+        self._catalogue = catalogue
+        self._sizes = [file_sizes[name] for name in catalogue]
+        self._max_slots = spec.max_slots
+        self._choice: MultiChannelTables | None = None
+        if channels is None:
+            self._programs: Sequence[BroadcastProgram] = (program,)
+            tables = [
+                RetrievalTables.build(program, catalogue, file_sizes, None)
+            ]
+            models = [faults]
+            self._read = self._single_read
+        else:
+            self._programs = channels.programs
+            # Copies are chosen on the plain default horizon:
+            # retrieve_versioned_quorum calls best_channel without
+            # max_slots.  Only the copy reads listen for max_slots.
+            self._choice = MultiChannelTables.build(
+                channels, catalogue, file_sizes, None
+            )
+            tables = self._choice.tables
+            models = faults or [None] * channels.count
+            self._quorum = channels.quorum
+            self._read = self._quorum_read
+        self._resolvers = [
+            _FaultResolver(table, model)
+            for table, model in zip(tables, models)
+        ]
+        # Copy horizons per (channel, file), derived on first use.
+        self._horizons = np.full(
+            (len(tables), len(catalogue)), -1, dtype=np.int64
+        )
+        self._counter = _retrievals(tel, "walker")
+        self._tuned = np.zeros(0, dtype=np.int64)
 
     def begin_block(self, n: int) -> None:
-        if self._shared is None:
-            self._readers = [self._new_reader() for _ in range(n)]
+        self._tuned = np.zeros(n, dtype=np.int64)  # clients sign on to 0
 
     def step(
         self, members: np.ndarray, picks: np.ndarray, now: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        record_read = self.metrics.record_versioned_read
-        max_age = self._max_age
-        latency = np.empty(len(members), dtype=np.int64)
-        finish = np.empty(len(members), dtype=np.int64)
-        for row, (member, pick, start) in enumerate(
-            zip(members.tolist(), picks.tolist(), now.tolist())
-        ):
-            reader = self._shared or self._readers[member]
-            clock = end = start
-            for item in self._items[pick]:
-                got, end, age, torn = reader(item, clock)
-                record_read(
-                    age, age is not None and age <= max_age[item], torn
+        items = self._items[picks]
+        finish = now - 1  # each item starts the slot after the last
+        failed = np.zeros(len(members), dtype=bool)
+        reading = np.arange(len(members))
+        for position in range(items.shape[1]):
+            reading = reading[items[reading, position] >= 0]
+            if not reading.size:
+                break
+            ok, finish[reading] = self._read(
+                members[reading],
+                items[reading, position],
+                finish[reading] + 1,
+            )
+            failed[reading[~ok]] = True
+            reading = reading[ok]
+        return np.where(failed, -1, finish - now + 1), finish, None
+
+    def _copies(
+        self, channel: int, fids: np.ndarray, starts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Versioned reads of ``fids`` on ``channel`` from ``starts``."""
+        if self._counter is not None:
+            self._counter.add(len(fids))
+        horizons = self._horizons[channel]
+        for fid in np.unique(fids[horizons[fids] < 0]).tolist():
+            horizons[fid] = versioned_listen_horizon(
+                self._programs[channel],
+                self._catalogue[fid],
+                self._sizes[fid],
+                int(self._periods[fid]),
+                max_slots=self._max_slots,
+            )
+        local = (
+            fids
+            if self._choice is None
+            else self._choice.local_ids[channel, fids]
+        )
+        return self._resolvers[channel].resolve_versioned(
+            local, starts, horizons[fids], self._periods[fids]
+        )
+
+    def _record_reads(
+        self,
+        fids: np.ndarray,
+        ok: np.ndarray,
+        finish: np.ndarray,
+        version: np.ndarray,
+        torn: np.ndarray,
+    ) -> None:
+        ages = np.where(ok, finish - version * self._periods[fids], -1)
+        self.metrics.record_versioned_reads(
+            ages, ok & (ages <= self._max_age[fids]), torn
+        )
+
+    def _single_read(
+        self, members: np.ndarray, fids: np.ndarray, starts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(completed, finish)`` of one versioned read per member."""
+        latency, finish, version, torn = self._copies(0, fids, starts)
+        ok = latency >= 0
+        self._record_reads(fids, ok, finish, version, torn)
+        return ok, finish
+
+    def _quorum_read(
+        self, members: np.ndarray, fids: np.ndarray, starts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(assembled, finish)`` of one quorum read per member."""
+        choice = self._choice
+        r = self._quorum
+        for fid in np.unique(fids).tolist():
+            carriers = choice.candidates[fid]
+            if r > len(carriers):
+                raise SimulationError(
+                    f"quorum {r} of {self._catalogue[fid]!r} needs {r} "
+                    f"copies, but only {len(carriers)} channel(s) carry "
+                    f"it (channels {list(carriers)})"
                 )
-                if got is None:
-                    latency[row] = -1
-                    break
-                clock = end + 1
-            else:  # every item completed
-                latency[row] = end - start + 1
-            finish[row] = end
-        return latency, finish, None
+        n = len(fids)
+        tuned = self._tuned[members]
+        remaining = choice.local_ids[:, fids].T >= 0
+        finish = starts - 1  # each copy starts the slot after the last
+        run = np.zeros(n, dtype=np.int64)
+        run_version = np.full(n, -1, dtype=np.int64)
+        torn = np.zeros(n, dtype=np.int64)
+        aborted = np.zeros(n, dtype=bool)
+        ok = np.zeros(n, dtype=bool)
+        switches = 0
+        live = np.arange(n)
+        while live.size:
+            channel, listen, _, _ = choice.choose(
+                fids[live], finish[live] + 1, tuned[live], remaining[live]
+            )
+            remaining[live, channel] = False
+            switches += int(np.count_nonzero(channel != tuned[live]))
+            tuned[live] = channel
+            for c in np.unique(channel).tolist():
+                on = channel == c
+                rows = live[on]
+                latency, end, version, lost = self._copies(
+                    c, fids[rows], listen[on]
+                )
+                torn[rows] += lost
+                finish[rows] = end
+                got = latency >= 0
+                aborted[rows[~got]] = True
+                rows, version = rows[got], version[got]
+                run[rows] = np.where(
+                    version == run_version[rows], run[rows] + 1, 1
+                )
+                run_version[rows] = version
+                ok[rows[run[rows] >= r]] = True
+            live = live[~ok[live] & remaining[live].any(axis=1)]
+        self._tuned[members] = tuned
+        metrics = self.metrics
+        metrics.record_channel_switches(switches)
+        metrics.record_quorums(
+            np.where(
+                ok, "ok", np.where(aborted, "incomplete", "mismatch")
+            ),
+            np.where(ok, finish - starts + 1, -1),
+        )
+        self._record_reads(fids, ok, finish, run_version, torn)
+        return ok, finish
 
 
 def simulate_shard_soa(
@@ -682,7 +905,7 @@ def simulate_shard_soa(
                 "itself, not just tables"
             )
         kind = _Temporal(
-            *common, temporal, file_sizes, program, channels, models
+            *common, temporal, file_sizes, program, channels, models, tel
         )
     elif channels is not None or mc_tables is not None:
         if mc_tables is None:

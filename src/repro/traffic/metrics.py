@@ -42,6 +42,13 @@ def _tally(
             into[names[i]] = into.get(names[i], 0) + n
 
 
+def _count(into: dict, values: np.ndarray) -> None:
+    """Add each value of ``values`` to the histogram ``into``."""
+    unique, tally = np.unique(values, return_counts=True)
+    for value, n in zip(unique.tolist(), tally.tolist()):
+        into[value] = into.get(value, 0) + n
+
+
 class TrafficMetrics:
     """Streaming accumulator for one traffic shard (or a merged run)."""
 
@@ -127,10 +134,7 @@ class TrafficMetrics:
         self.deadline_misses += int(
             np.count_nonzero(values > deadlines[finished])
         )
-        counts = self._counts
-        unique, tally = np.unique(values, return_counts=True)
-        for value, n in zip(unique.tolist(), tally.tolist()):
-            counts[value] = counts.get(value, 0) + n
+        _count(self._counts, values)
 
     def record_cache(self, hits: int, misses: int, evictions: int) -> None:
         """Fold in one session's cache statistics."""
@@ -162,6 +166,30 @@ class TrafficMetrics:
             self.worst_age = age
         self._ages[age] = self._ages.get(age, 0) + 1
 
+    def record_versioned_reads(
+        self, ages: np.ndarray, fresh: np.ndarray, torn: np.ndarray
+    ) -> None:
+        """Record a batch of version-consistent item reads at once.
+
+        Read ``k`` completed with age ``ages[k]`` (``-1`` for a read
+        that never completed), satisfied its item's constraint when
+        ``fresh[k]`` and threw ``torn[k]`` blocks away.  The result
+        equals calling :meth:`record_versioned_read` once per read, in
+        any order.
+        """
+        self.torn_discards += int(torn.sum())
+        completed = ages >= 0
+        values = ages[completed]
+        if not len(values):
+            return
+        self.item_reads += len(values)
+        self.stale_reads += len(values) - int(
+            np.count_nonzero(fresh[completed])
+        )
+        self.age_sum += int(values.sum())
+        self.worst_age = max(self.worst_age, int(values.max()))
+        _count(self._ages, values)
+
     def record_channel_switches(self, switches: int) -> None:
         """Fold in re-tunes performed by one retrieval (0 is free)."""
         self.channel_switches += switches
@@ -184,6 +212,26 @@ class TrafficMetrics:
         self._quorum_counts[latency] = (
             self._quorum_counts.get(latency, 0) + 1
         )
+
+    def record_quorums(
+        self, outcomes: np.ndarray, latency: np.ndarray
+    ) -> None:
+        """Record a batch of r-of-k quorum reads at once.
+
+        Read ``k`` ended in ``outcomes[k]`` (``"ok"`` / ``"mismatch"`` /
+        ``"incomplete"``) and, when it assembled, took ``latency[k]``
+        slots (``-1`` otherwise).  The result equals calling
+        :meth:`record_quorum` once per read, in any order.
+        """
+        _count(self.quorum_reads, outcomes)
+        values = latency[latency >= 0]
+        if not len(values):
+            return
+        self.quorum_latency_sum += int(values.sum())
+        self.worst_quorum_latency = max(
+            self.worst_quorum_latency, int(values.max())
+        )
+        _count(self._quorum_counts, values)
 
     # ------------------------------------------------------------------
     # Reading

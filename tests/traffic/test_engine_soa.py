@@ -12,13 +12,16 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api.scenario import ChannelSpec
 from repro.bdisk.file import FileSpec
 from repro.bdisk.flat import build_aida_flat_program
-from repro.bdisk.multichannel import design_multichannel_program
+from repro.bdisk.multichannel import ChannelSet, design_multichannel_program
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
-from repro.errors import SpecificationError
+from repro.bdisk.program import BroadcastProgram
+from repro.core.schedule import IDLE, Schedule
+from repro.errors import ReproError, SpecificationError
 from repro.rtdb import TemporalItemSpec, TemporalSpec, TransactionSpec
 from repro.sim.faults import (
     AdversarialFaults,
@@ -261,6 +264,146 @@ class TestTemporalEquivalence:
             faults=BernoulliFaults(0.1, seed=3),
             temporal=temporal,
         )
+
+
+@st.composite
+def temporal_worlds(draw):
+    """A small temporal population on one program or a channel set.
+
+    Channel sets have k in 1..3 channels, striped or replicated, any
+    quorum r in 1..k and a tuning cost in 0..3.  Update periods go down
+    to 3 slots, where reads tear often, and ``max_slots`` is often
+    shorter than a data cycle: only short copy horizons tell apart the
+    quorum's choice horizon (the plain default) from its copy horizon.
+    """
+    names = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
+    blocks = {name: draw(st.integers(1, 3)) for name in names}
+
+    def make_program(carried):
+        length = draw(st.integers(len(carried), 6))
+        layout = [
+            draw(st.sampled_from(carried + [IDLE])) for _ in range(length)
+        ]
+        layout[: len(carried)] = carried
+        return BroadcastProgram(
+            Schedule(layout),
+            {
+                name: draw(st.integers(blocks[name], blocks[name] + 2))
+                for name in carried
+            },
+        )
+
+    def model():
+        kind = draw(st.sampled_from(["none", "bernoulli", "burst", "adv"]))
+        seed = draw(st.integers(0, 999))
+        if kind == "bernoulli":
+            return BernoulliFaults(draw(st.floats(0.0, 0.5)), seed=seed)
+        if kind == "burst":
+            return BurstFaults(0.1, draw(st.floats(0.2, 1.0)), seed=seed)
+        if kind == "adv":
+            return AdversarialFaults(
+                draw(st.sets(st.integers(0, 300), max_size=40))
+            )
+        return None
+
+    k = draw(st.integers(0, 3))  # 0: one program, no channel set
+    models = [model() for _ in range(max(1, k))]
+    if k == 0:
+        program, world = make_program(names), dict(faults=models[0])
+    else:
+        if draw(st.booleans()):  # striped
+            k = min(k, len(names))
+            assignment = {
+                name: (index % k,) for index, name in enumerate(names)
+            }
+        else:
+            assignment = {name: tuple(range(k)) for name in names}
+        program, world = None, dict(
+            channels=ChannelSet(
+                [
+                    make_program([n for n in names if c in assignment[n]])
+                    for c in range(k)
+                ],
+                assignment,
+                tuning_cost=draw(st.integers(0, 3)),
+                quorum=draw(st.integers(1, k)),
+            ),
+            faults=models[:k],
+        )
+    transactions = ()
+    if draw(st.booleans()):
+        transactions = tuple(
+            TransactionSpec(
+                f"t{index}",
+                draw(st.permutations(names))[: draw(
+                    st.integers(1, len(names))
+                )],
+                deadline_slots=draw(st.integers(1, 120)),
+                weight=draw(st.sampled_from([0.5, 1.0, 3.0])),
+            )
+            for index in range(draw(st.integers(1, 3)))
+        )
+    world["temporal"] = TemporalSpec(
+        slot_ms=1,
+        items=tuple(
+            TemporalItemSpec(
+                name, blocks=blocks[name],
+                max_age_ms=draw(st.integers(4, 60)),
+            )
+            for name in names
+        ),
+        update_periods={name: draw(st.integers(3, 40)) for name in names},
+        transactions=transactions,
+    )
+    spec = TrafficSpec(
+        clients=draw(st.integers(1, 12)),
+        duration=draw(st.integers(20, 300)),
+        requests_per_client=draw(st.integers(1, 3)),
+        think_time=draw(st.integers(0, 4)),
+        max_slots=draw(st.one_of(st.none(), st.integers(2, 30))),
+        seed=draw(st.integers(0, 999)),
+    )
+    return names, blocks, program, spec, world
+
+
+def temporal_fingerprint(metrics: TrafficMetrics) -> dict:
+    """The fingerprint plus the quorum and tuning dimensions."""
+    return {
+        **fingerprint(metrics),
+        "quorum_reads": dict(metrics.quorum_reads),
+        "quorum_counts": metrics.quorum_counts,
+        "quorum_latency_sum": metrics.quorum_latency_sum,
+        "worst_quorum_latency": metrics.worst_quorum_latency,
+        "channel_switches": metrics.channel_switches,
+    }
+
+
+@given(world=temporal_worlds())
+@settings(max_examples=150, deadline=None)
+def test_temporal_soa_matches_object(world):
+    """Batched versioned and quorum reads replay the object engine's
+    scalar retrievers: every metric, every trace record, and the same
+    error when a run cannot start."""
+    names, blocks, program, spec, world = world
+    outcomes = []
+    for engine in ("object", "soa"):
+        try:
+            result = simulate_traffic(
+                program, names, spec,
+                file_sizes=blocks,
+                deadlines={name: 40 for name in names},
+                engine=engine, trace=True, **world,
+            )
+        except ReproError as error:
+            # When several items are under-carried, which one a run
+            # trips over first depends on event order: compare the
+            # message up to the item it names.
+            outcomes.append((type(error), str(error).split("'")[0]))
+        else:
+            outcomes.append(
+                (temporal_fingerprint(result.metrics), result.trace)
+            )
+    assert outcomes[1] == outcomes[0]
 
 
 class TestCohortEdgeCases:

@@ -3,11 +3,13 @@
 :class:`repro.traffic.engine_soa._FaultResolver` resolves whole batches
 of faulty retrievals with bitset arithmetic in geometric rounds; the
 executable specification is :func:`repro.sim.client.retrieve` with
-``need_distinct=True`` over the same listening horizon.  These
-properties compare the two request by request on random small programs
-- including files wider than one 64-bit bitset word, ``m_needed == 0``
-files, horizons that expire mid-round and starts on cycle boundaries -
-and pin that the round width never changes an outcome.
+``need_distinct=True`` over the same listening horizon, and
+:func:`repro.rtdb.updates.retrieve_versioned` for its versioned mode.
+These properties compare them request by request on random small
+programs - including files wider than one 64-bit bitset word,
+``m_needed == 0`` files, horizons that expire mid-round and starts on
+cycle and version boundaries - and pin that the round width never
+changes an outcome.
 """
 
 import pytest
@@ -18,6 +20,11 @@ from repro.bdisk.file import FileSpec
 from repro.bdisk.multichannel import design_multichannel_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
+from repro.rtdb.updates import (
+    UpdatingServer,
+    retrieve_versioned,
+    versioned_listen_horizon,
+)
 from repro.sim.client import retrieve
 from repro.sim.faults import AdversarialFaults, BernoulliFaults, BurstFaults
 from repro.traffic import TrafficSpec, simulate_traffic
@@ -127,6 +134,78 @@ def test_resolver_matches_scalar_retrieve(first, world, make_faults):
             int(tables.horizons[fid]),
         )
         assert outcome == expected, (names[fid], start)
+
+
+@st.composite
+def versioned_worlds(draw):
+    """A random world, an update period per file (down to one slot)
+    and a few more requests starting exactly on a version boundary."""
+    program, names, sizes, max_slots, requests = draw(worlds())
+    cycle = program.data_cycle_length
+    periods = {name: draw(st.integers(1, 2 * cycle)) for name in names}
+    boundaries = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(names) - 1), st.integers(0, 4)),
+            max_size=4,
+        )
+    )
+    requests = requests + [
+        (fid, k * periods[names[fid]]) for fid, k in boundaries
+    ]
+    return program, names, sizes, max_slots, requests, periods
+
+
+@pytest.mark.parametrize("first", [1, engine_soa._FAULT_FIRST, 64])
+@given(
+    world=versioned_worlds(),
+    make_faults=st.one_of(st.just(lambda: None), fault_models()),
+)
+@settings(max_examples=60, deadline=None)
+def test_versioned_resolver_matches_scalar_retrieve_versioned(
+    first, world, make_faults
+):
+    program, names, sizes, max_slots, requests, periods = world
+    tables = RetrievalTables.build(program, names, sizes, None)
+    horizon = {
+        name: versioned_listen_horizon(
+            program, name, sizes[name], periods[name], max_slots=max_slots
+        )
+        for name in names
+    }
+    files = [names[fid] for fid, _ in requests]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_soa, "_FAULT_FIRST", first)
+        outcomes = engine_soa._FaultResolver(
+            tables, make_faults()
+        ).resolve_versioned(
+            np.asarray([fid for fid, _ in requests], dtype=np.int64),
+            np.asarray([start for _, start in requests], dtype=np.int64),
+            np.asarray([horizon[name] for name in files], dtype=np.int64),
+            np.asarray([periods[name] for name in files], dtype=np.int64),
+        )
+    server = UpdatingServer(periods)
+    model = make_faults()
+    for (fid, start), latency, finish, version, torn in zip(
+        requests, *(column.tolist() for column in outcomes)
+    ):
+        name = names[fid]
+        result = retrieve_versioned(
+            program, server, name, sizes[name], start=start, faults=model,
+            max_slots=horizon[name],
+        )
+        expected = (
+            (result.latency, result.finish_slot)
+            if result.completed
+            else (-1, start + horizon[name] - 1)
+        )
+        assert (latency, finish) == expected, (name, start)
+        assert version == (
+            -1 if result.version is None else result.version
+        ), (name, start)
+        assert torn == result.torn_discards, (name, start)
+        if result.completed:
+            age = finish - version * periods[name]
+            assert age == result.age_at_completion, (name, start)
 
 
 @given(world=worlds(), make_faults=fault_models())

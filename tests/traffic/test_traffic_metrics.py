@@ -139,6 +139,45 @@ class TestTrafficMetrics:
         for q in (0.5, 0.95, 0.99):
             assert batched.quantile(q) == recorded.quantile(q)
 
+    def test_record_versioned_reads_matches_recording(self):
+        # Batches with incomplete reads (age -1: only their torn blocks
+        # count), stale and fresh reads and an empty batch must leave
+        # every observable equal to recording read by read.
+        rng = random.Random(47)
+        batched = TrafficMetrics()
+        recorded = TrafficMetrics()
+        incomplete = 0
+        for size in [0] + [rng.randrange(1, 40) for _ in range(25)]:
+            ages = np.asarray(
+                [
+                    -1 if rng.random() < 0.2 else rng.randrange(0, 90)
+                    for _ in range(size)
+                ],
+                dtype=np.int64,
+            )
+            fresh = np.asarray(
+                [rng.random() < 0.7 for _ in range(size)], dtype=bool
+            )
+            torn = np.asarray(
+                [rng.randrange(0, 4) for _ in range(size)], dtype=np.int64
+            )
+            incomplete += int(np.count_nonzero(ages < 0))
+            batched.record_versioned_reads(ages, fresh, torn)
+            for age, ok, lost in zip(
+                ages.tolist(), fresh.tolist(), torn.tolist()
+            ):
+                recorded.record_versioned_read(
+                    None if age < 0 else age, ok, lost
+                )
+        assert incomplete and recorded.stale_reads
+        for field in (
+            "item_reads", "stale_reads", "torn_discards", "age_sum",
+            "worst_age", "ages", "consistency_rate", "mean_age",
+        ):
+            assert getattr(batched, field) == getattr(recorded, field)
+        for q in (0.5, 0.95, 0.99):
+            assert batched.age_quantile(q) == recorded.age_quantile(q)
+
     def test_merge_of_nothing_rejected(self):
         with pytest.raises(SimulationError):
             TrafficMetrics.merged([])
@@ -183,6 +222,34 @@ class TestChannelDimension:
         assert metrics.mean_quorum_latency == 21.0
         assert metrics.worst_quorum_latency == 30
         assert metrics.quorum_quantile(0.5) == 12
+
+    def test_record_quorums_matches_recording(self):
+        # Batches mixing all three outcomes, plus an empty batch, equal
+        # recording the same reads one at a time.
+        reads = self.reads()
+        batched = TrafficMetrics()
+        recorded = TrafficMetrics()
+        for start, stop in [(0, 0), (0, 1), (1, 120), (120, 300)]:
+            batch = reads[start:stop]
+            batched.record_quorums(
+                np.asarray([outcome for outcome, _, _ in batch], dtype=str),
+                np.asarray(
+                    [-1 if latency is None else latency
+                     for _, latency, _ in batch],
+                    dtype=np.int64,
+                ),
+            )
+            for outcome, latency, _ in batch:
+                recorded.record_quorum(outcome, latency)
+        assert set(recorded.quorum_reads) == {"ok", "mismatch", "incomplete"}
+        for field in (
+            "quorum_reads", "quorum_total", "quorum_ok",
+            "quorum_latency_sum", "worst_quorum_latency", "quorum_counts",
+            "mean_quorum_latency",
+        ):
+            assert getattr(batched, field) == getattr(recorded, field)
+        for q in (0.5, 0.9, 0.99):
+            assert batched.quorum_quantile(q) == recorded.quorum_quantile(q)
 
     def test_merged_equals_single_stream(self):
         reads = self.reads()
