@@ -38,6 +38,7 @@ from repro.sim.faults import (
     BurstFaults,
     FaultModel,
     NoFaults,
+    slot_numbers,
 )
 
 #: Fault-model kinds a :class:`FaultSpec` understands.
@@ -78,7 +79,9 @@ class FaultSpec:
         check_number(self.p_exit, "fault p_exit")
         check_int(self.seed, "fault seed")
         try:
-            object.__setattr__(self, "lost_slots", tuple(self.lost_slots))
+            object.__setattr__(
+                self, "lost_slots", slot_numbers(self.lost_slots)
+            )
         except TypeError as error:
             raise SpecificationError(
                 f"fault lost_slots must be a list of slots: {error}"
@@ -146,8 +149,9 @@ class FaultSpec:
              "seed"},
             "fault spec",
         )
-        # __post_init__ tuple-ifies lost_slots itself, with a guard that
-        # turns non-iterables into SpecificationError.
+        # __post_init__ normalizes lost_slots to a tuple of ints itself,
+        # turning non-iterables and non-integer slots into
+        # SpecificationError.
         return cls(**payload)
 
 

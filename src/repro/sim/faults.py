@@ -11,15 +11,25 @@ the same seed observe the same channel.
 Occurrence-walking clients query faults only at their file's service
 slots and do so in batches: every model implements ``lost_in(slots)``
 (and :func:`lost_in` adapts third-party models that only provide
-``is_lost``).  Batch answers are defined to agree exactly, slot by slot,
-with ``is_lost`` - batching amortizes the per-decision overhead without
-changing a single decision.
+``is_lost``).  The adapter answers in kind: a Python sequence of slots
+gets a list of bools back (the scalar walkers' small batches), an int64
+ndarray a bool ndarray (the vectorized engine's wide ones), so neither
+side pays for the other's conversions.  Given an ndarray,
+:class:`BurstFaults` gathers from its state table, and
+:class:`BernoulliFaults` and :class:`AdversarialFaults` decide each
+distinct slot once (wide batches repeat slots); any other answer is
+converted by the adapter.  Batch answers are defined to agree exactly,
+slot by slot, with ``is_lost`` - batching amortizes the per-decision
+overhead without changing a single decision.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError, SpecificationError
 from repro.obs import telemetry as obs
@@ -31,20 +41,31 @@ from repro.obs import telemetry as obs
 DECISION_MEMO_LIMIT = 1 << 20
 
 
+#: A batch of slots: a Python sequence, or a 1-D int64 ndarray.
+Slots = Sequence[int] | np.ndarray
+
+
 class FaultModel(Protocol):
-    """Decides whether the block in slot ``t`` is lost."""
+    """Decides whether the block in slot ``t`` is lost.
+
+    A model may also implement ``lost_in(slots)``, one bool per slot,
+    each equal to ``is_lost(slots[i])``.  ``slots`` is a Python sequence
+    (answer with a list) or an int64 ndarray (answer with a bool ndarray
+    or any sequence of bools; the :func:`lost_in` adapter converts it).
+    """
 
     def is_lost(self, t: int) -> bool:
         """True when the slot-``t`` block is unreadable."""
         ...
 
 
-def lost_in(model: FaultModel, slots: Sequence[int]) -> list[bool]:
-    """Batch fault decisions for ``slots``, one bool per slot.
+def lost_in(model: FaultModel, slots: Slots) -> list[bool] | np.ndarray:
+    """Batch fault decisions for ``slots``, one bool per slot, in kind.
 
     Uses the model's own ``lost_in`` when it has one (all built-in models
     do) and falls back to per-slot ``is_lost`` calls otherwise, so any
-    :class:`FaultModel` works with the batched simulators.
+    :class:`FaultModel` works with the batched simulators.  An ndarray
+    batch always gets a bool ndarray back, whatever the model answered.
     """
     tel = obs.current()
     if tel is not None and not isinstance(model, NoFaults):
@@ -54,10 +75,25 @@ def lost_in(model: FaultModel, slots: Sequence[int]) -> list[bool]:
         # deterministic regardless.
         tel.inc("faults.draw_batches", stability="shape")
         tel.inc("faults.slots_drawn", len(slots), stability="shape")
+    array = isinstance(slots, np.ndarray)
     batch = getattr(model, "lost_in", None)
     if batch is not None:
-        return batch(slots)
-    return [model.is_lost(t) for t in slots]
+        lost = batch(slots)
+    else:
+        lost = [model.is_lost(t) for t in (slots.tolist() if array else slots)]
+    return np.asarray(lost, dtype=bool) if array else lost
+
+
+def _per_distinct(
+    decide: Callable[[list[int]], list[bool]], slots: np.ndarray
+) -> np.ndarray:
+    """An array batch decided by the list-form batch ``decide``.
+
+    Wide batches repeat slots, so each distinct slot is decided once
+    and the answers are scattered back to every position.
+    """
+    unique, inverse = np.unique(slots, return_inverse=True)
+    return np.array(decide(unique.tolist()), dtype=bool)[inverse]
 
 
 class NoFaults:
@@ -66,7 +102,7 @@ class NoFaults:
     def is_lost(self, t: int) -> bool:
         return False
 
-    def lost_in(self, slots: Sequence[int]) -> list[bool]:
+    def lost_in(self, slots: Slots) -> list[bool]:
         return [False] * len(slots)
 
     def __repr__(self) -> str:
@@ -117,7 +153,9 @@ class BernoulliFaults:
             return True
         return self._decide(t)
 
-    def lost_in(self, slots: Sequence[int]) -> list[bool]:
+    def lost_in(self, slots: Slots) -> list[bool] | np.ndarray:
+        if isinstance(slots, np.ndarray):
+            return _per_distinct(self.lost_in, slots)
         if self.probability == 0.0:
             return [False] * len(slots)
         if self.probability == 1.0:
@@ -216,7 +254,14 @@ class BurstFaults:
         self._extend_to(t, t)
         return bool(self._states[t])
 
-    def lost_in(self, slots: Sequence[int]) -> list[bool]:
+    def lost_in(self, slots: Slots) -> list[bool] | np.ndarray:
+        if isinstance(slots, np.ndarray):
+            if not slots.size:
+                return np.zeros(0, dtype=bool)
+            self._extend_to(int(slots.max()), int(slots.min()))
+            # A view of the table blocks its resizing while it lives,
+            # so take it after extending and never keep it.
+            return np.frombuffer(self._states, dtype=bool)[slots]
         if not slots:
             return []
         # One pass finds the lowest slot; every walker's batch ascends,
@@ -238,22 +283,43 @@ class BurstFaults:
         )
 
 
+def slot_numbers(slots: Iterable[Any]) -> tuple[int, ...]:
+    """``slots`` as a tuple of plain ints, in order.
+
+    Any integer type is accepted (numpy integers included); anything
+    else - a float, a string, a bool - raises
+    :class:`SpecificationError`, since such a "slot" would silently
+    never match a query, or match slot 0 or 1.
+    """
+    slots = tuple(slots)
+    try:
+        if bool not in set(map(type, slots)):
+            return tuple(map(operator.index, slots))
+        reason = "got a bool"
+    except TypeError as error:
+        reason = str(error)
+    raise SpecificationError(f"lost slots must be integers: {reason}")
+
+
 class AdversarialFaults:
     """An explicit set of lost slots - the adversary of Lemmas 1-2.
 
     The exhaustive worst-case analysis in :mod:`repro.sim.delay`
-    enumerates instances of this model.
+    enumerates instances of this model.  Slots must be non-negative
+    integers (see :func:`slot_numbers`).
     """
 
     def __init__(self, lost_slots: Iterable[int]) -> None:
-        self.lost_slots = frozenset(lost_slots)
-        if any(t < 0 for t in self.lost_slots):
+        self.lost_slots = frozenset(slot_numbers(lost_slots))
+        if min(self.lost_slots, default=0) < 0:
             raise SpecificationError("lost slots must be >= 0")
 
     def is_lost(self, t: int) -> bool:
         return t in self.lost_slots
 
-    def lost_in(self, slots: Sequence[int]) -> list[bool]:
+    def lost_in(self, slots: Slots) -> list[bool] | np.ndarray:
+        if isinstance(slots, np.ndarray):
+            return _per_distinct(self.lost_in, slots)
         lost = self.lost_slots
         return [t in lost for t in slots]
 

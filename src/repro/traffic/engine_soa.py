@@ -25,6 +25,10 @@ legal.  Each kind adds only its per-block state and a wave step:
   versioned mode, and quorum reads as at most k copy steps of the
   array channel choice plus one resolve per chosen channel.
 
+Every faulty path of every kind decides its losses in the resolver, one
+:func:`~repro.sim.faults.lost_in` call per round: the raw int64 array of
+queried slots in, a bool array out.
+
 The equivalence is pinned by ``tests/traffic/test_engine_soa.py``:
 per-shard metrics equal the object engine's field for field across
 arrival x popularity x cache x fault-model grids and random temporal
@@ -75,7 +79,7 @@ _DEFAULT_WINDOW = 1 << 61
 _BLOCK_BUDGET = 1 << 22
 _BLOCK_MIN = 4096
 _BLOCK_MAX = 1 << 20
-#: Faulty channels bound the per-wave ``lost_in`` union (and the
+#: Faulty channels bound the per-round ``lost_in`` batch (and the
 #: resolver's candidate matrices) with a smaller block.
 _BLOCK_FAULTY = 1 << 16
 
@@ -143,9 +147,11 @@ class _FaultResolver:
 
     Each round materializes the next candidate occurrences of every
     unresolved member (broadcasting over the tables' flat occurrence
-    arrays), decides the *union* of their slots in one ``lost_in`` call
-    and resolves every member with array operations alone: held blocks
-    are ``uint64`` bitset words, a running OR along the candidates marks
+    arrays), decides every queried slot in one ``lost_in`` call - the
+    raw int64 slot array, duplicates included (a model that decides
+    slot by slot dedupes them itself), answered with a bool array - and
+    resolves every member with array operations alone: held blocks are
+    ``uint64`` bitset words, a running OR along the candidates marks
     each surviving occurrence that adds a new block, and the first
     candidate whose running distinct count reaches ``m`` is the finish -
     exactly the occurrence walk :func:`repro.sim.client.retrieve`
@@ -247,13 +253,8 @@ class _FaultResolver:
             slots = base[idx, None] + copies * cycle + t.occ_slots[flat]
             valid = slots < end[idx, None]
             heard = valid.copy()
-            queried = slots[valid] if self._model is not None else ()
-            if len(queried):
-                unique, inverse = np.unique(queried, return_inverse=True)
-                lost = np.asarray(
-                    lost_in(self._model, unique.tolist()), dtype=bool
-                )
-                heard[valid] = ~lost[inverse]
+            if self._model is not None and valid.any():
+                heard[valid] = ~lost_in(self._model, slots[valid])
             if version is not None:
                 # The version a row holds this round: its held blocks',
                 # else that of the first candidate it hears.  The round

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import FaultSpec, Scenario, WorkloadSpec
@@ -72,6 +73,24 @@ class TestFaultSpec:
     def test_non_iterable_lost_slots_rejected_from_dict(self):
         with pytest.raises(SpecificationError, match="lost_slots"):
             FaultSpec.from_dict({"kind": "adversarial", "lost_slots": 5})
+
+    @pytest.mark.parametrize("slots", [["4"], [1.5], [True], [1.5, 7]])
+    def test_non_integer_lost_slots_rejected(self, slots):
+        # A string would crash the simulator, a float never matches yet
+        # counts against the budget, and true would lose slot 1.
+        payload = {"kind": "adversarial", "lost_slots": slots}
+        with pytest.raises(SpecificationError, match="integers"):
+            FaultSpec.from_dict(payload)
+        scenario = regular_scenario().to_dict()
+        scenario["faults"] = payload
+        with pytest.raises(SpecificationError, match="integers"):
+            Scenario.from_dict(scenario)
+
+    def test_numpy_lost_slots_stored_as_plain_ints(self):
+        spec = FaultSpec(kind="adversarial", lost_slots=np.array([9, 2]))
+        assert spec.lost_slots == (9, 2)
+        assert all(type(t) is int for t in spec.lost_slots)
+        assert json.loads(json.dumps(spec.to_dict()))["lost_slots"] == [9, 2]
 
 
 class TestWorkloadSpec:

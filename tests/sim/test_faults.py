@@ -1,6 +1,10 @@
 """Tests for channel fault models."""
 
+from functools import partial
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError, SpecificationError
 from repro.sim.faults import (
@@ -110,6 +114,18 @@ class TestAdversarial:
 
     def test_empty_adversary(self):
         assert AdversarialFaults([]).budget == 0
+
+    @pytest.mark.parametrize(
+        "slots", [["4"], [1.5, 7], [True, 3], [np.True_], [None]]
+    )
+    def test_rejects_non_integer_slots(self, slots):
+        with pytest.raises(SpecificationError, match="integers"):
+            AdversarialFaults(slots)
+
+    def test_numpy_integers_stored_as_ints(self):
+        model = AdversarialFaults(np.array([3, 7], dtype=np.int32))
+        assert model.lost_slots == {3, 7}
+        assert all(type(t) is int for t in model.lost_slots)
 
 
 class TestBatchedDecisions:
@@ -223,3 +239,132 @@ class TestBurstBounds:
     def test_bad_max_horizon_rejected(self):
         with pytest.raises(SpecificationError):
             BurstFaults(0.1, 0.5, max_horizon=0)
+
+
+class PointwiseOnly:
+    """A third-party model with ``is_lost`` alone: every batch goes
+    through the :func:`lost_in` adapter's per-slot loop."""
+
+    def __init__(self, modulus: int) -> None:
+        self.modulus = modulus
+
+    def is_lost(self, t: int) -> bool:
+        assert type(t) is int, "the adapter passes plain ints"
+        return (t * 37 + 11) % self.modulus < 2
+
+    def __repr__(self) -> str:
+        return f"PointwiseOnly({self.modulus})"
+
+
+CHUNK = BurstFaults.CHUNK
+#: Slots near the burst table's chunk edges, so batches cross them.
+EDGES = [k * CHUNK + d for k in range(4) for d in (-1, 0, 1) if k or d >= 0]
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def model_factories(draw):
+    """A zero-argument factory for a fault model of any kind."""
+    kind = draw(
+        st.sampled_from(
+            ["none", "bernoulli", "burst", "adversarial", "pointwise"]
+        )
+    )
+    seed = draw(st.integers(0, 99))
+    if kind == "none":
+        return NoFaults
+    if kind == "bernoulli":
+        return partial(BernoulliFaults, draw(PROBABILITIES), seed=seed)
+    if kind == "burst":
+        return partial(
+            BurstFaults, draw(PROBABILITIES), draw(PROBABILITIES), seed=seed
+        )
+    if kind == "adversarial":
+        lost = draw(
+            st.lists(
+                st.one_of(st.integers(0, 60), st.sampled_from(EDGES)),
+                max_size=20,
+            )
+        )
+        return partial(AdversarialFaults, lost)
+    return partial(PointwiseOnly, draw(st.integers(2, 9)))
+
+
+#: Unordered batches with duplicates, empty ones included.
+SLOT_BATCHES = st.lists(
+    st.one_of(
+        st.integers(0, 60),
+        st.sampled_from(EDGES),
+        st.integers(0, 4 * CHUNK),
+    ),
+    max_size=40,
+)
+
+
+class TestInKindBatches:
+    """An int64 ndarray batch gets a bool ndarray back, a list batch a
+    list, and both equal ``is_lost`` slot by slot."""
+
+    @given(
+        factory=model_factories(),
+        batches=st.lists(SLOT_BATCHES, min_size=1, max_size=4),
+        array_first=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(
+        factory=partial(AdversarialFaults, [3, 5, CHUNK]),
+        batches=[[5, 3, 9, 5, CHUNK, 3], []],
+        array_first=True,
+    )
+    def test_array_and_list_forms_agree(self, factory, batches, array_first):
+        warmed, reference = factory(), factory()
+        for slots in batches:
+            array = np.asarray(slots, dtype=np.int64)
+            expected = [reference.is_lost(t) for t in slots]
+            if array_first:
+                from_array = lost_in(warmed, array)
+                from_list = lost_in(warmed, slots)
+            else:
+                from_list = lost_in(warmed, slots)
+                from_array = lost_in(warmed, array)
+            fresh = lost_in(factory(), array)
+            for answer in (from_array, fresh):
+                assert isinstance(answer, np.ndarray)
+                assert answer.dtype == bool
+                assert answer.shape == (len(slots),)
+                assert answer.tolist() == expected
+            assert isinstance(from_list, list)
+            assert from_list == expected
+
+    @given(
+        slots=st.lists(st.integers(-3, 110), min_size=1, max_size=12),
+        warm=st.one_of(st.none(), st.integers(0, 99)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_burst_errors_agree(self, slots, warm):
+        # Negative slots and slots past max_horizon raise the same
+        # SimulationError from both forms, on a fresh or a warmed table;
+        # valid batches grow the table alike.
+        def answer(form):
+            model = BurstFaults(0.2, 0.5, seed=3, max_horizon=100)
+            if warm is not None:
+                model.is_lost(warm)
+            try:
+                lost = lost_in(model, form(slots))
+            except SimulationError as error:
+                message = str(error)
+                return "before slot 0" in message, "max_horizon" in message
+            return list(lost), len(model._states)
+
+        from_list = answer(list)
+        assert answer(partial(np.asarray, dtype=np.int64)) == from_list
+        if min(slots) < 0 or max(slots) >= 100:
+            assert from_list in [(True, False), (False, True)]
+
+    def test_empty_array_batch_does_not_extend_the_table(self):
+        model = BurstFaults(0.2, 0.5, seed=3)
+        answer = lost_in(model, np.zeros(0, dtype=np.int64))
+        assert answer.dtype == bool and answer.shape == (0,)
+        assert len(model._states) == 0

@@ -406,6 +406,47 @@ def test_temporal_soa_matches_object(world):
     assert outcomes[1] == outcomes[0]
 
 
+class Delegating:
+    """Forwards every decision unchanged, as a tracing proxy does."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def is_lost(self, t):
+        return self.model.is_lost(t)
+
+    def lost_in(self, slots):
+        return self.model.lost_in(slots)
+
+
+class ListAnswering:
+    """A third-party model whose batches always answer with a list."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def is_lost(self, t):
+        return self.model.is_lost(t)
+
+    def lost_in(self, slots):
+        return [self.model.is_lost(int(t)) for t in slots]
+
+
+@pytest.mark.parametrize("wrapper", [Delegating, ListAnswering])
+@pytest.mark.parametrize("fault", ["bernoulli", "burst", "adversarial"])
+def test_resolver_accepts_wrapped_fault_models(fault, wrapper):
+    # The resolver hands any model an int64 ndarray of slots; the
+    # lost_in adapter turns whatever comes back into a bool array.
+    program, catalogue, sizes = multidisk_world()
+    spec = TrafficSpec(
+        clients=30, duration=300, requests_per_client=3, think_time=5,
+        cache="lru", cache_capacity=2, seed=61,
+    )
+    run_both(
+        program, catalogue, sizes, spec, faults=wrapper(FAULTS[fault]())
+    )
+
+
 class TestCohortEdgeCases:
     """Satellite: batching boundaries where cohorts could drift."""
 
