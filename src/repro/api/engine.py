@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, check_int
 from repro.obs import telemetry as obs
 from repro.core.solver import SolveReport
 from repro.ida import AidaEncoder, reconstruct
@@ -721,19 +721,6 @@ def run_scenario(scenario: Scenario | Mapping[str, Any]) -> ScenarioResult:
     return BroadcastEngine(scenario).run()
 
 
-def _run_scenario_task(
-    scenario: Scenario | Mapping[str, Any], telemetry: bool
-) -> tuple[ScenarioResult, dict[str, Any] | None]:
-    """Pool task for :func:`run_scenarios`: run one scenario and, when
-    the parent has telemetry active, capture this worker's instruments
-    so the parent can merge them in submission order."""
-    if not telemetry:
-        return run_scenario(scenario), None
-    with obs.capture() as tel:
-        result = run_scenario(scenario)
-    return result, tel.to_dict()
-
-
 def run_scenarios(
     scenarios: Iterable[Scenario | Mapping[str, Any]],
     *,
@@ -763,15 +750,7 @@ def run_scenarios(
         for scenario in scenarios
     ]
     if max_workers is not None:
-        if not isinstance(max_workers, int) or isinstance(max_workers, bool):
-            raise SpecificationError(
-                f"max_workers must be a positive integer, got "
-                f"{type(max_workers).__name__}: {max_workers!r}"
-            )
-        if max_workers < 1:
-            raise SpecificationError(
-                f"max_workers must be >= 1: {max_workers}"
-            )
+        check_int(max_workers, "max_workers", minimum=1)
     if max_workers is None or max_workers == 1 or len(normalized) <= 1:
         return tuple(run_scenario(scenario) for scenario in normalized)
 
@@ -785,7 +764,7 @@ def run_scenarios(
         # make the guarantee structural (position bound at submit time)
         # rather than a property of map's iterator.
         futures = [
-            pool.submit(_run_scenario_task, s, tel is not None)
+            pool.submit(obs.call_captured, tel is not None, run_scenario, s)
             for s in normalized
         ]
         results = []

@@ -67,10 +67,11 @@ invalid.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ReproError
 from repro.obs import telemetry as obs
@@ -598,12 +599,21 @@ def _run_sweep(args: argparse.Namespace) -> int:
             return 0
     axes = ", ".join(axis.field for axis in spec.axes) or "(no axes)"
     print(f"sweep     : {spec.name} ({result.cells} cells over {axes})")
+    _print_sweep_counters(result, resume=args.resume)
+    print()
+    print(result.table())
+    return 0
+
+
+def _print_sweep_counters(result: Any, *, resume: bool) -> None:
+    """The summary lines ``repro sweep`` and ``repro sweep serve`` share
+    (``result`` is a :class:`~repro.sweep.SweepResult`)."""
     print(f"store     : {result.store_path}")
     print(
         f"cells     : {result.executed} executed, "
         f"{result.resumed} resumed"
     )
-    if args.resume:
+    if resume:
         print(
             f"re-run    : {result.rerun_drift} fingerprint drift "
             f"(stored scenario changed), "
@@ -617,9 +627,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"elapsed   : {result.elapsed:.2f}s "
         f"({result.workers} worker{'s' if result.workers != 1 else ''})"
     )
-    print()
-    print(result.table())
-    return 0
 
 
 def _sweep_serve(argv: Sequence[str]) -> int:
@@ -750,38 +757,24 @@ def _sweep_serve(argv: Sequence[str]) -> int:
         finally:
             coordinator.close()
             wait_for_workers(children)
+        if children:
+            # The spawned workers shared this solve-cache directory.
+            result = dataclasses.replace(result, cache_dir=cache_dir)
         if args.as_json:
             payload = result.to_dict()
             if tel is not None:
                 embed(tel, payload)
             print(json.dumps(payload, indent=2))
             return 0
-    summary = result.summary()
-    print(f"store     : {result.store_path}")
+    _print_sweep_counters(result, resume=args.resume)
     print(
-        f"cells     : {result.executed} executed, "
-        f"{result.resumed} resumed"
-    )
-    if args.resume:
-        print(
-            f"re-run    : {result.rerun_drift} fingerprint drift "
-            f"(stored scenario changed), "
-            f"{result.rerun_missing} missing key (never completed)"
-        )
-    print(
-        f"designs   : {result.distinct_designs} distinct, "
-        f"{result.solves} solved cluster-wide, "
+        f"cluster   : {result.solves} solved cluster-wide, "
         f"{result.cross_hits} cross-worker cache hits"
     )
-    dist = summary["distributed"]
     print(
-        f"leases    : {dist['requeued']} requeued "
-        f"({dist['lease_expiries']} by expiry), "
-        f"{dist['duplicates']} duplicate rows deduped"
-    )
-    print(
-        f"elapsed   : {result.elapsed:.2f}s "
-        f"({result.workers} worker{'s' if result.workers != 1 else ''})"
+        f"leases    : {result.requeued} requeued "
+        f"({result.lease_expiries} by expiry), "
+        f"{result.duplicates} duplicate rows deduped"
     )
     if result.failures:
         print(f"failures  : {len(result.failures)} cells")

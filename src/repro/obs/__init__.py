@@ -41,6 +41,7 @@ from repro.obs.telemetry import (
     Histogram,
     Telemetry,
     activate,
+    call_captured,
     capture,
     current,
     deactivate,
@@ -65,6 +66,7 @@ __all__ = [
     "activate",
     "deactivate",
     "capture",
+    "call_captured",
     "span",
     "inc",
     "observe",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import SpecificationError
 from repro.obs.spans import DEFAULT_SPAN_CAPACITY, Span, SpanRing
@@ -46,6 +46,7 @@ __all__ = [
     "activate",
     "deactivate",
     "capture",
+    "call_captured",
     "span",
     "inc",
     "observe",
@@ -441,6 +442,25 @@ def capture(tel: Telemetry | None = None) -> Iterator[Telemetry]:
         yield active
     finally:
         deactivate()
+
+
+def call_captured(
+    telemetry: bool, fn: Callable[..., Any], *args: Any, **kwargs: Any
+) -> tuple[Any, dict[str, Any] | None]:
+    """Call ``fn``, under a fresh :func:`capture` when ``telemetry``.
+
+    Returns ``(result, payload)``; ``payload`` is the captured
+    registry's :meth:`Telemetry.to_dict` for the parent to merge, or
+    ``None`` when telemetry is off.  Pool tasks run through this, so
+    each task body is written once and opens its spans with
+    :func:`span` (a null span when nothing is active).
+    """
+
+    if not telemetry:
+        return fn(*args, **kwargs), None
+    with capture() as tel:
+        result = fn(*args, **kwargs)
+    return result, tel.to_dict()
 
 
 def span(name: str, **attrs: Any) -> _SpanContext | _NullSpan:

@@ -15,10 +15,11 @@ one-command cheap:
   programs memoized under canonical design fingerprints, so a grid that
   varies only fault/traffic knobs pays the pinwheel solver once;
 * :mod:`repro.sweep.store` - :class:`RunStore`: a resumable JSONL
-  stream of finished cells;
+  stream of finished cells, and the one rule that decides which stored
+  rows a resumed sweep reuses;
 * :mod:`repro.sweep.orchestrate` - :func:`run_sweep`: one shared
   process pool over cells and traffic shards, submit-order-stable,
-  streaming to the store;
+  streaming to the store; its ``run_cell`` runs every sweep cell;
 * :mod:`repro.sweep.aggregate` - tidy per-cell records, per-axis
   marginals (batch and streaming), and plain-text tables for
   EXPERIMENTS.md;
@@ -27,6 +28,10 @@ one-command cheap:
   crash-safe leases, and a shared solve-cache namespace, scaling one
   sweep across processes or hosts (``repro sweep serve`` /
   ``repro sweep work``).
+
+The process pool and the coordinator are two transports under one
+pipeline: the same cell runner, resume rule and result type
+(:class:`DistributedSweepResult` is a :class:`SweepResult`).
 
 Quickstart::
 

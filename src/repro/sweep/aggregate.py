@@ -167,53 +167,30 @@ def marginals(
     rows).  Output is sorted by the axis value; this is the per-axis
     view figures plot (delay vs. error count, miss rate vs. load).
     """
-    if not metrics:
-        raise SpecificationError("at least one metric is required")
-    def sort_key(value: Any) -> tuple:
-        # Numbers sort numerically, everything else lexically, None last.
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return (0, value, "")
-        if value is None:
-            return (2, 0, "")
-        return (1, 0, str(value))
-
-    # Group under a canonical token so unhashable axis values (e.g. a
-    # scheduler-policy list) group correctly too.
-    groups: dict[str, tuple[Any, list[Mapping[str, Any]]]] = {}
+    accumulator = MarginalAccumulator((field,), metrics)
     for record in records:
-        value = record.get(field)
-        token = json.dumps(value, sort_keys=True, default=str)
-        groups.setdefault(token, (value, []))[1].append(record)
-    out = []
-    for value, members in sorted(
-        groups.values(), key=lambda pair: sort_key(pair[0])
-    ):
-        summary: dict[str, Any] = {field: value, "cells": len(members)}
-        for metric in metrics:
-            numbers = [
-                member[metric]
-                for member in members
-                if isinstance(member.get(metric), (int, float))
-                and not isinstance(member.get(metric), bool)
-            ]
-            summary[f"mean_{metric}"] = (
-                sum(numbers) / len(numbers) if numbers else None
-            )
-        out.append(summary)
-    return out
+        accumulator.add_record(record)
+    return accumulator.summary()[field]
+
+
+def _sort_key(value: Any) -> tuple:
+    """Numbers sort numerically, everything else lexically, None last."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return (0, value, "")
+    if value is None:
+        return (2, 0, "")
+    return (1, 0, str(value))
 
 
 class MarginalAccumulator:
-    """Streaming per-axis marginals: :func:`marginals` one row at a time.
+    """Streaming per-axis marginals, one row at a time.
 
     The distributed coordinator folds every completed row in as it
     lands, so live progress can show "mean miss rate by fault
     probability so far" without re-reading the store - at 10^5 cells,
     re-running :func:`tidy_rows` + :func:`marginals` per update would
-    be quadratic.  :meth:`summary` produces, per axis field, exactly
-    the record list :func:`marginals` would (same grouping, same sort,
-    same ``mean_*`` semantics - pinned by tests), because both reduce
-    to the same (sum, count) pairs.
+    be quadratic.  :meth:`summary` produces, per axis field, the record
+    list :func:`marginals` returns for the same records.
     """
 
     def __init__(
@@ -224,6 +201,8 @@ class MarginalAccumulator:
         self._fields = tuple(fields)
         self._metrics = tuple(metrics)
         self.rows = 0
+        # Grouped under a canonical token so unhashable axis values
+        # (e.g. a scheduler-policy list) group correctly too.
         # field -> token -> (value, cells, {metric: (sum, count)})
         self._groups: dict[
             str, dict[str, tuple[Any, int, dict[str, tuple[float, int]]]]
@@ -255,21 +234,11 @@ class MarginalAccumulator:
 
     def summary(self) -> dict[str, list[dict[str, Any]]]:
         """Per-field marginal tables over everything folded in so far."""
-
-        def sort_key(value: Any) -> tuple:
-            if isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                return (0, value, "")
-            if value is None:
-                return (2, 0, "")
-            return (1, 0, str(value))
-
         out: dict[str, list[dict[str, Any]]] = {}
         for field, groups in self._groups.items():
             table = []
             for value, cells, sums in sorted(
-                groups.values(), key=lambda item: sort_key(item[0])
+                groups.values(), key=lambda item: _sort_key(item[0])
             ):
                 entry: dict[str, Any] = {field: value, "cells": cells}
                 for metric in self._metrics:

@@ -16,9 +16,10 @@ The durability contract, end to end:
 * a worker that disconnects (SIGKILL closes its socket) or stops
   heartbeating (hang) forfeits its leases; the cells re-queue and the
   grid still completes - **any** kill schedule loses zero cells;
-* ``resume=True`` reuses stored rows whose scenario payload still
-  matches, reporting *why* every other stored row re-ran (fingerprint
-  drift vs. missing key), exactly like the serial orchestrator.
+* ``resume=True`` decides reuse with the same
+  :class:`~repro.sweep.store.ResumeIndex` rule as
+  :func:`~repro.sweep.orchestrate.run_sweep`, reporting *why* every
+  other cell re-ran (fingerprint drift vs. missing key).
 
 Threading model: one accept loop (the ``serve`` caller's thread), one
 daemon thread per worker connection, one reaper for lease expiry.  All
@@ -31,7 +32,6 @@ fsync.
 from __future__ import annotations
 
 import collections
-import json
 import socket
 import threading
 import time
@@ -39,12 +39,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, check_int, check_number
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs
-from repro.sweep.aggregate import MarginalAccumulator, render_table, tidy_rows
+from repro.sweep.aggregate import MarginalAccumulator
+from repro.sweep.orchestrate import SweepResult
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import RunStore
+from repro.sweep.store import ResumeIndex, RunStore
 from repro.sweep.distributed.lease import LeaseTable
 from repro.sweep.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -61,68 +62,36 @@ WAIT_DELAY = 0.2
 MARGINAL_METRICS = ("sim_miss_rate", "sim_p95", "traffic_miss_rate")
 
 
-@dataclass(frozen=True)
-class DistributedSweepResult:
+@dataclass(frozen=True, kw_only=True)
+class DistributedSweepResult(SweepResult):
     """Everything one distributed sweep run produced.
 
-    The counters mirror :class:`~repro.sweep.orchestrate.SweepResult`
-    (so summaries are comparable across modes) plus the distributed
-    story: ``duplicates`` (rows recomputed after a lease bounced, then
-    deduped), ``requeued`` (cells taken back from dead or hung
-    workers), ``lease_expiries`` (the hung-worker subset), and
-    per-worker utilization.  ``solves`` aggregates the workers'
-    *reported* cache counters - with a shared cache directory and the
-    single-flight lock it equals ``distinct_designs``: each design
-    solved exactly once cluster-wide.
+    The shared counters, :meth:`records` and :meth:`table` are
+    :class:`~repro.sweep.orchestrate.SweepResult`'s, so summaries are
+    comparable across executors.  ``solves`` sums the workers'
+    *reported* cache counters - with a shared cache directory the
+    single-flight lock makes each design solve exactly once
+    cluster-wide.  The distributed story adds ``duplicates`` (rows
+    recomputed after a lease bounced, then deduped), ``requeued``
+    (cells taken back from dead or hung workers), ``lease_expiries``
+    (the hung-worker subset), per-worker utilization, live marginals
+    and per-cell failure reports.  ``rows`` is empty unless the
+    coordinator kept them (``keep_rows=True``).
     """
 
-    spec: SweepSpec
-    rows: tuple[dict[str, Any], ...]
-    cells: int
-    executed: int
-    resumed: int
-    distinct_designs: int
-    solves: int
-    cache_hits: int
-    workers: int
-    elapsed: float
-    store_path: str | None
     duplicates: int
     requeued: int
     lease_expiries: int
     lock_waits: int
     cross_hits: int
-    rerun_drift: int
-    rerun_missing: int
     worker_stats: dict[str, dict[str, Any]]
     marginals: dict[str, list[dict[str, Any]]]
     failures: tuple[dict[str, str], ...] = ()
 
-    def records(self) -> list[dict[str, Any]]:
-        """Tidy per-cell records (requires ``keep_rows=True``)."""
-        return tidy_rows(self.rows)
-
-    def table(self) -> str:
-        """An aligned plain-text table of the tidy records."""
-        return render_table(self.records())
-
     def summary(self) -> dict[str, Any]:
-        """The headline counters as one JSON-able dict."""
+        """The shared counters plus a ``distributed`` block."""
         return {
-            "sweep": self.spec.name,
-            "cells": self.cells,
-            "executed": self.executed,
-            "resumed": self.resumed,
-            "rerun": {
-                "fingerprint_drift": self.rerun_drift,
-                "missing_key": self.rerun_missing,
-            },
-            "distinct_designs": self.distinct_designs,
-            "solves": self.solves,
-            "cache_hits": self.cache_hits,
-            "workers": self.workers,
-            "elapsed": round(self.elapsed, 3),
-            "store": self.store_path,
+            **super().summary(),
             "distributed": {
                 "duplicates": self.duplicates,
                 "requeued": self.requeued,
@@ -185,15 +154,15 @@ class SweepCoordinator:
             raise SpecificationError(
                 "resume requires a run store (store_path)"
             )
+        check_number(lease_seconds, "lease_seconds")
         if lease_seconds <= 0:
             raise SpecificationError(
                 f"lease_seconds must be > 0: {lease_seconds}"
             )
-        if batch < 1:
-            raise SpecificationError(f"batch must be >= 1: {batch}")
+        check_int(batch, "batch", minimum=1)
         self.spec = spec
         self.lease_seconds = float(lease_seconds)
-        self.batch = int(batch)
+        self.batch = batch
         self._keep_rows = keep_rows
         self._resume = resume
         self._store = (
@@ -210,13 +179,11 @@ class SweepCoordinator:
         self._completed: set[str] = set()
         self._fingerprints: set[str] = set()
         self._failures: dict[str, str] = {}
-        self._stored_by_key: dict[str, dict[str, Any]] = {}
+        self._stored = ResumeIndex(())
         self._executed = 0
         self._resumed = 0
         self._duplicates = 0
         self._requeued = 0
-        self._rerun_drift = 0
-        self._rerun_missing = 0
         self._worker_stats: dict[str, dict[str, Any]] = {}
         self._worker_connected: dict[str, float] = {}
         self._worker_finished: dict[str, float] = {}
@@ -266,33 +233,24 @@ class SweepCoordinator:
             self._store.backup_and_clear()
             return
         with obs.span("sweep.dist.resume_load"):
-            for row in self._store.rows():
-                key = row.get("key")
-                if isinstance(key, str):
-                    # Last row per key wins, like the serial resume.
-                    self._stored_by_key[key] = row
+            self._stored = ResumeIndex(self._store.rows())
 
     def _try_resume(self, unit: WorkUnit) -> dict[str, Any] | None:
-        """The stored row for ``unit`` if it is still valid.
+        """The stored row to reuse for ``unit``, if any.
 
         Stored rows hold *normalized* scenario payloads (they came out
         of ``ScenarioResult.to_dict``), while lazily expanded units are
         pre-normalization - so the unit's payload is normalized through
-        one ``Scenario`` round-trip before comparing.  That cost is
-        paid only for keys that actually have a stored row.
+        one ``Scenario`` round-trip, which the index pays only for keys
+        that actually have a stored row.
         """
-        stored = self._stored_by_key.get(unit.key)
-        if stored is None:
-            if self._resume:
-                self._rerun_missing += 1
+        if not self._resume:
             return None
-        expected = json.loads(
-            json.dumps(Scenario.from_dict(unit.scenario).to_dict())
+        return self._stored.reuse(
+            unit.key,
+            unit.index,
+            lambda: Scenario.from_dict(unit.scenario).to_dict(),
         )
-        if (stored.get("result") or {}).get("scenario") != expected:
-            self._rerun_drift += 1
-            return None
-        return {**stored, "index": unit.index}
 
     def _refill(self, want: int) -> None:
         """Pull units from the lazy expansion until the queue can serve
@@ -323,11 +281,12 @@ class SweepCoordinator:
         if key in self._completed:
             return False
         self._completed.add(key)
-        fingerprint = row.get("fingerprint")
-        if isinstance(fingerprint, str):
-            self._fingerprints.add(fingerprint)
         if not resumed_row:
             self._executed += 1
+            # Designs among *executed* cells, as SweepResult counts.
+            fingerprint = row.get("fingerprint")
+            if isinstance(fingerprint, str):
+                self._fingerprints.add(fingerprint)
         if self._keep_rows:
             self._rows[key] = row
         self._marginals.add_row(row)
@@ -721,8 +680,8 @@ class SweepCoordinator:
                 lease_expiries=self._leases.expired,
                 lock_waits=lock_waits,
                 cross_hits=cross_hits,
-                rerun_drift=self._rerun_drift,
-                rerun_missing=self._rerun_missing,
+                rerun_drift=self._stored.drift,
+                rerun_missing=self._stored.missing,
                 worker_stats=worker_stats,
                 marginals=self._marginals.summary(),
                 failures=failures,

@@ -12,6 +12,7 @@ replacement late, run the coordinator with no workers at all.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 import repro
-from repro.errors import SimulationError, SpecificationError
+from repro.errors import SimulationError, check_int
 from repro.sweep.spec import SweepSpec
 from repro.sweep.distributed.coordinator import (
     DistributedSweepResult,
@@ -117,8 +118,7 @@ def run_distributed_sweep(
     solves exactly once) without littering the filesystem.  Pass a real
     directory to share solves *across* runs too.
     """
-    if workers < 1:
-        raise SpecificationError(f"workers must be >= 1: {workers}")
+    check_int(workers, "workers", minimum=1)
     coordinator = SweepCoordinator(
         spec,
         bind=bind,
@@ -174,7 +174,9 @@ def run_distributed_sweep(
             f"worker processes exited non-zero ({crashed}) and the "
             f"grid is incomplete"
         )
-    return result
+    if cache_dir is None:
+        return result
+    return dataclasses.replace(result, cache_dir=str(cache_dir))
 
 
 def wait_for_workers(

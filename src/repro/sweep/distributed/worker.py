@@ -7,14 +7,14 @@ keeps the worker's leases alive across long solves (the frame lock in
 :class:`~repro.sweep.distributed.protocol.FramedSocket` makes the shared
 socket safe).
 
-Rows are produced **exactly** like the serial orchestrator's: the unit's
-payload is validated into a :class:`~repro.api.Scenario`, the design is
-resolved through the shared :class:`~repro.sweep.cache.SolveCache`
-(whose disk tier plus single-flight lock is what makes each distinct
-design solve exactly once *cluster-wide*), and the engine runs with the
-design injected.  Modulo wall-clock fields, a distributed row is
-bit-identical to its serial twin - the invariant every distributed test
-leans on.
+Rows are produced by the serial orchestrator's own cell runner,
+:func:`~repro.sweep.orchestrate.run_cell`: the unit's payload is
+validated into a :class:`~repro.api.Scenario` and the design is resolved
+through the shared :class:`~repro.sweep.cache.SolveCache` (whose disk
+tier plus single-flight lock is what makes each distinct design solve
+exactly once *cluster-wide*).  Modulo wall-clock fields, a distributed
+row is bit-identical to its serial twin - the invariant every
+distributed test leans on.
 
 A cell that raises :class:`~repro.errors.ReproError` is reported to the
 coordinator as a failed unit (``{uid, key, error}``) rather than
@@ -30,11 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ReproError, SpecificationError
-from repro.api.engine import BroadcastEngine
+from repro.errors import ReproError, SpecificationError, check_int
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs
 from repro.sweep.cache import SolveCache
+from repro.sweep.orchestrate import run_cell
+from repro.sweep.spec import SweepCell
 from repro.sweep.distributed.protocol import (
     PROTOCOL_VERSION,
     FramedSocket,
@@ -74,14 +75,13 @@ class WorkerStats:
 def _execute(
     unit: WorkUnit, cache: SolveCache, stats: WorkerStats
 ) -> dict[str, Any]:
-    """Run one cell and shape its run-store row (the serial shape)."""
-    begin = time.perf_counter()
-    scenario = Scenario.from_dict(unit.scenario)
-    design_fp = scenario.design_fingerprint()
-    first_touch = design_fp not in stats._seen
-    stats._seen.add(design_fp)
-    design, hit = cache.design_for(scenario)
-    if first_touch and hit:
+    """Run one cell through :func:`run_cell`; count cross-worker hits."""
+    cell = SweepCell(
+        unit.index, unit.key, unit.overrides,
+        Scenario.from_dict(unit.scenario),
+    )
+    row, solved = run_cell(cell, cache)
+    if not solved and row["fingerprint"] not in stats._seen:
         # A hit on the very first in-process touch can only have come
         # off the shared disk tier: another worker solved this design.
         # Counted here in the batch stats only - the coordinator sums
@@ -89,17 +89,8 @@ def _execute(
         # (an obs.inc here too would double-count after the goodbye
         # registry merge).
         stats.cross_hits += 1
-    engine = BroadcastEngine(scenario, design=design)
-    result = engine.run()
-    return {
-        "key": unit.key,
-        "index": unit.index,
-        "overrides": [list(pair) for pair in unit.overrides],
-        "fingerprint": design_fp,
-        "cache_hit": hit,
-        "elapsed": round(time.perf_counter() - begin, 6),
-        "result": result.to_dict(),
-    }
+    stats._seen.add(row["fingerprint"])
+    return row
 
 
 def _heartbeat_loop(
@@ -140,8 +131,8 @@ def run_worker(
     Returns the worker's final stats dict (the same payload shipped in
     its goodbye).
     """
-    if batch is not None and batch < 1:
-        raise SpecificationError(f"batch must be >= 1: {batch}")
+    if batch is not None:
+        check_int(batch, "batch", minimum=1)
     stats = WorkerStats()
     cache = SolveCache(cache_dir)
     worker_name = name or f"{os.uname().nodename}-{os.getpid()}"

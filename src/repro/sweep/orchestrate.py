@@ -1,16 +1,18 @@
-"""The sweep orchestrator: expand, memoize, fan out, stream, resume.
+"""The sweep orchestrator: expand, resume, fan out, stream.
 
 :func:`run_sweep` turns a :class:`~repro.sweep.spec.SweepSpec` into a
 finished grid:
 
 1. **expand** - the cross-product of axes becomes validated cells;
-2. **resume** - cells whose keys are already in the run store are
-   skipped (their stored rows are reused verbatim);
-3. **memoize** - every distinct
-   :meth:`~repro.api.Scenario.design_fingerprint` among the pending
-   cells is solved exactly once into the content-addressed
-   :class:`~repro.sweep.cache.SolveCache`; every other cell injects the
-   cached design and pays only its simulation;
+2. **resume** - cells with a stored row from the same concrete scenario
+   are skipped (their stored rows are reused verbatim; the rule is
+   :class:`~repro.sweep.store.ResumeIndex`);
+3. **memoize** - every cell resolves its design through the
+   content-addressed :class:`~repro.sweep.cache.SolveCache`; pool
+   workers share its disk tier, whose single-flight lock solves each
+   distinct :meth:`~repro.api.Scenario.design_fingerprint` exactly once
+   however many tasks miss it together, and every other cell injects
+   the cached design and pays only its simulation;
 4. **fan out** - one shared process pool runs everything: cell
    pipelines *and* the traffic shards of cells with open-loop
    populations (when the pool is wider than the number of cells, each
@@ -20,22 +22,22 @@ finished grid:
 5. **stream** - each finished cell is appended to the JSONL run store
    immediately, so a killed sweep resumes where it stopped.
 
-Futures are collected in submission order (the same structural guarantee
-as :func:`repro.api.engine.run_scenarios`), so rows come out in cell
-order no matter how workers interleave.
+Every cell runs through :func:`run_cell`, here and in the distributed
+worker alike.  Futures are collected in submission order (the same
+structural guarantee as :func:`repro.api.engine.run_scenarios`), so
+rows come out in cell order no matter how workers interleave.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, check_int
 from repro.api.engine import BroadcastEngine
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs
@@ -44,7 +46,7 @@ from repro.traffic.simulate import TrafficResult, shard_bounds
 from repro.sweep.aggregate import render_table, tidy_rows
 from repro.sweep.cache import SolveCache
 from repro.sweep.spec import SweepCell, SweepSpec
-from repro.sweep.store import RunStore
+from repro.sweep.store import ResumeIndex, RunStore
 
 
 #: Process-local SolveCache instances, one per cache directory.  Pool
@@ -55,93 +57,92 @@ from repro.sweep.store import RunStore
 _WORKER_CACHES: dict[str, SolveCache] = {}
 
 
-def _design_for(
-    scenario: Scenario, cache_dir: str | None, use_cache: bool
-):
-    """Resolve one scenario's design through the (optional) cache."""
+def _worker_cache(
+    cache_dir: str | None, use_cache: bool
+) -> SolveCache | None:
+    """This pool worker's cache for ``cache_dir`` (``None`` when off)."""
     if not use_cache:
-        return BroadcastEngine(scenario).design(), False
-    key = "" if cache_dir is None else cache_dir
-    cache = _WORKER_CACHES.get(key)
+        return None
+    cache = _WORKER_CACHES.get(cache_dir)
     if cache is None:
-        cache = _WORKER_CACHES[key] = SolveCache(cache_dir)
-    return cache.design_for(scenario)
+        cache = _WORKER_CACHES[cache_dir] = SolveCache(cache_dir)
+    return cache
 
 
-def _warm_design(
-    payload: Mapping[str, Any],
-    cache_dir: str | None,
-    use_cache: bool,
-    telemetry: bool = False,
-) -> tuple[bool, dict[str, Any] | None]:
-    """Pool task: ensure one design is cached; hit=True when it already
-    was.  With ``telemetry`` the worker captures its own registry (solver
-    attempts, cache counters) and ships the payload back for the parent
-    to merge - the "existing pool plumbing" route for child telemetry."""
-    scenario = Scenario.from_dict(payload)
-    if not telemetry:
-        _, hit = _design_for(scenario, cache_dir, use_cache)
-        return hit, None
-    with obs.capture() as tel:
-        with tel.span("sweep.warm_design"):
-            _, hit = _design_for(scenario, cache_dir, use_cache)
-    return hit, tel.to_dict()
+def _lookup(scenario: Scenario, cache: SolveCache | None):
+    """``(design, solved)`` for one scenario; ``cache=None`` solves."""
+    if cache is None:
+        return BroadcastEngine(scenario).design(), True
+    design, hit = cache.design_for(scenario)
+    return design, not hit
 
 
-def _run_cell(
-    payload: Mapping[str, Any],
+def run_cell(
+    cell: SweepCell,
+    cache: SolveCache | None,
+    *,
+    include_traffic: bool = True,
+) -> tuple[dict[str, Any], bool]:
+    """Run one cell's pipeline and shape its run-store row.
+
+    The design comes from ``cache`` (``None`` solves directly - the
+    ``use_cache=False`` arm) under a ``sweep.cell.solve`` span, and the
+    engine runs with it injected under ``sweep.cell.simulate``.  Returns
+    ``(row, solved)``, where ``solved`` says this call ran the solver.
+    The serial loop, the pool's cell task and the distributed worker
+    all run cells through here, so their rows agree field for field.
+    """
+    begin = time.perf_counter()
+    with obs.span("sweep.cell.solve"):
+        design, solved = _lookup(cell.scenario, cache)
+    engine = BroadcastEngine(cell.scenario, design=design)
+    with obs.span("sweep.cell.simulate"):
+        result = engine.run(include_traffic=include_traffic)
+    row = {
+        "key": cell.key,
+        "index": cell.index,
+        "overrides": [list(pair) for pair in cell.overrides],
+        "fingerprint": cell.scenario.design_fingerprint(),
+        "cache_hit": not solved,
+        "elapsed": round(time.perf_counter() - begin, 6),
+        "result": result.to_dict(),
+    }
+    return row, solved
+
+
+def _pool_cell(
+    cell: SweepCell,
     cache_dir: str | None,
     use_cache: bool,
     include_traffic: bool,
-    telemetry: bool = False,
-    key: str | None = None,
-    queued_at: float | None = None,
-) -> tuple[bool, dict[str, Any], float, dict[str, Any] | None]:
-    """Pool task: run one cell's pipeline (optionally minus traffic)."""
-    begin = time.perf_counter()
-    scenario = Scenario.from_dict(payload)
-    if not telemetry:
-        design, hit = _design_for(scenario, cache_dir, use_cache)
-        engine = BroadcastEngine(scenario, design=design)
-        result = engine.run(include_traffic=include_traffic)
-        return hit, result.to_dict(), time.perf_counter() - begin, None
-    with obs.capture() as tel:
-        with tel.span("sweep.cell", key=key):
-            if queued_at is not None:
-                # Queue wait is measured on the shared wall clock
-                # (time.time survives the process hop; perf_counter
-                # does not) and recorded as a pre-measured child span.
-                tel.record_span(
-                    "sweep.cell.queue", max(0.0, time.time() - queued_at)
-                )
-            with tel.span("sweep.cell.solve"):
-                design, hit = _design_for(scenario, cache_dir, use_cache)
-            engine = BroadcastEngine(scenario, design=design)
-            with tel.span("sweep.cell.simulate"):
-                result = engine.run(include_traffic=include_traffic)
-    return hit, result.to_dict(), time.perf_counter() - begin, tel.to_dict()
+    queued_at: float,
+) -> tuple[dict[str, Any], bool]:
+    """Pool task: one cell (optionally minus traffic) on this worker."""
+    with obs.span("sweep.cell", key=cell.key):
+        tel = obs.current()
+        if tel is not None:
+            # Queue wait is measured on the shared wall clock
+            # (time.time survives the process hop; perf_counter does
+            # not) and recorded as a pre-measured child span.
+            tel.record_span(
+                "sweep.cell.queue", max(0.0, time.time() - queued_at)
+            )
+        return run_cell(
+            cell,
+            _worker_cache(cache_dir, use_cache),
+            include_traffic=include_traffic,
+        )
 
 
-def _run_traffic_shard(
-    payload: Mapping[str, Any],
-    cache_dir: str | None,
-    use_cache: bool,
-    lo: int,
-    hi: int,
-    telemetry: bool = False,
-) -> tuple[TrafficMetrics, dict[str, Any] | None]:
-    """Pool task: one traffic shard of one cell."""
-    scenario = Scenario.from_dict(payload)
-    if not telemetry:
-        design, _ = _design_for(scenario, cache_dir, use_cache)
+def _pool_shard(
+    scenario: Scenario, cache_dir: str, lo: int, hi: int
+) -> tuple[TrafficMetrics, bool]:
+    """Pool task: one traffic shard of one cell, and whether its design
+    lookup solved (a shard may win the single-flight lock first)."""
+    with obs.span("sweep.traffic_shard", lo=lo, hi=hi):
+        design, solved = _lookup(scenario, _worker_cache(cache_dir, True))
         shard = BroadcastEngine(scenario, design=design)
-        return shard.run_traffic_shard(lo, hi), None
-    with obs.capture() as tel:
-        with tel.span("sweep.traffic_shard", lo=lo, hi=hi):
-            design, _ = _design_for(scenario, cache_dir, use_cache)
-            shard = BroadcastEngine(scenario, design=design)
-            metrics = shard.run_traffic_shard(lo, hi)
-    return metrics, tel.to_dict()
+        return shard.run_traffic_shard(lo, hi), solved
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,14 @@ class SweepResult:
     ``rows`` holds one run-store row per cell, in cell order, including
     rows reused from a resumed store.  The counters tell the caching
     story: ``distinct_designs`` fingerprints appeared among executed
-    cells, ``solves`` of them actually ran the solver this invocation,
-    and ``cache_hits`` is ``executed - solves`` - the design fetches the
-    cache absorbed - which is identical for serial and pooled runs of
+    cells, ``solves`` counts the cell and traffic-shard tasks whose
+    design lookup ran the solver this invocation, and ``cache_hits`` is
+    ``executed - solves`` - the design fetches the cache absorbed.  With
+    one shared cache, single-flight keeps ``solves <= distinct_designs``
+    and both counts agree across serial, pooled and distributed runs of
     the same sweep.  (Each row's ``cache_hit`` flag is observational:
-    the pool's warm wave solves before any cell runs, so there every
-    cell observes a hit, while serially the first cell per design
-    reports the miss.)
+    the miss lands on whichever task solved its design, which in a pool
+    depends on scheduling.)
     """
 
     spec: SweepSpec
@@ -218,24 +220,6 @@ class SweepResult:
         return {"summary": self.summary(), "records": self.records()}
 
 
-def _row(
-    cell: SweepCell,
-    fingerprint: str,
-    cache_hit: bool,
-    elapsed: float,
-    result: dict[str, Any],
-) -> dict[str, Any]:
-    return {
-        "key": cell.key,
-        "index": cell.index,
-        "overrides": [list(pair) for pair in cell.overrides],
-        "fingerprint": fingerprint,
-        "cache_hit": cache_hit,
-        "elapsed": round(elapsed, 6),
-        "result": result,
-    }
-
-
 def _traffic_shards(
     cell: SweepCell, workers: int, pending: int, use_cache: bool
 ) -> int:
@@ -286,23 +270,16 @@ def run_sweep(
         ``False`` disables design memoization entirely - every cell
         pays the solver.  (The benchmark's control arm.)
     resume:
-        Skip cells whose keys are already in the run store; their
-        stored rows are returned as-is.
+        Reuse each cell's stored row when one was produced by the same
+        concrete scenario (:class:`~repro.sweep.store.ResumeIndex`);
+        reused rows are returned as-is.
     """
     if not isinstance(spec, SweepSpec):
         raise SpecificationError(
             f"run_sweep expects a SweepSpec, got {type(spec).__name__}"
         )
     if max_workers is not None:
-        if not isinstance(max_workers, int) or isinstance(max_workers, bool):
-            raise SpecificationError(
-                f"max_workers must be a positive integer, got "
-                f"{type(max_workers).__name__}: {max_workers!r}"
-            )
-        if max_workers < 1:
-            raise SpecificationError(
-                f"max_workers must be >= 1: {max_workers}"
-            )
+        check_int(max_workers, "max_workers", minimum=1)
     if resume and store_path is None:
         raise SpecificationError(
             "resume requires a run store (store_path)"
@@ -310,9 +287,6 @@ def run_sweep(
 
     begin = time.perf_counter()
     cells = spec.cells()
-    fingerprints = {
-        cell.key: cell.scenario.design_fingerprint() for cell in cells
-    }
 
     store = None if store_path is None else RunStore(store_path)
     rows_by_key: dict[str, dict[str, Any]] = {}
@@ -320,41 +294,14 @@ def run_sweep(
     rerun_missing = 0
     if store is not None:
         if resume:
-            # A row is reusable only if it was produced by the *same*
-            # concrete scenario - matching on the cell key alone would
-            # silently resurrect stale rows after the spec's base
-            # scenario changed in a field no axis covers.  Scenarios
-            # are compared in JSON-normalized form (the store holds
-            # pure JSON types).
-            by_key = {cell.key: cell for cell in cells}
-            expected = {
-                cell.key: json.loads(json.dumps(cell.scenario.to_dict()))
-                for cell in cells
-            }
-            drift_keys: set[str] = set()
-            for row in store.rows():
-                key = row.get("key")
-                if key not in expected:
-                    continue
-                stored = (row.get("result") or {}).get("scenario")
-                if stored != expected[key]:
-                    # Stale: the stored row was produced by a different
-                    # concrete scenario (so its fingerprint drifted);
-                    # the cell re-runs, and the summary says why.
-                    drift_keys.add(key)
-                    continue
-                # The key pins the axis values but not the position -
-                # the grid may have gained cells since the row was
-                # written, so the positional index is rewritten from
-                # the current expansion.
-                rows_by_key[key] = {**row, "index": by_key[key].index}
-            # A later matching row rescues a key an older stale row
-            # would have flagged (duplicate keys: last good row wins).
-            drift_keys -= set(rows_by_key)
-            rerun_drift = len(drift_keys)
-            rerun_missing = (
-                len(expected) - len(rows_by_key) - rerun_drift
-            )
+            stored = ResumeIndex(store.rows())
+            for cell in cells:
+                row = stored.reuse(
+                    cell.key, cell.index, cell.scenario.to_dict
+                )
+                if row is not None:
+                    rows_by_key[cell.key] = row
+            rerun_drift, rerun_missing = stored.drift, stored.missing
         else:
             # A fresh (non-resume) run over a populated store keeps one
             # .bak generation instead of silently destroying finished
@@ -380,79 +327,34 @@ def run_sweep(
     solves = 0
     try:
         if workers == 1:
+            # A fresh cache per call: its memory tier memoizes within
+            # this sweep even when no directory is named.
             cache = SolveCache(cache_dir_str) if use_cache else None
             for cell in pending:
                 cell_begin = time.perf_counter()
                 with obs.span("sweep.cell", key=cell.key):
-                    with obs.span("sweep.cell.solve"):
-                        if cache is None:
-                            design, hit = (
-                                BroadcastEngine(cell.scenario).design(),
-                                False,
-                            )
-                            solves += 1
-                        else:
-                            design, hit = cache.design_for(cell.scenario)
-                    engine = BroadcastEngine(cell.scenario, design=design)
-                    with obs.span("sweep.cell.simulate"):
-                        result = engine.run()
-                    row = _row(
-                        cell,
-                        fingerprints[cell.key],
-                        hit,
-                        time.perf_counter() - cell_begin,
-                        result.to_dict(),
-                    )
+                    row, solved = run_cell(cell, cache)
                     if store is not None:
                         with obs.span("sweep.cell.store"):
                             store.append(row)
+                solves += solved
                 rows_by_key[cell.key] = row
                 busy_seconds += time.perf_counter() - cell_begin
-            if cache is not None:
-                solves = cache.solves
         elif pending:
             from concurrent.futures import ProcessPoolExecutor
 
+            telemetry = tel is not None
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                if use_cache:
-                    # Wave 0: solve each distinct design exactly once,
-                    # in parallel, before any cell needs it.
-                    distinct: dict[str, dict[str, Any]] = {}
-                    for cell in pending:
-                        distinct.setdefault(
-                            fingerprints[cell.key],
-                            cell.scenario.to_dict(),
-                        )
-                    warm = [
-                        pool.submit(
-                            _warm_design, payload, cache_dir_str, True,
-                            tel is not None,
-                        )
-                        for payload in distinct.values()
-                    ]
-                    for future in warm:
-                        warm_hit, warm_tel = future.result()
-                        if not warm_hit:
-                            solves += 1
-                        if tel is not None and warm_tel is not None:
-                            tel.merge_dict(warm_tel)
-                # Wave 1: cell pipelines plus traffic shards, all on the
-                # same pool, futures collected in submission order.
+                # Cell pipelines plus traffic shards, all on the same
+                # pool, futures collected in submission order.
                 submitted = []
                 for cell in pending:
                     shards = _traffic_shards(
                         cell, workers, len(pending), use_cache
                     )
-                    payload = cell.scenario.to_dict()
                     base = pool.submit(
-                        _run_cell,
-                        payload,
-                        cache_dir_str,
-                        use_cache,
-                        shards == 1,
-                        tel is not None,
-                        cell.key,
-                        time.time() if tel is not None else None,
+                        obs.call_captured, telemetry, _pool_cell, cell,
+                        cache_dir_str, use_cache, shards == 1, time.time(),
                     )
                     shard_futures = []
                     if shards > 1:
@@ -461,13 +363,8 @@ def run_sweep(
                         )
                         shard_futures = [
                             pool.submit(
-                                _run_traffic_shard,
-                                payload,
-                                cache_dir_str,
-                                use_cache,
-                                lo,
-                                hi,
-                                tel is not None,
+                                obs.call_captured, telemetry, _pool_shard,
+                                cell.scenario, cache_dir_str, lo, hi,
                             )
                             for lo, hi in bounds
                         ]
@@ -486,24 +383,22 @@ def run_sweep(
                         (cell, base, shard_futures, time.perf_counter(),
                          finish)
                     )
-                if not use_cache:
-                    solves = len(pending)
                 for (
                     cell, base, shard_futures, submit_time, finish
                 ) in submitted:
-                    hit, result, cell_elapsed, cell_tel = base.result()
+                    (row, solved), cell_tel = base.result()
+                    solves += solved
                     if tel is not None and cell_tel is not None:
                         tel.merge_dict(cell_tel)
-                    busy_seconds += cell_elapsed
+                    busy_seconds += row["elapsed"]
                     if shard_futures:
-                        traffic_spec = cell.scenario.traffic
                         parts = []
                         for future in shard_futures:
-                            metrics, shard_tel = future.result()
+                            (metrics, solved), shard_tel = future.result()
+                            solves += solved
                             parts.append(metrics)
                             if tel is not None and shard_tel is not None:
                                 tel.merge_dict(shard_tel)
-                        merged = TrafficMetrics.merged(parts)
                         # Submission to last-task-completion covers both
                         # phases (they overlap on the pool) without
                         # double-counting, and keeps simulate_traffic's
@@ -512,21 +407,14 @@ def run_sweep(
                             finish.get("at", time.perf_counter())
                             - submit_time
                         )
-                        result["traffic"] = TrafficResult(
-                            spec=traffic_spec,
-                            metrics=merged,
+                        row["result"]["traffic"] = TrafficResult(
+                            spec=cell.scenario.traffic,
+                            metrics=TrafficMetrics.merged(parts),
                             elapsed=traffic_elapsed,
                             workers=len(shard_futures),
                             temporal=cell.scenario.temporal is not None,
                         ).to_dict()
-                        cell_elapsed = traffic_elapsed
-                    row = _row(
-                        cell,
-                        fingerprints[cell.key],
-                        hit,
-                        cell_elapsed,
-                        result,
-                    )
+                        row["elapsed"] = round(traffic_elapsed, 6)
                     if store is not None:
                         with obs.span("sweep.cell.store", key=cell.key):
                             store.append(row)
@@ -554,7 +442,7 @@ def run_sweep(
         executed=len(pending),
         resumed=resumed,
         distinct_designs=len(
-            {fingerprints[cell.key] for cell in pending}
+            {rows_by_key[cell.key]["fingerprint"] for cell in pending}
         ),
         solves=solves,
         cache_hits=max(0, len(pending) - solves),

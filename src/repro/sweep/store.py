@@ -2,10 +2,10 @@
 
 Every completed sweep cell is appended to the store as one JSON line and
 flushed to disk immediately, so a killed sweep keeps everything it
-finished.  Re-invoking with ``resume=True`` reads the store back, skips
-every cell whose ``key`` is already present, and appends only the rest -
-the store converges to one row per cell no matter how many times the
-sweep is interrupted.
+finished.  Re-invoking with ``resume=True`` reads the store back, reuses
+every cell that has a row produced by the same concrete scenario (see
+:class:`ResumeIndex`, the one rule both sweep executors apply), and runs
+only the rest.
 
 Robustness over a kill mid-append: a torn *final* line (the only kind a
 crash can produce, since rows are appended serially) is ignored on read;
@@ -20,7 +20,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.obs import telemetry as obs
@@ -215,9 +215,9 @@ class RunStore:
     def completed_keys(self) -> set[str]:
         """The cell keys already present in the store (inspection aid).
 
-        Note that :func:`repro.sweep.orchestrate.run_sweep` resumes on
-        a *stronger* condition than key presence - it also compares the
-        stored scenario payload, so rows left by an older base scenario
+        Note that a resumed sweep reuses rows on a *stronger* condition
+        than key presence - it also compares the stored scenario payload
+        (:class:`ResumeIndex`), so rows left by an older base scenario
         are re-run rather than resurrected.
         """
         return {
@@ -226,3 +226,54 @@ class RunStore:
 
     def __repr__(self) -> str:
         return f"RunStore({str(self._path)!r})"
+
+
+class ResumeIndex:
+    """Stored rows by cell key, and the rule that decides their reuse.
+
+    A stored row is reused for a cell only if it was produced by the
+    *same* concrete scenario: matching on the key alone would resurrect
+    stale rows after the base scenario changed in a field no axis
+    covers.  Rows are deterministic, so a matching row is a valid
+    result even when a later stale row for the same key follows it; the
+    last matching row wins.  Every cell that does not reuse a row is
+    counted by why it re-runs: ``drift`` (the key has rows, but none
+    from this scenario) or ``missing`` (the key has no row at all).
+    """
+
+    def __init__(self, rows: Iterable[Mapping[str, Any]]) -> None:
+        self._rows: dict[str, list[Mapping[str, Any]]] = {}
+        for row in rows:
+            key = row.get("key")
+            if isinstance(key, str):
+                self._rows.setdefault(key, []).append(row)
+        self.drift = 0
+        self.missing = 0
+
+    def reuse(
+        self,
+        key: str,
+        index: int,
+        scenario: Callable[[], Mapping[str, Any]],
+    ) -> dict[str, Any] | None:
+        """The stored row to reuse for one cell, or ``None`` to re-run.
+
+        ``scenario`` returns the cell's scenario payload in
+        :meth:`~repro.api.Scenario.to_dict` form; it is called only when
+        ``key`` has stored rows, so lazily expanded grids pay for the
+        normalization only where a row could match.  The reused row's
+        positional ``index`` is rewritten to ``index``: the key pins the
+        axis values but not the position, and the grid may have gained
+        cells since the row was written.
+        """
+        stored = self._rows.get(key)
+        if not stored:
+            self.missing += 1
+            return None
+        # The store holds pure JSON types; compare in that form.
+        expected = json.loads(json.dumps(scenario()))
+        for row in reversed(stored):
+            if (row.get("result") or {}).get("scenario") == expected:
+                return {**row, "index": index}
+        self.drift += 1
+        return None

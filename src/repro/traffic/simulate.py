@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 
 from math import lcm
 
-from repro.errors import SimulationError, SpecificationError
+from repro.errors import SimulationError, SpecificationError, check_int
 from repro.bdisk.multichannel import ChannelSet
 from repro.bdisk.program import BroadcastProgram
 from repro.obs import telemetry as obs
@@ -712,32 +712,21 @@ def _pool_shard_task(
     lo: int,
     hi: int,
     trace: bool,
-    telemetry: bool,
     shard_state: Mapping[str, Any],
-) -> tuple[TrafficMetrics, list[RequestRecord], dict[str, Any] | None]:
-    """Pool task: one shard, optionally capturing worker telemetry.
+) -> tuple[TrafficMetrics, list[RequestRecord]]:
+    """Pool task: one shard under a ``traffic.shard`` span.
 
     ``shard_state`` holds the runner's keyword arguments: the channel
     set, or a vectorized shard's prebuilt ``tables`` / ``mc_tables``.
-    The third element is the worker's telemetry payload for the parent
-    to merge (``None`` when telemetry is off) - the shard itself records
-    into the capture via :func:`_record_shard_metrics` and the engine's
-    own instruments.
+    The pool runs it through :func:`repro.obs.telemetry.call_captured`,
+    so with telemetry on the worker's instruments (the engine's own and
+    :func:`_record_shard_metrics`) ride back for the parent to merge.
     """
-    runner = _shard_runner(engine)
-    if not telemetry:
-        metrics, records = runner(
+    with obs.span("traffic.shard", engine=engine, lo=lo, hi=hi):
+        return _shard_runner(engine)(
             program, catalogue, spec, sizes, limits, faults, temporal,
             lo, hi, trace, **shard_state,
         )
-        return metrics, records, None
-    with obs.capture() as tel:
-        with tel.span("traffic.shard", engine=engine, lo=lo, hi=hi):
-            metrics, records = runner(
-                program, catalogue, spec, sizes, limits, faults,
-                temporal, lo, hi, trace, **shard_state,
-            )
-    return metrics, records, tel.to_dict()
 
 
 def _build_fault_model(faults: Any) -> FaultModel:
@@ -1231,15 +1220,7 @@ def simulate_traffic(
     if temporal is not None:
         _validate_temporal(temporal, spec, catalogue)
     if max_workers is not None:
-        if not isinstance(max_workers, int) or isinstance(max_workers, bool):
-            raise SpecificationError(
-                f"max_workers must be a positive integer, got "
-                f"{type(max_workers).__name__}: {max_workers!r}"
-            )
-        if max_workers < 1:
-            raise SpecificationError(
-                f"max_workers must be >= 1: {max_workers}"
-            )
+        check_int(max_workers, "max_workers", minimum=1)
     sizes = {file: file_sizes[file] for file in catalogue}
     limits = {file: deadlines[file] for file in catalogue}
     # Build the shared occurrence tables once, up front.
@@ -1290,10 +1271,9 @@ def simulate_traffic(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _pool_shard_task,
+                    obs.call_captured, tel is not None, _pool_shard_task,
                     engine, program, catalogue, spec, sizes, limits,
-                    faults, temporal, lo, hi, trace, tel is not None,
-                    shard_state,
+                    faults, temporal, lo, hi, trace, shard_state,
                 )
                 for lo, hi in shard_bounds(spec.clients, workers)
             ]
@@ -1303,10 +1283,10 @@ def simulate_traffic(
         # Worker telemetry rides back on the shard results and merges
         # exactly, in the same deterministic submission order.
         parts = []
-        for part_metrics, part_records, part_tel in pooled:
+        for part, part_tel in pooled:
             if tel is not None and part_tel is not None:
                 tel.merge_dict(part_tel)
-            parts.append((part_metrics, part_records))
+            parts.append(part)
     metrics = TrafficMetrics.merged(
         [part_metrics for part_metrics, _ in parts]
     )

@@ -119,6 +119,19 @@ class TestActivationStack:
         assert outer.value("y") == 1
         assert outer.value("x") is None
 
+    def test_call_captured_ships_a_payload_only_when_on(self):
+        def task(n):
+            with obs.span("task"):
+                obs.inc("calls")
+            return n * 2
+
+        assert obs.call_captured(False, task, 3) == (6, None)
+        result, payload = obs.call_captured(True, task, n=4)
+        assert result == 8 and obs.current() is None
+        merged = Telemetry.from_dict(payload)
+        assert merged.value("calls") == 1
+        assert [span["name"] for span in payload["spans"]] == ["task"]
+
     def test_activate_deactivate_pair(self):
         tel = Telemetry()
         assert obs.activate(tel) is tel

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.api import Scenario
+from repro.errors import SpecificationError
 from repro.obs import telemetry as obs
 from repro.sweep import RunStore, SweepAxis, SweepSpec, run_sweep
 from repro.sweep.distributed import (
@@ -373,6 +374,97 @@ class TestWorkerEdges:
             framed.close()
             coordinator.close()
             server.join(timeout=10.0)
+
+
+class TestSummaryParity:
+    """The summary keys both executors share mean the same thing;
+    ``workers`` and ``elapsed`` describe the transport and may differ."""
+
+    SHARED = (
+        "cells", "executed", "resumed", "rerun", "distinct_designs",
+        "solves", "cache_hits",
+    )
+
+    @pytest.mark.parametrize("state", ["fresh", "all-resumed", "mixed"])
+    def test_shared_keys_agree(self, tmp_path, serial_baseline, state):
+        spec, serial = serial_baseline
+        rows = [json.loads(json.dumps(row)) for row in serial.rows]
+        if state == "fresh":
+            rows = []
+        elif state == "mixed":
+            # One key missing, one stored row stale.
+            rows[1]["result"]["scenario"]["name"] = "stale-base"
+            rows = rows[1:]
+        resume = state != "fresh"
+        for name in ("pool", "dist"):
+            RunStore(tmp_path / f"{name}.jsonl").append_many(rows)
+        pooled = run_sweep(
+            spec,
+            max_workers=2,
+            store_path=tmp_path / "pool.jsonl",
+            cache_dir=tmp_path / "pool-cache",
+            resume=resume,
+        ).summary()
+        coordinator = SweepCoordinator(
+            spec, store_path=tmp_path / "dist.jsonl", resume=resume
+        )
+        # An all-resumed grid completes without any worker.
+        children = [
+            spawn_worker(
+                coordinator.address,
+                cache_dir=tmp_path / "dist-cache",
+                name=f"w{i}",
+            )
+            for i in range(0 if state == "all-resumed" else 2)
+        ]
+        dist = coordinator.serve().summary()
+        wait_for_workers(children)
+        pooled, dist = (
+            {key: summary[key] for key in self.SHARED}
+            for summary in (pooled, dist)
+        )
+        assert pooled == dist
+        if state == "all-resumed":
+            assert pooled["distinct_designs"] == 0
+        else:
+            assert pooled["solves"] == pooled["distinct_designs"]
+
+
+class TestWorkerCountValidation:
+    def test_bad_worker_counts_rejected(self):
+        for bad in (0, True, "2"):
+            with pytest.raises(SpecificationError, match="workers"):
+                run_distributed_sweep(multichannel_grid(), workers=bad)
+
+    def test_fractional_worker_count_fails_fast(self):
+        # A fractional count used to kill the launcher thread while
+        # serve() waited forever for workers that never connect.
+        outcome = {}
+
+        def attempt():
+            try:
+                run_distributed_sweep(multichannel_grid(), workers=1.5)
+            except SpecificationError as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=attempt, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "run_distributed_sweep hung"
+        assert "workers" in str(outcome["error"])
+
+    def test_bad_coordinator_knobs_rejected(self):
+        for knobs in (
+            {"batch": 1.5}, {"batch": True}, {"batch": 0},
+            {"lease_seconds": "5"}, {"lease_seconds": 0},
+        ):
+            with pytest.raises(SpecificationError):
+                SweepCoordinator(multichannel_grid(), **knobs)
+
+    def test_bad_worker_batch_rejected(self):
+        for bad in (1.5, True, 0):
+            with pytest.raises(SpecificationError, match="batch"):
+                run_worker("127.0.0.1", 1, batch=bad, connect_timeout=0.3)
 
 
 class TestTelemetry:

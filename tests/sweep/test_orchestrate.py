@@ -6,7 +6,13 @@ import pytest
 
 from repro.api import Scenario
 from repro.errors import SpecificationError
-from repro.sweep import RunStore, SweepAxis, SweepSpec, run_sweep
+from repro.sweep import (
+    RunStore,
+    SweepAxis,
+    SweepSpec,
+    run_distributed_sweep,
+    run_sweep,
+)
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -333,11 +339,14 @@ class TestValidation:
 class TestResumeRerunReasons:
     """``--resume`` must say *why* a stored row re-ran: the scenario
     payload drifted (stored row from a different base) vs. the key was
-    simply never completed."""
+    simply never completed.  ``run`` is the executor under test; the
+    subclass below runs every case through the distributed one."""
+
+    run = staticmethod(run_sweep)
 
     def test_missing_key_is_classified(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        run_sweep(
+        self.run(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -346,7 +355,7 @@ class TestResumeRerunReasons:
         with open(store_path, "w", encoding="utf-8") as handle:
             for row in rows[:4]:
                 handle.write(json.dumps(row) + "\n")
-        resumed = run_sweep(
+        resumed = self.run(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -362,14 +371,14 @@ class TestResumeRerunReasons:
 
     def test_fingerprint_drift_is_classified(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        run_sweep(
+        self.run(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
         )
         # Same keys, different base scenario: every stored row is
         # stale by drift, none by absence.
-        resumed = run_sweep(
+        resumed = self.run(
             fault_grid(workload={"requests": 12, "horizon": 60,
                                  "seed": 4}),
             store_path=store_path,
@@ -386,7 +395,7 @@ class TestResumeRerunReasons:
 
     def test_mixed_reasons(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        run_sweep(
+        self.run(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -402,7 +411,7 @@ class TestResumeRerunReasons:
                     row = json.loads(json.dumps(row))
                     row["result"]["scenario"]["name"] = "stale"
                 handle.write(json.dumps(row) + "\n")
-        resumed = run_sweep(
+        resumed = self.run(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -412,8 +421,37 @@ class TestResumeRerunReasons:
         assert resumed.rerun_drift == 1
         assert resumed.rerun_missing == 1
 
+    def test_matching_row_survives_a_later_stale_one(self, tmp_path):
+        store_path = tmp_path / "runs.jsonl"
+        self.run(
+            fault_grid(),
+            store_path=store_path,
+            cache_dir=tmp_path / "cache",
+        )
+        # Resuming under a renamed base re-runs every cell, so each key
+        # now holds its matching row followed by a stale one.
+        renamed = self.run(
+            fault_grid(name="renamed"),
+            store_path=store_path,
+            cache_dir=tmp_path / "cache",
+            resume=True,
+        )
+        assert renamed.rerun_drift == 6
+        # Rows are deterministic: the earlier matching row is still a
+        # valid result for the original base.
+        resumed = self.run(
+            fault_grid(),
+            store_path=store_path,
+            cache_dir=tmp_path / "cache",
+            resume=True,
+        )
+        assert resumed.resumed == 6 and resumed.executed == 0
+        assert resumed.rerun_drift == 0 and resumed.rerun_missing == 0
+        names = {row["result"]["scenario"]["name"] for row in resumed.rows}
+        assert names == {"base"}
+
     def test_no_resume_reports_zero(self, tmp_path):
-        result = run_sweep(
+        result = self.run(
             fault_grid(),
             store_path=tmp_path / "runs.jsonl",
             cache_dir=tmp_path / "cache",
@@ -423,3 +461,11 @@ class TestResumeRerunReasons:
             "fingerprint_drift": 0,
             "missing_key": 0,
         }
+
+
+class TestDistributedResumeRerunReasons(TestResumeRerunReasons):
+    """The same cases through the distributed coordinator."""
+
+    @staticmethod
+    def run(spec, **kwargs):
+        return run_distributed_sweep(spec, workers=1, **kwargs)
