@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from repro.errors import SpecificationError, check_int
+from repro.errors import SpecificationError
+from repro.fields import check_int
 from repro.obs import telemetry as obs
 from repro.core.solver import SolveReport
 from repro.ida import AidaEncoder, reconstruct

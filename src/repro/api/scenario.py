@@ -7,24 +7,36 @@ fault model, a client workload, the scheduler policy, and an optional
 worst-case delay sweep - as one immutable, JSON-round-trippable object.
 :class:`repro.api.engine.BroadcastEngine` turns a scenario into results.
 
-Scenarios validate eagerly: any inconsistent combination raises
-:class:`repro.errors.SpecificationError` at construction time, so a bad
-JSON file fails at ``Scenario.from_file`` rather than mid-pipeline.
+Each spec here declares its fields once (:mod:`repro.fields`): their
+JSON shapes, bounds and emit rules.  The one walker that reads those
+declarations parses, checks and serializes every spec, so a bad JSON
+file fails at ``Scenario.from_file`` - not mid-pipeline - with a
+:class:`repro.errors.SpecificationError` naming the field path
+(``files[2].blocks must be an integer, got str: 'x'``).  Each
+``__post_init__`` writes out only the rules that span fields.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import (
-    SpecificationError,
-    check_int,
-    check_number,
-    require_keys,
+from repro.errors import SpecificationError
+from repro.fields import (
+    Int,
+    ListOf,
+    MapOf,
+    Number,
+    Spec,
+    Str,
+    check_fields,
+    record,
+    reject,
+    spec_field,
+    when,
 )
 from repro.core.partition import get_partitioner
 from repro.core.registry import POLICIES, get_scheduler
@@ -38,7 +50,6 @@ from repro.sim.faults import (
     BurstFaults,
     FaultModel,
     NoFaults,
-    slot_numbers,
 )
 
 #: Fault-model kinds a :class:`FaultSpec` understands.
@@ -49,7 +60,7 @@ ASSIGNMENT_POLICIES = ("striped", "replicated", "explicit")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """A declarative channel fault model.
 
     ``kind`` selects the model; only that model's parameters are
@@ -61,31 +72,25 @@ class FaultSpec:
     * ``"adversarial"`` - an explicit ``lost_slots`` set.
     """
 
-    kind: str = "none"
-    probability: float = 0.0
-    p_enter: float = 0.0
-    p_exit: float = 1.0
-    lost_slots: tuple[int, ...] = ()
-    seed: int = 0
+    kind: str = spec_field(Str(*FAULT_KINDS), default="none")
+    probability: float = spec_field(
+        Number(), default=0.0, emit=when("kind", "bernoulli")
+    )
+    p_enter: float = spec_field(
+        Number(), default=0.0, emit=when("kind", "burst")
+    )
+    p_exit: float = spec_field(
+        Number(), default=1.0, emit=when("kind", "burst")
+    )
+    lost_slots: tuple[int, ...] = spec_field(
+        ListOf(Int()), default=(), emit=when("kind", "adversarial")
+    )
+    seed: int = spec_field(
+        Int(), default=0, emit=when("kind", "bernoulli", "burst")
+    )
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise SpecificationError(
-                f"unknown fault kind {self.kind!r} "
-                f"(expected one of {FAULT_KINDS})"
-            )
-        check_number(self.probability, "fault probability")
-        check_number(self.p_enter, "fault p_enter")
-        check_number(self.p_exit, "fault p_exit")
-        check_int(self.seed, "fault seed")
-        try:
-            object.__setattr__(
-                self, "lost_slots", slot_numbers(self.lost_slots)
-            )
-        except TypeError as error:
-            raise SpecificationError(
-                f"fault lost_slots must be a list of slots: {error}"
-            ) from error
+        check_fields(self)
         # Parameter validation is the models' own; building one surfaces
         # range errors (probabilities, negative slots) eagerly.
         self.build()
@@ -99,25 +104,6 @@ class FaultSpec:
         if self.kind == "burst":
             return BurstFaults(self.p_enter, self.p_exit, seed=self.seed)
         return AdversarialFaults(self.lost_slots)
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict with only the active model's parameters."""
-        if self.kind == "bernoulli":
-            return {
-                "kind": self.kind,
-                "probability": self.probability,
-                "seed": self.seed,
-            }
-        if self.kind == "burst":
-            return {
-                "kind": self.kind,
-                "p_enter": self.p_enter,
-                "p_exit": self.p_exit,
-                "seed": self.seed,
-            }
-        if self.kind == "adversarial":
-            return {"kind": self.kind, "lost_slots": list(self.lost_slots)}
-        return {"kind": self.kind}
 
     def for_channel(self, index: int) -> "FaultSpec":
         """The fault spec channel ``index`` of a multi-channel set draws.
@@ -140,23 +126,9 @@ class FaultSpec:
             seed=self.seed + index,
         )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        require_keys(
-            payload,
-            {"kind", "probability", "p_enter", "p_exit", "lost_slots",
-             "seed"},
-            "fault spec",
-        )
-        # __post_init__ normalizes lost_slots to a tuple of ints itself,
-        # turning non-iterables and non-integer slots into
-        # SpecificationError.
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Spec):
     """A set of ``count`` parallel broadcast channels.
 
     Generalizes the paper's single channel: hot data can be striped over
@@ -172,9 +144,6 @@ class ChannelSpec:
         File-to-channel policy: ``"striped"`` partitions the catalogue
         with ``partitioner``; ``"replicated"`` places every file on
         every channel; ``"explicit"`` takes the mapping in ``explicit``.
-    explicit:
-        Only for ``assignment="explicit"``: file name -> list of channel
-        indices carrying it (each file on at least one channel).
     partitioner:
         Registered partitioner name (see :mod:`repro.core.partition`)
         used by ``"striped"`` assignment.
@@ -190,92 +159,73 @@ class ChannelSpec:
     quorum:
         Copies ``r`` a versioned read must assemble with one consistent
         version (``1 <= r <= count``).  Also a runtime knob.
+    explicit:
+        Only for ``assignment="explicit"``: file name -> list of channel
+        indices carrying it (each file on at least one channel).
     """
 
-    count: int = 1
-    assignment: str = "striped"
-    explicit: Mapping[str, tuple[int, ...]] | None = None
-    partitioner: str = "worst-fit"
-    fault_budgets: tuple[int, ...] | None = None
-    tuning_cost: int = 0
-    quorum: int = 1
+    count: int = spec_field(Int(1), default=1)
+    assignment: str = spec_field(
+        Str(*ASSIGNMENT_POLICIES), default="striped"
+    )
+    partitioner: str = spec_field(Str(), default="worst-fit")
+    fault_budgets: tuple[int, ...] | None = spec_field(
+        ListOf(Int(0)), default=None
+    )
+    tuning_cost: int = spec_field(Int(0), default=0)
+    quorum: int = spec_field(Int(1), default=1)
+    explicit: Mapping[str, tuple[int, ...]] | None = spec_field(
+        MapOf(ListOf(Int(0))), default=None, emit="set"
+    )
 
     def __post_init__(self) -> None:
-        check_int(self.count, "channels count", minimum=1)
-        if self.assignment not in ASSIGNMENT_POLICIES:
-            raise SpecificationError(
-                f"unknown channel assignment {self.assignment!r} "
-                f"(expected one of {ASSIGNMENT_POLICIES})"
-            )
+        check_fields(self)
         get_partitioner(self.partitioner)  # raises when unknown
-        check_int(self.tuning_cost, "channels tuning_cost", minimum=0)
-        check_int(self.quorum, "channels quorum", minimum=1)
         if self.quorum > self.count:
             raise SpecificationError(
                 f"channels quorum must be <= count: "
                 f"{self.quorum}-of-{self.count}"
             )
-        if self.fault_budgets is not None:
-            try:
-                budgets = tuple(self.fault_budgets)
-            except TypeError as error:
-                raise SpecificationError(
-                    f"channels fault_budgets must be a list of integers: "
-                    f"{error}"
-                ) from error
-            if len(budgets) != self.count:
-                raise SpecificationError(
-                    f"channels fault_budgets must have one entry per "
-                    f"channel: got {len(budgets)} for count {self.count}"
-                )
-            for c, budget in enumerate(budgets):
-                check_int(
-                    budget, f"channels fault_budgets[{c}]", minimum=0
-                )
-            object.__setattr__(self, "fault_budgets", budgets)
+        if (
+            self.fault_budgets is not None
+            and len(self.fault_budgets) != self.count
+        ):
+            raise SpecificationError(
+                f"channels fault_budgets must have one entry per "
+                f"channel: got {len(self.fault_budgets)} for count "
+                f"{self.count}"
+            )
         if (self.explicit is None) != (self.assignment != "explicit"):
             raise SpecificationError(
                 "channels explicit mapping must be given exactly when "
                 f"assignment is 'explicit' (assignment={self.assignment!r})"
             )
-        if self.explicit is not None:
-            if not isinstance(self.explicit, Mapping):
+        if self.explicit is None:
+            return
+        for name, ids in self.explicit.items():
+            if not ids:
                 raise SpecificationError(
-                    f"channels explicit must be an object mapping file "
-                    f"names to channel lists, got "
-                    f"{type(self.explicit).__name__}"
+                    f"channels explicit[{name!r}] must name at least "
+                    f"one channel"
                 )
-            normalized: dict[str, tuple[int, ...]] = {}
-            for name, ids in self.explicit.items():
-                if isinstance(ids, (str, bytes)) or not hasattr(
-                    ids, "__iter__"
-                ):
-                    raise SpecificationError(
-                        f"channels explicit[{name!r}] must be a list of "
-                        f"channel indices, got {type(ids).__name__}"
-                    )
-                ids = tuple(ids)
-                if not ids:
-                    raise SpecificationError(
-                        f"channels explicit[{name!r}] must name at least "
-                        f"one channel"
-                    )
-                for c in ids:
-                    check_int(
-                        c, f"channels explicit[{name!r}] entry", minimum=0
-                    )
-                    if c >= self.count:
-                        raise SpecificationError(
-                            f"channels explicit[{name!r}] names channel "
-                            f"{c}, but count is {self.count}"
-                        )
-                if len(set(ids)) != len(ids):
-                    raise SpecificationError(
-                        f"channels explicit[{name!r}] repeats a channel: "
-                        f"{list(ids)}"
-                    )
-                normalized[name] = tuple(sorted(ids))
-            object.__setattr__(self, "explicit", normalized)
+            if max(ids) >= self.count:
+                raise SpecificationError(
+                    f"channels explicit[{name!r}] names channel "
+                    f"{max(ids)}, but count is {self.count}"
+                )
+            if len(set(ids)) != len(ids):
+                raise SpecificationError(
+                    f"channels explicit[{name!r}] repeats a channel: "
+                    f"{list(ids)}"
+                )
+        object.__setattr__(
+            self,
+            "explicit",
+            {
+                name: tuple(sorted(ids))
+                for name, ids in sorted(self.explicit.items())
+            },
+        )
 
     def budget_for(self, channel: int) -> int:
         """The extra fault budget channel ``channel`` imposes."""
@@ -290,71 +240,13 @@ class ChannelSpec:
         aired programs, not the programs themselves, so they are
         excluded: sweeps over them hit the solve cache.
         """
-        payload: dict[str, Any] = {
-            "count": self.count,
-            "assignment": self.assignment,
-            "partitioner": self.partitioner,
-            "fault_budgets": (
-                None
-                if self.fault_budgets is None
-                else list(self.fault_budgets)
-            ),
-        }
-        if self.explicit is not None:
-            payload["explicit"] = {
-                name: list(ids)
-                for name, ids in sorted(self.explicit.items())
-            }
+        payload = self.to_dict()
+        del payload["tuning_cost"], payload["quorum"]
         return payload
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :meth:`from_dict` round-trips it."""
-        payload: dict[str, Any] = {
-            "count": self.count,
-            "assignment": self.assignment,
-            "partitioner": self.partitioner,
-            "fault_budgets": (
-                None
-                if self.fault_budgets is None
-                else list(self.fault_budgets)
-            ),
-            "tuning_cost": self.tuning_cost,
-            "quorum": self.quorum,
-        }
-        if self.explicit is not None:
-            payload["explicit"] = {
-                name: list(ids)
-                for name, ids in sorted(self.explicit.items())
-            }
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChannelSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        require_keys(
-            payload,
-            {"count", "assignment", "explicit", "partitioner",
-             "fault_budgets", "tuning_cost", "quorum"},
-            "channels spec",
-        )
-        explicit = payload.get("explicit")
-        if explicit is not None:
-            if not isinstance(explicit, Mapping):
-                raise SpecificationError(
-                    f"channels explicit must be an object, got "
-                    f"{type(explicit).__name__}"
-                )
-            explicit = {
-                name: tuple(ids) if hasattr(ids, "__iter__")
-                and not isinstance(ids, (str, bytes)) else ids
-                for name, ids in explicit.items()
-            }
-        kwargs = {k: v for k, v in payload.items() if k != "explicit"}
-        return cls(explicit=explicit, **kwargs)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """A seeded client request stream.
 
     ``requests`` arrivals, uniform over ``horizon`` slots, file choice
@@ -362,123 +254,86 @@ class WorkloadSpec:
     first).  Deadlines come from each file's latency budget.
     """
 
-    requests: int = 100
-    horizon: int = 500
-    zipf_skew: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_int(self.requests, "workload requests", minimum=1)
-        check_int(self.horizon, "workload horizon", minimum=1)
-        check_number(self.zipf_skew, "workload zipf_skew")
-        check_int(self.seed, "workload seed")
-        if self.zipf_skew < 0:
-            raise SpecificationError(
-                f"workload zipf_skew must be >= 0: {self.zipf_skew}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict of all four parameters."""
-        return {
-            "requests": self.requests,
-            "horizon": self.horizon,
-            "zipf_skew": self.zipf_skew,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WorkloadSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        require_keys(
-            payload,
-            {"requests", "horizon", "zipf_skew", "seed"},
-            "workload spec",
-        )
-        return cls(**payload)
+    requests: int = spec_field(Int(1), default=100)
+    horizon: int = spec_field(Int(1), default=500)
+    zipf_skew: float = spec_field(Number(0), default=0.0)
+    seed: int = spec_field(Int(), default=0)
 
 
-def _file_to_dict(spec: FileSpec | GeneralizedFileSpec) -> dict[str, Any]:
-    if isinstance(spec, GeneralizedFileSpec):
-        payload: dict[str, Any] = {
-            "name": spec.name,
-            "blocks": spec.blocks,
-            "latency_vector": list(spec.latency_vector),
-        }
-    else:
-        payload = {
-            "name": spec.name,
-            "blocks": spec.blocks,
-            "latency": spec.latency,
-            "fault_budget": spec.fault_budget,
-        }
-    # Explicit payload bytes round-trip as base64 (omitted when absent,
-    # since simulators synthesize deterministic payloads from the name).
-    if spec.data is not None:
-        payload["data"] = base64.b64encode(spec.data).decode("ascii")
-    return payload
+class _Base64:
+    """File payload bytes, carried in JSON as base64."""
 
-
-def _decode_payload_data(encoded: str | None) -> bytes | None:
-    if encoded is None:
-        return None
-    try:
-        return base64.b64decode(encoded, validate=True)
-    except (ValueError, TypeError) as error:
-        raise SpecificationError(
-            f"file data must be base64-encoded: {error}"
-        ) from error
-
-
-def _file_from_dict(
-    payload: Mapping[str, Any]
-) -> FileSpec | GeneralizedFileSpec:
-    if not isinstance(payload, Mapping):
-        raise SpecificationError(
-            f"each file entry must be an object, got "
-            f"{type(payload).__name__}: {payload!r}"
-        )
-    if "latency_vector" in payload:
-        allowed, required = {"name", "blocks", "latency_vector", "data"}, {
-            "name", "blocks", "latency_vector",
-        }
-    else:
-        allowed, required = {
-            "name", "blocks", "latency", "fault_budget", "data",
-        }, {"name", "blocks", "latency"}
-    what = "generalized file" if "latency_vector" in payload else "file"
-    require_keys(payload, allowed, what)
-    missing = required - set(payload)
-    if missing:
-        raise SpecificationError(
-            f"{what} entry is missing required keys {sorted(missing)}: "
-            f"{dict(payload)!r}"
-        )
-    data = _decode_payload_data(payload.get("data"))
-    if "latency_vector" in payload:
+    def load(self, value: Any) -> bytes:
         try:
-            vector = tuple(payload["latency_vector"])
-        except TypeError as error:
-            raise SpecificationError(
-                f"generalized file latency_vector must be a list of "
-                f"slots: {error}"
-            ) from error
-        return GeneralizedFileSpec(
-            payload["name"],
-            payload["blocks"],
-            vector,
-            data=data,
+            return base64.b64decode(value, validate=True)
+        except (ValueError, TypeError) as error:
+            reject(f"must be base64-encoded: {error}")
+
+    def dump(self, value: bytes) -> str:
+        return base64.b64encode(value).decode("ascii")
+
+
+#: A scenario file entry; ``data`` is omitted when absent, since
+#: simulators synthesize deterministic payloads from the name.
+_DATA = spec_field(_Base64(), default=None, emit="set")
+_REGULAR_FILE = record(
+    FileSpec,
+    name=spec_field(Str()),
+    blocks=spec_field(Int()),
+    latency=spec_field(Int()),
+    fault_budget=spec_field(Int(), default=0),
+    data=_DATA,
+)
+_GENERALIZED_FILE = record(
+    GeneralizedFileSpec,
+    name=spec_field(Str()),
+    blocks=spec_field(Int()),
+    latency_vector=spec_field(ListOf(Int())),
+    data=_DATA,
+)
+
+
+class _File:
+    """A file entry: generalized when it carries a ``latency_vector``."""
+
+    def load(self, value: Any) -> FileSpec | GeneralizedFileSpec:
+        if isinstance(value, (FileSpec, GeneralizedFileSpec)):
+            return value
+        if isinstance(value, (dict, Mapping)) and "latency_vector" in value:
+            return _GENERALIZED_FILE.load(value)
+        return _REGULAR_FILE.load(value)
+
+    def dump(self, spec: FileSpec | GeneralizedFileSpec) -> dict[str, Any]:
+        if isinstance(spec, GeneralizedFileSpec):
+            return _GENERALIZED_FILE.dump(spec)
+        return _REGULAR_FILE.dump(spec)
+
+
+FILE_ENTRY = _File()
+
+
+class _Policy:
+    """``"auto"``, ``"exact-first"``, or a list of scheduler names."""
+
+    names = Str(*POLICIES)
+    schedulers = ListOf(Str())
+
+    def load(self, value: Any) -> str | tuple[str, ...]:
+        if isinstance(value, str):
+            return self.names.load(value)
+        if isinstance(value, (list, tuple)):
+            return self.schedulers.load(value)
+        reject(
+            f"must be one of {list(POLICIES)} or a list of scheduler "
+            f"names, got {type(value).__name__}: {value!r}"
         )
-    return FileSpec(
-        payload["name"],
-        payload["blocks"],
-        payload["latency"],
-        fault_budget=payload.get("fault_budget", 0),
-        data=data,
-    )
+
+    def dump(self, value: str | tuple[str, ...]) -> str | list[str]:
+        return value if isinstance(value, str) else list(value)
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One declarative end-to-end broadcast-disk experiment.
 
     Attributes
@@ -529,32 +384,40 @@ class Scenario:
         small.
     """
 
-    name: str
-    files: tuple[FileSpec | GeneralizedFileSpec, ...] = ()
-    bandwidth: int | None = None
-    block_size: int = 64
-    mode: str | None = None
-    redundancy: RedundancyPolicy | None = None
-    faults: FaultSpec = field(default_factory=FaultSpec)
-    workload: WorkloadSpec | None = None
-    traffic: TrafficSpec | None = None
-    temporal: TemporalSpec | None = None
-    channels: ChannelSpec | None = None
-    scheduler_policy: str | tuple[str, ...] = "auto"
-    delay_errors: int | None = None
+    name: str = spec_field(Str(nonempty=True))
+    files: tuple[FileSpec | GeneralizedFileSpec, ...] = spec_field(
+        ListOf(FILE_ENTRY),
+        default=(),
+        # A temporal scenario's files are derived, not specified:
+        # serializing them would make the payload fail round-trip
+        # validation (files and temporal are mutually exclusive).
+        derived=lambda scenario: scenario.temporal is not None,
+    )
+    bandwidth: int | None = spec_field(Int(1), default=None)
+    block_size: int = spec_field(Int(1), default=64)
+    mode: str | None = spec_field(Str(), default=None)
+    redundancy: RedundancyPolicy | None = spec_field(
+        RedundancyPolicy, default=None
+    )
+    faults: FaultSpec = spec_field(
+        FaultSpec, default_factory=FaultSpec, nullable=True
+    )
+    workload: WorkloadSpec | None = spec_field(WorkloadSpec, default=None)
+    traffic: TrafficSpec | None = spec_field(TrafficSpec, default=None)
+    temporal: TemporalSpec | None = spec_field(TemporalSpec, default=None)
+    scheduler_policy: str | tuple[str, ...] = spec_field(
+        _Policy(), default="auto", nullable=True
+    )
+    delay_errors: int | None = spec_field(Int(0), default=None)
+    # Channel-less scenarios serialize exactly as they always did: the
+    # key only appears when set.
+    channels: ChannelSpec | None = spec_field(
+        ChannelSpec, default=None, emit="set"
+    )
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise SpecificationError(
-                f"scenario name must be a non-empty string: {self.name!r}"
-            )
-        object.__setattr__(self, "files", tuple(self.files))
+        check_fields(self)
         if self.temporal is not None:
-            if not isinstance(self.temporal, TemporalSpec):
-                raise SpecificationError(
-                    f"scenario {self.name!r}: temporal must be a "
-                    f"TemporalSpec, got {type(self.temporal).__name__}"
-                )
             # The catalogue is derived, not specified.  Files equal to
             # the derivation are tolerated so dataclasses.replace() -
             # which re-passes every field - keeps working on temporal
@@ -585,13 +448,7 @@ class Scenario:
             raise SpecificationError(
                 f"scenario {self.name!r}: at least one file is required"
             )
-        kinds = {type(spec) for spec in self.files}
-        if not kinds <= {FileSpec, GeneralizedFileSpec}:
-            raise SpecificationError(
-                f"scenario {self.name!r}: files must be FileSpec or "
-                f"GeneralizedFileSpec instances"
-            )
-        if len(kinds) > 1:
+        if len({type(spec) for spec in self.files}) > 1:
             raise SpecificationError(
                 f"scenario {self.name!r}: cannot mix regular and "
                 f"generalized files in one scenario"
@@ -602,21 +459,10 @@ class Scenario:
             raise SpecificationError(
                 f"scenario {self.name!r}: duplicate file names {dupes}"
             )
-        check_int(
-            self.block_size,
-            f"scenario {self.name!r}: block_size",
-            minimum=1,
-        )
-        if self.bandwidth is not None:
-            if self.generalized:
-                raise SpecificationError(
-                    f"scenario {self.name!r}: bandwidth cannot be forced "
-                    f"for generalized files (latencies are already slots)"
-                )
-            check_int(
-                self.bandwidth,
-                f"scenario {self.name!r}: bandwidth",
-                minimum=1,
+        if self.bandwidth is not None and self.generalized:
+            raise SpecificationError(
+                f"scenario {self.name!r}: bandwidth cannot be forced "
+                f"for generalized files (latencies are already slots)"
             )
         if (self.redundancy is None) != (self.mode is None):
             raise SpecificationError(
@@ -629,24 +475,20 @@ class Scenario:
                 f"regular files only (generalized files encode fault "
                 f"tolerance in their latency vectors)"
             )
-        if self.delay_errors is not None:
-            check_int(
-                self.delay_errors,
-                f"scenario {self.name!r}: delay_errors",
-                minimum=0,
-            )
         self._validate_channels()
-        self._validate_policy()
+        if not self.scheduler_policy:
+            raise SpecificationError(
+                f"scenario {self.name!r}: scheduler policy list must "
+                f"not be empty"
+            )
+        if not isinstance(self.scheduler_policy, str):
+            for name in self.scheduler_policy:
+                get_scheduler(name)  # raises SpecificationError when unknown
 
     def _validate_channels(self) -> None:
         spec = self.channels
         if spec is None:
             return
-        if not isinstance(spec, ChannelSpec):
-            raise SpecificationError(
-                f"scenario {self.name!r}: channels must be a "
-                f"ChannelSpec, got {type(spec).__name__}"
-            )
         names = {file.name for file in self.files}
         if spec.assignment == "striped" and spec.count > len(self.files):
             raise SpecificationError(
@@ -708,32 +550,6 @@ class Scenario:
         # The effective catalogue: redundancy budgets shift densities,
         # and the stripe must match what the designer will partition.
         return resolve_assignment(self.effective_files, spec)
-
-    def _validate_policy(self) -> None:
-        policy = self.scheduler_policy
-        if isinstance(policy, str):
-            if policy not in POLICIES:
-                raise SpecificationError(
-                    f"scenario {self.name!r}: unknown scheduler policy "
-                    f"{policy!r} (expected one of {POLICIES} or a list "
-                    f"of scheduler names)"
-                )
-            return
-        try:
-            object.__setattr__(self, "scheduler_policy", tuple(policy))
-        except TypeError as error:
-            raise SpecificationError(
-                f"scenario {self.name!r}: scheduler policy must be "
-                f"'auto', 'exact-first', or a list of scheduler names "
-                f"(got {type(policy).__name__}: {policy!r})"
-            ) from error
-        if not self.scheduler_policy:
-            raise SpecificationError(
-                f"scenario {self.name!r}: scheduler policy list must "
-                f"not be empty"
-            )
-        for name in self.scheduler_policy:
-            get_scheduler(name)  # raises SpecificationError when unknown
 
     @property
     def generalized(self) -> bool:
@@ -837,152 +653,6 @@ class Scenario:
         from repro.core.fingerprint import fingerprint
 
         return fingerprint(["scenario", self.to_dict()])
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :meth:`from_dict` round-trips it."""
-        policy = self.scheduler_policy
-        payload = {
-            "name": self.name,
-            # A temporal scenario's files are derived, not specified:
-            # serializing them would make the payload fail round-trip
-            # validation (files and temporal are mutually exclusive).
-            "files": (
-                []
-                if self.temporal is not None
-                else [_file_to_dict(spec) for spec in self.files]
-            ),
-            "bandwidth": self.bandwidth,
-            "block_size": self.block_size,
-            "mode": self.mode,
-            "redundancy": (
-                None
-                if self.redundancy is None
-                else {
-                    "default": self.redundancy.default,
-                    "budgets": {
-                        mode: dict(files)
-                        for mode, files in self.redundancy.budgets.items()
-                    },
-                }
-            ),
-            "faults": self.faults.to_dict(),
-            "workload": (
-                None if self.workload is None else self.workload.to_dict()
-            ),
-            "traffic": (
-                None if self.traffic is None else self.traffic.to_dict()
-            ),
-            "temporal": (
-                None if self.temporal is None else self.temporal.to_dict()
-            ),
-            "scheduler_policy": (
-                policy if isinstance(policy, str) else list(policy)
-            ),
-            "delay_errors": self.delay_errors,
-        }
-        # Like design_payload: channel-less scenarios serialize exactly
-        # as they always did.
-        if self.channels is not None:
-            payload["channels"] = self.channels.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Scenario":
-        """Build a scenario from :meth:`to_dict` output / parsed JSON.
-
-        Unknown keys raise :class:`SpecificationError` (catching typos in
-        hand-written scenario files); every omitted optional key takes
-        its dataclass default.
-        """
-        if not isinstance(payload, Mapping):
-            raise SpecificationError(
-                f"scenario payload must be a mapping, got "
-                f"{type(payload).__name__}"
-            )
-        require_keys(
-            payload,
-            {"name", "files", "bandwidth", "block_size", "mode",
-             "redundancy", "faults", "workload", "traffic", "temporal",
-             "channels", "scheduler_policy", "delay_errors"},
-            "scenario",
-        )
-        files_payload = payload.get("files", ())
-        if isinstance(files_payload, (str, bytes, Mapping)) or not hasattr(
-            files_payload, "__iter__"
-        ):
-            raise SpecificationError(
-                f"scenario files must be a list of file objects, got "
-                f"{type(files_payload).__name__}"
-            )
-        files = tuple(_file_from_dict(entry) for entry in files_payload)
-        redundancy_payload = payload.get("redundancy")
-        redundancy = None
-        if redundancy_payload is not None:
-            require_keys(
-                redundancy_payload, {"default", "budgets"}, "redundancy"
-            )
-            budgets = redundancy_payload.get("budgets", {})
-            if not isinstance(budgets, Mapping) or not all(
-                isinstance(files_by_mode, Mapping)
-                and all(
-                    isinstance(budget, int)
-                    for budget in files_by_mode.values()
-                )
-                for files_by_mode in budgets.values()
-            ):
-                raise SpecificationError(
-                    "redundancy budgets must be an object of objects "
-                    "(mode -> file -> integer fault budget)"
-                )
-            redundancy = RedundancyPolicy(
-                budgets=budgets,
-                default=redundancy_payload.get("default", 0),
-            )
-        faults_payload = payload.get("faults")
-        workload_payload = payload.get("workload")
-        traffic_payload = payload.get("traffic")
-        temporal_payload = payload.get("temporal")
-        channels_payload = payload.get("channels")
-        # null means "not specified", by analogy with bandwidth/mode;
-        # anything else is validated (and tuple-ified) by Scenario itself.
-        policy = payload.get("scheduler_policy")
-        if policy is None:
-            policy = "auto"
-        return cls(
-            name=payload.get("name", ""),
-            files=files,
-            bandwidth=payload.get("bandwidth"),
-            block_size=payload.get("block_size", 64),
-            mode=payload.get("mode"),
-            redundancy=redundancy,
-            faults=(
-                FaultSpec()
-                if faults_payload is None
-                else FaultSpec.from_dict(faults_payload)
-            ),
-            workload=(
-                None
-                if workload_payload is None
-                else WorkloadSpec.from_dict(workload_payload)
-            ),
-            traffic=(
-                None
-                if traffic_payload is None
-                else TrafficSpec.from_dict(traffic_payload)
-            ),
-            temporal=(
-                None
-                if temporal_payload is None
-                else TemporalSpec.from_dict(temporal_payload)
-            ),
-            channels=(
-                None
-                if channels_payload is None
-                else ChannelSpec.from_dict(channels_payload)
-            ),
-            scheduler_policy=policy,
-            delay_errors=payload.get("delay_errors"),
-        )
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """Serialize to a JSON string."""

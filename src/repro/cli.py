@@ -745,7 +745,10 @@ def _sweep_serve(argv: Sequence[str]) -> int:
     children = []
     with _telemetry_capture(args) as tel:
         try:
-            for index in range(args.workers or 0):
+            # No more workers than cells left to run (see
+            # run_distributed_sweep).
+            pending = coordinator.pending_cells()
+            for index in range(min(args.workers or 0, pending)):
                 children.append(
                     spawn_worker(
                         (host, port),

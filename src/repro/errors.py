@@ -4,14 +4,11 @@ Every error raised by this library derives from :class:`ReproError`, so
 callers can catch a single base class at API boundaries.  Subclasses are
 organized by subsystem (scheduling, dispersal, broadcast programs,
 simulation) and carry enough structured context to be actionable.  The
-module also holds the type and key checks that every declarative spec
-runs on its JSON input, so each raises the same
-:class:`SpecificationError` messages.
+declarative specs' type and key checks live with their field
+declarations, in :mod:`repro.fields`.
 """
 
 from __future__ import annotations
-
-from typing import Any, Mapping
 
 
 class ReproError(Exception):
@@ -85,46 +82,3 @@ class SimulationError(ReproError, ValueError):
     the plain-Python sense, and callers outside the library commonly
     guard with ``except ValueError``.
     """
-
-
-# ----------------------------------------------------------------------
-# JSON-boundary validators shared by the declarative specs
-# ----------------------------------------------------------------------
-
-
-def check_int(value: Any, what: str, *, minimum: int | None = None) -> None:
-    """Reject anything but an ``int`` (bools excluded) ``>= minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be an integer, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-    if minimum is not None and value < minimum:
-        raise SpecificationError(f"{what} must be >= {minimum}: {value}")
-
-
-def check_number(value: Any, what: str) -> None:
-    """Reject anything but an ``int`` or ``float`` (bools excluded)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SpecificationError(
-            f"{what} must be a number, got {type(value).__name__}: "
-            f"{value!r}"
-        )
-
-
-def require_keys(
-    payload: Mapping[str, Any], allowed: set[str], what: str
-) -> None:
-    """Reject a non-mapping ``payload`` or one with keys outside
-    ``allowed``."""
-    if not isinstance(payload, Mapping):
-        raise SpecificationError(
-            f"{what} must be an object, got {type(payload).__name__}: "
-            f"{payload!r}"
-        )
-    unknown = set(payload) - allowed
-    if unknown:
-        raise SpecificationError(
-            f"{what}: unknown keys {sorted(unknown)} "
-            f"(allowed: {sorted(allowed)})"
-        )

@@ -16,10 +16,11 @@ budgets the broadcast-disk designer turns into ``pc`` windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import DispersalError, SpecificationError
+from repro.fields import Int, MapOf, Spec, spec_field
 from repro.ida.blocks import Block
 from repro.ida.dispersal import disperse, reconstruct
 
@@ -121,7 +122,7 @@ class AidaEncoder:
 
 
 @dataclass(frozen=True)
-class RedundancyPolicy:
+class RedundancyPolicy(Spec):
     """Per-mode fault-tolerance budgets for a set of files.
 
     ``budgets[mode][file_id] = r`` means: in ``mode``, file ``file_id``
@@ -130,21 +131,12 @@ class RedundancyPolicy:
     ``default`` (0 = no redundancy, the non-critical case).
     """
 
-    budgets: Mapping[str, Mapping[str, int]]
-    default: int = 0
-
-    def __post_init__(self) -> None:
-        if self.default < 0:
-            raise SpecificationError(
-                f"default fault budget must be >= 0: {self.default}"
-            )
-        for mode, files in self.budgets.items():
-            for file_id, budget in files.items():
-                if budget < 0:
-                    raise SpecificationError(
-                        f"fault budget for {file_id!r} in mode {mode!r} "
-                        f"must be >= 0: {budget}"
-                    )
+    # Declared first so the JSON form leads with it; keyword-only so
+    # ``budgets`` stays the one positional argument.
+    default: int = spec_field(Int(0), default=0, kw_only=True)
+    budgets: Mapping[str, Mapping[str, int]] = spec_field(
+        MapOf(MapOf(Int(0))), default_factory=dict
+    )
 
     def fault_budget(self, mode: str, file_id: str) -> int:
         """The fault budget ``r`` for ``file_id`` in ``mode``."""

@@ -20,23 +20,29 @@ runtime knobs** - two specs differing only in those induce the same
 broadcast program, which is what lets a sweep over update rates or
 transaction mixes stay a solve-cache hit.
 
-Validation is eager (construction raises
-:class:`repro.errors.SpecificationError` on any inconsistent value,
-including an item whose constraint cannot carry its blocks in *any*
-declared mode) and serialization emits only the parameters the chosen
-forms actually use, matching the ``FaultSpec`` idiom.
+Each spec declares its fields once (:mod:`repro.fields`), and the one
+walker that reads those declarations parses, checks and serializes it:
+construction raises :class:`repro.errors.SpecificationError` on any
+inconsistent value - including an item whose constraint cannot carry
+its blocks in *any* declared mode - and serialization emits only the
+parameters the chosen forms actually use, matching the ``FaultSpec``
+idiom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
-from repro.errors import (
-    SpecificationError,
-    check_int,
-    check_number,
-    require_keys,
+from repro.errors import SpecificationError
+from repro.fields import (
+    Int,
+    ListOf,
+    MapOf,
+    Number,
+    Spec,
+    Str,
+    check_fields,
+    spec_field,
 )
 from repro.bdisk.file import FileSpec
 from repro.rtdb.items import DataItem
@@ -50,10 +56,11 @@ from repro.rtdb.updates import UpdatingServer
 
 
 @dataclass(frozen=True)
-class TemporalItemSpec:
+class TemporalItemSpec(Spec):
     """One temporally constrained data item.
 
-    The constraint is given in exactly one of two forms:
+    The constraint is given in exactly one of two forms (and serializes
+    in the form it was given):
 
     * ``max_age_ms`` - the absolute staleness bound directly;
     * ``velocity_kmh`` + ``accuracy_m`` - object kinematics, from which
@@ -64,23 +71,22 @@ class TemporalItemSpec:
     modes not mentioned fall back to ``default_faults``.
     """
 
-    name: str
-    blocks: int = 1
-    max_age_ms: int | None = None
-    velocity_kmh: float | None = None
-    accuracy_m: float | None = None
-    criticality: dict[str, int] = field(default_factory=dict)
-    default_faults: int = 0
+    name: str = spec_field(Str(nonempty=True))
+    blocks: int = spec_field(Int(1), default=1)
+    max_age_ms: int | None = spec_field(Int(1), default=None, emit="set")
+    velocity_kmh: float | None = spec_field(
+        Number(), default=None, emit="set"
+    )
+    accuracy_m: float | None = spec_field(
+        Number(), default=None, emit="set"
+    )
+    criticality: dict[str, int] = spec_field(
+        MapOf(Int(0)), default_factory=dict, emit="changed"
+    )
+    default_faults: int = spec_field(Int(0), default=0, emit="changed")
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise SpecificationError(
-                f"temporal item name must be a non-empty string: "
-                f"{self.name!r}"
-            )
-        check_int(
-            self.blocks, f"temporal item {self.name!r}: blocks", minimum=1
-        )
+        check_fields(self)
         kinematic = (
             self.velocity_kmh is not None or self.accuracy_m is not None
         )
@@ -95,39 +101,6 @@ class TemporalItemSpec:
             raise SpecificationError(
                 f"temporal item {self.name!r}: kinematics need both "
                 f"velocity_kmh and accuracy_m"
-            )
-        if self.max_age_ms is not None:
-            check_int(
-                self.max_age_ms,
-                f"temporal item {self.name!r}: max_age_ms",
-                minimum=1,
-            )
-        else:
-            check_number(
-                self.velocity_kmh,
-                f"temporal item {self.name!r}: velocity_kmh",
-            )
-            check_number(
-                self.accuracy_m,
-                f"temporal item {self.name!r}: accuracy_m",
-            )
-        check_int(
-            self.default_faults,
-            f"temporal item {self.name!r}: default_faults",
-            minimum=0,
-        )
-        if not isinstance(self.criticality, Mapping):
-            raise SpecificationError(
-                f"temporal item {self.name!r}: criticality must be an "
-                f"object (mode -> fault budget)"
-            )
-        object.__setattr__(self, "criticality", dict(self.criticality))
-        for mode, budget in self.criticality.items():
-            check_int(
-                budget,
-                f"temporal item {self.name!r}: fault budget for mode "
-                f"{mode!r}",
-                minimum=0,
             )
         # Deriving the constraint surfaces kinematics range errors
         # (non-positive velocity, sub-millisecond bounds) eagerly.
@@ -160,112 +133,34 @@ class TemporalItemSpec:
             default_faults=self.default_faults,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict carrying only the constraint form given."""
-        payload: dict[str, Any] = {"name": self.name, "blocks": self.blocks}
-        if self.max_age_ms is not None:
-            payload["max_age_ms"] = self.max_age_ms
-        else:
-            payload["velocity_kmh"] = self.velocity_kmh
-            payload["accuracy_m"] = self.accuracy_m
-        if self.criticality:
-            payload["criticality"] = dict(self.criticality)
-        if self.default_faults:
-            payload["default_faults"] = self.default_faults
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TemporalItemSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        require_keys(
-            payload,
-            {"name", "blocks", "max_age_ms", "velocity_kmh",
-             "accuracy_m", "criticality", "default_faults"},
-            "temporal item",
-        )
-        return cls(
-            name=payload.get("name", ""),
-            blocks=payload.get("blocks", 1),
-            max_age_ms=payload.get("max_age_ms"),
-            velocity_kmh=payload.get("velocity_kmh"),
-            accuracy_m=payload.get("accuracy_m"),
-            criticality=payload.get("criticality", {}),
-            default_faults=payload.get("default_faults", 0),
-        )
-
 
 @dataclass(frozen=True)
-class TransactionSpec:
+class TransactionSpec(Spec):
     """One entry of the client transaction mix.
 
     ``weight`` is the entry's relative draw probability in the traffic
-    simulator's mix (any positive number; weights need not sum to 1).
+    simulator's mix (any positive number; weights need not sum to 1),
+    left out of the JSON form at its default.
     """
 
-    name: str
-    items: tuple[str, ...]
-    deadline_slots: int
-    weight: float = 1.0
+    name: str = spec_field(Str())
+    items: tuple[str, ...] = spec_field(ListOf(Str()))
+    deadline_slots: int = spec_field(Int())
+    weight: float = spec_field(Number(above=0), default=1.0, emit="changed")
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "items", tuple(self.items))
-        except TypeError as error:
-            raise SpecificationError(
-                f"transaction {self.name!r}: items must be a list: "
-                f"{error}"
-            ) from error
+        check_fields(self)
         # ReadTransaction owns the structural rules (non-empty, unique
         # items, positive deadline); building one validates them.
         self.as_transaction()
-        check_number(
-            self.weight, f"transaction {self.name!r}: weight"
-        )
-        if self.weight <= 0:
-            raise SpecificationError(
-                f"transaction {self.name!r}: weight must be > 0, got "
-                f"{self.weight}"
-            )
 
     def as_transaction(self) -> ReadTransaction:
         """The executable :class:`ReadTransaction` this spec declares."""
         return ReadTransaction(self.name, self.items, self.deadline_slots)
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict (weight omitted at its default)."""
-        payload: dict[str, Any] = {
-            "name": self.name,
-            "items": list(self.items),
-            "deadline_slots": self.deadline_slots,
-        }
-        if self.weight != 1.0:
-            payload["weight"] = self.weight
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TransactionSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        require_keys(
-            payload,
-            {"name", "items", "deadline_slots", "weight"},
-            "transaction spec",
-        )
-        missing = {"name", "items", "deadline_slots"} - set(payload)
-        if missing:
-            raise SpecificationError(
-                f"transaction spec is missing {sorted(missing)}: "
-                f"{dict(payload)!r}"
-            )
-        return cls(
-            name=payload["name"],
-            items=payload["items"],
-            deadline_slots=payload["deadline_slots"],
-            weight=payload.get("weight", 1.0),
-        )
-
 
 @dataclass(frozen=True)
-class TemporalSpec:
+class TemporalSpec(Spec):
     """A temporally constrained database over a broadcast channel.
 
     Attributes
@@ -296,58 +191,32 @@ class TemporalSpec:
         popularity law.  A *runtime* knob - not design-relevant.
     """
 
-    slot_ms: float
-    items: tuple[TemporalItemSpec, ...]
-    update_periods: dict[str, int]
-    mode: str = "default"
-    modes: tuple[str, ...] = ()
-    update_overhead_ms: float = 0.0
-    transactions: tuple[TransactionSpec, ...] = ()
+    slot_ms: float = spec_field(Number(above=0))
+    items: tuple[TemporalItemSpec, ...] = spec_field(
+        ListOf(TemporalItemSpec)
+    )
+    update_periods: dict[str, int] = spec_field(MapOf(Int(1)))
+    mode: str = spec_field(Str(nonempty=True), default="default")
+    modes: tuple[str, ...] = spec_field(ListOf(Str()), default=())
+    update_overhead_ms: float = spec_field(
+        Number(0), default=0.0, emit="changed"
+    )
+    transactions: tuple[TransactionSpec, ...] = spec_field(
+        ListOf(TransactionSpec), default=(), emit="changed"
+    )
 
     def __post_init__(self) -> None:
-        check_number(self.slot_ms, "temporal slot_ms")
-        if self.slot_ms <= 0:
-            raise SpecificationError(
-                f"temporal slot_ms must be > 0: {self.slot_ms}"
-            )
-        check_number(self.update_overhead_ms, "temporal update_overhead_ms")
-        if self.update_overhead_ms < 0:
-            raise SpecificationError(
-                f"temporal update_overhead_ms must be >= 0: "
-                f"{self.update_overhead_ms}"
-            )
-        try:
-            object.__setattr__(self, "items", tuple(self.items))
-        except TypeError as error:
-            raise SpecificationError(
-                f"temporal items must be a list: {error}"
-            ) from error
+        check_fields(self)
         if not self.items:
             raise SpecificationError(
                 "a temporal spec needs at least one item"
             )
-        for item in self.items:
-            if not isinstance(item, TemporalItemSpec):
-                raise SpecificationError(
-                    f"temporal items must be TemporalItemSpec instances, "
-                    f"got {type(item).__name__}"
-                )
         names = [item.name for item in self.items]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SpecificationError(
                 f"duplicate temporal item names {dupes}"
             )
-        if not self.mode or not isinstance(self.mode, str):
-            raise SpecificationError(
-                f"temporal mode must be a non-empty string: {self.mode!r}"
-            )
-        try:
-            object.__setattr__(self, "modes", tuple(self.modes))
-        except TypeError as error:
-            raise SpecificationError(
-                f"temporal modes must be a list: {error}"
-            ) from error
         if not self.modes:
             object.__setattr__(self, "modes", (self.mode,))
         if len(set(self.modes)) != len(self.modes):
@@ -368,14 +237,6 @@ class TemporalSpec:
                     f"unknown modes {sorted(unknown)} (declared: "
                     f"{list(self.modes)})"
                 )
-        if not isinstance(self.update_periods, Mapping):
-            raise SpecificationError(
-                "temporal update_periods must be an object "
-                "(item -> period in slots)"
-            )
-        object.__setattr__(
-            self, "update_periods", dict(self.update_periods)
-        )
         missing = known - set(self.update_periods)
         if missing:
             raise SpecificationError(
@@ -388,26 +249,7 @@ class TemporalSpec:
                 f"temporal update_periods names unknown items "
                 f"{sorted(unknown)}"
             )
-        for name, period in self.update_periods.items():
-            check_int(
-                period,
-                f"temporal update period for {name!r}",
-                minimum=1,
-            )
-        try:
-            object.__setattr__(
-                self, "transactions", tuple(self.transactions)
-            )
-        except TypeError as error:
-            raise SpecificationError(
-                f"temporal transactions must be a list: {error}"
-            ) from error
         for txn in self.transactions:
-            if not isinstance(txn, TransactionSpec):
-                raise SpecificationError(
-                    f"temporal transactions must be TransactionSpec "
-                    f"instances, got {type(txn).__name__}"
-                )
             ghost = set(txn.items) - known
             if ghost:
                 raise SpecificationError(
@@ -492,70 +334,3 @@ class TemporalSpec:
         if self.transactions:
             parts.append(f"{len(self.transactions)}-transaction mix")
         return ", ".join(parts)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :meth:`from_dict` round-trips it."""
-        payload: dict[str, Any] = {
-            "slot_ms": self.slot_ms,
-            "items": [item.to_dict() for item in self.items],
-            "update_periods": dict(self.update_periods),
-            "mode": self.mode,
-            "modes": list(self.modes),
-        }
-        if self.update_overhead_ms:
-            payload["update_overhead_ms"] = self.update_overhead_ms
-        if self.transactions:
-            payload["transactions"] = [
-                txn.to_dict() for txn in self.transactions
-            ]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TemporalSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        require_keys(
-            payload,
-            {"slot_ms", "items", "update_periods", "mode", "modes",
-             "update_overhead_ms", "transactions"},
-            "temporal spec",
-        )
-        missing = {"slot_ms", "items", "update_periods"} - set(payload)
-        if missing:
-            raise SpecificationError(
-                f"temporal spec is missing {sorted(missing)}"
-            )
-        items_payload = payload["items"]
-        if isinstance(items_payload, (str, bytes, Mapping)) or not hasattr(
-            items_payload, "__iter__"
-        ):
-            raise SpecificationError(
-                f"temporal items must be a list of item objects, got "
-                f"{type(items_payload).__name__}"
-            )
-        transactions_payload = payload.get("transactions", ())
-        if isinstance(
-            transactions_payload, (str, bytes, Mapping)
-        ) or not hasattr(transactions_payload, "__iter__"):
-            raise SpecificationError(
-                f"temporal transactions must be a list of transaction "
-                f"objects, got {type(transactions_payload).__name__}"
-            )
-        return cls(
-            slot_ms=payload["slot_ms"],
-            items=tuple(
-                TemporalItemSpec.from_dict(entry)
-                for entry in items_payload
-            ),
-            update_periods=payload["update_periods"],
-            mode=payload.get("mode", "default"),
-            modes=tuple(payload.get("modes", ())),
-            update_overhead_ms=payload.get("update_overhead_ms", 0.0),
-            transactions=tuple(
-                TransactionSpec.from_dict(entry)
-                for entry in transactions_payload
-            ),
-        )

@@ -19,6 +19,8 @@ Two properties matter to the server:
 * mutations are JSON values (``to_dict`` / :func:`mutation_from_dict`),
   which is what makes scripted timelines - ``repro server scenario.json
   --script mutations.json`` - and as-run provenance records possible.
+  Each mutation declares its fields once (:mod:`repro.fields`); the
+  ``kind`` tag picks the class.
 """
 
 from __future__ import annotations
@@ -26,10 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.errors import SpecificationError, require_keys
+from repro.errors import SpecificationError
+from repro.fields import (
+    Int,
+    Object,
+    Spec,
+    Str,
+    load,
+    parse,
+    spec_field,
+    table_of,
+)
 from repro.ida.aida import RedundancyPolicy
 from repro.rtdb.spec import TemporalItemSpec, TemporalSpec
-from repro.api.scenario import Scenario, _file_from_dict
+from repro.api.scenario import FILE_ENTRY, Scenario
 
 
 def _replace_temporal(scenario: Scenario, temporal: TemporalSpec) -> Scenario:
@@ -39,8 +51,21 @@ def _replace_temporal(scenario: Scenario, temporal: TemporalSpec) -> Scenario:
     return replace(scenario, temporal=temporal, files=())
 
 
+class _Mutation(Spec):
+    """A mutation's JSON form leads with its ``kind`` tag."""
+
+    @classmethod
+    def from_dict(cls, payload: Any) -> Any:
+        """The mutation a JSON payload names (:func:`mutation_from_dict`)."""
+        return mutation_from_dict(payload)
+
+    def to_dict(self) -> dict[str, Any]:
+        """A JSON-able dict; :func:`mutation_from_dict` round-trips it."""
+        return MUTATION.dump(self)
+
+
 @dataclass(frozen=True)
-class ModeChange:
+class ModeChange(_Mutation):
     """Switch the active operation mode (e.g. surveillance -> combat).
 
     Temporal scenarios switch the :class:`~repro.rtdb.spec.TemporalSpec`
@@ -50,7 +75,7 @@ class ModeChange:
     operating regimes.
     """
 
-    mode: str
+    mode: str = spec_field(Str(nonempty=True))
     kind = "mode_change"
 
     def apply(self, scenario: Scenario) -> Scenario:
@@ -82,25 +107,9 @@ class ModeChange:
         """One-line human summary."""
         return f"mode -> {self.mode}"
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :func:`mutation_from_dict` round-trips it."""
-        return {"kind": self.kind, "mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ModeChange":
-        """Build from :meth:`to_dict` output / parsed JSON."""
-        require_keys(payload, {"kind", "mode"}, "mode_change mutation")
-        mode = payload.get("mode")
-        if not isinstance(mode, str) or not mode:
-            raise SpecificationError(
-                f"mode_change mutation needs a non-empty string "
-                f"'mode', got {mode!r}"
-            )
-        return cls(mode)
-
 
 @dataclass(frozen=True)
-class AddFile:
+class AddFile(_Mutation):
     """Add a file (or temporal item) to the airing catalogue.
 
     ``file`` is the spec payload: for regular scenarios a scenario
@@ -111,18 +120,12 @@ class AddFile:
     mandatory ``update_period`` runtime knob.
     """
 
-    file: Mapping[str, Any]
-    update_period: int | None = None
+    file: Mapping[str, Any] = spec_field(Object())
+    update_period: int | None = spec_field(Int(), default=None, emit="set")
     kind = "add_file"
 
     def _name(self) -> str:
-        name = self.file.get("name")
-        if not isinstance(name, str) or not name:
-            raise SpecificationError(
-                f"add_file mutation: file payload needs a non-empty "
-                f"'name', got {name!r}"
-            )
-        return name
+        return load(Str(nonempty=True), self.file.get("name"), "file.name")
 
     def apply(self, scenario: Scenario) -> Scenario:
         """The successor scenario with the file on the air."""
@@ -134,7 +137,7 @@ class AddFile:
                     f"'update_period' (slots)"
                 )
             temporal = scenario.temporal
-            item = TemporalItemSpec.from_dict(self.file)
+            item = load(table_of(TemporalItemSpec), self.file, "file")
             periods = dict(temporal.update_periods)
             periods[item.name] = self.update_period
             return _replace_temporal(
@@ -151,40 +154,20 @@ class AddFile:
                 f"temporal scenarios only"
             )
         return replace(
-            scenario, files=scenario.files + (_file_from_dict(self.file),)
+            scenario,
+            files=scenario.files + (load(FILE_ENTRY, self.file, "file"),),
         )
 
     def describe(self) -> str:
         """One-line human summary."""
         return f"add file {self._name()}"
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :func:`mutation_from_dict` round-trips it."""
-        payload: dict[str, Any] = {"kind": self.kind, "file": dict(self.file)}
-        if self.update_period is not None:
-            payload["update_period"] = self.update_period
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AddFile":
-        """Build from :meth:`to_dict` output / parsed JSON."""
-        require_keys(
-            payload, {"kind", "file", "update_period"}, "add_file mutation"
-        )
-        file = payload.get("file")
-        if not isinstance(file, Mapping):
-            raise SpecificationError(
-                f"add_file mutation needs a 'file' object, got "
-                f"{type(file).__name__}"
-            )
-        return cls(dict(file), payload.get("update_period"))
-
 
 @dataclass(frozen=True)
-class RemoveFile:
+class RemoveFile(_Mutation):
     """Retire a file (or temporal item) from the airing catalogue."""
 
-    name: str
+    name: str = spec_field(Str(nonempty=True))
     kind = "remove_file"
 
     def apply(self, scenario: Scenario) -> Scenario:
@@ -232,25 +215,9 @@ class RemoveFile:
         """One-line human summary."""
         return f"remove file {self.name}"
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :func:`mutation_from_dict` round-trips it."""
-        return {"kind": self.kind, "name": self.name}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RemoveFile":
-        """Build from :meth:`to_dict` output / parsed JSON."""
-        require_keys(payload, {"kind", "name"}, "remove_file mutation")
-        name = payload.get("name")
-        if not isinstance(name, str) or not name:
-            raise SpecificationError(
-                f"remove_file mutation needs a non-empty string "
-                f"'name', got {name!r}"
-            )
-        return cls(name)
-
 
 @dataclass(frozen=True)
-class FaultBudgetBump:
+class FaultBudgetBump(_Mutation):
     """Change one file's fault-tolerance budget by ``delta`` losses.
 
     Regular catalogues edit the :class:`~repro.bdisk.builder.FileSpec`
@@ -259,17 +226,12 @@ class FaultBudgetBump:
     ``delta`` may be negative; the resulting budget must stay >= 0.
     """
 
-    name: str
-    delta: int
+    name: str = spec_field(Str(nonempty=True))
+    delta: int = spec_field(Int())
     kind = "fault_budget"
 
     def apply(self, scenario: Scenario) -> Scenario:
         """The successor scenario with the bumped budget."""
-        if not isinstance(self.delta, int) or isinstance(self.delta, bool):
-            raise SpecificationError(
-                f"fault_budget {self.name!r}: delta must be an integer, "
-                f"got {self.delta!r}"
-            )
         if scenario.temporal is not None:
             temporal = scenario.temporal
             mode = temporal.mode
@@ -324,7 +286,7 @@ class FaultBudgetBump:
             return replace(
                 scenario,
                 redundancy=RedundancyPolicy(
-                    budgets, scenario.redundancy.default
+                    budgets, default=scenario.redundancy.default
                 ),
             )
         if scenario.generalized:
@@ -357,33 +319,9 @@ class FaultBudgetBump:
         """One-line human summary."""
         return f"fault budget {self.name} {self.delta:+d}"
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :func:`mutation_from_dict` round-trips it."""
-        return {"kind": self.kind, "name": self.name, "delta": self.delta}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultBudgetBump":
-        """Build from :meth:`to_dict` output / parsed JSON."""
-        require_keys(
-            payload, {"kind", "name", "delta"}, "fault_budget mutation"
-        )
-        name = payload.get("name")
-        if not isinstance(name, str) or not name:
-            raise SpecificationError(
-                f"fault_budget mutation needs a non-empty string "
-                f"'name', got {name!r}"
-            )
-        delta = payload.get("delta")
-        if not isinstance(delta, int) or isinstance(delta, bool):
-            raise SpecificationError(
-                f"fault_budget mutation needs an integer 'delta', got "
-                f"{delta!r}"
-            )
-        return cls(name, delta)
-
 
 @dataclass(frozen=True)
-class TemporalEdit:
+class TemporalEdit(_Mutation):
     """Edit one temporal item's update period and/or freshness bound.
 
     ``update_period`` is a *runtime* knob - the design fingerprint is
@@ -393,9 +331,9 @@ class TemporalEdit:
     instance was seen before).
     """
 
-    name: str
-    update_period: int | None = None
-    max_age_ms: int | None = None
+    name: str = spec_field(Str(nonempty=True))
+    update_period: int | None = spec_field(Int(), default=None, emit="set")
+    max_age_ms: int | None = spec_field(Int(), default=None, emit="set")
     kind = "temporal_edit"
 
     def apply(self, scenario: Scenario) -> Scenario:
@@ -445,33 +383,6 @@ class TemporalEdit:
             parts.append(f"max_age={self.max_age_ms}ms")
         return f"temporal edit {self.name} ({', '.join(parts)})"
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :func:`mutation_from_dict` round-trips it."""
-        payload: dict[str, Any] = {"kind": self.kind, "name": self.name}
-        if self.update_period is not None:
-            payload["update_period"] = self.update_period
-        if self.max_age_ms is not None:
-            payload["max_age_ms"] = self.max_age_ms
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TemporalEdit":
-        """Build from :meth:`to_dict` output / parsed JSON."""
-        require_keys(
-            payload,
-            {"kind", "name", "update_period", "max_age_ms"},
-            "temporal_edit mutation",
-        )
-        name = payload.get("name")
-        if not isinstance(name, str) or not name:
-            raise SpecificationError(
-                f"temporal_edit mutation needs a non-empty string "
-                f"'name', got {name!r}"
-            )
-        return cls(
-            name, payload.get("update_period"), payload.get("max_age_ms")
-        )
-
 
 #: Union of every mutation kind the server accepts.
 Mutation = ModeChange | AddFile | RemoveFile | FaultBudgetBump | TemporalEdit
@@ -484,18 +395,29 @@ MUTATION_KINDS: dict[str, type] = {
 }
 
 
-def mutation_from_dict(payload: Mapping[str, Any]) -> Mutation:
+class _Tagged:
+    """A mutation: its ``kind`` tag picks the class, and the other keys
+    are that class's fields."""
+
+    objects = Object()
+    kinds = Str(*MUTATION_KINDS)
+
+    def load(self, value: Any) -> Mutation:
+        if isinstance(value, _Mutation):
+            return value
+        payload = self.objects.load(value)
+        kind = load(self.kinds, payload.pop("kind", None), "kind")
+        return table_of(MUTATION_KINDS[kind]).load(payload)
+
+    def dump(self, mutation: Mutation) -> dict[str, Any]:
+        fields = table_of(type(mutation)).dump(mutation)
+        return {"kind": mutation.kind, **fields}
+
+
+#: The mutation shape: script entries and :func:`mutation_from_dict`.
+MUTATION = _Tagged()
+
+
+def mutation_from_dict(payload: Any) -> Mutation:
     """Build a mutation from its JSON payload (dispatch on ``kind``)."""
-    if not isinstance(payload, Mapping):
-        raise SpecificationError(
-            f"mutation payload must be a mapping, got "
-            f"{type(payload).__name__}"
-        )
-    kind = payload.get("kind")
-    cls = MUTATION_KINDS.get(kind)
-    if cls is None:
-        raise SpecificationError(
-            f"unknown mutation kind {kind!r} "
-            f"(known: {sorted(MUTATION_KINDS)})"
-        )
-    return cls.from_dict(payload)
+    return parse(MUTATION, payload, "mutation")

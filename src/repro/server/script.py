@@ -2,9 +2,14 @@
 
 A timeline is a JSON list of ``{"at_slot": N, "mutation": {...}}``
 entries - the ``repro server scenario.json --script mutations.json``
-format.  :class:`MutationScript` parses and validates it eagerly
-(unknown mutation kinds, malformed payloads, and negative slots fail
-before anything airs); :func:`run_script` stands a
+format.  :class:`MutationScript` parses and validates it eagerly through
+the declared fields of its entries and mutations (:mod:`repro.fields`):
+unknown mutation kinds, wrong-typed or missing fields and negative slots
+fail before anything airs, naming the entry and field
+(``mutations[1].mutation.update_period must be an integer``).  Only a
+temporal item or file added by ``add_file`` is parsed when it is
+applied, since its shape depends on the airing scenario.
+:func:`run_script` stands a
 :class:`~repro.server.server.BroadcastServer` up, schedules every entry
 as a kernel event, drains the run, and returns the
 :class:`~repro.server.server.ServerResult`.
@@ -21,42 +26,35 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import SpecificationError
+from repro.fields import Int, ListOf, Spec, check_fields, spec_field
 from repro.api.scenario import Scenario
 from repro.sweep.cache import SolveCache
 from repro.server.asrun import ASRUN_WINDOW
-from repro.server.mutations import Mutation, mutation_from_dict
+from repro.server.mutations import MUTATION, Mutation
 from repro.server.server import BroadcastServer, ServerResult
 
 
 @dataclass(frozen=True)
-class ScriptEntry:
+class ScriptEntry(Spec):
     """One timeline entry: apply ``mutation`` at slot ``at_slot``."""
 
-    at_slot: int
-    mutation: Mutation
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; the script file's entry shape."""
-        return {"at_slot": self.at_slot, "mutation": self.mutation.to_dict()}
+    at_slot: int = spec_field(Int(0))
+    mutation: Mutation = spec_field(MUTATION)
 
 
 @dataclass(frozen=True)
-class MutationScript:
+class MutationScript(Spec):
     """A validated, slot-ordered mutation timeline."""
 
-    entries: tuple[ScriptEntry, ...]
+    entries: tuple[ScriptEntry, ...] = spec_field(
+        ListOf(ScriptEntry), default=(), key="mutations"
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for entry in self.entries:
-            if not isinstance(entry, ScriptEntry):
-                raise SpecificationError(
-                    f"script entries must be ScriptEntry values, got "
-                    f"{type(entry).__name__}"
-                )
+        check_fields(self)
         slots = [entry.at_slot for entry in self.entries]
         if slots != sorted(slots):
             raise SpecificationError(
@@ -65,55 +63,11 @@ class MutationScript:
 
     @classmethod
     def from_payload(cls, payload: Any) -> "MutationScript":
-        """Build from a parsed JSON timeline (a list of entries)."""
-        if isinstance(payload, Mapping):
-            # Tolerate a {"mutations": [...]} envelope.
-            extra = set(payload) - {"mutations"}
-            if extra:
-                raise SpecificationError(
-                    f"mutation script: unknown keys {sorted(extra)} "
-                    f"(expected a list or a 'mutations' envelope)"
-                )
-            payload = payload.get("mutations", [])
-        if isinstance(payload, (str, bytes)) or not isinstance(
-            payload, Iterable
-        ):
-            raise SpecificationError(
-                f"mutation script must be a list of entries, got "
-                f"{type(payload).__name__}"
-            )
-        entries = []
-        for position, raw in enumerate(payload):
-            if not isinstance(raw, Mapping):
-                raise SpecificationError(
-                    f"script entry {position}: must be an object, got "
-                    f"{type(raw).__name__}"
-                )
-            unknown = set(raw) - {"at_slot", "mutation"}
-            if unknown:
-                raise SpecificationError(
-                    f"script entry {position}: unknown keys "
-                    f"{sorted(unknown)}"
-                )
-            at_slot = raw.get("at_slot")
-            if (
-                not isinstance(at_slot, int)
-                or isinstance(at_slot, bool)
-                or at_slot < 0
-            ):
-                raise SpecificationError(
-                    f"script entry {position}: at_slot must be a "
-                    f"slot >= 0, got {at_slot!r}"
-                )
-            mutation_payload = raw.get("mutation")
-            if mutation_payload is None:
-                raise SpecificationError(
-                    f"script entry {position}: missing 'mutation'"
-                )
-            entries.append(
-                ScriptEntry(at_slot, mutation_from_dict(mutation_payload))
-            )
-        return cls(tuple(entries))
+        """Build from a parsed JSON timeline: a list of entries, or a
+        ``{"mutations": [...]}`` envelope around one."""
+        if not isinstance(payload, Mapping):
+            payload = {"mutations": payload}
+        return cls.from_dict(payload)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MutationScript":
@@ -133,7 +87,7 @@ class MutationScript:
 
     def to_payload(self) -> list[dict[str, Any]]:
         """The JSON timeline this script round-trips to."""
-        return [entry.to_dict() for entry in self.entries]
+        return self.to_dict()["mutations"]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from repro.errors import SpecificationError, check_int, check_number
+from repro.errors import SpecificationError
+from repro.fields import check_int, check_number
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs
 from repro.sweep.aggregate import MarginalAccumulator
@@ -180,6 +181,7 @@ class SweepCoordinator:
         self._fingerprints: set[str] = set()
         self._failures: dict[str, str] = {}
         self._stored = ResumeIndex(())
+        self._prepared = False
         self._executed = 0
         self._resumed = 0
         self._duplicates = 0
@@ -225,15 +227,33 @@ class SweepCoordinator:
     # ------------------------------------------------------------------
     # queue management
 
-    def _load_resume_rows(self) -> None:
-        """Index the store for resume (called once, before serving)."""
-        if self._store is None:
+    def pending_cells(self) -> int:
+        """An upper bound on the cells workers still have to run.
+
+        Indexes the store for resume and queues the first batch, as
+        :meth:`serve` does first: cells resumed from the store so far
+        are not counted.  Zero means the grid is complete without any
+        worker.
+        """
+        with self._lock:
+            self._prepare()
+            return self._total - len(self._completed) - len(self._failures)
+
+    def _prepare(self) -> None:
+        """Index the store for resume and queue the first batch (once;
+        lock held).  An all-resumed or empty grid is then done."""
+        if self._prepared:
             return
-        if not self._resume:
-            self._store.backup_and_clear()
-            return
-        with obs.span("sweep.dist.resume_load"):
-            self._stored = ResumeIndex(self._store.rows())
+        self._prepared = True
+        if self._store is not None:
+            if not self._resume:
+                self._store.backup_and_clear()
+            else:
+                with obs.span("sweep.dist.resume_load"):
+                    self._stored = ResumeIndex(self._store.rows())
+        self._refill(self.batch)
+        if len(self._completed) + len(self._failures) >= self._total:
+            self._done.set()
 
     def _try_resume(self, unit: WorkUnit) -> dict[str, Any] | None:
         """The stored row to reuse for ``unit``, if any.
@@ -541,16 +561,8 @@ class SweepCoordinator:
         """
         begin = time.perf_counter()
         with obs.span("sweep.dist.serve", sweep=self.spec.name):
-            self._load_resume_rows()
             with self._lock:
-                # An all-resumed (or empty) grid completes without a
-                # single worker.
-                self._refill(self.batch)
-                if (
-                    len(self._completed) + len(self._failures)
-                    >= self._total
-                ):
-                    self._done.set()
+                self._prepare()
             reaper = threading.Thread(
                 target=self._reap, name="sweep-reaper", daemon=True
             )

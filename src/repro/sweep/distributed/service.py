@@ -2,9 +2,10 @@
 
 :func:`run_distributed_sweep` is the batteries-included entry point the
 CLI, benchmarks, and tests share: bind a coordinator on a loopback
-port, spawn ``workers`` child processes running ``repro sweep work``
-against it (real processes through the real CLI - the same code path a
-multi-host cluster runs), serve to completion, and reap the children.
+port, spawn up to ``workers`` child processes (no more than the cells
+left to run) running ``repro sweep work`` against it (real processes
+through the real CLI - the same code path a multi-host cluster runs),
+serve to completion, and reap the children.
 The pieces are also exported separately (:func:`spawn_worker`) so tests
 can script hostile schedules: kill a worker mid-run, start a
 replacement late, run the coordinator with no workers at all.
@@ -17,12 +18,12 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 from typing import Any, Sequence
 
 import repro
-from repro.errors import SimulationError, check_int
+from repro.errors import SimulationError
+from repro.fields import check_int
 from repro.sweep.spec import SweepSpec
 from repro.sweep.distributed.coordinator import (
     DistributedSweepResult,
@@ -138,22 +139,20 @@ def run_distributed_sweep(
     )
     children: list[subprocess.Popen] = []
     try:
-        # Spawn off-thread so a worker crashing before serve() starts
-        # cannot wedge anything; the listener is already bound.
-        def launch() -> None:
-            for index in range(workers):
-                children.append(
-                    spawn_worker(
-                        coordinator.address,
-                        cache_dir=cache,
-                        name=f"local-{index}",
-                    )
+        # The listener is already bound, so workers may dial before
+        # serve() starts.  Spawn no more than the cells left to run: an
+        # all-resumed grid completes without any worker, and one
+        # started for it would dial a closed listener until its
+        # connect timeout.
+        for index in range(min(workers, coordinator.pending_cells())):
+            children.append(
+                spawn_worker(
+                    coordinator.address,
+                    cache_dir=cache,
+                    name=f"local-{index}",
                 )
-
-        launcher = threading.Thread(target=launch, daemon=True)
-        launcher.start()
+            )
         result = coordinator.serve()
-        launcher.join(timeout=10.0)
     finally:
         coordinator.close()
         for child in children:

@@ -30,7 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ReproError, SpecificationError, check_int
+from repro.errors import ReproError, SpecificationError
+from repro.fields import check_int
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs
 from repro.sweep.cache import SolveCache

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import SpecificationError, check_int
+from repro.errors import SpecificationError
+from repro.fields import check_int
 from repro.api.engine import BroadcastEngine
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs

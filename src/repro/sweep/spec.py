@@ -31,80 +31,82 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import SpecificationError
+from repro.fields import (
+    Anything,
+    ListOf,
+    Number,
+    Spec,
+    Str,
+    check_fields,
+    spec_field,
+)
 from repro.api.scenario import Scenario
 from repro.sweep.expand import apply_overrides, split_field
 
-#: Keys a serialized axis may carry.
-_AXIS_KEYS = {"field", "values", "range"}
-_RANGE_KEYS = {"start", "stop", "step"}
 
+@dataclass(frozen=True)
+class AxisRange(Spec):
+    """An inclusive numeric progression ``start, start + step, ...,
+    stop`` - the ``range`` sugar of a :class:`SweepAxis`."""
 
-def _expand_range(payload: Mapping[str, Any], what: str) -> tuple:
-    """Expand an inclusive ``{start, stop, step}`` progression."""
-    if not isinstance(payload, Mapping):
-        raise SpecificationError(
-            f"{what}: range must be an object, got "
-            f"{type(payload).__name__}"
-        )
-    unknown = set(payload) - _RANGE_KEYS
-    if unknown:
-        raise SpecificationError(
-            f"{what}: unknown range keys {sorted(unknown)} "
-            f"(allowed: {sorted(_RANGE_KEYS)})"
-        )
-    missing = {"start", "stop"} - set(payload)
-    if missing:
-        raise SpecificationError(
-            f"{what}: range is missing {sorted(missing)}"
-        )
-    start, stop = payload["start"], payload["stop"]
-    step = payload.get("step", 1)
-    for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+    start: float = spec_field(Number())
+    stop: float = spec_field(Number())
+    step: float = spec_field(Number(above=0), default=1)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.stop < self.start:
             raise SpecificationError(
-                f"{what}: range {name} must be a number, got {value!r}"
+                f"range stop {self.stop} is below start {self.start}"
             )
-    if step <= 0:
-        raise SpecificationError(f"{what}: range step must be > 0: {step}")
-    if stop < start:
-        raise SpecificationError(
-            f"{what}: range stop {stop} is below start {start}"
-        )
-    exact = all(isinstance(v, int) for v in (start, stop, step))
-    values: list[int | float] = []
-    index = 0
-    # Generate by multiplication, not accumulation, so float steps do
-    # not drift; the epsilon keeps an intended endpoint inclusive.
-    while True:
-        value = start + index * step
-        if value > stop + (0 if exact else 1e-9 * max(1.0, abs(stop))):
-            break
-        values.append(value if exact else float(min(value, stop)))
-        index += 1
-    return tuple(values)
+
+    def values(self) -> tuple[int | float, ...]:
+        """The progression's values (ints when every bound is one)."""
+        start, stop, step = self.start, self.stop, self.step
+        exact = all(isinstance(v, int) for v in (start, stop, step))
+        values: list[int | float] = []
+        index = 0
+        # Generate by multiplication, not accumulation, so float steps
+        # do not drift; the epsilon keeps an intended endpoint inclusive.
+        while True:
+            value = start + index * step
+            if value > stop + (0 if exact else 1e-9 * max(1.0, abs(stop))):
+                break
+            values.append(value if exact else float(min(value, stop)))
+            index += 1
+        return tuple(values)
 
 
 @dataclass(frozen=True)
-class SweepAxis:
-    """One grid dimension: a dotted scenario field and its values."""
+class SweepAxis(Spec):
+    """One grid dimension: a dotted scenario field and its values.
 
-    field: str
-    values: tuple[Any, ...]
+    The JSON form gives either ``values`` or an inclusive ``range``; a
+    range is expanded here, and the axis serializes as its values.
+    """
+
+    field: str = spec_field(Str())
+    values: tuple[Any, ...] | None = spec_field(
+        ListOf(Anything()), default=None
+    )
+    range: AxisRange | None = spec_field(AxisRange, default=None, emit="set")
 
     def __post_init__(self) -> None:
+        check_fields(self)
         split_field(self.field)  # validates the dotted path
-        try:
-            object.__setattr__(self, "values", tuple(self.values))
-        except TypeError as error:
+        if (self.values is None) == (self.range is None):
             raise SpecificationError(
-                f"sweep axis {self.field!r}: values must be a list: "
-                f"{error}"
-            ) from error
+                f"sweep axis {self.field!r}: exactly one of 'values' "
+                f"and 'range' is required"
+            )
+        if self.range is not None:
+            object.__setattr__(self, "values", self.range.values())
+            object.__setattr__(self, "range", None)
         if not self.values:
             raise SpecificationError(
                 f"sweep axis {self.field!r}: at least one value is "
@@ -118,47 +120,6 @@ class SweepAxis:
             raise SpecificationError(
                 f"sweep axis {self.field!r}: duplicate values {dupes}"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict (ranges serialize as their expanded values)."""
-        return {"field": self.field, "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SweepAxis":
-        """Build an axis from ``{"field", "values"|"range"}``."""
-        if not isinstance(payload, Mapping):
-            raise SpecificationError(
-                f"sweep axis must be an object, got "
-                f"{type(payload).__name__}: {payload!r}"
-            )
-        unknown = set(payload) - _AXIS_KEYS
-        if unknown:
-            raise SpecificationError(
-                f"sweep axis: unknown keys {sorted(unknown)} "
-                f"(allowed: {sorted(_AXIS_KEYS)})"
-            )
-        field_name = payload.get("field")
-        has_values = "values" in payload
-        has_range = "range" in payload
-        if has_values == has_range:
-            raise SpecificationError(
-                f"sweep axis {field_name!r}: exactly one of 'values' "
-                f"and 'range' is required"
-            )
-        if has_range:
-            values = _expand_range(
-                payload["range"], f"sweep axis {field_name!r}"
-            )
-        else:
-            values = payload["values"]
-            if isinstance(values, (str, bytes, Mapping)) or not hasattr(
-                values, "__iter__"
-            ):
-                raise SpecificationError(
-                    f"sweep axis {field_name!r}: values must be a list, "
-                    f"got {type(values).__name__}"
-                )
-        return cls(field=field_name, values=tuple(values))
 
 
 def _value_key(value: Any) -> str:
@@ -191,30 +152,15 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec):
     """A base scenario crossed with axes - the whole parameter study."""
 
-    name: str
-    base: Scenario
-    axes: tuple[SweepAxis, ...] = field(default_factory=tuple)
+    name: str = spec_field(Str(nonempty=True))
+    base: Scenario = spec_field(Scenario)
+    axes: tuple[SweepAxis, ...] = spec_field(ListOf(SweepAxis), default=())
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise SpecificationError(
-                f"sweep name must be a non-empty string: {self.name!r}"
-            )
-        if not isinstance(self.base, Scenario):
-            raise SpecificationError(
-                f"sweep base must be a Scenario, got "
-                f"{type(self.base).__name__}"
-            )
-        object.__setattr__(self, "axes", tuple(self.axes))
-        for axis in self.axes:
-            if not isinstance(axis, SweepAxis):
-                raise SpecificationError(
-                    f"sweep axes must be SweepAxis instances, got "
-                    f"{type(axis).__name__}"
-                )
+        check_fields(self)
         fields = [axis.field for axis in self.axes]
         if len(set(fields)) != len(fields):
             dupes = sorted({f for f in fields if fields.count(f) > 1})
@@ -257,46 +203,6 @@ class SweepSpec:
                 )
             )
         return tuple(cells)
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able dict; :meth:`from_dict` round-trips it."""
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SweepSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        if not isinstance(payload, Mapping):
-            raise SpecificationError(
-                f"sweep payload must be a mapping, got "
-                f"{type(payload).__name__}"
-            )
-        unknown = set(payload) - {"name", "base", "axes"}
-        if unknown:
-            raise SpecificationError(
-                f"sweep spec: unknown keys {sorted(unknown)} "
-                f"(allowed: ['axes', 'base', 'name'])"
-            )
-        if "base" not in payload:
-            raise SpecificationError("sweep spec: 'base' is required")
-        axes_payload = payload.get("axes", ())
-        if isinstance(axes_payload, (str, bytes, Mapping)) or not hasattr(
-            axes_payload, "__iter__"
-        ):
-            raise SpecificationError(
-                f"sweep axes must be a list of axis objects, got "
-                f"{type(axes_payload).__name__}"
-            )
-        return cls(
-            name=payload.get("name", ""),
-            base=Scenario.from_dict(payload["base"]),
-            axes=tuple(
-                SweepAxis.from_dict(axis) for axis in axes_payload
-            ),
-        )
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """Serialize to a JSON string."""

@@ -273,7 +273,12 @@ class ResumeIndex:
         # The store holds pure JSON types; compare in that form.
         expected = json.loads(json.dumps(scenario()))
         for row in reversed(stored):
-            if (row.get("result") or {}).get("scenario") == expected:
+            # A row whose result is not an object matches no scenario.
+            result = row.get("result")
+            if (
+                isinstance(result, dict)
+                and result.get("scenario") == expected
+            ):
                 return {**row, "index": index}
         self.drift += 1
         return None

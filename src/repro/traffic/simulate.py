@@ -32,7 +32,8 @@ from typing import Any, Mapping, Sequence
 
 from math import lcm
 
-from repro.errors import SimulationError, SpecificationError, check_int
+from repro.errors import SimulationError, SpecificationError
+from repro.fields import check_int
 from repro.bdisk.multichannel import ChannelSet
 from repro.bdisk.program import BroadcastProgram
 from repro.obs import telemetry as obs

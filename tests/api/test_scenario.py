@@ -59,7 +59,7 @@ class TestFaultSpec:
         ).to_dict()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SpecificationError, match="fault kind"):
+        with pytest.raises(SpecificationError, match="kind must be one of"):
             FaultSpec(kind="cosmic-rays")
 
     def test_bad_probability_rejected_eagerly(self):
@@ -79,11 +79,12 @@ class TestFaultSpec:
         # A string would crash the simulator, a float never matches yet
         # counts against the budget, and true would lose slot 1.
         payload = {"kind": "adversarial", "lost_slots": slots}
-        with pytest.raises(SpecificationError, match="integers"):
+        wrong = r"lost_slots\[0\] must be an integer"
+        with pytest.raises(SpecificationError, match=wrong):
             FaultSpec.from_dict(payload)
         scenario = regular_scenario().to_dict()
         scenario["faults"] = payload
-        with pytest.raises(SpecificationError, match="integers"):
+        with pytest.raises(SpecificationError, match=wrong):
             Scenario.from_dict(scenario)
 
     def test_numpy_lost_slots_stored_as_plain_ints(self):
@@ -248,7 +249,7 @@ class TestRoundTrip:
             Scenario.from_dict({"name": "x", "files": ["a:2:4"]})
 
     def test_non_list_files_rejected(self):
-        with pytest.raises(SpecificationError, match="list of file"):
+        with pytest.raises(SpecificationError, match="files must be a list"):
             Scenario.from_dict({"name": "x", "files": 42})
 
     def test_data_payload_round_trips(self):
@@ -269,8 +270,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "payload, match",
         [
-            ({"faults": 42}, "fault spec must be an object"),
-            ({"workload": "lots"}, "workload spec must be an object"),
+            ({"faults": 42}, "faults must be an object"),
+            ({"workload": "lots"}, "workload must be an object"),
             ({"redundancy": 7}, "redundancy must be an object"),
             (
                 {"redundancy": {"budgets": "oops", "default": 0}},
@@ -279,7 +280,7 @@ class TestRoundTrip:
             (
                 {"redundancy": {"budgets": {"combat": {"a": "3"}},
                                 "default": 0}},
-                "integer fault budget",
+                r"budgets\['combat'\]\['a'\] must be an integer",
             ),
         ],
     )
@@ -304,16 +305,16 @@ class TestRoundTrip:
         [
             ({"block_size": None}, "block_size must be an integer"),
             ({"delay_errors": "two"}, "delay_errors must be an integer"),
-            ({"scheduler_policy": 3}, "scheduler policy must be"),
+            ({"scheduler_policy": 3}, "scheduler_policy must be"),
             ({"workload": {"requests": None, "horizon": 10}},
              "requests must be an integer"),
             ({"faults": {"kind": "bernoulli", "probability": None}},
              "probability must be a number"),
             ({"files": [{"name": "a", "blocks": 2.0, "latency": 4}]},
-             "blocks=2.0 must be an int"),
+             r"files\[0\]\.blocks must be an integer, got float"),
             ({"files": [{"name": "a", "blocks": True,
                          "latency_vector": [4]}]},
-             "size m=True"),
+             r"files\[0\]\.blocks must be an integer, got bool"),
         ],
     )
     def test_null_and_wrong_typed_scalars_rejected(self, payload, match):

@@ -257,7 +257,7 @@ class TestJsonRoundTrip:
         }
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SpecificationError, match="unknown mutation"):
+        with pytest.raises(SpecificationError, match="kind must be one of"):
             mutation_from_dict({"kind": "self_destruct"})
 
     def test_unknown_keys_rejected(self):
@@ -265,7 +265,7 @@ class TestJsonRoundTrip:
             mutation_from_dict({"kind": "mode_change", "mode": "x", "q": 1})
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(SpecificationError, match="mapping"):
+        with pytest.raises(SpecificationError, match="must be an object"):
             mutation_from_dict(["mode_change"])
 
     def test_describe_is_a_string(self):

@@ -87,10 +87,10 @@ class TestMutationScript:
             ("not a list", "must be a list"),
             ([42], "must be an object"),
             ([{"at_slot": -1, "mutation": {"kind": "mode_change"}}],
-             "slot >= 0"),
+             "at_slot must be >= 0"),
             ([{"at_slot": True, "mutation": {"kind": "mode_change"}}],
-             "slot >= 0"),
-            ([{"at_slot": 5}], "missing 'mutation'"),
+             "at_slot must be an integer"),
+            ([{"at_slot": 5}], r"missing required keys \['mutation'\]"),
             ([{"at_slot": 5, "mutation": {}, "extra": 1}], "unknown keys"),
             ({"mutations": [], "extra": 1}, "unknown keys"),
         ],

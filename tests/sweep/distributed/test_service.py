@@ -17,6 +17,7 @@ from repro.api import Scenario
 from repro.errors import SpecificationError
 from repro.obs import telemetry as obs
 from repro.sweep import RunStore, SweepAxis, SweepSpec, run_sweep
+from repro.sweep.distributed import service
 from repro.sweep.distributed import (
     PROTOCOL_VERSION,
     FramedSocket,
@@ -428,6 +429,40 @@ class TestSummaryParity:
             assert pooled["distinct_designs"] == 0
         else:
             assert pooled["solves"] == pooled["distinct_designs"]
+
+
+class TestAllResumedLocalRun:
+    def test_returns_promptly_without_stray_workers(
+        self, tmp_path, monkeypatch
+    ):
+        # Every cell resumes, so serve() returns at once.  No worker may
+        # be left dialing the closed listener until its connect timeout
+        # (10 s), and no background thread may die on the way.
+        spec = SweepSpec(
+            name="resumed",
+            base=multichannel_base(),
+            axes=(SweepAxis("faults.seed", (1, 2)),),
+        )
+        store = tmp_path / "runs.jsonl"
+        run_sweep(spec, store_path=store, cache_dir=tmp_path / "cache")
+        spawned = []
+
+        def spawn(*args, **kwargs):
+            spawned.append(spawn_worker(*args, **kwargs))
+            return spawned[-1]
+
+        crashes = []
+        monkeypatch.setattr(service, "spawn_worker", spawn)
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        begin = time.monotonic()
+        result = run_distributed_sweep(
+            spec, workers=2, store_path=store, resume=True
+        )
+        elapsed = time.monotonic() - begin
+        assert result.resumed == spec.total_cells
+        assert elapsed < 5.0
+        assert crashes == []
+        assert all(child.poll() is not None for child in spawned)
 
 
 class TestWorkerCountValidation:

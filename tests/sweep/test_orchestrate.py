@@ -421,6 +421,30 @@ class TestResumeRerunReasons:
         assert resumed.rerun_drift == 1
         assert resumed.rerun_missing == 1
 
+    def test_non_object_results_rerun_as_drift(self, tmp_path):
+        store_path = tmp_path / "runs.jsonl"
+        self.run(
+            fault_grid(),
+            store_path=store_path,
+            cache_dir=tmp_path / "cache",
+        )
+        rows = RunStore(store_path).rows()
+        # A row whose result is not an object matches no scenario.
+        for row, result in zip(rows, (5, "x", [1])):
+            row["result"] = result
+        with open(store_path, "w", encoding="utf-8") as handle:
+            for row in rows:
+                handle.write(json.dumps(row) + "\n")
+        resumed = self.run(
+            fault_grid(),
+            store_path=store_path,
+            cache_dir=tmp_path / "cache",
+            resume=True,
+        )
+        assert resumed.resumed == 3 and resumed.executed == 3
+        assert resumed.rerun_drift == 3
+        assert resumed.rerun_missing == 0
+
     def test_matching_row_survives_a_later_stale_one(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
         self.run(

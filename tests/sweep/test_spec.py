@@ -186,7 +186,8 @@ class TestSweepSpec:
             )
 
     def test_base_required(self):
-        with pytest.raises(SpecificationError, match="'base' is required"):
+        missing = r"missing required keys \['base'\]"
+        with pytest.raises(SpecificationError, match=missing):
             SweepSpec.from_dict({"name": "x"})
 
     def test_invalid_cell_fails_at_expansion(self):

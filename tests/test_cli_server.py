@@ -81,4 +81,4 @@ class TestServerCommand:
         bad.write_text(json.dumps([{"at_slot": -3, "mutation": {}}]))
         code = main(["server", SCENARIO, "--script", str(bad)])
         assert code != 0
-        assert "slot >= 0" in capsys.readouterr().err
+        assert "at_slot must be >= 0" in capsys.readouterr().err

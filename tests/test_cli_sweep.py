@@ -1,6 +1,7 @@
 """Tests for the ``repro sweep`` subcommand."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,19 @@ class TestSweepServe:
             "re-run    : 0 fingerprint drift (stored scenario "
             "changed), 0 missing key (never completed)" in out
         )
+
+    def test_all_resumed_serve_spawns_no_workers(self, tmp_path, capsys):
+        # Every cell resumes, so serve() returns at once: a worker
+        # spawned anyway would dial the closed listener until its
+        # connect timeout (10 s) before the command could exit.
+        spec = sweep_path(tmp_path)
+        assert main(["sweep", "serve", spec, "--workers", "1"]) == 0
+        capsys.readouterr()
+        begin = time.monotonic()
+        status = main(["sweep", "serve", spec, "--resume", "--workers", "2"])
+        assert status == 0
+        assert time.monotonic() - begin < 5.0
+        assert "cells     : 0 executed, 3 resumed" in capsys.readouterr().out
 
     def test_no_rows_prints_marginals(self, tmp_path, capsys):
         status = main(
