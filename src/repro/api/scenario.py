@@ -296,6 +296,8 @@ _GENERALIZED_FILE = record(
 class _File:
     """A file entry: generalized when it carries a ``latency_vector``."""
 
+    nested = True
+
     def load(self, value: Any) -> FileSpec | GeneralizedFileSpec:
         if isinstance(value, (FileSpec, GeneralizedFileSpec)):
             return value

@@ -252,7 +252,8 @@ def design_multichannel_program(
     channel gets the full scheduler portfolio, including exact-first
     fallbacks, under ``policy``).  Per-channel ``fault_budgets`` add
     redundant blocks to the regular files a channel carries before its
-    solve.
+    solve.  Channels with the same files, extra budget and forced
+    bandwidth are solved once and share the design.
 
     Regular-model channels designed without a forced ``bandwidth`` may
     choose different Equation 1/2 bounds; since clients hop between
@@ -281,8 +282,18 @@ def design_multichannel_program(
                 f"{spec.assignment!r} assignment"
             )
 
+    # Channels that carry the same files with the same extra budget at
+    # the same forced bandwidth - every channel of a replicated set
+    # without per-channel budgets - share one solve: one ProgramDesign,
+    # one program, one index.
+    solved: dict[tuple, ProgramDesign] = {}
+
     def _solve(channel: int, forced: int | None) -> ProgramDesign:
         extra = spec.budget_for(channel)
+        key = (partition[channel], extra, forced)
+        design = solved.get(key)
+        if design is not None:
+            return design
         channel_files = [
             _budgeted(file, extra)
             for file in files
@@ -290,10 +301,13 @@ def design_multichannel_program(
         ]
         obs.inc("design.channel.solves", channel=channel)
         if generalized:
-            return design_generalized_program(channel_files, policy=policy)
-        return design_program(
-            channel_files, bandwidth=forced, policy=policy
-        )
+            design = design_generalized_program(channel_files, policy=policy)
+        else:
+            design = design_program(
+                channel_files, bandwidth=forced, policy=policy
+            )
+        solved[key] = design
+        return design
 
     with obs.span(
         "design.multichannel",

@@ -29,40 +29,71 @@ from typing import Any
 from repro.core.task import PinwheelSystem
 
 
-def _canonical(payload: Any) -> Any:
-    """Reduce ``payload`` to plain JSON types, deterministically.
+def _tagged(value: Any) -> list:
+    """The tagged JSON form of a value JSON has no type for.
 
-    Dicts keep their keys (stringified) and rely on ``sort_keys`` for
-    order independence; sequences stay ordered; non-JSON scalars get a
-    tagged list encoding so e.g. the string ``"1/2"`` and the fraction
-    ``1/2`` cannot collide.
+    The tag keeps e.g. the string ``"1/2"`` and the fraction ``1/2``
+    from colliding.  Task identities may be arbitrary hashables; repr is
+    deterministic for the remaining stdlib scalars worth supporting.
     """
-    if payload is None or isinstance(payload, (str, int, float, bool)):
-        return payload
-    if isinstance(payload, Fraction):
-        return ["fraction", payload.numerator, payload.denominator]
+    if isinstance(value, Fraction):
+        return ["fraction", value.numerator, value.denominator]
+    if isinstance(value, (set, frozenset)):
+        return ["set", sorted(repr(item) for item in value)]
+    if isinstance(value, bytes):
+        return ["bytes", value.hex()]
+    return ["repr", repr(value)]
+
+
+_NESTED = (dict, list, tuple)
+
+
+def _str_keys(payload: Any) -> Any:
+    """``payload`` with every dict key written as ``str(key)``.
+
+    The encoder alone would write a ``True`` key as ``true`` and sort
+    int keys by value; the canonical form sorts the stringified keys
+    (and a later key that stringifies alike wins).  A container is
+    returned as it is unless a key inside it changes, so a payload with
+    string keys only - every payload the library builds - is walked,
+    never copied.
+    """
     if isinstance(payload, dict):
-        return {str(key): _canonical(value) for key, value in payload.items()}
-    if isinstance(payload, (list, tuple)):
-        return [_canonical(item) for item in payload]
-    if isinstance(payload, (set, frozenset)):
-        return ["set", sorted(repr(item) for item in payload)]
-    if isinstance(payload, bytes):
-        return ["bytes", payload.hex()]
-    # Task identities may be arbitrary hashables (virtual-task tuples are
-    # handled above); repr is deterministic for the remaining stdlib
-    # scalars worth supporting.
-    return ["repr", repr(payload)]
+        for key, value in payload.items():
+            if type(key) is not str or (
+                isinstance(value, _NESTED) and _str_keys(value) is not value
+            ):
+                break
+        else:
+            return payload
+        return {
+            str(key): _str_keys(value) if isinstance(value, _NESTED)
+            else value
+            for key, value in payload.items()
+        }
+    for item in payload:
+        if isinstance(item, _NESTED) and _str_keys(item) is not item:
+            break
+    else:
+        return payload
+    return [
+        _str_keys(item) if isinstance(item, _NESTED) else item
+        for item in payload
+    ]
+
+
+#: Sorted keys and compact separators; tuples are lists, and any value
+#: JSON has no type for takes its tagged form.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_tagged
+)
 
 
 def canonical_json(payload: Any) -> str:
     """The canonical JSON text :func:`fingerprint` digests."""
-    return json.dumps(
-        _canonical(payload),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    if isinstance(payload, _NESTED):
+        payload = _str_keys(payload)
+    return _ENCODER.encode(payload)
 
 
 def fingerprint(payload: Any) -> str:

@@ -18,7 +18,10 @@ three jobs:
   nested payloads become specs, lists tuples, objects dicts - so a spec
   built in Python passes the same checks as one parsed from JSON, and
   the cross-field rules after it only ever see well-typed values;
-* :class:`Spec` ``to_dict`` writes the JSON form back.
+* :class:`Spec` ``to_dict`` writes the JSON form back, and
+  :func:`open_spec` writes it one level deep - nested specs stay built
+  - for an edit that rebuilds only the specs it changes (sweep
+  expansion, :mod:`repro.sweep.expand`).
 
 Every :class:`~repro.errors.SpecificationError` raised while a spec is
 built names its field path - ``temporal.transactions[1].deadline_slots
@@ -286,10 +289,21 @@ def spec_field(
     )
 
 
+def _one_level(kind: Any) -> Callable[[Any], Any] | None:
+    """How a one-level dump writes a value of shape ``kind``: a nested
+    spec stays built (None), a list of specs becomes a list of the built
+    items, and any other value takes its JSON form."""
+    if getattr(kind, "nested", False):
+        return None
+    if isinstance(kind, ListOf) and getattr(kind.item, "nested", False):
+        return list
+    return kind.dump
+
+
 class _Field:
     __slots__ = (
-        "name", "key", "load", "dump", "default", "factory", "required",
-        "nullable", "emit", "derived",
+        "name", "key", "load", "dump", "shallow", "default", "factory",
+        "required", "nullable", "emit", "derived",
     )
 
     def __init__(self, name: str, declared: dataclasses.Field) -> None:
@@ -297,6 +311,7 @@ class _Field:
         self.name, self.key = name, key or name
         kind = _kind(kind)
         self.load, self.dump = kind.load, kind.dump
+        self.shallow = _one_level(kind)
         self.default = declared.default
         self.factory = declared.default_factory
         self.required = (
@@ -340,8 +355,12 @@ class _Table:
     A spec dataclass's table builds the spec from the payload as given
     and leaves the checks to its ``__post_init__`` (:func:`check_fields`);
     a table over another constructor (:func:`record`) loads each field
-    before the call.
+    before the call.  Either way a built instance loads as itself, so a
+    payload may hold built specs wherever it holds their JSON objects.
     """
+
+    #: A one-level dump (:meth:`open`) leaves values of this shape built.
+    nested = True
 
     def __init__(
         self, build: type, fields: list[_Field], *, checks_itself: bool
@@ -353,6 +372,9 @@ class _Table:
         self.required = frozenset(f.key for f in fields if f.required)
         self.plan = tuple(
             (f.name, f.key, f.dump, f.emit, f.derived, f) for f in fields
+        )
+        self.opening = tuple(
+            (f.name, f.key, f.shallow, f.emit, f.derived, f) for f in fields
         )
         self.renamed = any(f.key != f.name for f in fields)
         self.checks_itself = checks_itself
@@ -388,8 +410,17 @@ class _Table:
         return self.build(**kwargs)
 
     def dump(self, spec: Any) -> dict[str, Any]:
+        return self._write(spec, self.plan)
+
+    def open(self, spec: Any) -> dict[str, Any]:
+        """``spec``'s JSON form one level deep: :meth:`dump`'s keys, with
+        nested specs - and the items of a list of them - left built."""
+        return self._write(spec, self.opening)
+
+    @staticmethod
+    def _write(spec: Any, plan: tuple) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        for name, key, dump, emit, derived, field in self.plan:
+        for name, key, dump, emit, derived, field in plan:
             value = getattr(spec, name)
             if derived is not None and derived(spec):
                 value = field.make_default()
@@ -403,7 +434,8 @@ _TABLES: dict[type, _Table] = {}
 
 
 def table_of(cls: type) -> _Table:
-    """The field table of spec dataclass ``cls`` (built once)."""
+    """The field table of spec dataclass ``cls`` (built once), or of a
+    :func:`record`'s class."""
     table = _TABLES.get(cls)
     if table is None:
         table = _TABLES[cls] = _Table(
@@ -417,12 +449,25 @@ def table_of(cls: type) -> _Table:
 def record(build: type, **fields: Any) -> _Table:
     """The shape of a JSON object that ``build(**fields)`` constructs,
     for a class that checks its own arguments (``fields`` are
-    :func:`spec_field` declarations)."""
-    return _Table(
+    :func:`spec_field` declarations).  It becomes ``build``'s table."""
+    table = _TABLES[build] = _Table(
         build,
         [_Field(name, declared) for name, declared in fields.items()],
         checks_itself=False,
     )
+    return table
+
+
+def open_spec(value: Any) -> dict[str, Any] | None:
+    """A built spec's JSON form one level deep (:meth:`_Table.open`), or
+    ``None`` when ``value`` is not a spec.
+
+    Loading the form - edited or not - through the spec's table builds
+    the spec again, passing every nested spec it still holds through as
+    it is.
+    """
+    table = _TABLES.get(type(value))
+    return None if table is None else table.open(value)
 
 
 def check_fields(spec: Any) -> None:

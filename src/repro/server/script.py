@@ -6,10 +6,12 @@ format.  :class:`MutationScript` parses and validates it eagerly through
 the declared fields of its entries and mutations (:mod:`repro.fields`):
 unknown mutation kinds, wrong-typed or missing fields and negative slots
 fail before anything airs, naming the entry and field
-(``mutations[1].mutation.update_period must be an integer``).  Only a
-temporal item or file added by ``add_file`` is parsed when it is
-applied, since its shape depends on the airing scenario.
-:func:`run_script` stands a
+(``mutations[1].mutation.update_period must be an integer``).  A
+mutation that cannot apply to the scenario airing at its slot - a
+``temporal_edit`` on a catalogue without temporal items, a file added
+twice, a temporal item or file whose shape the airing scenario rejects
+- fails before anything airs too: :func:`run_script` applies every
+entry at the spec level first, then stands a
 :class:`~repro.server.server.BroadcastServer` up, schedules every entry
 as a kernel event, drains the run, and returns the
 :class:`~repro.server.server.ServerResult`.
@@ -34,7 +36,7 @@ from repro.api.scenario import Scenario
 from repro.sweep.cache import SolveCache
 from repro.server.asrun import ASRUN_WINDOW
 from repro.server.mutations import MUTATION, Mutation
-from repro.server.server import BroadcastServer, ServerResult
+from repro.server.server import BroadcastServer, ServerResult, successor
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,25 @@ def run_script(
 ) -> ServerResult:
     """Run ``scenario`` through the online server under ``script``.
 
-    Every timeline entry is scheduled as a kernel event, the kernel is
-    drained (bounded by ``until`` when given), and the server signs
+    Every entry the run will reach (``at_slot <= until`` when ``until``
+    is given) is first applied at the spec level, in slot order
+    (:func:`~repro.server.server.successor`): one that cannot apply
+    raises :class:`~repro.errors.SpecificationError` naming
+    ``mutations[i]`` before the server signs on, so nothing airs and no
+    log is written.  Then every entry is scheduled as a kernel event,
+    the kernel is drained (bounded by ``until``), and the server signs
     off.  The returned :class:`~repro.server.server.ServerResult`
     carries per-epoch metrics, mutation provenance, splice slots, and
     the solve-cache counters.
     """
+    airing = scenario
+    for index, entry in enumerate(script.entries):
+        if until is not None and entry.at_slot > until:
+            break
+        try:
+            airing = successor(airing, entry.mutation)
+        except SpecificationError as error:
+            raise SpecificationError(f"mutations[{index}]: {error}") from None
     server = BroadcastServer(
         scenario,
         cache=cache,

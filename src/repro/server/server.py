@@ -74,6 +74,31 @@ def _mode_of(scenario: Scenario) -> str | None:
     return scenario.mode
 
 
+def successor(scenario: Scenario, mutation: Mutation) -> Scenario:
+    """The scenario ``mutation`` turns the airing ``scenario`` into.
+
+    The spec-level step of :meth:`BroadcastServer.apply`: the
+    mutation's own delta, then the server's rule that the channel count
+    is fixed at sign-on.  Raises
+    :class:`~repro.errors.SpecificationError` when the mutation cannot
+    apply; nothing is designed or aired.
+    """
+    after = mutation.apply(scenario)
+    before_channels, after_channels = scenario.channels, after.channels
+    if (before_channels is None) != (after_channels is None) or (
+        before_channels is not None
+        and after_channels.count != before_channels.count
+    ):
+        raise SpecificationError(
+            f"mutation {mutation.describe()!r}: the channel count is "
+            f"fixed at sign-on "
+            f"({1 if before_channels is None else before_channels.count}"
+            f" channel(s)); re-plan the channel topology offline and "
+            f"sign on again"
+        )
+    return after
+
+
 def _metrics_dict(metrics: TrafficMetrics) -> dict[str, Any]:
     """The headline counters of one epoch's accumulator, JSON-ably."""
     payload: dict[str, Any] = {
@@ -586,21 +611,8 @@ class BroadcastServer:
             )
         now = self._kernel.now
         outgoing = self._epochs[-1]
-        scenario = mutation.apply(outgoing.scenario)
-        before_channels = outgoing.scenario.channels
-        after_channels = scenario.channels
-        if (before_channels is None) != (after_channels is None) or (
-            before_channels is not None
-            and after_channels.count != before_channels.count
-        ):
-            raise SpecificationError(
-                f"mutation {mutation.describe()!r}: the channel count is "
-                f"fixed at sign-on "
-                f"({1 if before_channels is None else before_channels.count}"
-                f" channel(s)); re-plan the channel topology offline and "
-                f"sign on again"
-            )
-        multi = after_channels is not None
+        scenario = successor(outgoing.scenario, mutation)
+        multi = scenario.channels is not None
         mutation_span = obs.span(
             "server.mutation", kind=type(mutation).__name__, at_slot=now
         )

@@ -46,7 +46,7 @@ from repro.fields import (
     spec_field,
 )
 from repro.api.scenario import Scenario
-from repro.sweep.expand import apply_overrides, split_field
+from repro.sweep.expand import normalized, overridden, split_field
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,13 @@ class SweepSpec(Spec):
         The first axis varies slowest (row-major, like nested loops in
         declaration order).  Every cell's scenario is constructed - and
         therefore validated - here, so a malformed grid point fails
-        before any work is dispatched.
+        before any work is dispatched.  The base is normalized once;
+        each cell rebuilds only the specs its overrides change and
+        shares the rest with the base (:func:`repro.sweep.expand.overridden`).
         """
         fields = [axis.field for axis in self.axes]
         grids = [axis.values for axis in self.axes]
+        base = normalized(self.base)
         cells = []
         for index, combo in enumerate(itertools.product(*grids)):
             overrides = tuple(zip(fields, combo))
@@ -193,7 +196,7 @@ class SweepSpec(Spec):
                 f"{field_name}={_value_key(value)}"
                 for field_name, value in overrides
             )
-            scenario = apply_overrides(self.base, dict(overrides))
+            scenario = overridden(base, dict(overrides))
             cells.append(
                 SweepCell(
                     index=index,

@@ -282,16 +282,22 @@ class MultiChannelTables:
         candidates = [
             channel_set.channels_for(file) for file in catalogue
         ]
+        # Channels airing one program object over one local catalogue
+        # (a replicated set's) share one read-only table.
+        built: dict[tuple, RetrievalTables] = {}
         tables = []
         for channel, program in enumerate(channel_set.programs):
-            local = [
+            local = tuple(
                 file
                 for file, channels in zip(catalogue, candidates)
                 if channel in channels
-            ]
-            tables.append(
-                RetrievalTables.build(program, local, file_sizes, max_slots)
             )
+            key = (id(program), local)
+            if key not in built:
+                built[key] = RetrievalTables.build(
+                    program, local, file_sizes, max_slots
+                )
+            tables.append(built[key])
         return cls(tables, candidates, channel_set.tuning_cost)
 
     def choose(

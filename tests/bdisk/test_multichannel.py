@@ -4,7 +4,11 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.errors import SpecificationError
+from repro.api.engine import BroadcastEngine
+from repro.api.scenario import Scenario
+from repro.bdisk import multichannel
 from repro.bdisk.builder import design_program
 from repro.bdisk.file import FileSpec, GeneralizedFileSpec
 from repro.bdisk.multichannel import (
@@ -195,3 +199,80 @@ class TestDesignMultichannel:
     def test_empty_catalogue_rejected(self):
         with pytest.raises(SpecificationError, match="at least one"):
             design_multichannel_program([], ChannelSpec(count=1))
+
+
+class TestSolveOnce:
+    """Channels with the same files, extra budget and forced bandwidth
+    share one solve; the others still solve per channel."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counting(files, **kwargs):
+            calls.append(tuple(file.name for file in files))
+            return design_program(files, **kwargs)
+
+        monkeypatch.setattr(multichannel, "design_program", counting)
+        return calls
+
+    def test_replicated_set_solves_once(self, solves):
+        with obs.capture() as tel:
+            multi = design_multichannel_program(
+                catalogue(), ChannelSpec(count=3, assignment="replicated")
+            )
+        assert len(solves) == 1
+        assert tel.value("design.channel.solves", channel=0) == 1
+        assert tel.value("design.channel.solves", channel=1) is None
+        programs = multi.channel_set.programs
+        assert programs[0] is programs[1] is programs[2]
+        assert multi.designs[0] is multi.designs[1] is multi.designs[2]
+        # The shared design is the one each channel used to solve alone.
+        alone = design_program(catalogue())
+        assert same_program(programs[0], alone.program)
+        assert multi.designs[0].density == alone.density
+        assert multi.designs[0].report.method == alone.report.method
+
+    def test_striped_set_solves_per_channel(self, solves):
+        multi = design_multichannel_program(catalogue(), ChannelSpec(count=2))
+        assert len(solves) >= 2
+        assert sorted(set(solves)) == sorted(multi.partition)
+        programs = multi.channel_set.programs
+        assert programs[0] is not programs[1]
+
+    def test_per_channel_budgets_solve_per_budget(self, solves):
+        with obs.capture() as tel:
+            multi = design_multichannel_program(
+                catalogue(),
+                ChannelSpec(
+                    count=3, assignment="replicated", fault_budgets=(0, 1, 0)
+                ),
+            )
+        # Budgets 0 and 1 solve apart; the budget-1 channel needs the
+        # wider bandwidth, so channels 0 and 2 re-solve at it - once.
+        assert [d.bandwidth_plan.bandwidth for d in multi.designs] == [2] * 3
+        assert len(solves) == 3
+        assert [
+            tel.value("design.channel.solves", channel=c) for c in range(3)
+        ] == [2, 1, None]
+        programs = multi.channel_set.programs
+        assert programs[0] is programs[2]
+        assert programs[1] is not programs[0]
+
+    def test_replicated_delay_table_is_the_single_channel_table(self):
+        payload = {
+            "name": "replicated",
+            "files": [
+                {"name": f"f{i}", "blocks": 2 + i % 2, "latency": 12 + 4 * i}
+                for i in range(4)
+            ],
+            "delay_errors": 1,
+        }
+        single = BroadcastEngine(Scenario.from_dict(payload)).delay_table()
+        replicated = BroadcastEngine(
+            Scenario.from_dict(
+                {**payload, "channels": {"count": 3,
+                                         "assignment": "replicated"}}
+            )
+        ).delay_table()
+        assert replicated == single

@@ -188,6 +188,46 @@ class TestRunScript:
         with pytest.raises(SpecificationError):
             run_script(scenario, script)
 
+    def test_inapplicable_mutation_fails_before_airing(self, tmp_path):
+        log = tmp_path / "asrun.jsonl"
+        script = MutationScript.from_payload([
+            {"at_slot": 400, "mutation": {
+                "kind": "temporal_edit", "name": "pos", "update_period": 4,
+            }},
+        ])
+        with pytest.raises(SpecificationError) as raised:
+            run_script(awacs_scenario(), script, log_path=log)
+        assert str(raised.value) == (
+            "mutations[0]: temporal_edit 'pos': scenario 'awacs-live' "
+            "has no temporal spec"
+        )
+        assert not log.exists()
+
+    def test_entries_apply_in_order_before_airing(self, tmp_path):
+        # The second entry is checked against the catalogue the first
+        # one leaves.
+        log = tmp_path / "asrun.jsonl"
+        script = MutationScript.from_payload([
+            {"at_slot": 50,
+             "mutation": {"kind": "remove_file", "name": "map"}},
+            {"at_slot": 90,
+             "mutation": {"kind": "fault_budget", "name": "map",
+                          "delta": 1}},
+        ])
+        with pytest.raises(SpecificationError, match=r"^mutations\[1\]: "):
+            run_script(awacs_scenario(), script, log_path=log)
+        assert not log.exists()
+
+    def test_entries_past_until_are_not_checked(self):
+        script = MutationScript.from_payload([
+            {"at_slot": 400, "mutation": {
+                "kind": "temporal_edit", "name": "pos", "update_period": 4,
+            }},
+        ])
+        result = run_script(awacs_scenario(), script, until=100)
+        assert result.final_slot == 100
+        assert result.splice_slots == ()
+
     def test_fault_budget_bump_timeline(self):
         # A bump mid-run re-solves to a deeper rotation and splices
         # without tearing the catalogue.

@@ -82,3 +82,22 @@ class TestServerCommand:
         code = main(["server", SCENARIO, "--script", str(bad)])
         assert code != 0
         assert "at_slot must be >= 0" in capsys.readouterr().err
+
+    def test_inapplicable_script_fails_before_airing(
+        self, tmp_path, capsys
+    ):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"at_slot": 400, "mutation": {
+            "kind": "temporal_edit", "name": "pos", "update_period": 4,
+        }}]))
+        log = tmp_path / "asrun.jsonl"
+        code = main([
+            "server", SCENARIO, "--script", str(script), "--log", str(log),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: mutations[0]: temporal_edit 'pos': scenario "
+            "'awacs-live' has no temporal spec"
+        ]
+        assert not log.exists()

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.errors import SpecificationError
+from repro.bdisk.builder import design_program
 from repro.bdisk.file import FileSpec
-from repro.bdisk.multichannel import design_multichannel_program
+from repro.bdisk.multichannel import ChannelSet, design_multichannel_program
 from repro.api.scenario import ChannelSpec, FaultSpec
 from repro.rtdb import TemporalItemSpec, TemporalSpec
 from repro.sim.faults import BernoulliFaults
@@ -19,15 +20,18 @@ SIZES = {"a": 2, "b": 3, "c": 2, "d": 4}
 DEADLINES = {name: 10_000 for name in CATALOGUE}
 
 
-def channel_set(count, *, assignment="striped", tuning_cost=0, quorum=1):
-    files = [
+def files():
+    return [
         FileSpec("a", 2, 10),
         FileSpec("b", 3, 15),
         FileSpec("c", 2, 20),
         FileSpec("d", 4, 30),
     ]
+
+
+def channel_set(count, *, assignment="striped", tuning_cost=0, quorum=1):
     return design_multichannel_program(
-        files,
+        files(),
         ChannelSpec(
             count=count,
             assignment=assignment,
@@ -160,6 +164,36 @@ class TestTemporalQuorum:
         assert payload["quorum"]["reads"] == dict(
             sorted(baseline.metrics.quorum_reads.items())
         )
+
+
+class TestSharedPrograms:
+    """A replicated set airs one program object on every channel; its
+    traffic is that of separately solved copies, bit for bit."""
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_shared_program_matches_separate_solves(self, engine):
+        shared = channel_set(
+            3, assignment="replicated", tuning_cost=1, quorum=2
+        )
+        assert shared.programs[0] is shared.programs[2]
+        separate = ChannelSet(
+            programs=tuple(design_program(files()).program for _ in range(3)),
+            assignment=shared.assignment,
+            tuning_cost=1,
+            quorum=2,
+        )
+        faults = FaultSpec(kind="bernoulli", probability=0.1, seed=4)
+        spec = population(clients=25, requests_per_client=1)
+        for temporal in (None, TestTemporalQuorum().temporal()):
+            mine, theirs = (
+                run(
+                    channels, faults=faults, engine=engine,
+                    temporal=temporal, spec=spec,
+                )
+                for channels in (shared, separate)
+            )
+            assert metrics_key(mine.metrics) == metrics_key(theirs.metrics)
+            assert mine.trace == theirs.trace
 
 
 class TestDegeneracy:
