@@ -15,7 +15,8 @@ dominates a cell):
 The acceptance floor is a >= 5x wall-clock speedup (full configuration
 only).  The run store is exercised in both arms (rows stream to JSONL
 either way), so the speedup is end-to-end, not a microbenchmark of the
-solver.  Results land in ``BENCH_sweep.json`` at the repo root.  Set
+solver.  Results land in ``BENCH_sweep.json`` at the repo root, stamped
+with their provenance (commit, CPU count, Python and numpy versions).  Set
 ``REPRO_BENCH_SMOKE=1`` for a tiny CI-friendly grid (no JSON record, no
 floor).
 """
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import random
 import time
 from pathlib import Path
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, provenance
 from repro.api import Scenario
 from repro.sweep import SweepSpec, marginals, run_sweep
 
@@ -156,7 +156,7 @@ def test_solve_cache_speedup_and_record(tmp_path):
                     "axes": ["faults.probability", "faults.seed"],
                     "workload_requests": REQUESTS,
                 },
-                "python": platform.python_version(),
+                "provenance": provenance(),
                 "cache_off": {
                     "wall_seconds": round(cold_elapsed, 3),
                     "solves": uncached.solves,

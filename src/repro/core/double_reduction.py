@@ -13,8 +13,11 @@ onto a richer base set.  We implement the reduction in their spirit:
   ``x * 2**(j+1)`` or three children of modulus ``3x * 2**j``; a node of
   modulus ``3x * 2**j`` may only be split by two.  Along any root-to-leaf
   path at most one 3-split occurs, so every modulus stays inside ``B(x)``.
+  The tree is split lazily: a design builds only the classes on the
+  paths to those it hands out.
 * **Base search**: all bases at which some window specializes exactly are
-  tried in order of increasing specialized density.
+  tried in order of increasing specialized density, ranked in exact
+  integers.
 
 The scheduler is *sound by construction + verification*: residue classes
 give exact window counts, and the final schedule is verified against the
@@ -27,7 +30,7 @@ Substitutions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -47,15 +50,11 @@ def double_specialize_window(window: int, base: int) -> int:
         raise SpecificationError(
             f"window {window} smaller than base {base}"
         )
-    best = base
-    value = base
-    while value <= window:
-        best = value
-        value *= 2
-    value = 3 * base
-    while value <= window:
-        best = max(best, value)
-        value *= 2
+    # ``stem * 2**j <= window`` exactly when ``2**j <= window // stem``.
+    best = base << ((window // base).bit_length() - 1)
+    tri = window // (3 * base)
+    if tri:
+        best = max(best, 3 * base << (tri.bit_length() - 1))
     return best
 
 
@@ -89,24 +88,61 @@ def candidate_bases(windows: Iterable[int]) -> list[int]:
     return sorted(bases)
 
 
-@dataclass(frozen=True, slots=True)
-class _Node:
-    """A residue class in the allocation tree.
+class _ResiduePool:
+    """The free residue classes of one kind (pure or tri) at one level.
 
-    ``offset mod modulus``; ``tri`` records whether a 3-split occurred on
-    the path from the root (at most one is allowed).
+    Read as a fully split tree, the pool lists at level ``j`` every free
+    class 2-split down to ``j``: each 2-split turns ``[n0, n1, ...]``
+    into ``[c0(n0), c1(n0), c0(n1), ...]``, and classes are taken from
+    the end.  Each entry ``(offset, modulus, level)`` here is one class
+    split down to ``level`` that stands for all its descendants at the
+    current level, in that order.  Only :meth:`pop` splits, and only the
+    last entry, so the classes handed out are the fully split pool's
+    while the work is proportional to what is placed.
     """
 
-    offset: int
-    modulus: int
-    tri: bool
+    __slots__ = ("kind", "entries", "level", "size")
 
-    def split(self, factor: int) -> list["_Node"]:
-        tri = self.tri or factor == 3
-        return [
-            _Node(self.offset + k * self.modulus, factor * self.modulus, tri)
-            for k in range(factor)
-        ]
+    def __init__(
+        self, kind: str, entries: list[tuple[int, int, int]]
+    ) -> None:
+        self.kind = kind
+        self.entries = entries
+        self.level = 0
+        self.size = len(entries)
+
+    def descend(self) -> None:
+        """Go one level down: every free class 2-splits."""
+        self.level += 1
+        self.size *= 2
+
+    def push(self, offset: int, modulus: int) -> None:
+        """Free one class of the current level at the end."""
+        self.entries.append((offset, modulus, self.level))
+        self.size += 1
+
+    def pop(self) -> tuple[int, int]:
+        """Take the last class of the current level."""
+        entries = self.entries
+        offset, modulus, level = entries.pop()
+        while level < self.level:
+            # 2-split: the first child stays free, the last is split on.
+            level += 1
+            entries.append((offset, 2 * modulus, level))
+            offset += modulus
+            modulus *= 2
+        self.size -= 1
+        return offset, modulus
+
+    def take(self, task: PinwheelTask, base: int) -> list[tuple[int, int]]:
+        """The ``task.a`` classes ``task`` is handed, last first."""
+        if self.size < task.a:
+            raise SchedulingError(
+                f"double reduction (base {base}): {self.kind} pool "
+                f"exhausted for task {task.ident!r} (needs {task.a}, "
+                f"has {self.size})"
+            )
+        return [self.pop() for _ in range(task.a)]
 
 
 def _classify(window: int, base: int) -> tuple[int, bool]:
@@ -133,7 +169,9 @@ def allocate_double(
     ``base * 2**j``) first serves pure demand; tri demand (modulus
     ``3 * base * 2**j``) is served from the tri pool, converting as few
     pure nodes as possible (each conversion 3-splits one pure node).
-    Leftovers are 2-split into the next level's pools.
+    Leftovers are 2-split into the next level's pools; the split is
+    lazy (see :class:`_ResiduePool`), so only classes on the path to
+    one that is handed out are ever built.
 
     Raises :class:`SchedulingError` when a pool runs dry.
     """
@@ -141,62 +179,73 @@ def allocate_double(
     demands_tri: dict[int, list[PinwheelTask]] = {}
     max_level = 0
     for task in system.tasks:
-        level, tri = _classify(task.b, base)
-        target = demands_tri if tri else demands_pure
+        level, is_tri = _classify(task.b, base)
+        target = demands_tri if is_tri else demands_pure
         target.setdefault(level, []).append(task)
         max_level = max(max_level, level)
 
-    pool_pure: list[_Node] = [_Node(off, base, False) for off in range(base)]
-    pool_tri: list[_Node] = []
+    pure = _ResiduePool("pure", [(offset, base, 0) for offset in range(base)])
+    tri = _ResiduePool("tri", [])
     assignments: dict[object, list[tuple[int, int]]] = {}
-
-    def take(pool: list[_Node], tasks: list[PinwheelTask], kind: str) -> None:
-        for task in tasks:
-            if len(pool) < task.a:
-                raise SchedulingError(
-                    f"double reduction (base {base}): {kind} pool exhausted "
-                    f"for task {task.ident!r} (needs {task.a}, "
-                    f"has {len(pool)})"
-                )
-            taken = [pool.pop() for _ in range(task.a)]
-            assignments[task.ident] = [
-                (node.offset, node.modulus) for node in taken
-            ]
-
     for level in range(max_level + 1):
-        take(pool_pure, demands_pure.get(level, []), "pure")
-        tri_need = sum(t.a for t in demands_tri.get(level, []))
-        shortfall = tri_need - len(pool_tri)
+        for task in demands_pure.get(level, ()):
+            assignments[task.ident] = pure.take(task, base)
+        tri_need = sum(t.a for t in demands_tri.get(level, ()))
+        shortfall = tri_need - tri.size
         if shortfall > 0:
             conversions = -(-shortfall // 3)  # ceil division
-            if conversions > len(pool_pure):
+            if conversions > pure.size:
                 raise SchedulingError(
                     f"double reduction (base {base}): cannot convert "
                     f"{conversions} pure nodes at level {level} "
-                    f"(only {len(pool_pure)} free)"
+                    f"(only {pure.size} free)"
                 )
             for _ in range(conversions):
-                pool_tri.extend(pool_pure.pop().split(3))
-        take(pool_tri, demands_tri.get(level, []), "tri")
+                offset, modulus = pure.pop()
+                for k in range(3):
+                    tri.push(offset + k * modulus, 3 * modulus)
+        for task in demands_tri.get(level, ()):
+            assignments[task.ident] = tri.take(task, base)
         if level < max_level:
-            pool_pure = [
-                child for node in pool_pure for child in node.split(2)
-            ]
-            pool_tri = [
-                child for node in pool_tri for child in node.split(2)
-            ]
+            pure.descend()
+            tri.descend()
     return assignments
 
 
 def _cycle_length(assignments: dict[object, list[tuple[int, int]]]) -> int:
     """Least common multiple of every assigned modulus."""
-    import math
-
     length = 1
     for classes in assignments.values():
         for _, modulus in classes:
             length = math.lcm(length, modulus)
     return length
+
+
+def ranked_bases(system: PinwheelSystem) -> list[int]:
+    """Candidate bases whose specialized density is at most 1.
+
+    Sorted by exact specialized density, then by base.  The density is
+    ranked in integers: with ``D`` the lcm of the specialized windows
+    ``w_i``, it is ``sum(a_i * (D // w_i)) / D``.  A base at which some
+    window shrinks below its requirement has a task of density above 1,
+    so it is skipped too.
+    """
+    # Tasks sharing a window specialize together.
+    demands: dict[int, int] = {}
+    for task in system.tasks:
+        demands[task.b] = demands.get(task.b, 0) + task.a
+    ranked = []
+    for candidate in candidate_bases(demands):
+        specialized = [
+            (double_specialize_window(window, candidate), demand)
+            for window, demand in demands.items()
+        ]
+        lcm = math.lcm(*(window for window, _ in specialized))
+        load = sum(demand * (lcm // window) for window, demand in specialized)
+        if load <= lcm:
+            ranked.append((Fraction(load, lcm), candidate))
+    ranked.sort()
+    return [candidate for _, candidate in ranked]
 
 
 def schedule_double_reduction(
@@ -211,17 +260,7 @@ def schedule_double_reduction(
     if base is not None:
         bases = [base]
     else:
-        ranked = []
-        for candidate in candidate_bases(t.b for t in system.tasks):
-            try:
-                density = specialize_double(system, candidate).density
-            except SpecificationError:
-                # Some window shrank below its requirement at this base.
-                continue
-            if density <= 1:
-                ranked.append((density, candidate))
-        ranked.sort()
-        bases = [candidate for _, candidate in ranked]
+        bases = ranked_bases(system)
         if not bases:
             raise SchedulingError(
                 f"double reduction: no base brings specialized density "

@@ -172,16 +172,26 @@ class Schedule:
         so its count never falls: only slot 0 and the slot just after
         each service can start a sparsest window.  Slot 0 also stands for
         the gap that wraps past the end of the cycle.
+
+        The window after the ``k``-th service of a cycle starts past ``k``
+        services, so its count is the services before its end minus
+        ``k``: one bisection per service.
         """
-        best_start = 0
-        best = self.count_in_window(owner, 0, length)
+        if length < 0:
+            raise SpecificationError(f"window length must be >= 0: {length}")
+        positions = self.service_slots(owner)
+        per_cycle = len(positions)
         cycle_len = len(self._cycle)
-        for slot in self.service_slots(owner):
-            # A service in the last slot wraps to start 0, checked above.
-            start = (slot + 1) % cycle_len
-            count = self.count_in_window(owner, start, length)
+        full, rem = divmod(length, cycle_len)
+        best_start, best = 0, full * per_cycle + bisect_left(positions, rem)
+        after = length + 1
+        for served, slot in enumerate(positions, 1):
+            # A service in the last slot wraps to start 0 with the same
+            # count, so it never displaces the start checked above.
+            full, rem = divmod(slot + after, cycle_len)
+            count = full * per_cycle + bisect_left(positions, rem) - served
             if count < best:
-                best_start, best = start, count
+                best_start, best = slot + 1, count
         return best_start, best
 
     def service_slots(self, owner: OwnerKey) -> tuple[int, ...]:
@@ -191,10 +201,18 @@ class Schedule:
         """
         positions = self._positions.get(owner)
         if positions is None:
-            positions = tuple(
-                slot for slot, o in enumerate(self._cycle) if o == owner
-            )
-            self._positions[owner] = positions
+            # ``tuple.index`` scans the cycle in C; Python runs once per
+            # service found.
+            found = []
+            find = self._cycle.index
+            slot = -1
+            try:
+                while True:
+                    slot = find(owner, slot + 1)
+                    found.append(slot)
+            except ValueError:
+                pass
+            positions = self._positions[owner] = tuple(found)
         return positions
 
     def gaps(self, owner: OwnerKey) -> tuple[int, ...]:

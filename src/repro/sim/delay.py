@@ -209,8 +209,10 @@ def worst_case_delay(
 
     With ``errors > 0`` the game branches at every useful block, so
     searches past the :data:`MAX_EXACT_WIDTH` state budget are rejected
-    with a :class:`SimulationError` up front (the ``errors == 0`` case
-    stays linear and uncapped).
+    with a :class:`SimulationError` up front.  With ``errors == 0`` the
+    delay is 0 at every phase; one fault-free retrieval from phase 0
+    still raises for a file that cannot be retrieved, since whether the
+    useful blocks of a data cycle suffice does not depend on the phase.
     """
     if errors < 0:
         raise SimulationError(f"errors must be >= 0: {errors}")
@@ -221,6 +223,9 @@ def worst_case_delay(
     game = _completion_game(
         program, file, m_needed, need_distinct=need_distinct
     )
+    if errors == 0:
+        game(0, 0)
+        return 0
     worst = 0
     for phase in range(program.data_cycle_length):
         delay = game(phase, errors) - game(phase, 0)

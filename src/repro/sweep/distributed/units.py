@@ -21,7 +21,6 @@ the coordinator's startup and cap worker scaling.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 from dataclasses import dataclass
@@ -99,7 +98,7 @@ def iter_units(spec: SweepSpec) -> Iterator[WorkUnit]:
     produce, and each unit's payload *validates to* the same scenario
     (``Scenario.from_dict(unit.scenario).to_dict() ==
     cell.scenario.to_dict()``, pinned by tests) - but the payload here
-    is pre-normalization (overrides applied to a deep copy of the base
+    is pre-normalization (overrides applied to a copy of the base
     payload), since per-cell ``Scenario`` construction is exactly the
     serial cost this path exists to avoid.  Consumers that compare
     against *stored* rows (which hold normalized scenarios) must
@@ -117,7 +116,9 @@ def iter_units(spec: SweepSpec) -> Iterator[WorkUnit]:
             f"{field_name}={_value_key(value)}"
             for field_name, value in overrides
         )
-        payload = copy.deepcopy(base)
+        # set_dotted copies each container it writes into, so the
+        # root is the only one to copy here.
+        payload = dict(base)
         for field_name, value in overrides:
             set_dotted(payload, field_name, value)
         yield WorkUnit(

@@ -122,12 +122,17 @@ class SweepAxis(Spec):
             )
 
 
+#: The one encoder of axis-value keys (``json.dumps`` with these
+#: settings would build a new encoder per call).
+_KEY_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def _value_key(value: Any) -> str:
     """A canonical compact JSON rendering of one axis value."""
     try:
-        return json.dumps(
-            value, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return _KEY_ENCODER.encode(value)
     except (TypeError, ValueError) as error:
         raise SpecificationError(
             f"sweep axis value {value!r} is not JSON-serializable: "

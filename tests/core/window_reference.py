@@ -1,4 +1,4 @@
-"""Slot-by-slot reference for the window kernel, shared by the core tests."""
+"""References for the window kernel, shared by the core tests."""
 
 from typing import Hashable, Sequence
 
@@ -19,5 +19,23 @@ def brute_force_min_window(
             1 for k in range(length) if slots[(start + k) % period] == owner
         )
         if best is None or count < best:
+            best_start, best = start, count
+    return best_start, best
+
+
+def per_service_min_window(schedule, owner: Hashable, length: int):
+    """The window kernel as first written over ``Schedule``: one
+    ``count_in_window`` call from slot 0 and from the slot after each
+    service, keeping the earliest minimizing start."""
+    best_start = 0
+    best = schedule.count_in_window(owner, 0, length)
+    cycle_len = schedule.cycle_length
+    positions = tuple(
+        slot for slot, o in enumerate(schedule.cycle) if o == owner
+    )
+    for slot in positions:
+        start = (slot + 1) % cycle_len
+        count = schedule.count_in_window(owner, start, length)
+        if count < best:
             best_start, best = start, count
     return best_start, best

@@ -17,6 +17,7 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from expand_reference import (
@@ -25,9 +26,11 @@ from expand_reference import (
 )
 from repro.api.scenario import FAULT_KINDS, FaultSpec, Scenario
 from repro.bdisk.file import FileSpec
+from repro.errors import SpecificationError
 from repro.sweep import SweepAxis, SweepSpec, apply_overrides
 from repro.sweep.distributed.units import iter_units
 from repro.sweep.expand import normalized, overridden
+from repro.sweep.spec import _value_key
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -160,6 +163,24 @@ class TestEveryCell:
             assert [unit.uid for unit in iter_units(spec)] == (
                 reference_uids(spec)
             ), name
+
+    def test_unit_payloads_are_written_apart(self):
+        # Units share every container no override writes into; building
+        # each unit's scenario, as a worker does, and expanding the
+        # whole grid leaves every payload and the base as declared.
+        for name, make in SPECS.items():
+            spec = make()
+            before = json.dumps(spec.base.to_dict())
+            units = list(iter_units(spec))
+            for unit in units:
+                Scenario.from_dict(unit.scenario)
+            base = json.loads(before)
+            for unit in units:
+                expected = copy.deepcopy(base)
+                for field, value in unit.overrides:
+                    reference_set_dotted(expected, field, copy.deepcopy(value))
+                assert unit.scenario == expected, (name, unit.key)
+            assert json.dumps(spec.base.to_dict()) == before, name
 
     def test_untouched_subtrees_are_shared_with_the_base(self):
         spec = grid_spec()
@@ -447,3 +468,50 @@ class TestDrawnGrids:
                 reference.scenario_fingerprint()
             )
 
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def dumped_key(value) -> str:
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+class TestValueKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_drawn_values_render_as_json_dumps(self, value):
+        assert _value_key(value) == dumped_key(value)
+
+    def test_example_sweep_keys_render_as_json_dumps(self):
+        for name, make in SPECS.items():
+            spec = make()
+            for axis in spec.axes:
+                for value in axis.values:
+                    assert _value_key(value) == dumped_key(value), name
+
+    def test_unrenderable_values_raise_the_same_text(self):
+        for value in (
+            float("nan"), float("inf"), {1, 2}, object(), [1, {"a": b"x"}]
+        ):
+            try:
+                dumped_key(value)
+            except (TypeError, ValueError) as error:
+                message = (
+                    f"sweep axis value {value!r} is not JSON-serializable: "
+                    f"{error}"
+                )
+            with pytest.raises(SpecificationError) as raised:
+                _value_key(value)
+            assert str(raised.value) == message
