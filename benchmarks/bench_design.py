@@ -11,8 +11,12 @@ the layers it pays for:
   residue classes until one base fits;
 * ``verify`` - the exact window check of every pinwheel condition on a
   fresh schedule;
-* ``index_build`` - the program's occurrence index;
-* ``min_distinct`` - each file's distinct-block fault-tolerance check.
+* ``index_build`` - the program's occurrence index, which a design no
+  longer builds (a program's first retrieval does); kept to show what
+  that first retrieval pays;
+* ``min_distinct`` - each file's distinct-block fault-tolerance check:
+  one sparsest-window service count per file, since rotation makes
+  ``k`` services carry ``min(k, n)`` distinct blocks.
 
 Each layer runs alone on the inputs its design used, and the staged
 pieces must reproduce the design's schedule.  The layers need not sum

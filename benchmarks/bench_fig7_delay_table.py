@@ -1,8 +1,9 @@
 """Experiment FIG7: worst-case delays versus transmission errors.
 
 Regenerates the paper's Figure 7 table for the toy programs of Figures
-5-6 via the exact adversarial game of :mod:`repro.sim.delay`, and prints
-it next to the paper's reported column.
+5-6 from the exact worst cases of :mod:`repro.sim.delay` (closed forms
+on the block rotation, equal to the exhaustive adversary game), and
+prints it next to the paper's reported column.
 
 Reading the results (see EXPERIMENTS.md for the full discussion):
 

@@ -13,7 +13,8 @@
    discrete-event traffic simulation (:mod:`repro.traffic`) against the
    program through the same fault model;
 5. **delay analysis**: when requested, regenerate the exact worst-case
-   delay table (Figure 7 style) by exhaustive adversary.
+   delay table (Figure 7 style), read off each file's block rotation
+   (:mod:`repro.sim.delay`) on the channel a client picks.
 
 The outcome is a structured :class:`ScenarioResult`; :func:`run_scenarios`
 maps the same pipeline over a batch for parameter sweeps.
@@ -42,7 +43,7 @@ from repro.bdisk.multichannel import (
     design_multichannel_program,
 )
 from repro.bdisk.program import BroadcastProgram
-from repro.sim.delay import worst_case_delay
+from repro.sim.delay import chosen_channel_delay
 from repro.sim.runner import (
     SimulationResult,
     simulate_requests,
@@ -646,43 +647,38 @@ class BroadcastEngine:
         return checks
 
     def delay_table(self) -> tuple[DelayEntry, ...]:
-        """Exact worst-case delays up to the scenario's ``delay_errors``."""
+        """Exact worst-case delays up to the scenario's ``delay_errors``.
+
+        A client of a channel set commits to the carrier it would
+        finish on first without faults, so each entry is the worst case
+        over one common period of the channel it picks there (at tuning
+        cost 0, which the table leaves out); one channel is the
+        single-channel worst case.
+        """
         scenario = self._scenario
         if scenario.delay_errors is None:
             return ()
         design = self.design()
-        if isinstance(design, MultiChannelDesign):
-            # A client tunes whichever carrying channel answers first,
-            # so the worst case over the set is the *best* per-channel
-            # worst case (tuning cost is a runtime knob, not part of
-            # the exact table).
-            channel_set = design.channel_set
+        channels = (
+            design.channel_set
+            if isinstance(design, MultiChannelDesign)
+            else None
+        )
+
+        def carriers(file: str) -> tuple[BroadcastProgram, ...]:
+            if channels is None:
+                return (design.program,)
             return tuple(
-                DelayEntry(
-                    spec.name,
-                    errors,
-                    min(
-                        worst_case_delay(
-                            channel_set.programs[channel],
-                            spec.name,
-                            spec.blocks,
-                            errors,
-                            need_distinct=True,
-                        )
-                        for channel in channel_set.channels_for(spec.name)
-                    ),
-                )
-                for spec in scenario.files
-                for errors in range(scenario.delay_errors + 1)
+                channels.programs[channel]
+                for channel in channels.channels_for(file)
             )
-        program = design.program
+
         return tuple(
             DelayEntry(
                 spec.name,
                 errors,
-                worst_case_delay(
-                    program, spec.name, spec.blocks, errors,
-                    need_distinct=True,
+                chosen_channel_delay(
+                    carriers(spec.name), spec.name, spec.blocks, errors
                 ),
             )
             for spec in scenario.files

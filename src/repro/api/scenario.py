@@ -382,8 +382,9 @@ class Scenario(Spec):
         scheduler names (see :mod:`repro.core.registry`).
     delay_errors:
         When set, compute the exact worst-case delay table (Figure 7
-        style) for fault counts ``0..delay_errors``.  Exhaustive - keep
-        small.
+        style) for fault counts ``0..delay_errors``.  Closed forms on
+        each file's block rotation: linear in its services per cycle,
+        at any fault count.
     """
 
     name: str = spec_field(Str(nonempty=True))

@@ -18,7 +18,8 @@ service slots.  Two periods matter (Section 2.3, Figure 6):
 (owners = file names) with per-file block-rotation counts, and exposes the
 quantities the lemmas and the simulator need: ``Pi`` (broadcast period),
 ``Delta_i`` (max inter-service gap), and exact distinct-block window
-minima.
+minima - service counts, since rotation makes ``k`` consecutive
+services carry ``min(k, n_i)`` distinct blocks.
 """
 
 from __future__ import annotations
@@ -211,11 +212,18 @@ class BroadcastProgram:
 
         This is the fault-tolerance quantity: with AIDA, ``j`` losses in a
         window still permit reconstruction iff the window held at least
-        ``m + j`` distinct blocks.  Computed by sliding over the file's
-        precomputed occurrences (the content is periodic beyond one data
-        cycle); see :meth:`ProgramIndex.min_distinct_in_window`.
+        ``m + j`` distinct blocks.  Consecutive services carry consecutive
+        blocks of the rotation, so ``k`` services carry ``min(k, n_i)``
+        distinct blocks and the sparsest window decides: one
+        :meth:`Schedule.min_window` call, no slot or occurrence walk.  A
+        file the program never serves has none.
         """
-        return self.index.min_distinct_in_window(file, window)
+        if window < 0:
+            raise ProgramError(f"window must be >= 0: {window}")
+        if file not in self._block_counts:
+            return 0
+        services = self._schedule.min_window(file, window)[1]
+        return min(services, self._block_counts[file])
 
     def verify_fault_tolerance(
         self, file: str, m: int, faults: int, window: int

@@ -19,20 +19,27 @@ simulators need:
 
 The index is immutable once built (the finish tables are a cache) and
 is shared by every consumer of the same program;
-:attr:`BroadcastProgram.index` builds it lazily exactly once.  All
-quantities are defined over the *data cycle* (the period of the
-``(file, block)`` content), so block indices repeat exactly beyond it
-and the occurrence generator can extend the tables cyclically forever.
+:attr:`BroadcastProgram.index` builds it lazily exactly once, at the
+program's first retrieval.  All quantities are defined over the *data
+cycle* (the period of the ``(file, block)`` content), so block indices
+repeat exactly beyond it and the occurrence generator can extend the
+tables cyclically forever.
+
 Service counts and gaps depend only on the slot-to-file map, so
 :class:`~repro.core.schedule.Schedule` answers them; the data cycle is a
-multiple of the schedule cycle, so its answers hold here too.
+multiple of the schedule cycle, so its answers hold here too.  Rotation
+turns service counts into block counts - ``k`` consecutive services
+carry ``min(k, n)`` distinct blocks - so distinct-block window minima
+(:meth:`BroadcastProgram.min_distinct_in_window`), fault-free finishes
+and worst-case delays (:mod:`repro.sim.delay`) are arithmetic on them,
+and a design never builds this index.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ProgramError, SpecificationError
 from repro.core.schedule import IDLE
@@ -55,6 +62,7 @@ class ProgramIndex:
         "_contents",
         "_slots",
         "_blocks",
+        "_widths",
         "_finish",
     )
 
@@ -93,6 +101,7 @@ class ProgramIndex:
         self._contents: tuple["SlotContent" | None, ...] = tuple(contents)
         self._slots = {f: tuple(s) for f, s in slots.items()}
         self._blocks = {f: tuple(b) for f, b in blocks.items()}
+        self._widths = block_counts
 
     # ------------------------------------------------------------------
     # Structure
@@ -204,16 +213,24 @@ class ProgramIndex:
         ``m_needed``-th distinct block - ``-1`` when the file never
         carries that many distinct blocks.
 
-        Built on first use per ``(file, m_needed)``, then cached.
+        Consecutive services carry consecutive blocks of the rotation,
+        so the ``need``-th distinct block is occurrence
+        ``j + need - 1`` whenever ``need <= n``.  Built on first use per
+        ``(file, m_needed)``, then cached.
         """
         need = max(1, m_needed)  # a 0-block file completes at the 1st block
         key = (file, need)
         table = self._finish.get(key)
         if table is None:
-            slots, blocks = self._occurrence_arrays(file)
-            table = self._finish[key] = self._finish_per_occurrence(
-                slots, blocks, need
-            )
+            slots = self._occurrence_arrays(file)[0]
+            if need > self._widths[file]:
+                table = (-1,) * len(slots)
+            else:
+                # need - 1 < n <= occurrences: at most one wrap.
+                table = slots[need - 1:] + tuple(
+                    slot + self._cycle for slot in slots[: need - 1]
+                )
+            self._finish[key] = table
         return table
 
     def fault_free_finish(
@@ -240,38 +257,8 @@ class ProgramIndex:
         relative = table[k]
         return None if relative < 0 else quotient * self._cycle + relative
 
-    def _finish_per_occurrence(
-        self, slots: Sequence[int], blocks: Sequence[int], need: int
-    ) -> tuple[int, ...]:
-        """Two-pointer sweep over the cyclically doubled occurrence list:
-        the minimal completing occurrence is monotone in the start, so
-        the whole table costs O(occurrences)."""
-        count = len(slots)
-        if len(set(blocks)) < need:
-            return (-1,) * count
-        cycle = self._cycle
-
-        def occurrence(e: int) -> tuple[int, int]:
-            quotient, remainder = divmod(e, count)
-            return slots[remainder] + quotient * cycle, blocks[remainder]
-
-        finish: list[int] = []
-        in_window: dict[int, int] = {}
-        e = 0
-        for j in range(count):
-            while len(in_window) < need:
-                block = occurrence(e)[1]
-                in_window[block] = in_window.get(block, 0) + 1
-                e += 1
-            finish.append(occurrence(e - 1)[0])
-            block = occurrence(j)[1]
-            in_window[block] -= 1
-            if not in_window[block]:
-                del in_window[block]
-        return tuple(finish)
-
     # ------------------------------------------------------------------
-    # Window arithmetic
+    # Content
     # ------------------------------------------------------------------
 
     def content(self, t: int) -> "SlotContent" | None:
@@ -279,63 +266,6 @@ class ProgramIndex:
         if t < 0:
             raise SpecificationError(f"slot index must be >= 0, got {t}")
         return self._contents[t % self._cycle]
-
-    def min_distinct_in_window(self, file: str, window: int) -> int:
-        """Minimum distinct block indices of ``file`` in any window.
-
-        Exactly the fault-tolerance quantity of
-        :meth:`BroadcastProgram.min_distinct_in_window`, but computed by
-        sliding over *occurrences* rather than slots: the distinct count
-        is piecewise constant in the window start and only changes when
-        an occurrence enters or leaves, so only those event starts are
-        evaluated.  O(occurrences) instead of O(data cycle x window).
-        """
-        if window < 0:
-            raise ProgramError(f"window must be >= 0: {window}")
-        # A file the program never serves has zero blocks in every window
-        # (matching the seed slot-walking behaviour, which returned 0).
-        slots = self._slots.get(file, ())
-        blocks = self._blocks.get(file, ())
-        if window == 0 or not slots:
-            return 0
-        cycle = self._cycle
-        count = len(slots)
-
-        def occurrence(i: int) -> tuple[int, int]:
-            """(absolute slot, block) of the i-th occurrence from t=0."""
-            quotient, remainder = divmod(i, count)
-            return slots[remainder] + quotient * cycle, blocks[remainder]
-
-        # Window [0, window): low points at the first occurrence inside,
-        # high at the first occurrence beyond.
-        full, remainder = divmod(window, cycle)
-        high = full * count + bisect_left(slots, remainder)
-        low = 0
-        in_window: dict[int, int] = {}
-        for i in range(low, high):
-            block = occurrence(i)[1]
-            in_window[block] = in_window.get(block, 0) + 1
-        best = len(in_window)
-        while True:
-            # Next start at which the window content changes: the low
-            # occurrence leaves at slot_low + 1, the high one enters at
-            # slot_high - window + 1.
-            start = min(
-                occurrence(low)[0] + 1, occurrence(high)[0] - window + 1
-            )
-            if start >= cycle:
-                return best
-            while occurrence(low)[0] < start:
-                block = occurrence(low)[1]
-                in_window[block] -= 1
-                if in_window[block] == 0:
-                    del in_window[block]
-                low += 1
-            while occurrence(high)[0] < start + window:
-                block = occurrence(high)[1]
-                in_window[block] = in_window.get(block, 0) + 1
-                high += 1
-            best = min(best, len(in_window))
 
     def __repr__(self) -> str:
         return (

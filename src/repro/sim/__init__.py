@@ -9,8 +9,8 @@ unreliable broadcast medium.  This subpackage provides both sides:
 * :mod:`repro.sim.client` - a client that tunes in at a phase, collects
   blocks of a target file (any-``m``-distinct with IDA, every specific
   block without), and reconstructs;
-* :mod:`repro.sim.delay` - exact worst-case delay analysis by exhaustive
-  adversary (Figure 7) and the Lemma 1/2 upper bounds;
+* :mod:`repro.sim.delay` - exact worst-case delays (Figure 7) as closed
+  forms on each file's block rotation, and the Lemma 1/2 upper bounds;
 * :mod:`repro.sim.workload` - seeded random file sets, pinwheel
   instances with target density, and request streams;
 * :mod:`repro.sim.metrics` - latency summaries and deadline-miss rates;
@@ -31,6 +31,7 @@ from repro.sim.faults import (
 from repro.sim.client import RetrievalResult, retrieve
 from repro.sim.delay import (
     DelayTableRow,
+    chosen_channel_delay,
     fault_free_latency,
     lemma1_bound,
     lemma2_bound,
@@ -57,6 +58,7 @@ __all__ = [
     "RetrievalResult",
     "retrieve",
     "DelayTableRow",
+    "chosen_channel_delay",
     "fault_free_latency",
     "lemma1_bound",
     "lemma2_bound",

@@ -9,44 +9,37 @@ make it?
 * **Lemma 2** (AIDA, max inter-block gap ``Delta``): at most
   ``r * Delta`` extra - any next block of the file substitutes.
 
-:func:`worst_case_delay` computes the *exact* worst case by exhaustive
-adversary: a memoized game search over (position in data cycle, blocks
-collected, kills remaining), maximized over every client phase.  The
-search is exponential in the file's dispersal width, which is fine for
-the paper's toy programs (Figure 7) and the property tests; searches
-whose partial-retrieval state count exceeds the :data:`MAX_EXACT_WIDTH`
-budget are rejected eagerly with a clear
-:class:`~repro.errors.SimulationError` rather than letting the memo blow
-up the machine.  For large sweeps, :func:`greedy_adversary_delay` gives
-a fast lower bound on the worst case (kill the next useful block while
-budget lasts) at any width.
-
-Delay is defined per phase as ``completion(phase, adversary) -
-completion(phase, no faults)`` and then maximized over phases; the
-without-IDA client needs every specific block index, the AIDA client any
-``m`` distinct ones.
+The exact worst case needs no search: rotation is the certificate.
+Service ``c`` of a file (from slot 0) carries block ``c mod n``, so an
+adversary with ``j`` kills stops a client only by wiping out whole
+blocks, and ``K`` - the services after which it cannot - is a closed
+form.  ``K = q*n + s`` services air ``s`` blocks ``q + 1`` times and
+the rest ``q`` times.  **With IDA** the client needs ``need = max(1, m)``
+distinct blocks, so ``t = n - need + 1`` must go, at a cost of
+``t*q + max(0, s - need + 1)`` kills; the first ``K`` costing more than
+``j`` is, with ``(q, x) = divmod(j + 1, t)``, ``q*n`` if ``x == 0``,
+else ``q*n + need - 1 + x``.  **Without IDA** it needs blocks
+``0 .. m-1``; from block ``c`` the last arrives at service
+``K0 = 1 + max((b - c) mod n)``, and each kill of it costs a rotation:
+``K = K0 + j*n``.  A client first hearing occurrence ``e`` finishes at
+occurrence ``e + K - 1``; delays and latencies are slot differences,
+maximized over slot 0 and the slot after each service, where they can
+change.  A client of several channels commits to the one it would
+finish on first without faults (lowest index on ties,
+:func:`repro.sim.client.best_channel`'s rule at tuning cost 0);
+:func:`chosen_channel_delay` walks those phases of every carrier over
+one common period, and one carrier is the single-channel case.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram
-
-#: Width budget for the exact adversary game when it has kills to
-#: spend.  The memo is keyed on frozensets of collected block indices,
-#: so its state count grows with the number of sub-``m`` subsets of the
-#: file's dispersal width.  Files up to this wide are always accepted;
-#: wider files are accepted only while their collected-subset count
-#: (``sum of C(width, k) for k < m_needed``) stays below
-#: ``2**MAX_EXACT_WIDTH`` - a wide file needing few blocks is cheap,
-#: a wide file needing most of them is not.  Beyond that the search is
-#: rejected eagerly with a :class:`SimulationError` instead of
-#: consuming the machine; use :func:`greedy_adversary_delay` (linear)
-#: there.
-MAX_EXACT_WIDTH = 20
 
 
 def lemma1_bound(period: int, errors: int) -> int:
@@ -59,123 +52,104 @@ def lemma2_bound(delta: int, errors: int) -> int:
     return errors * delta
 
 
-def _file_slots(
-    program: BroadcastProgram, file: str
-) -> list[tuple[int, int]]:
-    """``(slot, block_index)`` for every service of ``file`` in one data
-    cycle, straight from the program's occurrence index."""
-    if file not in program.files:
-        raise SimulationError(f"file {file!r} is not broadcast")
-    index = program.index
-    return list(
-        zip(index.occurrence_slots(file), index.occurrence_blocks(file))
-    )
+class _Rotation:
+    """One file's services on one program, as occurrence arithmetic.
 
-
-def _content_by_slot(
-    program: BroadcastProgram, file: str
-) -> list[int | None]:
-    """Per-slot block index of ``file`` over one data cycle (None when
-    the slot is idle or carries another file)."""
-    content_by_slot: list[int | None] = [None] * program.data_cycle_length
-    for t, index in _file_slots(program, file):
-        content_by_slot[t] = index
-    return content_by_slot
-
-
-def _check_exact_width(
-    program: BroadcastProgram,
-    file: str,
-    m_needed: int,
-    *,
-    need_distinct: bool,
-) -> None:
-    """Reject adversary searches too wide for the exact game.
-
-    The bound tracks the actual state count, not the width alone: a
-    file dispersed over 40 blocks of which any 2 reconstruct it is
-    trivial to search, while 22 blocks needing 21 distinct is not.
-    Without-IDA clients (``need_distinct=False``) only ever collect
-    block indices below ``m_needed``, so their collectible width is
-    capped there regardless of how many blocks rotate.
+    Occurrence ``i`` is the ``i``-th service from slot 0; it airs at
+    :meth:`slot` and carries block ``i mod n``.  ``slots`` holds one
+    ``period`` of occurrence slots: a schedule cycle with IDA, and
+    without it as many cycles as the block heard first takes to repeat.
     """
-    if file not in program.files:
-        raise SimulationError(f"file {file!r} is not broadcast")
-    width = program.block_count(file)
-    if not need_distinct:
-        width = min(width, m_needed)
-    if width <= MAX_EXACT_WIDTH:
-        return
-    from math import comb
 
-    subsets = sum(comb(width, k) for k in range(min(m_needed, width)))
-    if subsets > 1 << MAX_EXACT_WIDTH:
-        raise SimulationError(
-            f"exact adversary search for file {file!r} is exponential "
-            f"in dispersal width: collecting {m_needed} of {width} "
-            f"rotated blocks spans {subsets} partial-retrieval states "
-            f"(cap: width {MAX_EXACT_WIDTH}, or 2^{MAX_EXACT_WIDTH} "
-            f"states beyond it); either shrink the search - a smaller "
-            f"m (fewer blocks to reconstruct, e.g. a larger block "
-            f"size) or a shorter horizon (fewer rotated blocks per "
-            f"cycle) - or use greedy_adversary_delay for a fast "
-            f"linear lower bound at any width"
-        )
+    __slots__ = ("slots", "period", "width", "needed", "distinct")
 
-
-def _completion_game(
-    program: BroadcastProgram,
-    file: str,
-    m_needed: int,
-    *,
-    need_distinct: bool,
-) -> "callable":
-    """Build the memoized adversary game for one (program, file) pair.
-
-    Returns ``worst(phase, kills)``: the worst-case completion latency in
-    slots (inclusive) when the client starts at ``phase`` and the
-    adversary may clobber up to ``kills`` of the file's blocks.  The
-    adversary is clairvoyant and optimal: at every useful block it
-    branches between letting it through and killing it.
-    """
-    cycle = program.data_cycle_length
-    content_by_slot = _content_by_slot(program, file)
-
-    @lru_cache(maxsize=None)
-    def worst(pos: int, collected: frozenset, kills: int) -> int:
-        """Worst remaining slots (counting the current one) until done."""
-        # Scan to the next useful slot; periodicity bounds the scan.
-        offset = 0
-        while offset <= cycle:
-            index = content_by_slot[(pos + offset) % cycle]
-            useful = index is not None and (
-                index not in collected
-                if need_distinct
-                else index < m_needed and index not in collected
-            )
-            if useful:
-                break
-            offset += 1
-        else:
+    def __init__(
+        self,
+        program: BroadcastProgram,
+        file: str,
+        m_needed: int,
+        need_distinct: bool,
+    ) -> None:
+        if file not in program.files:
+            raise SimulationError(f"file {file!r} is not broadcast")
+        width = program.block_count(file)
+        # With IDA a 0-block file is done at its first block.
+        needed = max(1, m_needed) if need_distinct else m_needed
+        if not 1 <= needed <= width:
             raise SimulationError(
                 f"retrieval of {file!r} cannot progress: no useful block "
                 f"in a full data cycle (m_needed={m_needed} too large?)"
             )
-        here = (pos + offset) % cycle
-        took = collected | {index}
-        done = len(took) >= m_needed
-        receive = offset + 1 if done else offset + 1 + worst(
-            (here + 1) % cycle, took, kills
+        schedule = program.schedule
+        served = schedule.service_slots(file)
+        cycles = 1 if need_distinct else width // math.gcd(width, len(served))
+        period = schedule.cycle_length
+        self.slots = tuple(
+            slot + cycle * period for cycle in range(cycles) for slot in served
         )
-        if kills == 0:
-            return receive
-        killed = offset + 1 + worst((here + 1) % cycle, collected, kills - 1)
-        return max(receive, killed)
+        self.period = period * cycles
+        self.width = width
+        self.needed = needed
+        self.distinct = need_distinct
 
-    def completion(phase: int, kills: int) -> int:
-        return worst(phase % cycle, frozenset(), kills)
+    def slot(self, occurrence: int) -> int:
+        """The slot occurrence ``occurrence`` airs at (any integer)."""
+        cycles, within = divmod(occurrence, len(self.slots))
+        return cycles * self.period + self.slots[within]
 
-    return completion
+    def first_at(self, t: int) -> int:
+        """The first occurrence at a slot ``>= t``."""
+        cycles, within = divmod(t, self.period)
+        return cycles * len(self.slots) + bisect_left(self.slots, within)
+
+    def finish(self, occurrence: int, kills: int) -> int:
+        """The slot a client that first hears ``occurrence`` is done at,
+        whatever ``kills`` losses the adversary places."""
+        width, needed = self.width, self.needed
+        if self.distinct:
+            rotations, extra = divmod(kills + 1, width - needed + 1)
+            services = rotations * width + (needed - 1 + extra if extra else 0)
+        else:
+            first = occurrence % width
+            # Block first - 1 comes last when first is one of the needed
+            # blocks 1..m-1; otherwise block m - 1 does.
+            if 0 < first < needed:
+                services = width
+            else:
+                services = (needed - 1 - first) % width + 1
+            services += kills * width
+        return self.slot(occurrence + services - 1)
+
+
+def _critical_phases(rotations: Sequence[_Rotation]) -> list[int]:
+    """Slot 0 and the slot after each carrier's service, over one
+    common period: between two of them no carrier airs, so no finish
+    and no choice of channel changes."""
+    period = math.lcm(*(rotation.period for rotation in rotations))
+    phases = {0}
+    for rotation in rotations:
+        aired = len(rotation.slots) * (period // rotation.period)
+        phases.update(
+            (rotation.slot(i) + 1) % period for i in range(aired)
+        )
+    return sorted(phases)
+
+
+def _chosen(
+    rotations: Sequence[_Rotation],
+) -> Iterator[tuple[int, _Rotation, int, int]]:
+    """``(phase, rotation, occurrence, finish)`` at each critical phase:
+    the carrier with the earliest fault-free finish (the first on
+    ties), the first of its occurrences the client hears, and that
+    finish."""
+    for phase in _critical_phases(rotations):
+        best = None
+        for rotation in rotations:
+            occurrence = rotation.first_at(phase)
+            finish = rotation.finish(occurrence, 0)
+            if best is None or finish < best[3]:
+                best = (phase, rotation, occurrence, finish)
+        yield best
 
 
 def fault_free_latency(
@@ -187,10 +161,42 @@ def fault_free_latency(
     need_distinct: bool = True,
 ) -> int:
     """Retrieval latency in slots with no faults, from a given phase."""
-    game = _completion_game(
-        program, file, m_needed, need_distinct=need_distinct
+    rotation = _Rotation(program, file, m_needed, need_distinct)
+    phase %= program.data_cycle_length
+    return rotation.finish(rotation.first_at(phase), 0) - phase + 1
+
+
+def chosen_channel_delay(
+    programs: Sequence[BroadcastProgram],
+    file: str,
+    m_needed: int,
+    errors: int,
+    *,
+    need_distinct: bool = True,
+) -> int:
+    """Exact worst-case added delay on the channel a client picks.
+
+    ``programs`` are the channels carrying ``file``, in channel order.
+    At every phase of one common period the client commits to the
+    carrier it would finish on first without faults (the first on
+    ties); the delay is that carrier's finish under ``errors``
+    adversarial losses minus its fault-free finish, maximized over the
+    phases.  One program is the single-channel worst case.
+    """
+    if errors < 0:
+        raise SimulationError(f"errors must be >= 0: {errors}")
+    rotations = [
+        _Rotation(program, file, m_needed, need_distinct)
+        for program in programs
+    ]
+    if not rotations:
+        raise SimulationError(f"no channel carries {file!r}")
+    if errors == 0:  # by definition; the rotations above still validate
+        return 0
+    return max(
+        rotation.finish(occurrence, errors) - finish
+        for _, rotation, occurrence, finish in _chosen(rotations)
     )
-    return game(phase, 0)
 
 
 def worst_case_delay(
@@ -204,33 +210,12 @@ def worst_case_delay(
     """Exact worst-case added delay under ``errors`` adversarial losses.
 
     ``max over phases of (completion with optimal adversary -
-    fault-free completion)``.  Phases range over one data cycle, which
-    covers all distinct client experiences of the periodic program.
-
-    With ``errors > 0`` the game branches at every useful block, so
-    searches past the :data:`MAX_EXACT_WIDTH` state budget are rejected
-    with a :class:`SimulationError` up front.  With ``errors == 0`` the
-    delay is 0 at every phase; one fault-free retrieval from phase 0
-    still raises for a file that cannot be retrieved, since whether the
-    useful blocks of a data cycle suffice does not depend on the phase.
+    fault-free completion)``, in O(services per cycle).  Raises for a
+    file that cannot be retrieved even without faults.
     """
-    if errors < 0:
-        raise SimulationError(f"errors must be >= 0: {errors}")
-    if errors > 0:
-        _check_exact_width(
-            program, file, m_needed, need_distinct=need_distinct
-        )
-    game = _completion_game(
-        program, file, m_needed, need_distinct=need_distinct
+    return chosen_channel_delay(
+        (program,), file, m_needed, errors, need_distinct=need_distinct
     )
-    if errors == 0:
-        game(0, 0)
-        return 0
-    worst = 0
-    for phase in range(program.data_cycle_length):
-        delay = game(phase, errors) - game(phase, 0)
-        worst = max(worst, delay)
-    return worst
 
 
 def worst_case_latency(
@@ -241,65 +226,14 @@ def worst_case_latency(
     *,
     need_distinct: bool = True,
 ) -> int:
-    """Exact worst-case *total* latency (slots) under ``errors`` losses.
-
-    Subject to the same :data:`MAX_EXACT_WIDTH` state budget as
-    :func:`worst_case_delay` when ``errors > 0``.
-    """
+    """Exact worst-case *total* latency (slots) under ``errors`` losses."""
     if errors < 0:
         raise SimulationError(f"errors must be >= 0: {errors}")
-    if errors > 0:
-        _check_exact_width(
-            program, file, m_needed, need_distinct=need_distinct
-        )
-    game = _completion_game(
-        program, file, m_needed, need_distinct=need_distinct
-    )
+    rotation = _Rotation(program, file, m_needed, need_distinct)
     return max(
-        game(phase, errors) for phase in range(program.data_cycle_length)
+        rotation.finish(occurrence, errors) - phase + 1
+        for phase, rotation, occurrence, _ in _chosen((rotation,))
     )
-
-
-def greedy_adversary_delay(
-    program: BroadcastProgram,
-    file: str,
-    m_needed: int,
-    errors: int,
-    *,
-    phase: int = 0,
-    need_distinct: bool = True,
-) -> int:
-    """Fast lower bound: the adversary kills the next useful block while
-    its budget lasts.  Linear in the horizon; used by the large Lemma
-    sweeps where the exact game is too wide."""
-    cycle = program.data_cycle_length
-    content_by_slot = _content_by_slot(program, file)
-
-    def run(kills: int) -> int:
-        collected: set[int] = set()
-        budget = kills
-        t = phase
-        guard = phase + (m_needed + kills + 2) * cycle + cycle
-        while t <= guard:
-            index = content_by_slot[t % cycle]
-            useful = index is not None and (
-                index not in collected
-                if need_distinct
-                else index < m_needed and index not in collected
-            )
-            if useful:
-                if budget > 0:
-                    budget -= 1
-                else:
-                    collected.add(index)
-                    if len(collected) >= m_needed:
-                        return t - phase + 1
-            t += 1
-        raise SimulationError(
-            f"greedy adversary run for {file!r} did not complete"
-        )
-
-    return run(errors) - run(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,6 +268,8 @@ def worst_case_delay_table(
     (specific-blocks mode).  Bounds use each program's worst ``Delta``
     and the flat program's period.
     """
+    if max_errors < 0:
+        raise SimulationError(f"errors must be >= 0: {max_errors}")
     delta = max(aida_program.max_gap(f) for f in file_sizes)
     period = flat_program.broadcast_period
     rows = []

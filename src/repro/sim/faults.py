@@ -304,8 +304,9 @@ def slot_numbers(slots: Iterable[Any]) -> tuple[int, ...]:
 class AdversarialFaults:
     """An explicit set of lost slots - the adversary of Lemmas 1-2.
 
-    The exhaustive worst-case analysis in :mod:`repro.sim.delay`
-    enumerates instances of this model.  Slots must be non-negative
+    The worst cases of :mod:`repro.sim.delay` are the delays of its
+    optimal instances (with rotation width ``n >= m + j``: the first
+    ``j`` services a client hears).  Slots must be non-negative
     integers (see :func:`slot_numbers`).
     """
 

@@ -112,6 +112,8 @@ def min_distinct_in_window(
 ) -> int:
     """The seed ``min_distinct_in_window``: slide a window slot by slot
     across one data cycle."""
+    if window == 0:
+        return 0
     length = program.data_cycle_length
     contents = [slot_content(program, t) for t in range(length)]
     in_window: dict[int, int] = {}

@@ -1,15 +1,19 @@
 """ChannelSpec plumbing through Scenario, fingerprints, and the engine."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.errors import SpecificationError
+from repro.errors import ReproError, SpecificationError
 from repro.bdisk.builder import ProgramDesign
 from repro.bdisk.multichannel import MultiChannelDesign
 from repro.api.engine import BroadcastEngine, run_scenario
 from repro.api.scenario import ChannelSpec, Scenario
+from repro.sim.client import best_channel, retrieve_multichannel
+from repro.sim.faults import AdversarialFaults
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -31,6 +35,39 @@ def base_payload(**extra):
     }
     payload.update(extra)
     return payload
+
+
+@st.composite
+def explicit_scenarios(draw):
+    """2-3 channels, 3-6 small files, each on a drawn set of channels."""
+    count = draw(st.integers(2, 3))
+    files, explicit = [], {}
+    for index in range(draw(st.integers(3, 6))):
+        blocks = draw(st.integers(1, 3))
+        files.append({
+            "name": f"f{index}",
+            "blocks": blocks,
+            "latency": blocks * draw(st.integers(3, 12)),
+            "fault_budget": draw(st.integers(0, 2)),
+        })
+        explicit[f"f{index}"] = draw(
+            st.lists(
+                st.integers(0, count - 1), min_size=1, max_size=count,
+                unique=True,
+            )
+        )
+    for channel in range(count):  # every channel carries a file
+        explicit[f"f{channel}"] = sorted({*explicit[f"f{channel}"], channel})
+    return {
+        "name": "drawn-explicit",
+        "files": files,
+        "channels": {
+            "count": count,
+            "assignment": "explicit",
+            "explicit": explicit,
+        },
+        "delay_errors": draw(st.integers(0, 2)),
+    }
 
 
 class TestChannelSpecRoundTrip:
@@ -216,28 +253,63 @@ class TestEngineMultichannel:
         assert len(payload["stats"]["channels"]) == 2
         assert "channel 0" in result.summary()
 
-    def test_delay_table_is_best_carrying_channel(self):
-        from repro.sim.delay import worst_case_delay
-
-        scenario = Scenario.from_dict(
-            base_payload(channels={"count": 2}, delay_errors=1)
-        )
-        engine = BroadcastEngine(scenario)
-        design = engine.design()
-        channel_set = design.channel_set
-        sizes = {spec.name: spec.blocks for spec in scenario.files}
+    @given(drawn=explicit_scenarios())
+    @settings(max_examples=25, deadline=None)
+    def test_delay_table_tracks_chosen_channel(
+        self, drawn, chosen_channel_game
+    ):
+        # At every phase the client commits to the carrier it finishes
+        # on first without faults; the table is the worst case there.
+        try:
+            engine = BroadcastEngine(Scenario.from_dict(drawn))
+            channels = engine.design().channel_set
+        except ReproError:
+            assume(False)
+        sizes = {spec["name"]: spec["blocks"] for spec in drawn["files"]}
         for entry in engine.delay_table():
-            expected = min(
-                worst_case_delay(
-                    channel_set.programs[channel],
-                    entry.file,
-                    sizes[entry.file],
-                    entry.errors,
-                    need_distinct=True,
-                )
-                for channel in channel_set.channels_for(entry.file)
+            name, m, errors = entry.file, sizes[entry.file], entry.errors
+            programs = [
+                channels.programs[channel]
+                for channel in channels.channels_for(name)
+            ]
+            assert entry.delay == chosen_channel_game(
+                programs, name, m, errors
             )
-            assert entry.delay == expected
+            if any(p.block_count(name) < m + errors for p in programs):
+                continue
+            # Rotation width m + j: killing the first j services heard
+            # is the adversary's best, in the walker as in the table.
+            worst = 0
+            period = math.lcm(*(p.data_cycle_length for p in programs))
+            for start in range(period):
+                channel, listen, _, clean = best_channel(
+                    channels, name, m, start=start, tuned=0
+                )
+                index = channels.programs[channel].index
+                occurrences = index.occurrences_from(name, listen)
+                heard = [
+                    slot for (slot, _), _ in zip(occurrences, range(errors))
+                ]
+                faults = [None] * channels.count
+                faults[channel] = AdversarialFaults(heard)
+                retrieval = retrieve_multichannel(
+                    channels, name, m, start=start, faults=faults
+                )
+                assert retrieval.channel == channel
+                worst = max(worst, retrieval.finish_slot - clean)
+            assert worst == entry.delay
+
+    def test_replicated_table_is_the_single_channel_table(self):
+        replicated = base_payload(
+            channels={"count": 3, "assignment": "replicated"},
+            delay_errors=2,
+        )
+        single = base_payload(delay_errors=2)
+        assert BroadcastEngine(
+            Scenario.from_dict(replicated)
+        ).delay_table() == BroadcastEngine(
+            Scenario.from_dict(single)
+        ).delay_table()
 
     def test_k1_simulation_is_bit_identical(self):
         workload = {"requests": 50, "horizon": 200, "seed": 9}

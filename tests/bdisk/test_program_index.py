@@ -10,6 +10,7 @@ from repro.errors import ProgramError, SpecificationError
 from repro.bdisk.flat import build_aida_flat_program, build_flat_program
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from repro.bdisk.program_index import ProgramIndex
+from repro.sim import reference
 
 
 @pytest.fixture
@@ -122,12 +123,13 @@ class TestWindows:
         # Figure 6's headline property: every window of one period holds
         # enough distinct blocks for IDA plus slack for faults.
         window = program.broadcast_period
-        assert program.index.min_distinct_in_window(
+        assert program.min_distinct_in_window(
             "A", window
-        ) == program.min_distinct_in_window("A", window)
+        ) == reference.min_distinct_in_window(program, "A", window) == 5
+        assert program.verify_fault_tolerance("A", 5, 0, window)
 
     def test_min_distinct_absent_file_is_zero(self, program):
-        assert program.index.min_distinct_in_window("Z", 4) == 0
+        assert program.min_distinct_in_window("Z", 4) == 0
 
 
 class TestLifecycle:

@@ -25,3 +25,12 @@ def figure5_program():
 def figure6_program():
     """The paper's Figure 6 AIDA program: A 5-of-10, B 3-of-6."""
     return build_aida_flat_program([("A", 5, 10), ("B", 3, 6)])
+
+
+@pytest.fixture(scope="session")
+def chosen_channel_game():
+    """The exhaustive adversary game on the channel a client picks
+    (``tests/sim/delay_reference.py``), for oracles outside ``tests/sim``."""
+    from sim.delay_reference import chosen_channel_delay
+
+    return chosen_channel_delay

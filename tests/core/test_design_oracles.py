@@ -54,8 +54,10 @@ def outcome(build):
 
 
 @contextmanager
-def oracles():
-    """Run the design pipeline on the oracles instead of the kernels."""
+def oracles(delay_game):
+    """Run the design pipeline on the oracles instead of the kernels,
+    and the delay table on ``delay_game`` (the ``chosen_channel_game``
+    fixture: the adversary game on the channel a client picks)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             double_reduction, "allocate_double", eager_allocate_double
@@ -68,7 +70,7 @@ def oracles():
         )
         patch.setattr(Schedule, "min_window", per_service_min_window)
         patch.setattr(
-            engine_module, "worst_case_delay", reference.worst_case_delay
+            engine_module, "chosen_channel_delay", delay_game
         )
         yield
 
@@ -317,17 +319,45 @@ def delay_rows(scenario: Scenario, design, errors: int):
 
 
 class TestWholeDesigns:
-    def test_every_example_design_is_unchanged(self):
+    def test_every_example_design_is_unchanged(self, chosen_channel_game):
         scenarios = example_scenarios()
         assert set(scenarios) == set(EXAMPLE_DIGESTS)
         for name, scenario in scenarios.items():
             design = BroadcastEngine(scenario).design()
             assert design_digest(design) == EXAMPLE_DIGESTS[name], name
-            with oracles():
+            with oracles(chosen_channel_game):
                 expected = BroadcastEngine(scenario).design()
             assert design_digest(expected) == EXAMPLE_DIGESTS[name], name
 
-    def test_example_delay_rows_match_the_all_phase_game(self):
+    def test_designs_never_build_the_occurrence_index(self):
+        # Window checks are service counts: the index waits for the
+        # first retrieval.
+        for name, scenario in example_scenarios().items():
+            design = BroadcastEngine(scenario).design()
+            programs = (
+                design.channel_set.programs
+                if hasattr(design, "channel_set")
+                else [design.program]
+            )
+            assert all(program._index is None for program in programs), name
+
+    def test_awacs_temporal_rows_at_one_loss(self):
+        # The all-phase game takes minutes on this 122,880-slot cycle;
+        # these are the values it gives.
+        scenario = example_scenarios()["scenario_awacs_temporal"]
+        rows = delay_rows(scenario, BroadcastEngine(scenario).design(), 1)
+        assert [(row.file, row.errors, row.delay) for row in rows] == [
+            ("air-tracks", 0, 0),
+            ("air-tracks", 1, 10),
+            ("ground-tracks", 0, 0),
+            ("ground-tracks", 1, 80),
+            ("terrain", 0, 0),
+            ("terrain", 1, 5120),
+        ]
+
+    def test_example_delay_rows_match_the_all_phase_game(
+        self, chosen_channel_game
+    ):
         for name, scenario in example_scenarios().items():
             design = BroadcastEngine(scenario).design()
             # One lost slot on a 122,880-slot data cycle is minutes of
@@ -338,19 +368,21 @@ class TestWholeDesigns:
                 if errors == 0 and name == "scenario_awacs_temporal":
                     assert [row.delay for row in rows] == [0] * len(rows)
                     continue
-                with oracles():
+                with oracles(chosen_channel_game):
                     expected = delay_rows(scenario, design, errors)
                 assert rows == expected, (name, errors)
 
     @given(pinwheel_systems(min_tasks=2, max_tasks=8))
     @settings(max_examples=60, deadline=None)
-    def test_drawn_systems_solve_identically(self, system):
+    def test_drawn_systems_solve_identically(
+        self, chosen_channel_game, system
+    ):
         def solved():
             report = solve(system, policy="auto")
             return report.schedule.cycle, report.method, report.attempts
 
         current = outcome(solved)
-        with oracles():
+        with oracles(chosen_channel_game):
             assert outcome(solved) == current
 
     @given(
@@ -364,7 +396,9 @@ class TestWholeDesigns:
         errors=st.integers(0, 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_drawn_scenarios_design_identically(self, files, errors):
+    def test_drawn_scenarios_design_identically(
+        self, files, errors, chosen_channel_game
+    ):
         payload = {
             "name": "drawn",
             "files": [
@@ -389,7 +423,7 @@ class TestWholeDesigns:
             )
 
         current = outcome(designed)
-        with oracles():
+        with oracles(chosen_channel_game):
             assert outcome(designed) == current
 
 

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.bdisk.flat import build_aida_flat_program, build_flat_program
+from repro.bdisk.flat import build_aida_flat_program
+from repro.sim import reference
 from repro.sim.delay import (
-    MAX_EXACT_WIDTH,
     fault_free_latency,
-    greedy_adversary_delay,
     lemma1_bound,
     lemma2_bound,
     worst_case_delay,
@@ -92,65 +91,33 @@ class TestWorstCaseDelay:
 
 
 class TestExactWidthCap:
-    """The exact adversary game refuses blow-up searches eagerly."""
+    """The exact worst case has no width cap: files at and past 20
+    blocks, where a search over partial-retrieval states blows up, get
+    exact answers, and bad inputs stay SimulationErrors."""
 
     def wide_program(self, m, width):
         # One file rotating through `width` dispersed blocks, any `m`
         # of which reconstruct it.
         return build_aida_flat_program([("W", m, width)])
 
-    def test_over_budget_raises_clear_simulation_error(self):
-        # 22-of-24: ~2^24 partial-retrieval states, far past the
-        # 2^MAX_EXACT_WIDTH budget.
-        width = MAX_EXACT_WIDTH + 4
-        program = self.wide_program(width - 2, width)
-        with pytest.raises(SimulationError) as excinfo:
-            worst_case_delay(program, "W", width - 2, 1)
-        message = str(excinfo.value)
-        assert "dispersal width" in message
-        assert str(MAX_EXACT_WIDTH) in message
-        assert "greedy_adversary_delay" in message
-
-    def test_worst_case_latency_is_capped_too(self):
-        width = MAX_EXACT_WIDTH + 4
-        program = self.wide_program(width - 2, width)
-        with pytest.raises(SimulationError):
-            worst_case_latency(program, "W", width - 2, 1)
-
     def test_at_width_cap_always_runs(self):
-        program = self.wide_program(2, MAX_EXACT_WIDTH)
+        program = self.wide_program(2, 20)
         delta = program.max_gap("W")
         delay = worst_case_delay(program, "W", 2, 1)
         assert 0 <= delay <= lemma2_bound(delta, 1)
 
     def test_wide_but_cheap_search_is_permitted(self):
-        # The budget tracks state count, not width alone: any-2-of-40
-        # spans just 41 partial-retrieval states.
-        program = self.wide_program(2, MAX_EXACT_WIDTH * 2)
+        program = self.wide_program(2, 40)
         delta = program.max_gap("W")
         delay = worst_case_delay(program, "W", 2, 1)
         assert 0 <= delay <= lemma2_bound(delta, 1)
 
-    def test_without_ida_mode_caps_on_collectible_width(self):
-        # need_distinct=False clients only collect indices < m_needed,
-        # so a wide rotation with a small m stays a tiny search.
-        program = self.wide_program(10, MAX_EXACT_WIDTH * 2)
-        delay = worst_case_delay(
-            program, "W", 10, 1, need_distinct=False
-        )
-        assert delay >= 0
-
     def test_zero_errors_stay_uncapped(self):
-        # The errors == 0 game never branches, so any width is fine -
-        # and the delay is zero by definition.
-        width = MAX_EXACT_WIDTH + 4
-        program = self.wide_program(width - 2, width)
-        assert worst_case_delay(program, "W", width - 2, 0) == 0
-        assert fault_free_latency(program, "W", width - 2) > 0
+        program = self.wide_program(22, 24)
+        assert worst_case_delay(program, "W", 22, 0) == 0
+        assert fault_free_latency(program, "W", 22) == 22
 
     def test_unknown_file_stays_a_simulation_error(self):
-        # The width guard must not leak a KeyError ahead of the
-        # file-is-broadcast check.
         program = self.wide_program(2, 4)
         with pytest.raises(SimulationError, match="not broadcast"):
             worst_case_delay(program, "ghost", 2, 1)
@@ -162,12 +129,48 @@ class TestExactWidthCap:
         with pytest.raises(SimulationError, match=">= 0"):
             worst_case_latency(program, "W", 2, -1)
 
-    def test_greedy_adversary_handles_wide_files(self):
-        width = MAX_EXACT_WIDTH + 4
-        program = self.wide_program(width - 2, width)
-        delta = program.max_gap("W")
-        delay = greedy_adversary_delay(program, "W", width - 2, 2)
-        assert 0 <= delay <= lemma2_bound(delta, 2)
+
+class TestWideFiles:
+    """With n >= m + j the adversary does best by killing the first j
+    services heard, so the 22-of-24 file's worst cases are gaps between
+    clean finishes of m and of m + j blocks."""
+
+    def clean_finishes(self, program, need):
+        index = program.index
+        return [
+            (start, index.fault_free_finish("W", need, start))
+            for start in range(program.data_cycle_length)
+        ]
+
+    def test_22_of_24_delay_is_kill_the_first_heard(self):
+        program = build_aida_flat_program([("W", 22, 24)])
+        base = dict(self.clean_finishes(program, 22))
+        for errors in (1, 2):
+            expected = max(
+                finish - base[start]
+                for start, finish in self.clean_finishes(program, 22 + errors)
+            )
+            assert worst_case_delay(program, "W", 22, errors) == expected
+
+    def test_22_of_24_latency_is_kill_the_first_heard(self):
+        program = build_aida_flat_program([("W", 22, 24)])
+        for errors in (1, 2):
+            expected = max(
+                finish - start + 1
+                for start, finish in self.clean_finishes(program, 22 + errors)
+            )
+            assert worst_case_latency(program, "W", 22, errors) == expected
+
+    def test_without_ida_each_loss_costs_a_rotation(self):
+        program = build_aida_flat_program([("W", 10, 40)])
+        for errors in range(3):
+            delay = worst_case_delay(
+                program, "W", 10, errors, need_distinct=False
+            )
+            assert delay == errors * program.data_cycle_length
+            assert delay == reference.worst_case_delay(
+                program, "W", 10, errors, need_distinct=False
+            )
 
 
 class TestWorstCaseLatency:
@@ -181,37 +184,6 @@ class TestWorstCaseLatency:
             for r in range(4)
         ]
         assert values == sorted(values)
-
-
-class TestGreedyAdversary:
-    def test_lower_bounds_exact(self, figure6_program):
-        for r in range(4):
-            greedy = max(
-                greedy_adversary_delay(
-                    figure6_program, "B", 3, r, phase=phase
-                )
-                for phase in range(figure6_program.data_cycle_length)
-            )
-            exact = worst_case_delay(figure6_program, "B", 3, r)
-            assert greedy <= exact
-
-    def test_strictly_weaker_on_flat_without_ida(self, figure5_program):
-        """Kill-first is a *lower* bound: the optimal adversary re-kills
-        the same block on flat programs (a full period per error), which
-        greedy never does.  This gap is why the exact game exists."""
-        for r in range(1, 4):
-            greedy = max(
-                greedy_adversary_delay(
-                    figure5_program, "A", 5, r,
-                    phase=phase, need_distinct=False,
-                )
-                for phase in range(figure5_program.data_cycle_length)
-            )
-            exact = worst_case_delay(
-                figure5_program, "A", 5, r, need_distinct=False
-            )
-            assert greedy <= exact
-            assert exact == 8 * r  # Lemma 1 tightness
 
 
 class TestDelayTable:
@@ -233,3 +205,10 @@ class TestDelayTable:
             figure6_program, figure5_program, {"A": 5, "B": 3}, 1
         )
         assert "|" in str(rows[1])
+
+    def test_negative_errors_rejected(self, figure5_program, figure6_program):
+        with pytest.raises(SimulationError) as error:
+            worst_case_delay_table(
+                figure6_program, figure5_program, {"A": 5, "B": 3}, -1
+            )
+        assert str(error.value) == "errors must be >= 0: -1"

@@ -2,8 +2,9 @@
 
 The occurrence-indexed simulation core (``ProgramIndex`` + the
 occurrence-walking ``retrieve``/``broadcast_retrieve``, the phase-
-memoizing runner, the index-backed delay search) must be *bit-identical*
-to the seed implementations preserved in :mod:`repro.sim.reference`.
+memoizing runner) and the rotation arithmetic of window minima and
+delays must be *bit-identical* to the seed implementations preserved
+in :mod:`repro.sim.reference`.
 These properties pin that down on randomized programs, phases, fault
 models, and requirements.
 """
@@ -126,12 +127,9 @@ class TestWindowEquivalence:
     @given(program=programs(max_length=10), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_min_distinct_in_window(self, program, data):
-        # The seed implementation crashes on window=0 (it slides out
-        # slots it never primed); the indexed one returns 0 there, so
-        # the equivalence claim starts at window=1.
         file = data.draw(st.sampled_from(program.files))
         window = data.draw(
-            st.integers(1, 2 * program.data_cycle_length + 1)
+            st.integers(0, 2 * program.data_cycle_length + 1)
         )
         assert program.min_distinct_in_window(
             file, window

@@ -52,8 +52,14 @@ def outcome(build):
 
 
 def assert_same(base, overrides):
+    # Each value gets its own copy, as JSON-parsed overrides have: the
+    # reference writes values in place, so two paths drawn with one
+    # shared ``{}`` would otherwise nest it in itself.
     expected = outcome(
-        lambda: reference_apply_overrides(base, copy.deepcopy(overrides))
+        lambda: reference_apply_overrides(
+            base,
+            {path: copy.deepcopy(value) for path, value in overrides.items()},
+        )
     )
     assert outcome(lambda: apply_overrides(base, overrides)) == expected
     # The amortized path cells() takes: one normalization, then cells.
@@ -368,6 +374,14 @@ class TestDrawnOverrides:
     ]))
     def test_bad_paths_and_values(self, overrides):
         assert_same(regular_base(), overrides)
+
+    def test_one_value_on_nested_paths(self):
+        # Hypothesis can hand the same sampled ``{}`` to both paths.
+        shared = {}
+        assert_same(regular_base(), {
+            "channels.fault_budgets.1": shared,
+            "channels.fault_budgets.1.x": shared,
+        })
 
     def test_pinned_messages(self):
         cases = {

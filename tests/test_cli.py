@@ -208,6 +208,13 @@ class TestDelayTable:
         lines = [line for line in out.splitlines() if "|" in line]
         assert len(lines) == 5  # header + rows 0..3
 
+    def test_negative_errors_fail_with_one_error_line(self, capsys):
+        status = main(["delay-table", "--file", "A:5:10", "--errors", "-1"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: errors must be >= 0: -1"]
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
