@@ -140,8 +140,9 @@ class BroadcastProgram:
     def index(self) -> "ProgramIndex":
         """The program's occurrence index (built lazily, exactly once).
 
-        One O(data-cycle) pass precomputes per-file occurrence tables;
-        every simulator sharing this program shares the same index.
+        Per-file occurrence tables are tiled from the schedule's
+        service slots in O(services per data cycle); every simulator
+        sharing this program shares the same index.
         """
         if self._index is None:
             from repro.bdisk.program_index import ProgramIndex

@@ -6,13 +6,15 @@ served and the block index each service carries.  The seed implementations
 answered them by walking the program slot by slot, paying the per-slot
 ``slot_content`` arithmetic even for idle slots and slots of other files.
 
-:class:`ProgramIndex` computes, in one O(data-cycle) pass, everything the
-simulators need:
+:class:`ProgramIndex` holds everything the simulators need:
 
-* the full content table of one data cycle (making ``slot_content`` an
-  O(1) list lookup);
 * per-file occurrence arrays (slot positions and block indices), so a
-  client can jump occurrence-to-occurrence instead of scanning idle air;
+  client can jump occurrence-to-occurrence instead of scanning idle air.
+  They are built from the schedule's service slots, tiled over the data
+  cycle, in O(services) - never by a walk over idle slots;
+* lazily, the full content table of one data cycle (making
+  ``slot_content`` an O(1) list lookup), filled from those arrays on
+  first use;
 * per ``(file, m)``, lazily, the fault-free finish of a retrieval that
   starts at each occurrence (O(log occurrences) fault-free outcomes for
   any start slot).
@@ -42,7 +44,6 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ProgramError, SpecificationError
-from repro.core.schedule import IDLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bdisk.program import BroadcastProgram, SlotContent
@@ -51,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ProgramIndex:
     """Occurrence tables over one data cycle of a broadcast program.
 
-    Construction is a single pass over the data cycle; every query
+    Construction costs O(services per data cycle); every query
     afterwards is O(1) or O(log occurrences).  Obtain the shared instance
     via :attr:`BroadcastProgram.index` rather than constructing directly.
     """
@@ -67,8 +68,6 @@ class ProgramIndex:
     )
 
     def __init__(self, program: "BroadcastProgram") -> None:
-        from repro.bdisk.program import SlotContent
-
         # Weak: the program owns its index, so a strong back-reference
         # would make every program a reference cycle whose tables live
         # until a full garbage collection.
@@ -77,31 +76,23 @@ class ProgramIndex:
         schedule = program.schedule
         cycle = program.data_cycle_length
         self._cycle = cycle
+        self._contents: tuple["SlotContent" | None, ...] | None = None
 
-        counters = {file: 0 for file in program.files}
-        block_counts = {
+        # The data cycle is a whole number of schedule cycles, and
+        # service c from slot 0 carries block c mod n; the services per
+        # data cycle are a multiple of n, so the blocks are whole
+        # rotations.
+        bases = range(0, cycle, schedule.cycle_length)
+        self._slots: dict[str, tuple[int, ...]] = {}
+        self._blocks: dict[str, tuple[int, ...]] = {}
+        self._widths = {
             file: program.block_count(file) for file in program.files
         }
-        contents: list["SlotContent" | None] = []
-        slots: dict[str, list[int]] = {file: [] for file in program.files}
-        blocks: dict[str, list[int]] = {file: [] for file in program.files}
-        period = schedule.cycle_length
-        cycle_owners = schedule.cycle
-        for t in range(cycle):
-            file = cycle_owners[t % period]
-            if file is IDLE:
-                contents.append(None)
-                continue
-            count = counters[file]
-            counters[file] = count + 1
-            index = count % block_counts[file]
-            contents.append(SlotContent(file, index))
-            slots[file].append(t)
-            blocks[file].append(index)
-        self._contents: tuple["SlotContent" | None, ...] = tuple(contents)
-        self._slots = {f: tuple(s) for f, s in slots.items()}
-        self._blocks = {f: tuple(b) for f, b in blocks.items()}
-        self._widths = block_counts
+        for file, width in self._widths.items():
+            served = schedule.service_slots(file)
+            slots = tuple(base + slot for base in bases for slot in served)
+            self._slots[file] = slots
+            self._blocks[file] = tuple(range(width)) * (len(slots) // width)
 
     # ------------------------------------------------------------------
     # Structure
@@ -119,7 +110,23 @@ class ProgramIndex:
 
     @property
     def contents(self) -> tuple["SlotContent" | None, ...]:
-        """One full data cycle of slot contents (shared, immutable)."""
+        """One full data cycle of slot contents (shared, immutable).
+
+        Built on first use from the occurrence arrays: idle slots stay
+        ``None``, and each file's ``n`` block contents are made once.
+        """
+        if self._contents is None:
+            from repro.bdisk.program import SlotContent
+
+            contents: list["SlotContent" | None] = [None] * self._cycle
+            for file, slots in self._slots.items():
+                carried = [
+                    SlotContent(file, block)
+                    for block in range(self._widths[file])
+                ]
+                for slot, block in zip(slots, self._blocks[file]):
+                    contents[slot] = carried[block]
+            self._contents = tuple(contents)
         return self._contents
 
     @property
@@ -265,7 +272,7 @@ class ProgramIndex:
         """The ``(file, block)`` of slot ``t`` - an O(1) table lookup."""
         if t < 0:
             raise SpecificationError(f"slot index must be >= 0, got {t}")
-        return self._contents[t % self._cycle]
+        return self.contents[t % self._cycle]
 
     def __repr__(self) -> str:
         return (

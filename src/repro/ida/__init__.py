@@ -3,10 +3,11 @@
 This subpackage is the fault-tolerance substrate of the paper's Section 2:
 
 * :mod:`repro.ida.gf256` - arithmetic in GF(2^8) (the "irreducible
-  polynomial arithmetic" of Rabin's construction), with table-driven
-  scalar and numpy-vectorized operations;
-* :mod:`repro.ida.matrix` - Gauss-Jordan inversion and multiplication of
-  matrices over the field;
+  polynomial arithmetic" of Rabin's construction): table-driven scalar
+  operations, and array operations that each gather from one 64 KiB
+  product table;
+* :mod:`repro.ida.matrix` - Gauss-Jordan inversion (on whole rows) and
+  multiplication of matrices over the field;
 * :mod:`repro.ida.vandermonde` - dispersal matrices ``[x_ij]`` (N x m)
   any ``m`` rows of which are mutually independent, plus the systematic
   variant whose first ``m`` blocks are the plaintext;

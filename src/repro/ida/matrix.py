@@ -3,9 +3,12 @@
 Implements exactly what IDA needs (Figure 3 of the paper): multiplication
 of the dispersal matrix with the data, and Gauss-Jordan inversion of the
 ``m x m`` reconstruction submatrix ``[x'_ij]`` so the receiver can compute
-``[y_ij] = [x'_ij]^-1``.  Matrices are small (``m, N <= 255``), so clarity
-wins over blocking tricks; the data-path products are vectorized in
-:mod:`repro.ida.gf256` instead.
+``[y_ij] = [x'_ij]^-1``.  A product is the byte-row product of
+:func:`repro.ida.gf256.gf_matvec_bytes`, and elimination works on whole
+rows: each pivot step scales the pivot row with one gather from
+:data:`~repro.ida.gf256.MUL_TABLE` and clears its column in every other
+row with one more, so the Python loop runs once per column, never per
+entry.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DispersalError
-from repro.ida.gf256 import gf_div, gf_inv, gf_mul
+from repro.ida.gf256 import MUL_TABLE, gf_inv, gf_matvec_bytes
 
 
 def _as_matrix(values: np.ndarray | list) -> np.ndarray:
@@ -23,27 +26,39 @@ def _as_matrix(values: np.ndarray | list) -> np.ndarray:
     return matrix
 
 
+def _eliminate(work: np.ndarray, row: int, col: int) -> None:
+    """One Gauss-Jordan step on ``work`` in place: scale ``row`` so its
+    ``col`` entry is 1, then clear ``col`` in every other row.
+
+    Rows whose ``col`` entry is already 0 gather ``0 * pivot_row`` and
+    stay as they are, so no row is skipped by a Python test.
+    """
+    work[row] = MUL_TABLE[gf_inv(int(work[row, col]))][work[row]]
+    factors = work[:, col].copy()
+    factors[row] = 0
+    work ^= MUL_TABLE[factors[:, None], work[row][None, :]]
+
+
+def _pivot(work: np.ndarray, col: int, first: int) -> int | None:
+    """The first row at or below ``first`` with a non-zero ``col`` entry."""
+    candidates = np.flatnonzero(work[first:, col])
+    return None if candidates.size == 0 else first + int(candidates[0])
+
+
 def gf_identity(size: int) -> np.ndarray:
     """The ``size x size`` identity matrix over GF(256)."""
     return np.eye(size, dtype=np.uint8)
 
 
 def gf_mat_mul(left: np.ndarray | list, right: np.ndarray | list) -> np.ndarray:
-    """Matrix product over GF(256) (scalar loops; small matrices only)."""
+    """Matrix product over GF(256)."""
     a = _as_matrix(left)
     b = _as_matrix(right)
     if a.shape[1] != b.shape[0]:
         raise DispersalError(
             f"cannot multiply {a.shape} by {b.shape}: inner dims differ"
         )
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0
-            for k in range(a.shape[1]):
-                acc ^= gf_mul(int(a[i, k]), int(b[k, j]))
-            out[i, j] = acc
-    return out
+    return gf_matvec_bytes(a, b)
 
 
 def gf_mat_inv(matrix: np.ndarray | list) -> np.ndarray:
@@ -57,60 +72,36 @@ def gf_mat_inv(matrix: np.ndarray | list) -> np.ndarray:
     size = source.shape[0]
     if source.shape[1] != size:
         raise DispersalError(f"cannot invert non-square matrix {source.shape}")
-    work = source.astype(np.int32).copy()
-    inverse = np.eye(size, dtype=np.int32)
-
+    # The augmented [source | identity]: row operations on both halves
+    # at once leave the inverse on the right.
+    work = np.concatenate((source, gf_identity(size)), axis=1)
     for col in range(size):
-        pivot_row = next(
-            (r for r in range(col, size) if work[r, col] != 0), None
-        )
+        pivot_row = _pivot(work, col, col)
         if pivot_row is None:
             raise DispersalError(
                 f"matrix is singular (no pivot in column {col})"
             )
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
-            inverse[[col, pivot_row]] = inverse[[pivot_row, col]]
-        pivot = int(work[col, col])
-        if pivot != 1:
-            for j in range(size):
-                work[col, j] = gf_div(int(work[col, j]), pivot)
-                inverse[col, j] = gf_div(int(inverse[col, j]), pivot)
-        for row in range(size):
-            if row == col or work[row, col] == 0:
-                continue
-            factor = int(work[row, col])
-            for j in range(size):
-                work[row, j] ^= gf_mul(factor, int(work[col, j]))
-                inverse[row, j] ^= gf_mul(factor, int(inverse[col, j]))
-    return inverse.astype(np.uint8)
+        _eliminate(work, col, col)
+    return work[:, size:].copy()
 
 
 def gf_mat_rank(matrix: np.ndarray | list) -> int:
-    """Rank over GF(256) by forward elimination."""
-    work = _as_matrix(matrix).astype(np.int32).copy()
+    """Rank over GF(256) by Gauss-Jordan elimination."""
+    work = _as_matrix(matrix).copy()
     rows, cols = work.shape
     rank = 0
     for col in range(cols):
-        pivot_row = next(
-            (r for r in range(rank, rows) if work[r, col] != 0), None
-        )
+        if rank == rows:
+            break
+        pivot_row = _pivot(work, col, rank)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             work[[rank, pivot_row]] = work[[pivot_row, rank]]
-        inv_pivot = gf_inv(int(work[rank, col]))
-        for j in range(cols):
-            work[rank, j] = gf_mul(int(work[rank, j]), inv_pivot)
-        for row in range(rows):
-            if row == rank or work[row, col] == 0:
-                continue
-            factor = int(work[row, col])
-            for j in range(cols):
-                work[row, j] ^= gf_mul(factor, int(work[rank, j]))
+        _eliminate(work, rank, col)
         rank += 1
-        if rank == rows:
-            break
     return rank
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DispersalError
-from repro.ida.gf256 import GF_ORDER, gf_pow
+from repro.ida.gf256 import EXP_TABLE, GF_ORDER, LOG_TABLE
 from repro.ida.matrix import gf_mat_inv, gf_mat_mul
 
 
@@ -49,12 +49,10 @@ def dispersal_matrix(n_total: int, m: int) -> np.ndarray:
         raise DispersalError(
             f"N={n_total} exceeds the field limit of {GF_ORDER - 1} rows"
         )
-    matrix = np.zeros((n_total, m), dtype=np.uint8)
-    for row in range(n_total):
-        point = row + 1  # distinct non-zero field elements
-        for col in range(m):
-            matrix[row, col] = gf_pow(point, col)
-    return matrix
+    # Row i evaluates point i + 1 (distinct, non-zero): entry (i, k) is
+    # (i + 1) ** k = EXP[LOG[i + 1] * k mod 255], one gather for all.
+    logs = LOG_TABLE[1:n_total + 1]
+    return EXP_TABLE[(logs[:, None] * np.arange(m)) % (GF_ORDER - 1)]
 
 
 def systematic_dispersal_matrix(n_total: int, m: int) -> np.ndarray:

@@ -13,19 +13,27 @@ finished grid:
    distinct :meth:`~repro.api.Scenario.design_fingerprint` exactly once
    however many tasks miss it together, and every other cell injects
    the cached design and pays only its simulation;
-4. **fan out** - one shared process pool runs everything: cell
-   pipelines *and* the traffic shards of cells with open-loop
-   populations (when the pool is wider than the number of cells, each
-   cell's population is split into shards the way
+4. **fan out** - one shared process pool runs everything: batches of
+   consecutive cells, one task each (see :func:`_batch_size`), *and*
+   the traffic shards of cells with open-loop populations (when the
+   pool is wider than the number of cells, each cell ships alone and
+   its population is split into shards the way
    :func:`repro.traffic.simulate.simulate_traffic` would, and the
    merged metrics are bit-identical to a serial run);
-5. **stream** - each finished cell is appended to the JSONL run store
-   immediately, so a killed sweep resumes where it stopped.
+5. **stream** - the serial loop appends each finished cell to the JSONL
+   run store at once; the pool appends each finished batch with one
+   group commit (:meth:`~repro.sweep.store.RunStore.append_many`: one
+   lock, one fsync).  A killed serial sweep re-runs at most the cell
+   it was in; a killed pooled sweep re-runs at most the batches it had
+   submitted (``workers + 1`` of them, :data:`BATCH_MAX` cells each).
 
 Every cell runs through :func:`run_cell`, here and in the distributed
-worker alike.  Futures are collected in submission order (the same
+worker alike.  Batches are collected in submission order (the same
 structural guarantee as :func:`repro.api.engine.run_scenarios`), so
-rows come out in cell order no matter how workers interleave.
+rows come out in cell order no matter how workers interleave.  A cell
+that raises stops the sweep the way it stops the serial loop: the rows
+before it are stored, nothing after it is committed, and its error is
+raised.
 """
 
 from __future__ import annotations
@@ -33,7 +41,9 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -111,28 +121,56 @@ def run_cell(
     return row, solved
 
 
-def _pool_cell(
-    cell: SweepCell,
+def _pool_batch(
+    cells: list[SweepCell],
     cache_dir: str | None,
     use_cache: bool,
     include_traffic: bool,
     queued_at: float,
-) -> tuple[dict[str, Any], bool]:
-    """Pool task: one cell (optionally minus traffic) on this worker."""
-    with obs.span("sweep.cell", key=cell.key):
-        tel = obs.current()
-        if tel is not None:
-            # Queue wait is measured on the shared wall clock
-            # (time.time survives the process hop; perf_counter does
-            # not) and recorded as a pre-measured child span.
-            tel.record_span(
-                "sweep.cell.queue", max(0.0, time.time() - queued_at)
-            )
-        return run_cell(
-            cell,
-            _worker_cache(cache_dir, use_cache),
-            include_traffic=include_traffic,
-        )
+) -> tuple[
+    list[tuple[dict[str, Any], bool]], tuple[Exception, str] | None
+]:
+    """Pool task: consecutive cells (optionally minus traffic), in order.
+
+    Returns each finished cell's ``(row, solved)`` and ``None``, or, at
+    the first cell that raises, the pairs before it and that error with
+    its traceback text: the parent commits what finished and raises what
+    the serial loop would.
+    """
+    cache = _worker_cache(cache_dir, use_cache)
+    done: list[tuple[dict[str, Any], bool]] = []
+    for cell in cells:
+        try:
+            with obs.span("sweep.cell", key=cell.key):
+                tel = obs.current()
+                if tel is not None:
+                    # Queue wait is measured on the shared wall clock
+                    # (time.time survives the process hop; perf_counter
+                    # does not), from submission to this cell's start,
+                    # and recorded as a pre-measured child span.
+                    tel.record_span(
+                        "sweep.cell.queue",
+                        max(0.0, time.time() - queued_at),
+                    )
+                done.append(
+                    run_cell(cell, cache, include_traffic=include_traffic)
+                )
+        except Exception as error:
+            # A traceback does not survive the pickle back to the
+            # parent; its text goes along and becomes the error's cause,
+            # as concurrent.futures chains one for a task that raises.
+            import traceback
+
+            return done, (error, traceback.format_exc())
+    return done, None
+
+
+class _RemoteTraceback(Exception):
+    """A pool worker's formatted traceback, chained as the cause of the
+    error its cell raised."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def _pool_shard(
@@ -146,6 +184,82 @@ def _pool_shard(
         return shard.run_traffic_shard(lo, hi), solved
 
 
+def _submit_batch(
+    pool: Any,
+    batch: list[SweepCell],
+    shards: int,
+    cache_dir: str | None,
+    use_cache: bool,
+    telemetry: bool,
+) -> tuple:
+    """Put one batch on ``pool``, with its lone cell's traffic shards
+    when ``shards > 1``.
+
+    Returns ``(batch, task, shard_tasks, submitted_at, finish)``.  Only
+    a lone cell of a grid with fewer pending cells than workers is ever
+    sharded (:func:`_traffic_shards` is 1 otherwise).
+    """
+    lead = batch[0]
+    task = pool.submit(
+        obs.call_captured, telemetry, _pool_batch, batch, cache_dir,
+        use_cache, shards == 1, time.time(),
+    )
+    shard_tasks = [
+        pool.submit(
+            obs.call_captured, telemetry, _pool_shard, lead.scenario,
+            cache_dir, lo, hi,
+        )
+        for lo, hi in (
+            shard_bounds(lead.scenario.traffic.clients, shards)
+            if shards > 1 else ()
+        )
+    ]
+    # Completion is stamped by done-callbacks, not by the in-order
+    # collection loop: a cell collected late must not count earlier
+    # cells' wall time as its own.
+    finish: dict[str, float] = {}
+
+    def _stamp(_future: Any) -> None:
+        finish["at"] = time.perf_counter()
+
+    for future in (task, *shard_tasks):
+        future.add_done_callback(_stamp)
+    return batch, task, shard_tasks, time.perf_counter(), finish
+
+
+def _merge_shards(
+    cell: SweepCell,
+    row: dict[str, Any],
+    shard_tasks: list[Any],
+    submitted_at: float,
+    finish: dict[str, float],
+    tel: Any,
+) -> int:
+    """Fold a sharded cell's traffic into its row; return the shards'
+    solves."""
+    solves = 0
+    parts = []
+    for future in shard_tasks:
+        (metrics, solved), shard_tel = future.result()
+        solves += solved
+        parts.append(metrics)
+        if tel is not None and shard_tel is not None:
+            tel.merge_dict(shard_tel)
+    # Submission to last-task-completion covers both phases (they
+    # overlap on the pool) without double-counting, and keeps
+    # simulate_traffic's semantics: wall clock including pool overhead.
+    traffic_elapsed = finish.get("at", time.perf_counter()) - submitted_at
+    row["result"]["traffic"] = TrafficResult(
+        spec=cell.scenario.traffic,
+        metrics=TrafficMetrics.merged(parts),
+        elapsed=traffic_elapsed,
+        workers=len(shard_tasks),
+        temporal=cell.scenario.temporal is not None,
+    ).to_dict()
+    row["elapsed"] = round(traffic_elapsed, 6)
+    return solves
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Everything one sweep run produced.
@@ -153,7 +267,7 @@ class SweepResult:
     ``rows`` holds one run-store row per cell, in cell order, including
     rows reused from a resumed store.  The counters tell the caching
     story: ``distinct_designs`` fingerprints appeared among executed
-    cells, ``solves`` counts the cell and traffic-shard tasks whose
+    cells, ``solves`` counts the cells and traffic-shard tasks whose
     design lookup ran the solver this invocation, and ``cache_hits`` is
     ``executed - solves`` - the design fetches the cache absorbed.  With
     one shared cache, single-flight keeps ``solves <= distinct_designs``
@@ -221,6 +335,34 @@ class SweepResult:
         return {"summary": self.summary(), "records": self.records()}
 
 
+#: Most cells one pool task carries.  It is also
+#: :class:`~repro.sweep.distributed.SweepCoordinator`'s default ``batch``,
+#: the number of rows the distributed transport already fsyncs at once.
+#: On sweep-grid's 120-cell grid at two workers (2 vCPUs, medians of six
+#: interleaved runs) the grid took 0.36 s in tasks of one cell, 0.26 s
+#: in tasks of 8 and 0.25 s in tasks of 15; tasks of 30 or 60 bought
+#: nothing more (0.23-0.25 s), and larger batches lose more to a kill.
+BATCH_MAX = 16
+
+#: Pool tasks per worker a grid is cut into, while batches stay within
+#: :data:`BATCH_MAX`.  On the grid above, 1, 2 and 4 tasks per worker
+#: read the same (0.24-0.25 s); four keep one slow batch (one that
+#: solves a design, or replays a long traffic population) from leaving
+#: the other workers idle at the end of a grid.
+TASKS_PER_WORKER = 4
+
+
+def _batch_size(pending: int, workers: int) -> int:
+    """Consecutive cells per pool task for ``pending`` cells.
+
+    Each task costs one round trip (pickle, queue, result wake-up) and
+    one group commit, so cells travel in batches; enough batches remain
+    that every worker stays busy to the end of the grid.  Up to
+    ``TASKS_PER_WORKER * workers`` pending cells ship one per task.
+    """
+    return min(BATCH_MAX, -(-pending // (TASKS_PER_WORKER * workers)))
+
+
 def _traffic_shards(
     cell: SweepCell, workers: int, pending: int, use_cache: bool
 ) -> int:
@@ -255,8 +397,8 @@ def run_sweep(
         The sweep specification (or grid) to run.
     max_workers:
         ``None`` or ``1`` runs serially in-process; a larger value runs
-        cells and traffic shards on one shared process pool of that
-        size.  Results are bit-identical either way.
+        batches of cells and traffic shards on one shared process pool
+        of that size.  Results are bit-identical either way.
     store_path:
         JSONL run-store path.  ``None`` keeps rows in memory only
         (``resume`` then has nothing to read and is rejected).  A
@@ -344,82 +486,57 @@ def run_sweep(
         elif pending:
             from concurrent.futures import ProcessPoolExecutor
 
-            telemetry = tel is not None
+            size = _batch_size(len(pending), workers)
+            batches = (
+                pending[lo:lo + size] for lo in range(0, len(pending), size)
+            )
+            window: deque[tuple] = deque()
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Cell pipelines plus traffic shards, all on the same
-                # pool, futures collected in submission order.
-                submitted = []
-                for cell in pending:
-                    shards = _traffic_shards(
-                        cell, workers, len(pending), use_cache
+
+                def submit(count: int) -> None:
+                    for batch in islice(batches, count):
+                        window.append(_submit_batch(
+                            pool, batch,
+                            _traffic_shards(
+                                batch[0], workers, len(pending), use_cache
+                            ),
+                            cache_dir_str, use_cache, tel is not None,
+                        ))
+
+                # At most workers + 1 batches are on the pool at a time:
+                # one waits queued for whichever worker frees first, and
+                # a failing cell or a kill costs at most the batches
+                # still out.  Batches are collected in submission order
+                # and each is committed whole.
+                submit(workers + 1)
+                while window:
+                    batch, task, shard_tasks, submitted_at, finish = (
+                        window.popleft()
                     )
-                    base = pool.submit(
-                        obs.call_captured, telemetry, _pool_cell, cell,
-                        cache_dir_str, use_cache, shards == 1, time.time(),
-                    )
-                    shard_futures = []
-                    if shards > 1:
-                        bounds = shard_bounds(
-                            cell.scenario.traffic.clients, shards
-                        )
-                        shard_futures = [
-                            pool.submit(
-                                obs.call_captured, telemetry, _pool_shard,
-                                cell.scenario, cache_dir_str, lo, hi,
+                    (done, failure), batch_tel = task.result()
+                    rows = []
+                    for cell, (row, solved) in zip(batch, done):
+                        solves += solved
+                        busy_seconds += row["elapsed"]
+                        if shard_tasks:
+                            solves += _merge_shards(
+                                cell, row, shard_tasks, submitted_at,
+                                finish, tel,
                             )
-                            for lo, hi in bounds
-                        ]
-                    # Completion is stamped by done-callbacks, not by
-                    # the in-order collection loop: a cell collected
-                    # late must not count earlier cells' wall time as
-                    # its own.
-                    finish: dict[str, float] = {}
-
-                    def _stamp(_future, box=finish) -> None:
-                        box["at"] = time.perf_counter()
-
-                    for future in (base, *shard_futures):
-                        future.add_done_callback(_stamp)
-                    submitted.append(
-                        (cell, base, shard_futures, time.perf_counter(),
-                         finish)
-                    )
-                for (
-                    cell, base, shard_futures, submit_time, finish
-                ) in submitted:
-                    (row, solved), cell_tel = base.result()
-                    solves += solved
-                    if tel is not None and cell_tel is not None:
-                        tel.merge_dict(cell_tel)
-                    busy_seconds += row["elapsed"]
-                    if shard_futures:
-                        parts = []
-                        for future in shard_futures:
-                            (metrics, solved), shard_tel = future.result()
-                            solves += solved
-                            parts.append(metrics)
-                            if tel is not None and shard_tel is not None:
-                                tel.merge_dict(shard_tel)
-                        # Submission to last-task-completion covers both
-                        # phases (they overlap on the pool) without
-                        # double-counting, and keeps simulate_traffic's
-                        # semantics: wall clock including pool overhead.
-                        traffic_elapsed = (
-                            finish.get("at", time.perf_counter())
-                            - submit_time
-                        )
-                        row["result"]["traffic"] = TrafficResult(
-                            spec=cell.scenario.traffic,
-                            metrics=TrafficMetrics.merged(parts),
-                            elapsed=traffic_elapsed,
-                            workers=len(shard_futures),
-                            temporal=cell.scenario.temporal is not None,
-                        ).to_dict()
-                        row["elapsed"] = round(traffic_elapsed, 6)
-                    if store is not None:
-                        with obs.span("sweep.cell.store", key=cell.key):
-                            store.append(row)
-                    rows_by_key[cell.key] = row
+                        rows.append(row)
+                        rows_by_key[cell.key] = row
+                    if store is not None and rows:
+                        with obs.span("sweep.cell.store", cells=len(rows)):
+                            store.append_many(rows)
+                    if tel is not None and batch_tel is not None:
+                        tel.merge_dict(batch_tel)
+                    if failure is not None:
+                        # The serial loop's outcome: the rows before the
+                        # failing cell are stored, and its error raised.
+                        pool.shutdown(cancel_futures=True)
+                        error, trace = failure
+                        raise error from _RemoteTraceback(trace)
+                    submit(1)
     finally:
         if temp_cache is not None:
             shutil.rmtree(temp_cache, ignore_errors=True)

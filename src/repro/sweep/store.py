@@ -1,16 +1,19 @@
 """The resumable JSONL run store.
 
-Every completed sweep cell is appended to the store as one JSON line and
-flushed to disk immediately, so a killed sweep keeps everything it
-finished.  Re-invoking with ``resume=True`` reads the store back, reuses
-every cell that has a row produced by the same concrete scenario (see
-:class:`ResumeIndex`, the one rule both sweep executors apply), and runs
-only the rest.
+Every completed sweep cell is stored as one JSON line, and every write
+is flushed and fsynced before it returns: the serial loop appends each
+row as its cell finishes, while the process pool and the distributed
+coordinator append each finished batch of rows with one group commit
+(:meth:`RunStore.append_many`: one lock, one fsync).  A killed sweep
+keeps every row written before the kill.  Re-invoking with
+``resume=True`` reads the store back, reuses every cell that has a row
+produced by the same concrete scenario (see :class:`ResumeIndex`, the
+one rule both sweep executors apply), and runs only the rest.
 
 Robustness over a kill mid-append: a torn *final* line (the only kind a
-crash can produce, since rows are appended serially) is ignored on read;
-a malformed line anywhere else means the file is not a run store and
-raises :class:`~repro.errors.SimulationError`.
+crash can produce, since writes are appended serially) is ignored on
+read; a malformed line anywhere else means the file is not a run store
+and raises :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -137,11 +140,12 @@ class RunStore:
     def append(self, row: dict[str, Any]) -> None:
         """Append one row and force it to disk.
 
-        The flush + fsync per row is deliberate: rows are coarse (one
-        per completed cell), and durability is the point of the store.
-        A torn final line left by a killed append is truncated first,
-        and the whole heal-then-write runs under an exclusive advisory
-        file lock so concurrent local writers never tear or lose rows.
+        The serial sweep loop writes through here, one row per finished
+        cell: it has no round trip to amortize, and the flush + fsync
+        per row makes each row durable as soon as its cell is done.  A
+        torn final line left by a killed append is truncated first, and
+        the whole heal-then-write runs under an exclusive advisory file
+        lock so concurrent local writers never tear or lose rows.
         """
         self.append_many((row,))
 
@@ -149,12 +153,13 @@ class RunStore:
         """Append a batch of rows with one lock + one fsync (group
         commit).
 
-        The distributed coordinator streams result batches from many
-        workers; paying one fsync per batch instead of one per row is
-        what keeps the store off the critical path at 10^5-cell scale
-        while every *completed* batch stays exactly as durable as a
-        single :meth:`append`.  Serialization happens before the lock
-        is taken, so a non-JSON row cannot poison the file.
+        The local pool commits each finished batch of cells here, and
+        the distributed coordinator each result batch from its workers;
+        paying one fsync per batch instead of one per row keeps the
+        store off the critical path while every *completed* batch stays
+        exactly as durable as a single :meth:`append`.  Serialization
+        happens before the lock is taken, so a non-JSON row cannot
+        poison the file.
         """
         lines = [
             json.dumps(row, separators=(",", ":"), allow_nan=False)

@@ -694,7 +694,6 @@ class _Temporal(_Population):
                 RetrievalTables.build(program, catalogue, file_sizes, None)
             ]
             models = [faults]
-            self._read = self._single_read
         else:
             self._programs = channels.programs
             # Copies are chosen on the plain default horizon:
@@ -706,7 +705,6 @@ class _Temporal(_Population):
             tables = self._choice.tables
             models = faults or [None] * channels.count
             self._quorum = channels.quorum
-            self._read = self._quorum_read
         self._resolvers = [
             _FaultResolver(table, model)
             for table, model in zip(tables, models)
@@ -728,11 +726,17 @@ class _Temporal(_Population):
         finish = now - 1  # each item starts the slot after the last
         failed = np.zeros(len(members), dtype=bool)
         reading = np.arange(len(members))
+        # Picked per step: a bound method stored on self would make every
+        # population a reference cycle, its tables and metrics freed only
+        # by the cyclic collector.
+        read = (
+            self._single_read if self._choice is None else self._quorum_read
+        )
         for position in range(items.shape[1]):
             reading = reading[items[reading, position] >= 0]
             if not reading.size:
                 break
-            ok, finish[reading] = self._read(
+            ok, finish[reading] = read(
                 members[reading],
                 items[reading, position],
                 finish[reading] + 1,
