@@ -23,9 +23,10 @@ finished grid:
 5. **stream** - the serial loop appends each finished cell to the JSONL
    run store at once; the pool appends each finished batch with one
    group commit (:meth:`~repro.sweep.store.RunStore.append_many`: one
-   lock, one fsync).  A killed serial sweep re-runs at most the cell
-   it was in; a killed pooled sweep re-runs at most the batches it had
-   submitted (``workers + 1`` of them, :data:`BATCH_MAX` cells each).
+   lock, one fsync), in submission order.  A killed serial sweep re-runs
+   at most the cell it was in; a killed pooled sweep re-runs its
+   unfinished batches (at most ``workers + 1``, :data:`BATCH_MAX` cells
+   each) and the finished ones still waiting behind the oldest of them.
 
 Every cell runs through :func:`run_cell`, here and in the distributed
 worker alike.  Batches are collected in submission order (the same
@@ -43,7 +44,6 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -137,21 +137,20 @@ def _pool_batch(
     its traceback text: the parent commits what finished and raises what
     the serial loop would.
     """
+    # The batch's wait on the pool, from submission to this task's start,
+    # on the shared wall clock (time.time survives the process hop;
+    # perf_counter does not).  It is recorded once, as a pre-measured
+    # child of the first cell's span: later cells wait on their siblings,
+    # not on the pool.
+    waited = max(0.0, time.time() - queued_at)
     cache = _worker_cache(cache_dir, use_cache)
     done: list[tuple[dict[str, Any], bool]] = []
     for cell in cells:
         try:
             with obs.span("sweep.cell", key=cell.key):
                 tel = obs.current()
-                if tel is not None:
-                    # Queue wait is measured on the shared wall clock
-                    # (time.time survives the process hop; perf_counter
-                    # does not), from submission to this cell's start,
-                    # and recorded as a pre-measured child span.
-                    tel.record_span(
-                        "sweep.cell.queue",
-                        max(0.0, time.time() - queued_at),
-                    )
+                if tel is not None and cell is cells[0]:
+                    tel.record_span("sweep.cell.queue", waited)
                 done.append(
                     run_cell(cell, cache, include_traffic=include_traffic)
                 )
@@ -344,23 +343,22 @@ class SweepResult:
 #: nothing more (0.23-0.25 s), and larger batches lose more to a kill.
 BATCH_MAX = 16
 
-#: Pool tasks per worker a grid is cut into, while batches stay within
-#: :data:`BATCH_MAX`.  On the grid above, 1, 2 and 4 tasks per worker
-#: read the same (0.24-0.25 s); four keep one slow batch (one that
-#: solves a design, or replays a long traffic population) from leaving
-#: the other workers idle at the end of a grid.
-TASKS_PER_WORKER = 4
-
 
 def _batch_size(pending: int, workers: int) -> int:
     """Consecutive cells per pool task for ``pending`` cells.
 
     Each task costs one round trip (pickle, queue, result wake-up) and
-    one group commit, so cells travel in batches; enough batches remain
-    that every worker stays busy to the end of the grid.  Up to
-    ``TASKS_PER_WORKER * workers`` pending cells ship one per task.
+    one group commit, so cells travel in batches of up to
+    :data:`BATCH_MAX`; a grid of at most ``BATCH_MAX * workers`` pending
+    cells makes at most one batch per worker, all on the pool at once.
     """
-    return min(BATCH_MAX, -(-pending // (TASKS_PER_WORKER * workers)))
+    return min(BATCH_MAX, -(-pending // workers))
+
+
+def _failed(task: Any) -> bool:
+    """Whether a finished batch task ends the sweep: the task itself
+    raised, or one of its cells did."""
+    return task.exception() is not None or task.result()[0][1] is not None
 
 
 def _traffic_shards(
@@ -484,17 +482,31 @@ def run_sweep(
                 rows_by_key[cell.key] = row
                 busy_seconds += time.perf_counter() - cell_begin
         elif pending:
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import (
+                FIRST_COMPLETED,
+                ProcessPoolExecutor,
+                wait,
+            )
 
             size = _batch_size(len(pending), workers)
-            batches = (
+            todo = deque(
                 pending[lo:lo + size] for lo in range(0, len(pending), size)
             )
+            # Submitted batches not yet committed, in submission order,
+            # and the tasks among them not yet seen to finish.
             window: deque[tuple] = deque()
+            running: set[Any] = set()
+            failed = False
             with ProcessPoolExecutor(max_workers=workers) as pool:
-
-                def submit(count: int) -> None:
-                    for batch in islice(batches, count):
+                while todo or window:
+                    # Whenever a batch finishes, the pool is topped up to
+                    # workers + 1 unfinished batches: one waits queued for
+                    # whichever worker frees first, so no worker idles
+                    # behind a slow batch at the head.  Once a finished
+                    # batch reports an error nothing more is submitted,
+                    # so a failing cell costs at most the batches out.
+                    while todo and not failed and len(running) <= workers:
+                        batch = todo.popleft()
                         window.append(_submit_batch(
                             pool, batch,
                             _traffic_shards(
@@ -502,41 +514,44 @@ def run_sweep(
                             ),
                             cache_dir_str, use_cache, tel is not None,
                         ))
-
-                # At most workers + 1 batches are on the pool at a time:
-                # one waits queued for whichever worker frees first, and
-                # a failing cell or a kill costs at most the batches
-                # still out.  Batches are collected in submission order
-                # and each is committed whole.
-                submit(workers + 1)
-                while window:
-                    batch, task, shard_tasks, submitted_at, finish = (
-                        window.popleft()
+                        running.add(window[-1][1])
+                    # Finished batches are committed whole, in
+                    # submission order.
+                    while window and window[0][1].done():
+                        batch, task, shard_tasks, submitted_at, finish = (
+                            window.popleft()
+                        )
+                        running.discard(task)
+                        (done, failure), batch_tel = task.result()
+                        rows = []
+                        for cell, (row, solved) in zip(batch, done):
+                            solves += solved
+                            busy_seconds += row["elapsed"]
+                            if shard_tasks:
+                                solves += _merge_shards(
+                                    cell, row, shard_tasks, submitted_at,
+                                    finish, tel,
+                                )
+                            rows.append(row)
+                            rows_by_key[cell.key] = row
+                        if store is not None and rows:
+                            with obs.span(
+                                "sweep.cell.store", cells=len(rows)
+                            ):
+                                store.append_many(rows)
+                        if tel is not None and batch_tel is not None:
+                            tel.merge_dict(batch_tel)
+                        if failure is not None:
+                            # The serial loop's outcome: the rows before
+                            # the failing cell are stored, and its error
+                            # raised.
+                            pool.shutdown(cancel_futures=True)
+                            error, trace = failure
+                            raise error from _RemoteTraceback(trace)
+                    finished, running = wait(
+                        running, return_when=FIRST_COMPLETED
                     )
-                    (done, failure), batch_tel = task.result()
-                    rows = []
-                    for cell, (row, solved) in zip(batch, done):
-                        solves += solved
-                        busy_seconds += row["elapsed"]
-                        if shard_tasks:
-                            solves += _merge_shards(
-                                cell, row, shard_tasks, submitted_at,
-                                finish, tel,
-                            )
-                        rows.append(row)
-                        rows_by_key[cell.key] = row
-                    if store is not None and rows:
-                        with obs.span("sweep.cell.store", cells=len(rows)):
-                            store.append_many(rows)
-                    if tel is not None and batch_tel is not None:
-                        tel.merge_dict(batch_tel)
-                    if failure is not None:
-                        # The serial loop's outcome: the rows before the
-                        # failing cell are stored, and its error raised.
-                        pool.shutdown(cancel_futures=True)
-                        error, trace = failure
-                        raise error from _RemoteTraceback(trace)
-                    submit(1)
+                    failed = failed or any(map(_failed, finished))
     finally:
         if temp_cache is not None:
             shutil.rmtree(temp_cache, ignore_errors=True)

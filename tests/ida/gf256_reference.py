@@ -13,7 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DispersalError
-from repro.ida.gf256 import EXP_TABLE, LOG_TABLE
+
+# Division, inverse and power never touched a product table; the oracles
+# use the library's own.
+from repro.ida.gf256 import EXP_TABLE, LOG_TABLE, gf_div, gf_inv, gf_pow
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -21,31 +24,6 @@ def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return int(EXP_TABLE[int(LOG_TABLE[a]) + int(LOG_TABLE[b])])
-
-
-def gf_div(a: int, b: int) -> int:
-    """``a / b`` through the log/exp tables."""
-    if b == 0:
-        raise DispersalError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return int(EXP_TABLE[int(LOG_TABLE[a]) - int(LOG_TABLE[b]) + 255])
-
-
-def gf_inv(a: int) -> int:
-    """The inverse through the log/exp tables."""
-    if a == 0:
-        raise DispersalError("zero has no multiplicative inverse in GF(256)")
-    return int(EXP_TABLE[255 - int(LOG_TABLE[a])])
-
-
-def gf_pow(a: int, exponent: int) -> int:
-    """``a ** exponent`` through the log/exp tables."""
-    if exponent == 0:
-        return 1
-    if a == 0:
-        return 0
-    return int(EXP_TABLE[(int(LOG_TABLE[a]) * exponent) % 255])
 
 
 def gf_mul_bytes(scalar: int, data: np.ndarray) -> np.ndarray:

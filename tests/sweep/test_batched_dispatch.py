@@ -5,13 +5,14 @@ batch with one group commit.  Rows and store lines must equal the serial
 run's except the wall-clock ``elapsed`` and the scheduling-dependent
 ``cache_hit``; the parent fsyncs once per batch; a truncated store
 resumes to the same rows; a traced run keeps one ``sweep.cell`` span per
-cell; and a failing cell stops the pool the way it stops the serial
-loop.
+cell; a slow batch at the head leaves no worker idle; and a failing cell
+stops the pool the way it stops the serial loop.
 """
 
 import json
 import os
 import tempfile
+import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -89,8 +90,8 @@ def expected_batches(cells, workers):
 
 
 class TestBatchSize:
-    def test_sweep_grid_gets_eight_batches_of_fifteen(self):
-        assert orchestrate._batch_size(120, 2) == 15
+    def test_sweep_grid_gets_eight_batches(self):
+        assert orchestrate._batch_size(120, 2) == 16
         assert expected_batches(120, 2) == 8
 
     def test_batches_cap_at_the_coordinator_batch(self):
@@ -101,6 +102,16 @@ class TestBatchSize:
         for workers in (2, 3, 8):
             for pending in range(1, workers):
                 assert orchestrate._batch_size(pending, workers) == 1
+
+    def test_small_grids_make_at_most_one_batch_per_worker(self):
+        # Every batch of such a grid is on the pool at once.
+        for workers in (2, 3, 8):
+            for pending in range(1, orchestrate.BATCH_MAX * workers + 1):
+                assert expected_batches(pending, workers) <= workers
+        # The example sweeps: 12 and 4 cells.
+        assert orchestrate._batch_size(12, 2) == 6
+        assert orchestrate._batch_size(12, 3) == 4
+        assert orchestrate._batch_size(4, 3) == 2
 
 
 class TestDifferential:
@@ -152,6 +163,9 @@ class TestDifferential:
                 names = [span.name for span in tel.spans]
                 assert names.count("sweep.cell") == cells
                 assert names.count("sweep.cell.store") == batches
+                # The pool wait is one span per batch, under its first
+                # cell.
+                assert names.count("sweep.cell.queue") == batches
                 assert names.count("sweep.cell.simulate") == cells
 
             # A kill mid-run leaves whole batches plus a torn line.
@@ -236,9 +250,8 @@ class TestFailingCell:
             spec, tmp_path, "serial", None, monkeypatch, fail_at
         )
         assert serial_started == [0, 1] and len(serial_rows) == 1
-        # 120 cells at two workers travel in batches of 15
-        # (TestBatchSize pins the rule).
-        workers, batch = 2, 15
+        workers = 2
+        batch = orchestrate._batch_size(spec.total_cells, workers)
         error, rows, started = self.run(
             spec, tmp_path, "pooled", workers, monkeypatch, fail_at
         )
@@ -247,6 +260,86 @@ class TestFailingCell:
         assert rows == serial_rows
         after = [index for index in started if index > 1]
         assert len(after) <= workers * batch, (len(after), workers, batch)
+
+
+def test_a_slow_head_batch_leaves_no_worker_idle(tmp_path, monkeypatch):
+    """The pool is topped up whenever any batch finishes, not only when
+    the oldest one is committed: while cell 0 runs, the other worker
+    works through every later cell."""
+    spec = SweepSpec.from_dict({
+        "name": "slow-head",
+        "base": BASE,
+        "axes": [{"field": "faults.seed", "values": list(range(1, 11))}],
+    })
+    markers = tmp_path / "markers"
+    original = orchestrate.run_cell
+    later = {f"start {index}" for index in range(1, 10)}
+
+    def marked(cell, cache, **kwargs):
+        with open(markers, "a", encoding="utf-8") as handle:
+            handle.write(f"start {cell.index}\n")
+        if cell.index == 0:
+            # Hold cell 0 until every later cell has started (or give
+            # up after a while, so the failing case ends).
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not later <= set(
+                markers.read_text().splitlines()
+            ):
+                time.sleep(0.01)
+            with open(markers, "a", encoding="utf-8") as handle:
+                handle.write("end 0\n")
+        return original(cell, cache, **kwargs)
+
+    monkeypatch.setattr(orchestrate, "BATCH_MAX", 1)
+    monkeypatch.setattr(orchestrate, "run_cell", marked)
+    result = run_sweep(spec, max_workers=2, store_path=tmp_path / "r.jsonl")
+    lines = markers.read_text().splitlines()
+    assert later <= set(lines[:lines.index("end 0")])
+    assert [row["index"] for row in result.rows] == list(range(10))
+    assert [
+        row["index"] for row in RunStore(tmp_path / "r.jsonl").rows()
+    ] == list(range(10))
+
+
+def test_a_failure_behind_a_slow_head_stops_top_ups(tmp_path, monkeypatch):
+    """Once a finished batch reports an error nothing more is submitted,
+    even while an older batch still runs: the rows before the failing
+    cell are stored and its error raised, and the other worker does not
+    go on through the rest of the grid."""
+    spec = SweepSpec.from_dict({
+        "name": "failure-behind-head",
+        "base": BASE,
+        "axes": [{"field": "faults.seed", "values": list(range(1, 21))}],
+    })
+    markers = tmp_path / "markers"
+    original = orchestrate.run_cell
+
+    def marked(cell, cache, **kwargs):
+        with open(markers, "a", encoding="utf-8") as handle:
+            handle.write(f"{cell.index}\n")
+        if cell.index == 0:
+            # Hold cell 0 until cell 3 has started, then long enough for
+            # the other worker to run every later cell if it were fed.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and "3" not in (
+                markers.read_text().split()
+            ):
+                time.sleep(0.01)
+            time.sleep(1.0)
+        if cell.index == 3:
+            raise RuntimeError("cell 3 fails")
+        return original(cell, cache, **kwargs)
+
+    monkeypatch.setattr(orchestrate, "BATCH_MAX", 1)
+    monkeypatch.setattr(orchestrate, "run_cell", marked)
+    workers = 2
+    with pytest.raises(RuntimeError, match="cell 3 fails"):
+        run_sweep(spec, max_workers=workers, store_path=tmp_path / "r.jsonl")
+    started = [int(line) for line in markers.read_text().split()]
+    assert len([index for index in started if index > 3]) <= workers
+    assert [
+        row["index"] for row in RunStore(tmp_path / "r.jsonl").rows()
+    ] == [0, 1, 2]
 
 
 def test_every_cell_runs_exactly_once(tmp_path, monkeypatch):
