@@ -4,14 +4,17 @@
 block rotation (:mod:`repro.sim.delay`): the services after which ``j``
 losses can no longer stop a client are a closed form, so a table entry
 costs one walk over the phases where the delay can change - slot 0
-and the slot after each service, of every carrier of the file.
+and the slot after each service, of every carrier of the file, and
+``tuning_cost`` slots before that, once per carrier the client may be
+tuned to, where the file has several carriers and re-tuning costs.
 
 This bench times whole tables, the fastest of several repetitions, on
 
 * ``examples/scenario_awacs_temporal.json`` (one channel, a 122,880-slot
   cycle, 19,992 services) at ``delay_errors`` 0, 1 and 2;
-* ``examples/scenario_multichannel.json`` (three replicated channels) at
-  ``delay_errors`` 2, with the largest phase count of any file.
+* ``examples/scenario_multichannel.json`` (three replicated channels,
+  tuning cost 2) at ``delay_errors`` 2, with the largest count of
+  (phase, tuned carrier) pairs any file walks.
 
 Each table must give its pinned rows.  Results land in
 ``BENCH_certificate.json`` at the repo root, stamped with their
@@ -29,7 +32,7 @@ from pathlib import Path
 from benchmarks.conftest import print_table, provenance
 from repro.api import Scenario
 from repro.api.engine import BroadcastEngine
-from repro.sim.delay import _critical_phases, _Rotation
+from repro.sim.delay import _chosen, _Rotation
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,9 +66,12 @@ def with_errors(scenario: Scenario, errors: int) -> Scenario:
 
 
 def largest_phase_count(engine: BroadcastEngine) -> int:
-    """The most phases any file's table entry walks."""
+    """The most (phase, tuned carrier) pairs any file's entry walks."""
     design = engine.design()
     channels = getattr(design, "channel_set", None)
+    tuning_cost = (
+        0 if channels is None else engine.scenario.channels.tuning_cost
+    )
     counts = []
     for spec in engine.scenario.files:
         programs = (
@@ -76,10 +82,11 @@ def largest_phase_count(engine: BroadcastEngine) -> int:
                 for channel in channels.channels_for(spec.name)
             ]
         )
-        counts.append(len(_critical_phases([
+        rotations = [
             _Rotation(program, spec.name, spec.blocks, True)
             for program in programs
-        ])))
+        ]
+        counts.append(sum(1 for _ in _chosen(rotations, tuning_cost)))
     return max(counts)
 
 

@@ -7,7 +7,7 @@ retrieval client received in the simulation-core rewrite.  This bench
 measures that rewrite two ways on a multidisk hierarchy:
 
 * **before/after retrieval throughput** - the slot-walking executable
-  spec (:mod:`repro.rtdb.reference`) against the production walker over
+  spec (:mod:`tests.oracles.rtdb_reference`) against the production walker over
   identical phases, on the failure-free channel and under Bernoulli
   losses.  The acceptance floor is a >= 5x fault-free speedup (full
   configuration only; the smoke configuration asserts bit-identical
@@ -41,7 +41,7 @@ from repro.rtdb import (
     UpdatingServer,
     retrieve_versioned,
 )
-from repro.rtdb import reference
+from tests.oracles import rtdb_reference as reference
 from repro.sim.faults import BernoulliFaults
 from repro.traffic import TrafficSpec, simulate_traffic
 

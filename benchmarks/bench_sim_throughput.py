@@ -8,7 +8,7 @@ quantifies the speedup on the multidisk baseline workload (the same
 catalogue, demand profile, and Zipf stream as
 ``bench_multidisk_baseline.py``, scaled to heavy traffic) against the
 seed slot-walking implementations preserved in
-:mod:`repro.sim.reference` - after first asserting, request by request,
+:mod:`tests.oracles.sim_reference` - after first asserting, request by request,
 that both paths produce bit-identical retrievals.
 
 Results are recorded in ``BENCH_sim_throughput.json`` at the repo root
@@ -30,7 +30,7 @@ from pathlib import Path
 from benchmarks.conftest import print_table
 from repro.bdisk.file import FileSpec
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.client import retrieve
 from repro.sim.faults import BernoulliFaults
 from repro.sim.runner import simulate_requests

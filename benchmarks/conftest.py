@@ -1,16 +1,26 @@
-"""Shared benchmark fixtures: the paper's toy programs, seeded RNGs."""
+"""Shared benchmark fixtures: the paper's toy programs, seeded RNGs.
+
+The repository root goes on ``sys.path`` here, so benches import the
+slot-walking oracles as ``tests.oracles.<name>``.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import platform
 import random
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.bdisk.flat import build_aida_flat_program, build_flat_program
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 
 @pytest.fixture
@@ -30,16 +40,34 @@ def figure6_program():
     return build_aida_flat_program([("A", 5, 10), ("B", 3, 6)])
 
 
+def source_sha256(tree: Path) -> str:
+    """The code a record measured, recomputable on any checkout.
+
+    SHA-256 over every file under ``tree`` but those in ``__pycache__``,
+    in the order of their ``/``-separated relative paths: each path's
+    UTF-8 bytes, a NUL, the file's bytes, a NUL."""
+    files = sorted(
+        (path.relative_to(tree).as_posix(), path)
+        for path in tree.rglob("*")
+        if path.is_file()
+        and "__pycache__" not in path.relative_to(tree).parts
+    )
+    digest = hashlib.sha256()
+    for relative, path in files:
+        digest.update(relative.encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def provenance() -> dict:
     """Where a bench record was measured: commit (and whether the tree
-    had uncommitted changes), CPU count, interpreter and numpy versions."""
+    had uncommitted changes), the hash of ``src/`` as measured, CPU
+    count, interpreter and numpy versions."""
     import numpy
-
-    root = Path(__file__).resolve().parents[1]
 
     def git(*argv):
         return subprocess.run(
-            ["git", *argv], cwd=root, capture_output=True, text=True,
+            ["git", *argv], cwd=ROOT, capture_output=True, text=True,
             check=True,
         ).stdout.strip()
 
@@ -51,6 +79,7 @@ def provenance() -> dict:
     return {
         "commit": commit,
         "dirty": dirty,
+        "src_sha256": source_sha256(ROOT / "src"),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -527,16 +527,16 @@ class BroadcastEngine:
         *,
         max_workers: int | None = None,
         trace: bool = False,
-        engine: str = "object",
+        engine: str = "soa",
     ) -> TrafficResult | None:
         """Run the scenario's open-loop population, or ``None`` without one.
 
         ``max_workers`` shards the population across a process pool
         (results are bit-identical to the serial run); ``trace`` retains
         one record per request for debugging and equivalence tests;
-        ``engine`` selects the shard implementation (``"object"`` or
-        the vectorized ``"soa"`` - bit-identical metrics, see
-        :data:`repro.traffic.ENGINES`).
+        ``engine`` selects the shard implementation (the vectorized
+        ``"soa"`` by default, or the ``"object"`` spec - bit-identical
+        metrics, see :data:`repro.traffic.ENGINES`).
         """
         scenario = self._scenario
         spec = scenario.traffic
@@ -560,7 +560,7 @@ class BroadcastEngine:
             engine=engine,
         )
 
-    def run_traffic_shard(self, lo: int, hi: int, *, engine: str = "object"):
+    def run_traffic_shard(self, lo: int, hi: int, *, engine: str = "soa"):
         """Run clients ``[lo, hi)`` of the scenario's traffic population.
 
         The shard-level entry point external pools submit (see
@@ -650,10 +650,11 @@ class BroadcastEngine:
         """Exact worst-case delays up to the scenario's ``delay_errors``.
 
         A client of a channel set commits to the carrier it would
-        finish on first without faults, so each entry is the worst case
-        over one common period of the channel it picks there (at tuning
-        cost 0, which the table leaves out); one channel is the
-        single-channel worst case.
+        finish on first without faults, hearing every carrier but its
+        tuned one the scenario's ``tuning_cost`` slots late, so each
+        entry is the worst case over one common period, and over the
+        channel it is tuned to, of the channel it picks there; one
+        channel is the single-channel worst case.
         """
         scenario = self._scenario
         if scenario.delay_errors is None:
@@ -663,6 +664,10 @@ class BroadcastEngine:
             design.channel_set
             if isinstance(design, MultiChannelDesign)
             else None
+        )
+
+        tuning_cost = (
+            0 if channels is None else scenario.channels.tuning_cost
         )
 
         def carriers(file: str) -> tuple[BroadcastProgram, ...]:
@@ -678,7 +683,8 @@ class BroadcastEngine:
                 spec.name,
                 errors,
                 chosen_channel_delay(
-                    carriers(spec.name), spec.name, spec.blocks, errors
+                    carriers(spec.name), spec.name, spec.blocks, errors,
+                    tuning_cost=tuning_cost,
                 ),
             )
             for spec in scenario.files

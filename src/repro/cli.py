@@ -299,11 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     traffic.add_argument(
-        "--engine", choices=TRAFFIC_ENGINES, default="object",
+        "--engine", choices=TRAFFIC_ENGINES, default="soa",
         help=(
-            "shard engine: per-client session objects ('object') or "
-            "the vectorized structure-of-arrays engine ('soa', needs "
-            "numpy); results are bit-identical"
+            "shard engine: the vectorized structure-of-arrays engine "
+            "('soa', the default) or per-client session objects "
+            "('object', the executable spec); results are bit-identical"
         ),
     )
     traffic.add_argument(

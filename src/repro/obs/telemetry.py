@@ -12,8 +12,8 @@ guarantee:
     Deterministic *and* shard-layout-invariant: serial == merged shards,
     always.  (Request counts, latency histograms, solver attempts.)
 ``shape``
-    Deterministic for a fixed shard layout but dependent on it (per-shard
-    retrieval memos, cohort wave sizes, fault-draw batching).
+    Deterministic for a fixed shard layout but dependent on it (lookup-
+    versus-walk retrieval splits, cohort wave sizes, fault-draw batching).
 ``volatile``
     Wall-clock or environment derived (span timings, rows/s, worker
     utilization).  Never compared across runs.

@@ -19,10 +19,11 @@ vocabulary on top of the broadcast/scheduling machinery:
   checking (latency- or version-age-based);
 * :mod:`repro.rtdb.spec` - the declarative :class:`TemporalSpec` that
   ``repro.api.Scenario`` embeds, deriving the broadcast catalogue from
-  the item population and active mode;
-* :mod:`repro.rtdb.reference` - the seed slot-walking implementations,
-  kept as the executable spec for equivalence property tests and the
-  ``bench_rtdb`` before/after measurement.
+  the item population and active mode.
+
+The seed slot-walking implementations, the executable spec for the
+equivalence property tests and the ``bench_rtdb`` before/after
+measurement, live with the tests (``tests/oracles/rtdb_reference.py``).
 """
 
 from repro.rtdb.temporal import (

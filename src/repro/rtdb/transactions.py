@@ -24,7 +24,7 @@ Retrievals ride the occurrence-indexed clients
 (:func:`repro.sim.client.retrieve` and
 :func:`repro.rtdb.updates.retrieve_versioned`), so a transaction costs
 O(occurrences touched), not O(slots waited); the slot-walking executable
-spec lives in :mod:`repro.rtdb.reference`.
+spec lives in ``tests/oracles/rtdb_reference.py``.
 """
 
 from __future__ import annotations

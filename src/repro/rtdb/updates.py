@@ -24,9 +24,9 @@ batched fault decisions from :func:`repro.sim.client.fault_batches`,
 the same source :func:`repro.sim.client.retrieve` uses.  Slots carrying
 other files never affected the outcome and fault decisions are
 deterministic per ``(seed, slot)``, so the result is bit-identical to
-the seed slot-walking loop (kept in :mod:`repro.rtdb.reference` as the
-executable spec); benches sweep update periods to show the feasibility
-frontier between update rate and the retrieval window.
+the seed slot-walking loop (kept in ``tests/oracles/rtdb_reference.py``
+as the executable spec); benches sweep update periods to show the
+feasibility frontier between update rate and the retrieval window.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def retrieve_versioned(
     The client pulls its services from
     :func:`repro.sim.client.fault_batches`; outcomes are bit-identical
     to the slot walker preserved in
-    :func:`repro.rtdb.reference.retrieve_versioned`.
+    ``tests/oracles/rtdb_reference.py``.
 
     Raises
     ------

@@ -14,10 +14,11 @@ unreliable broadcast medium.  This subpackage provides both sides:
 * :mod:`repro.sim.workload` - seeded random file sets, pinwheel
   instances with target density, and request streams;
 * :mod:`repro.sim.metrics` - latency summaries and deadline-miss rates;
-* :mod:`repro.sim.runner` - end-to-end simulation loops;
-* :mod:`repro.sim.reference` - the seed slot-walking implementations,
-  kept as the executable spec the occurrence-indexed fast paths are
-  property-tested against.
+* :mod:`repro.sim.runner` - end-to-end simulation loops.
+
+The seed slot-walking implementations, the executable spec the
+occurrence-indexed fast paths are property-tested against, live with the
+tests (``tests/oracles/sim_reference.py``).
 """
 
 from repro.sim.faults import (

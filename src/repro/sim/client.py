@@ -21,7 +21,7 @@ the fault model about whole batches of candidate slots at once
 (:func:`fault_batches`, the occurrence source it shares with the
 versioned and spliced-timeline walkers).  The retrieval outcome is
 bit-identical to the seed slot-walking loop (kept in
-:mod:`repro.sim.reference` as the executable spec) because fault
+``tests/oracles/sim_reference.py`` as the executable spec) because fault
 decisions are deterministic per ``(seed, slot)`` and slots carrying
 other files never affected the outcome.
 """

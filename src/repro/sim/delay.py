@@ -26,9 +26,11 @@ occurrence ``e + K - 1``; delays and latencies are slot differences,
 maximized over slot 0 and the slot after each service, where they can
 change.  A client of several channels commits to the one it would
 finish on first without faults (lowest index on ties,
-:func:`repro.sim.client.best_channel`'s rule at tuning cost 0);
+:func:`repro.sim.client.best_channel`'s rule), where every carrier but
+the one it is tuned to starts ``tuning_cost`` slots late;
 :func:`chosen_channel_delay` walks those phases of every carrier over
-one common period, and one carrier is the single-channel case.
+one common period, tuned to each carrier in turn, and one carrier is
+the single-channel case.
 """
 
 from __future__ import annotations
@@ -121,35 +123,53 @@ class _Rotation:
         return self.slot(occurrence + services - 1)
 
 
-def _critical_phases(rotations: Sequence[_Rotation]) -> list[int]:
-    """Slot 0 and the slot after each carrier's service, over one
-    common period: between two of them no carrier airs, so no finish
+def _critical_phases(
+    rotations: Sequence[_Rotation], tuning_cost: int
+) -> list[int]:
+    """Slot 0 and, over one common period, the phases at which a
+    carrier's service is just past: the slot after it, and
+    ``tuning_cost`` slots before that for a carrier heard late.
+    Between two of them no listen start crosses a service, so no finish
     and no choice of channel changes."""
     period = math.lcm(*(rotation.period for rotation in rotations))
     phases = {0}
     for rotation in rotations:
         aired = len(rotation.slots) * (period // rotation.period)
-        phases.update(
-            (rotation.slot(i) + 1) % period for i in range(aired)
-        )
+        for shift in {1, 1 - tuning_cost}:
+            phases.update(
+                (rotation.slot(i) + shift) % period for i in range(aired)
+            )
     return sorted(phases)
 
 
 def _chosen(
-    rotations: Sequence[_Rotation],
+    rotations: Sequence[_Rotation], tuning_cost: int = 0
 ) -> Iterator[tuple[int, _Rotation, int, int]]:
-    """``(phase, rotation, occurrence, finish)`` at each critical phase:
-    the carrier with the earliest fault-free finish (the first on
-    ties), the first of its occurrences the client hears, and that
-    finish."""
-    for phase in _critical_phases(rotations):
-        best = None
-        for rotation in rotations:
-            occurrence = rotation.first_at(phase)
-            finish = rotation.finish(occurrence, 0)
-            if best is None or finish < best[3]:
-                best = (phase, rotation, occurrence, finish)
-        yield best
+    """``(phase, rotation, occurrence, finish)`` at each critical phase
+    and tuned carrier: the carrier with the earliest fault-free finish
+    (the first on ties), the first of its occurrences the client hears,
+    and that finish.  Every carrier but the tuned one is heard
+    ``tuning_cost`` slots late.  A client tuned to none hears them all
+    late: that is the choice at cost 0 shifted in time, which a client
+    tuned to the carrier it picks makes too, so only carriers are
+    walked."""
+    if len(rotations) == 1:
+        tuning_cost = 0
+    phases = _critical_phases(rotations, tuning_cost)
+    for tuned in range(len(rotations)) if tuning_cost else (None,):
+        # (carrier, listen offset) pairs for a client tuned to `tuned`.
+        heard = [
+            (rotation, 0 if index == tuned else tuning_cost)
+            for index, rotation in enumerate(rotations)
+        ]
+        for phase in phases:
+            best = None
+            for rotation, offset in heard:
+                occurrence = rotation.first_at(phase + offset)
+                finish = rotation.finish(occurrence, 0)
+                if best is None or finish < best[3]:
+                    best = (phase, rotation, occurrence, finish)
+            yield best
 
 
 def fault_free_latency(
@@ -173,18 +193,23 @@ def chosen_channel_delay(
     errors: int,
     *,
     need_distinct: bool = True,
+    tuning_cost: int = 0,
 ) -> int:
     """Exact worst-case added delay on the channel a client picks.
 
     ``programs`` are the channels carrying ``file``, in channel order.
     At every phase of one common period the client commits to the
     carrier it would finish on first without faults (the first on
-    ties); the delay is that carrier's finish under ``errors``
-    adversarial losses minus its fault-free finish, maximized over the
-    phases.  One program is the single-channel worst case.
+    ties), hearing every carrier but the one it is tuned to
+    ``tuning_cost`` slots late; the delay is that carrier's finish
+    under ``errors`` adversarial losses minus its fault-free finish,
+    maximized over the phases and over the carrier it is tuned to.
+    One program is the single-channel worst case.
     """
     if errors < 0:
         raise SimulationError(f"errors must be >= 0: {errors}")
+    if tuning_cost < 0:
+        raise SimulationError(f"tuning_cost must be >= 0: {tuning_cost}")
     rotations = [
         _Rotation(program, file, m_needed, need_distinct)
         for program in programs
@@ -195,7 +220,9 @@ def chosen_channel_delay(
         return 0
     return max(
         rotation.finish(occurrence, errors) - finish
-        for _, rotation, occurrence, finish in _chosen(rotations)
+        for _, rotation, occurrence, finish in _chosen(
+            rotations, tuning_cost
+        )
     )
 
 

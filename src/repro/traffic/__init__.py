@@ -17,10 +17,12 @@ the shared broadcast channel.  The pieces:
   age and quorum histograms with exact shard merging;
 * :mod:`repro.traffic.spec` - the declarative, JSON-round-trippable
   :class:`TrafficSpec` that :class:`repro.api.Scenario` embeds;
-* :mod:`repro.traffic.simulate` - :func:`simulate_traffic`: advance
-  every session service-to-service via the program's occurrence index,
-  sharding the population across processes for multi-core runs (pooled
-  vectorized shards receive the parent's retrieval tables pickled).
+* :mod:`repro.traffic.simulate` - :func:`simulate_traffic`: run the
+  population on the vectorized :mod:`repro.traffic.engine_soa` (the
+  default) or on the session objects (``engine="object"``, the
+  executable spec), sharding it across processes for multi-core runs
+  (pooled vectorized shards receive the parent's retrieval tables
+  pickled).
 
 Quickstart::
 

@@ -74,7 +74,7 @@ class RetrievalTables:
     __slots__ = (
         "cycle", "period", "occ_offsets", "occ_slots", "occ_blocks",
         "finish_rel", "horizons", "m_needed", "counts", "sched_total",
-        "dense",
+        "_dense",
     )
 
     def __init__(
@@ -101,15 +101,26 @@ class RetrievalTables:
         self.m_needed = m_needed
         self.counts = counts
         self.sched_total = sched_total
-        self.dense = (
-            self._build_dense()
-            if self.n_files * self.cycle <= DENSE_LUT_CAP
-            else None
-        )
+        self._dense: np.ndarray | None = None
 
     @property
     def n_files(self) -> int:
         return len(self.horizons)
+
+    @property
+    def dense(self) -> np.ndarray | None:
+        """The O(1) gather form: ``dense[file, phase] -> latency``
+        (``-1`` for an abort), horizon already applied; built on first
+        use, so populations that only resolve walks (single-channel
+        temporal ones) never pay for it, and ``None`` past
+        :data:`DENSE_LUT_CAP`."""
+        if self._dense is None and self.n_files * self.cycle <= DENSE_LUT_CAP:
+            phases = np.arange(self.cycle, dtype=np.int64)
+            dense = np.empty((self.n_files, self.cycle), dtype=np.int64)
+            for fid in range(self.n_files):
+                dense[fid] = self._latency_for_file(fid, phases)
+            self._dense = dense
+        return self._dense
 
     # ------------------------------------------------------------------
     # Construction
@@ -163,15 +174,6 @@ class RetrievalTables:
             sched_total=np.asarray(sched_total, dtype=np.int64),
         )
 
-    def _build_dense(self) -> np.ndarray:
-        """The O(1) gather form: ``dense[file, phase] -> latency``
-        (``-1`` for an abort), horizon already applied."""
-        phases = np.arange(self.cycle, dtype=np.int64)
-        dense = np.empty((self.n_files, self.cycle), dtype=np.int64)
-        for fid in range(self.n_files):
-            dense[fid] = self._latency_for_file(fid, phases)
-        return dense
-
     def _latency_for_file(
         self, fid: int, phases: np.ndarray
     ) -> np.ndarray:
@@ -205,8 +207,9 @@ class RetrievalTables:
         (pinned by ``tests/traffic/test_engine_soa.py``).
         """
         phases = starts % self.cycle
-        if self.dense is not None:
-            latency = self.dense[file_ids, phases]
+        dense = self.dense
+        if dense is not None:
+            latency = dense[file_ids, phases]
         else:
             latency = np.empty(len(file_ids), dtype=np.int64)
             for fid in np.unique(file_ids):

@@ -5,11 +5,11 @@ population against a designed :class:`~repro.bdisk.program.BroadcastProgram`:
 
 1. each client gets an independent seeded RNG substream, an arrival
    slot, and a session state machine;
-2. sessions advance service-to-service - the retrieval oracle walks the
-   program's occurrence index (:attr:`BroadcastProgram.index`) and, over
-   the failure-free channel, memoizes one real retrieval per
-   ``(file, phase)`` of the periodic program (every other request at the
-   same phase is a shift);
+2. requests retrieve in cohorts over flat tables (the default ``"soa"``
+   engine, :mod:`repro.traffic.engine_soa`) or, in the ``"object"``
+   engine, one session at a time, each request one call of the scalar
+   walker (:func:`repro.sim.client.retrieve` and its versioned and
+   multichannel kin) - the receiver model written out plainly;
 3. metrics stream into exact integer histograms - nothing per-request
    is retained unless tracing is requested.
 
@@ -30,8 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from math import lcm
-
 from repro.errors import SimulationError, SpecificationError
 from repro.fields import check_int
 from repro.bdisk.multichannel import ChannelSet
@@ -43,10 +41,14 @@ from repro.rtdb.updates import (
     UpdatingServer,
     retrieve_versioned,
     retrieve_versioned_quorum,
-    versioned_horizon,
+    versioned_listen_horizon,
 )
 from repro.sim.cache import CachingClient, LruCache, PixCache
-from repro.sim.client import best_channel, default_horizon, retrieve
+from repro.sim.client import (
+    default_horizon,
+    retrieve,
+    retrieve_multichannel,
+)
 from repro.sim.faults import FaultModel, NoFaults
 from repro.sim.metrics import LatencySummary
 from repro.traffic.arrivals import (
@@ -66,10 +68,11 @@ from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.spec import TrafficSpec
 
 #: Shard-engine implementations ``simulate_traffic`` can run:
-#: ``"object"`` is the per-client session/event-kernel engine (the
-#: executable spec); ``"soa"`` is the vectorized structure-of-arrays
-#: engine (:mod:`repro.traffic.engine_soa`) - bit-identical results,
-#: order-of-magnitude faster.
+#: ``"soa"``, the default, is the vectorized structure-of-arrays engine
+#: (:mod:`repro.traffic.engine_soa`); ``"object"`` is the per-client
+#: session/event-kernel engine, the executable spec that the tests, CI
+#: and the end-to-end benchmark's checks compare it against -
+#: bit-identical results, an order of magnitude slower.
 ENGINES = ("object", "soa")
 
 
@@ -115,24 +118,16 @@ def _record_shard_metrics(metrics: TrafficMetrics, engine: str) -> None:
 
 
 class _Retriever:
-    """The occurrence-walking retrieval oracle sessions call.
+    """The retrieval oracle plain sessions call: one
+    :func:`~repro.sim.client.retrieve` per request.
 
     Returns ``(latency, finish_slot)``; ``latency`` is ``None`` on an
     abort, and ``finish_slot`` is the last slot listened to either way.
-    Over the failure-free channel a retrieval's outcome depends on the
-    start slot only through its phase (start mod data cycle), so heavy
-    traffic costs one real retrieval per ``(file, phase)`` - the same
-    amortization :func:`repro.sim.runner.simulate_requests` uses.
-    Stochastic models key decisions on absolute slots, so every request
-    is retrieved for real there (still occurrence-walking, with batched
-    fault queries).  Cache-enabled sessions route their misses through
-    :class:`~repro.sim.cache.CachingClient` instead - misses must update
-    policy state and statistics, so they skip this memo and pay a real
-    occurrence walk each.
+    Cache-enabled sessions route their misses through
+    :class:`~repro.sim.cache.CachingClient` instead.
     """
 
-    __slots__ = ("_program", "_sizes", "_faults", "_max_slots", "_memo",
-                 "_cycle", "_c_memo", "_c_walk")
+    __slots__ = ("_program", "_sizes", "_faults", "_max_slots")
 
     def __init__(
         self,
@@ -145,98 +140,39 @@ class _Retriever:
         self._sizes = file_sizes
         self._faults = faults
         self._max_slots = max_slots
-        self._cycle = program.data_cycle_length
-        self._memo: dict[tuple[str, int], int | None] | None = (
-            {} if isinstance(faults, NoFaults) else None
-        )
-        # Counter cells are resolved once here so the per-request cost
-        # with telemetry on is one integer add - and one attribute check
-        # when it is off.  Memo-vs-walk splits are per-shard state, hence
-        # "shape" stability (deterministic, but layout-dependent).
-        tel = obs.current()
-        self._c_memo = self._c_walk = None
-        if tel is not None:
-            self._c_memo = tel.counter(
-                "traffic.retrievals", stability="shape",
-                oracle="plain", kind="memo",
-            )
-            self._c_walk = tel.counter(
-                "traffic.retrievals", stability="shape",
-                oracle="plain", kind="walk",
-            )
-
-    def horizon(self, file: str) -> int:
-        """Slots a retrieval of ``file`` listens before giving up."""
-        if self._max_slots is not None:
-            return self._max_slots
-        return default_horizon(self._program, self._sizes[file])
 
     def __call__(self, file: str, start: int) -> tuple[int | None, int]:
-        memo = self._memo
-        if memo is None:
-            result = retrieve(
-                self._program,
-                file,
-                self._sizes[file],
-                start=start,
-                faults=self._faults,
-                need_distinct=True,
-                max_slots=self._max_slots,
+        m_needed = self._sizes[file]
+        result = retrieve(
+            self._program,
+            file,
+            m_needed,
+            start=start,
+            faults=self._faults,
+            max_slots=self._max_slots,
+        )
+        if result.latency is None:
+            horizon = (
+                self._max_slots
+                if self._max_slots is not None
+                else default_horizon(self._program, m_needed)
             )
-            latency = result.latency
-            if self._c_walk is not None:
-                self._c_walk.add()
-        else:
-            key = (file, start % self._cycle)
-            try:
-                latency = memo[key]
-            except KeyError:
-                latency = memo[key] = retrieve(
-                    self._program,
-                    file,
-                    self._sizes[file],
-                    start=key[1],
-                    need_distinct=True,
-                    max_slots=self._max_slots,
-                ).latency
-                if self._c_walk is not None:
-                    self._c_walk.add()
-            else:
-                if self._c_memo is not None:
-                    self._c_memo.add()
-        if latency is None:
-            return None, start + self.horizon(file) - 1
-        return latency, start + latency - 1
-
-
-#: Ceiling on the joint (data cycle x update period) phase space a
-#: fault-free versioned retrieval memo may key on.  The memo is lazy -
-#: it grows one entry per distinct phase actually requested - so the cap
-#: only guards the degenerate regime where the joint period is so large
-#: that hits are hopeless and the dict would just mirror the request
-#: stream.
-_VERSION_MEMO_CAP = 1 << 20
+            return None, start + horizon - 1
+        return result.latency, result.finish_slot
 
 
 class _VersionedRetriever:
-    """The version-consistent retrieval oracle transaction sessions call.
+    """The version-consistent retrieval oracle transaction sessions
+    call: one :func:`~repro.rtdb.updates.retrieve_versioned` per item.
 
     Returns ``(latency, finish_slot, age, torn_discards)`` per the
-    :data:`repro.traffic.clients.VersionedRetriever` convention.  Over
-    the failure-free channel an outcome depends on the start slot only
-    through its phase modulo ``lcm(data cycle, update period)`` - the
-    content table repeats with the cycle and the version clock with the
-    period - so heavy traffic pays one real retrieval per ``(file,
-    joint phase)`` when that joint period is modest
-    (:data:`_VERSION_MEMO_CAP`).  Stochastic fault models key decisions
-    on absolute slots, so every request there retrieves for real (still
-    occurrence-walking, with batched fault queries).
+    :data:`repro.traffic.clients.VersionedRetriever` convention.
+    ``max_slots`` passes through verbatim: ``None`` lets the walker
+    derive its default, so the :data:`~repro.rtdb.updates.MAX_DEFAULT_HORIZON`
+    guard stays in force.
     """
 
-    __slots__ = (
-        "_program", "_sizes", "_server", "_faults", "_max_slots",
-        "_memo", "_joint", "_c_memo", "_c_walk",
-    )
+    __slots__ = ("_program", "_sizes", "_server", "_faults", "_max_slots")
 
     def __init__(
         self,
@@ -251,93 +187,46 @@ class _VersionedRetriever:
         self._server = server
         self._faults = faults
         self._max_slots = max_slots
-        cycle = program.data_cycle_length
-        self._joint = {
-            file: lcm(cycle, server.period(file)) for file in file_sizes
-        }
-        self._memo: dict[tuple[str, int], tuple] | None = (
-            {} if isinstance(faults, NoFaults) else None
-        )
-        tel = obs.current()
-        self._c_memo = self._c_walk = None
-        if tel is not None:
-            self._c_memo = tel.counter(
-                "traffic.retrievals", stability="shape",
-                oracle="versioned", kind="memo",
-            )
-            self._c_walk = tel.counter(
-                "traffic.retrievals", stability="shape",
-                oracle="versioned", kind="walk",
-            )
-
-    def horizon(self, file: str) -> int:
-        """Slots a retrieval of ``file`` listens before giving up."""
-        if self._max_slots is not None:
-            return self._max_slots
-        return versioned_horizon(
-            self._program, self._sizes[file], self._server.period(file)
-        )
-
-    def _real(
-        self, file: str, start: int
-    ) -> tuple[int | None, int | None, int]:
-        # The user's max_slots override passes through verbatim; None
-        # lets retrieve_versioned derive its own default so the
-        # MAX_DEFAULT_HORIZON budget guard stays in force (handing the
-        # derived value over as an explicit horizon would launder it
-        # into a "caller-chosen" one and silently walk a huge cycle).
-        result = retrieve_versioned(
-            self._program,
-            self._server,
-            file,
-            self._sizes[file],
-            start=start,
-            faults=self._faults,
-            max_slots=self._max_slots,
-        )
-        return result.latency, result.age_at_completion, result.torn_discards
 
     def __call__(
         self, file: str, start: int
     ) -> tuple[int | None, int, int | None, int]:
-        memo = self._memo
-        joint = self._joint[file]
-        if memo is None or joint > _VERSION_MEMO_CAP:
-            latency, age, torn = self._real(file, start)
-            if self._c_walk is not None:
-                self._c_walk.add()
-        else:
-            # Fault-free: latency, age, and torn discards are invariant
-            # under shifting the start by the joint period (a multiple
-            # of both the content cycle and the version period).
-            key = (file, start % joint)
-            try:
-                latency, age, torn = memo[key]
-            except KeyError:
-                latency, age, torn = memo[key] = self._real(file, key[1])
-                if self._c_walk is not None:
-                    self._c_walk.add()
-            else:
-                if self._c_memo is not None:
-                    self._c_memo.add()
-        if latency is None:
-            return None, start + self.horizon(file) - 1, age, torn
-        return latency, start + latency - 1, age, torn
+        m_needed = self._sizes[file]
+        result = retrieve_versioned(
+            self._program,
+            self._server,
+            file,
+            m_needed,
+            start=start,
+            faults=self._faults,
+            max_slots=self._max_slots,
+        )
+        finish = result.finish_slot
+        if finish is None:
+            finish = start + versioned_listen_horizon(
+                self._program,
+                file,
+                m_needed,
+                self._server.period(file),
+                max_slots=self._max_slots,
+            ) - 1
+        return (
+            result.latency, finish, result.age_at_completion,
+            result.torn_discards,
+        )
 
 
-class _MultiOracle:
-    """Shared multichannel retrieval machinery for one shard.
+class _MultiRetriever:
+    """Per-session adapter: one
+    :func:`~repro.sim.client.retrieve_multichannel` per request.
 
-    The channel choice is :func:`repro.sim.client.best_channel`, scored
-    from the programs' fault-free finish tables, so a clean channel's
-    outcome costs no walk at all; only a faulty chosen channel walks.
-    End-to-end outcomes are bit-identical to
-    :func:`repro.sim.client.retrieve_multichannel` (pinned by
-    ``tests/traffic/test_multichannel_traffic.py``).
+    Each session holds its own tuned channel - clients sign on tuned to
+    channel 0, and the tuned channel persists across the session's
+    requests.  Re-tunes are charged to the metrics as they happen.
     """
 
-    __slots__ = ("channels", "faults", "_sizes", "_max_slots", "_c_table",
-                 "_c_walk")
+    __slots__ = ("_channels", "_sizes", "_faults", "_max_slots",
+                 "_metrics", "_tuned")
 
     def __init__(
         self,
@@ -345,84 +234,29 @@ class _MultiOracle:
         file_sizes: Mapping[str, int],
         faults: Sequence[FaultModel] | None,
         max_slots: int | None,
+        metrics: TrafficMetrics,
     ) -> None:
-        self.channels = channels
-        self.faults = faults
+        self._channels = channels
         self._sizes = file_sizes
+        self._faults = faults
         self._max_slots = max_slots
-        tel = obs.current()
-        self._c_table = self._c_walk = None
-        if tel is not None:
-            self._c_table = tel.counter(
-                "traffic.retrievals", stability="shape",
-                oracle="multichannel", kind="table",
-            )
-            self._c_walk = tel.counter(
-                "traffic.retrievals", stability="shape",
-                oracle="multichannel", kind="walk",
-            )
-
-    def retrieve(
-        self, file: str, start: int, tuned: int
-    ) -> tuple[int | None, int, int]:
-        """One multichannel retrieval: ``(latency, finish, channel)``.
-
-        ``latency`` is ``None`` on an abort; ``finish`` is the last slot
-        listened to either way (tuning cost included in both).
-        """
-        m_needed = self._sizes[file]
-        channel, listen, horizon, finish = best_channel(
-            self.channels,
-            file,
-            m_needed,
-            start=start,
-            tuned=tuned,
-            max_slots=self._max_slots,
-        )
-        model = self.faults[channel] if self.faults is not None else None
-        if model is None or isinstance(model, NoFaults):
-            if self._c_table is not None:
-                self._c_table.add()
-        else:
-            finish = retrieve(
-                self.channels.programs[channel],
-                file,
-                m_needed,
-                start=listen,
-                faults=model,
-                max_slots=horizon,
-            ).finish_slot
-            if self._c_walk is not None:
-                self._c_walk.add()
-        if finish is None:
-            return None, listen + horizon - 1, channel
-        return finish - start + 1, finish, channel
-
-
-class _MultiRetriever:
-    """Per-session adapter: the multichannel oracle as a ``Retriever``.
-
-    Sessions share the oracle (and its probe memo) but each holds its
-    own tuned-channel state - clients sign on tuned to channel 0, and
-    the tuned channel persists across the session's requests.  Re-tunes
-    are charged to the metrics as they happen.
-    """
-
-    __slots__ = ("_oracle", "_metrics", "_tuned")
-
-    def __init__(self, oracle: _MultiOracle, metrics: TrafficMetrics) -> None:
-        self._oracle = oracle
         self._metrics = metrics
         self._tuned = 0
 
     def __call__(self, file: str, start: int) -> tuple[int | None, int]:
-        latency, finish, channel = self._oracle.retrieve(
-            file, start, self._tuned
+        result = retrieve_multichannel(
+            self._channels,
+            file,
+            self._sizes[file],
+            start=start,
+            tuned=self._tuned,
+            faults=self._faults,
+            max_slots=self._max_slots,
         )
-        if channel != self._tuned:
-            self._tuned = channel
+        if result.switched:
+            self._tuned = result.channel
             self._metrics.record_channel_switches(1)
-        return latency, finish
+        return result.latency, result.finish_slot
 
 
 class _QuorumRetriever:
@@ -655,7 +489,7 @@ def simulate_traffic_shard(
     channels: ChannelSet | None = None,
     lo: int,
     hi: int,
-    engine: str = "object",
+    engine: str = "soa",
 ) -> TrafficMetrics:
     """Simulate clients ``[lo, hi)`` of a population - one pool task.
 
@@ -843,13 +677,8 @@ def _simulate_shard(
         _record_shard_metrics(metrics, "object")
         return metrics, records if records is not None else []
 
-    oracle: _MultiOracle | None = None
-    if channels is not None:
-        oracle = _MultiOracle(
-            channels, file_sizes, channel_faults, spec.max_slots
-        )
-        retriever = None
-    else:
+    retriever: _Retriever | None = None
+    if channels is None:
         retriever = _Retriever(
             program, file_sizes, fault_model, spec.max_slots
         )
@@ -896,8 +725,11 @@ def _simulate_shard(
             think_mean=spec.think_time,
             retriever=(
                 retriever
-                if oracle is None
-                else _MultiRetriever(oracle, metrics)
+                if channels is None
+                else _MultiRetriever(
+                    channels, file_sizes, channel_faults, spec.max_slots,
+                    metrics,
+                )
             ),
             metrics=metrics,
             cache=cache,
@@ -1143,7 +975,7 @@ def simulate_traffic(
     channels: ChannelSet | None = None,
     max_workers: int | None = None,
     trace: bool = False,
-    engine: str = "object",
+    engine: str = "soa",
 ) -> TrafficResult:
     """Run an open-loop client population against a broadcast program.
 
@@ -1201,9 +1033,10 @@ def simulate_traffic(
         slot, then client).  Off by default - tracing defeats the
         constant-memory metrics path.
     engine:
-        ``"object"`` (default) runs per-client session objects over the
-        event kernel; ``"soa"`` runs the vectorized structure-of-arrays
-        engine (:mod:`repro.traffic.engine_soa`).
+        ``"soa"`` (default) runs the vectorized structure-of-arrays
+        engine (:mod:`repro.traffic.engine_soa`); ``"object"`` runs
+        per-client session objects over the event kernel, the
+        executable spec the SoA engine is checked against.
         Metrics and traces are bit-identical between the two - the
         engine is purely a performance choice.  Pooled non-temporal
         ``"soa"`` runs build the retrieval tables once in the parent

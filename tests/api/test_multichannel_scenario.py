@@ -1,11 +1,12 @@
 """ChannelSpec plumbing through Scenario, fingerprints, and the engine."""
 
+import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import ReproError, SpecificationError
 from repro.bdisk.builder import ProgramDesign
@@ -65,9 +66,36 @@ def explicit_scenarios(draw):
             "count": count,
             "assignment": "explicit",
             "explicit": explicit,
+            "tuning_cost": draw(st.integers(0, 3)),
         },
         "delay_errors": draw(st.integers(0, 2)),
     }
+
+
+#: A drawn set at tuning cost 1.  A client tuned to channel 1 at slot
+#: 13 hears f1's other carrier, channel 0, a slot late, so it commits to
+#: channel 1, whose next f1 service is 8 slots on: one loss costs 8.  At
+#: cost 0 it would take channel 0, which airs f1 almost every slot (the
+#: cost-0 table reads 2).
+TUNED_LATE = {
+    "name": "drawn-explicit",
+    "files": [
+        {"name": "f0", "blocks": 1, "latency": 6, "fault_budget": 0},
+        {"name": "f1", "blocks": 1, "latency": 8, "fault_budget": 2},
+        {"name": "f2", "blocks": 2, "latency": 22, "fault_budget": 1},
+        {"name": "f3", "blocks": 2, "latency": 24, "fault_budget": 2},
+        {"name": "f4", "blocks": 2, "latency": 6, "fault_budget": 0},
+    ],
+    "channels": {
+        "count": 3,
+        "assignment": "explicit",
+        "explicit": {
+            "f0": [0, 1, 2], "f1": [0, 1], "f2": [2], "f3": [1], "f4": [1],
+        },
+        "tuning_cost": 1,
+    },
+    "delay_errors": 2,
+}
 
 
 class TestChannelSpecRoundTrip:
@@ -254,17 +282,22 @@ class TestEngineMultichannel:
         assert "channel 0" in result.summary()
 
     @given(drawn=explicit_scenarios())
+    @example(drawn=TUNED_LATE)
     @settings(max_examples=25, deadline=None)
     def test_delay_table_tracks_chosen_channel(
         self, drawn, chosen_channel_game
     ):
-        # At every phase the client commits to the carrier it finishes
-        # on first without faults; the table is the worst case there.
+        # At every phase, tuned to any channel, the client commits to
+        # the carrier it finishes on first without faults (re-tuning
+        # costs the scenario's tuning_cost); the table is the worst
+        # case there.
+        cost = drawn["channels"]["tuning_cost"]
         try:
             engine = BroadcastEngine(Scenario.from_dict(drawn))
             channels = engine.design().channel_set
         except ReproError:
             assume(False)
+        assert channels.tuning_cost == cost
         sizes = {spec["name"]: spec["blocks"] for spec in drawn["files"]}
         for entry in engine.delay_table():
             name, m, errors = entry.file, sizes[entry.file], entry.errors
@@ -273,7 +306,7 @@ class TestEngineMultichannel:
                 for channel in channels.channels_for(name)
             ]
             assert entry.delay == chosen_channel_game(
-                programs, name, m, errors
+                programs, name, m, errors, tuning_cost=cost
             )
             if any(p.block_count(name) < m + errors for p in programs):
                 continue
@@ -281,9 +314,11 @@ class TestEngineMultichannel:
             # is the adversary's best, in the walker as in the table.
             worst = 0
             period = math.lcm(*(p.data_cycle_length for p in programs))
-            for start in range(period):
+            for start, tuned in itertools.product(
+                range(period), range(channels.count)
+            ):
                 channel, listen, _, clean = best_channel(
-                    channels, name, m, start=start, tuned=0
+                    channels, name, m, start=start, tuned=tuned
                 )
                 index = channels.programs[channel].index
                 occurrences = index.occurrences_from(name, listen)
@@ -293,23 +328,28 @@ class TestEngineMultichannel:
                 faults = [None] * channels.count
                 faults[channel] = AdversarialFaults(heard)
                 retrieval = retrieve_multichannel(
-                    channels, name, m, start=start, faults=faults
+                    channels, name, m, start=start, tuned=tuned,
+                    faults=faults,
                 )
                 assert retrieval.channel == channel
                 worst = max(worst, retrieval.finish_slot - clean)
             assert worst == entry.delay
 
     def test_replicated_table_is_the_single_channel_table(self):
-        replicated = base_payload(
-            channels={"count": 3, "assignment": "replicated"},
-            delay_errors=2,
-        )
-        single = base_payload(delay_errors=2)
-        assert BroadcastEngine(
-            Scenario.from_dict(replicated)
-        ).delay_table() == BroadcastEngine(
-            Scenario.from_dict(single)
+        single = BroadcastEngine(
+            Scenario.from_dict(base_payload(delay_errors=2))
         ).delay_table()
+        for tuning_cost in (0, 2):
+            replicated = base_payload(
+                channels={
+                    "count": 3, "assignment": "replicated",
+                    "tuning_cost": tuning_cost,
+                },
+                delay_errors=2,
+            )
+            assert BroadcastEngine(
+                Scenario.from_dict(replicated)
+            ).delay_table() == single
 
     def test_k1_simulation_is_bit_identical(self):
         workload = {"requests": 50, "horizon": 200, "seed": 9}

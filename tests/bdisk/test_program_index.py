@@ -10,7 +10,7 @@ from repro.errors import ProgramError, SpecificationError
 from repro.bdisk.flat import build_aida_flat_program, build_flat_program
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from repro.bdisk.program_index import ProgramIndex
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 
 
 @pytest.fixture

@@ -1,12 +1,22 @@
-"""Shared fixtures: the paper's toy programs and seeded RNGs."""
+"""Shared fixtures: the paper's toy programs and seeded RNGs.
+
+The repository root goes on ``sys.path`` here, so test modules import
+the slot-walking oracles as ``tests.oracles.<name>`` from any directory.
+"""
 
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bdisk.flat import build_aida_flat_program, build_flat_program
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from repro.core.task import PinwheelSystem, PinwheelTask
 from repro.errors import SchedulingError, SimulationError, SpecificationError
 from repro.server.mutations import mutation_from_dict
 from repro.server.server import successor
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.delay import worst_case_delay
 from repro.sweep import SweepSpec
 

@@ -5,7 +5,7 @@ The production rtdb clients walk precomputed occurrence tables
 module preserves the original slot-by-slot implementations - recompute
 every slot's content from the schedule, visit every slot of the horizon,
 ask the fault model one slot at a time - in the style of
-:mod:`repro.sim.reference`, so that:
+:mod:`tests.oracles.sim_reference`, so that:
 
 * property tests can assert the fast paths are *bit-identical* to the
   seed semantics on randomized programs, fault models, and update
@@ -27,7 +27,7 @@ from typing import Mapping
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram
-from repro.sim import reference as sim_reference
+from tests.oracles import sim_reference
 from repro.sim.faults import FaultModel, NoFaults
 from repro.rtdb.items import DataItem
 from repro.rtdb.temporal import latency_budget_slots
@@ -123,7 +123,7 @@ def execute_transaction(
     Mirrors :func:`repro.rtdb.transactions.execute_transaction` - both
     regimes, same staleness rules, same sequential single-receiver
     chaining - but every retrieval is the slot walker
-    (:func:`repro.sim.reference.retrieve` / :func:`retrieve_versioned`
+    (:func:`tests.oracles.sim_reference.retrieve` / :func:`retrieve_versioned`
     above).
     """
     fault_model = faults if faults is not None else NoFaults()
@@ -215,7 +215,7 @@ def retrieve_versioned_quorum(
     Semantics match :func:`repro.rtdb.updates.retrieve_versioned_quorum`
     exactly - the sequential best-remaining-channel order, the tuning
     and horizon conventions, the trailing-run quorum condition - but
-    every channel probe uses :func:`repro.sim.reference.retrieve` and
+    every channel probe uses :func:`tests.oracles.sim_reference.retrieve` and
     every copy uses the slot-walking :func:`retrieve_versioned` above.
     """
     r = channels.quorum if quorum is None else quorum

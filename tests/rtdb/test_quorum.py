@@ -6,7 +6,7 @@ from repro.errors import SimulationError
 from repro.bdisk.file import FileSpec
 from repro.bdisk.multichannel import design_multichannel_program
 from repro.api.scenario import ChannelSpec
-from repro.rtdb import reference
+from tests.oracles import rtdb_reference as reference
 from repro.rtdb.updates import (
     QUORUM_OUTCOMES,
     UpdatingServer,

@@ -4,9 +4,10 @@
 from the index's finish tables and walks copies in geometric fault
 batches; :func:`repro.sim.client.best_channel` is the choice it makes.
 Both must agree field for field with the slot-walking specs -
-:func:`repro.rtdb.reference.retrieve_versioned_quorum` and a choice rule
-re-derived here from :func:`repro.sim.reference.retrieve` probes - on
-small random channel sets: up to three channels, any quorum
+:func:`tests.oracles.rtdb_reference.retrieve_versioned_quorum` and a
+choice rule re-derived here from
+:func:`tests.oracles.sim_reference.retrieve` probes - on small random
+channel sets: up to three channels, any quorum
 the carriers allow, tuning costs 0-3, update periods on both sides of
 the data cycle, mixed per-channel fault models, starts around cycle
 boundaries, and every tuned channel.
@@ -19,13 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.bdisk.multichannel import ChannelSet
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
-from repro.rtdb import reference
+from tests.oracles import rtdb_reference as reference
 from repro.rtdb.updates import (
     QuorumRead,
     UpdatingServer,
     retrieve_versioned_quorum,
 )
-from repro.sim import reference as sim_reference
+from tests.oracles import sim_reference
 from repro.sim.client import best_channel
 from repro.sim.faults import (
     AdversarialFaults,

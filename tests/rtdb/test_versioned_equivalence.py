@@ -3,7 +3,7 @@
 The versioned retrieval and transaction execution rewritten over the
 occurrence index (:mod:`repro.rtdb.updates`,
 :mod:`repro.rtdb.transactions`) must be *bit-identical* to the seed
-slot-walking implementations preserved in :mod:`repro.rtdb.reference` -
+slot-walking implementations preserved in :mod:`tests.oracles.rtdb_reference` -
 every field: version, latency, age, torn discards, commit status.
 These properties pin that down on randomized programs, fault models,
 update periods, and phases.
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
-from repro.rtdb import reference
+from tests.oracles import rtdb_reference as reference
 from repro.rtdb.items import DataItem
 from repro.rtdb.temporal import TemporalConstraint
 from repro.rtdb.transactions import ReadTransaction, execute_transaction

@@ -6,7 +6,7 @@ This module keeps the search it replaced: a memoized game over
 which a clairvoyant adversary branches between letting each useful
 block through and killing it.  It is exponential in the file's
 dispersal width, so the tests play it on small programs only.
-:func:`repro.sim.reference.worst_case_delay` is the same game on the
+:func:`tests.oracles.sim_reference.worst_case_delay` is the same game on the
 seed slot walk; this copy also answers latencies per phase and plays
 the multichannel client.
 """
@@ -130,14 +130,18 @@ def chosen_channel_delay(
     errors: int,
     *,
     need_distinct: bool = True,
+    tuning_cost: int = 0,
 ) -> int:
-    """The game on the channel a client picks, at every phase.
+    """The game on the channel a client picks, at every phase and tuning.
 
-    At each slot of one common period of the carriers' data cycles the
-    client takes the carrier whose fault-free game finishes first (the
+    At each slot of one common period of the carriers' data cycles, and
+    tuned to each carrier or to none, the client takes the carrier whose
+    fault-free game finishes first from the slot it starts hearing it -
+    ``tuning_cost`` slots late on every carrier but the tuned one (the
     first on ties); the delay there is that carrier's game with
     ``errors`` kills minus its game with none.  With one program this
-    is the all-phase game of :func:`repro.sim.reference.worst_case_delay`.
+    is the all-phase game of
+    :func:`tests.oracles.sim_reference.worst_case_delay`.
     """
     if errors < 0:
         raise SimulationError(f"errors must be >= 0: {errors}")
@@ -147,9 +151,19 @@ def chosen_channel_delay(
     ]
     period = math.lcm(*(program.data_cycle_length for program in programs))
     worst = 0
-    for phase in range(period):
-        clean, chosen = min(
-            (game(phase, 0), index) for index, game in enumerate(games)
-        )
-        worst = max(worst, games[chosen](phase, errors) - clean)
+    for tuned in (None, *range(len(games))):
+        for phase in range(period):
+            listens = [
+                phase if index == tuned else phase + tuning_cost
+                for index in range(len(games))
+            ]
+            _, chosen = min(
+                (listens[index] + game(listens[index], 0), index)
+                for index, game in enumerate(games)
+            )
+            listen = listens[chosen]
+            worst = max(
+                worst,
+                games[chosen](listen, errors) - games[chosen](listen, 0),
+            )
     return worst

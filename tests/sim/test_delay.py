@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bdisk.flat import build_aida_flat_program
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.delay import (
     fault_free_latency,
     lemma1_bound,

@@ -4,7 +4,7 @@ The occurrence-indexed simulation core (``ProgramIndex`` + the
 occurrence-walking ``retrieve``/``broadcast_retrieve``, the phase-
 memoizing runner) and the rotation arithmetic of window minima and
 delays must be *bit-identical* to the seed implementations preserved
-in :mod:`repro.sim.reference`.
+in :mod:`tests.oracles.sim_reference`.
 These properties pin that down on randomized programs, phases, fault
 models, and requirements.
 """
@@ -17,7 +17,7 @@ from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
 from repro.ida.dispersal import disperse
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.channel import ByteChannel, broadcast_retrieve
 from repro.sim.client import retrieve
 from repro.sim.delay import worst_case_delay

@@ -6,7 +6,7 @@ from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.file import FileSpec
 from repro.bdisk.multichannel import design_multichannel_program
 from repro.api.scenario import ChannelSpec
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.client import (
     best_channel,
     retrieve,

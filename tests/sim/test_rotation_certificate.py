@@ -5,7 +5,7 @@ are arithmetic on a file's service counts (:mod:`repro.sim.delay`,
 :meth:`BroadcastProgram.min_distinct_in_window`).  On drawn programs
 with idle and shared slots they must equal the searches they replaced
 - the exhaustive adversary game of ``delay_reference`` and the seed
-slot walks of :mod:`repro.sim.reference` - value for value, and raise
+slot walks of :mod:`tests.oracles.sim_reference` - value for value, and raise
 the same :class:`SimulationError` text wherever the game raises.
 """
 
@@ -17,7 +17,7 @@ from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
 from repro.errors import ProgramError, SimulationError
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.delay import (
     chosen_channel_delay,
     fault_free_latency,
@@ -104,17 +104,21 @@ class TestDelayAgainstTheGame:
         ),
         m_needed=st.integers(0, 5),
         errors=st.integers(0, 3),
+        tuning_cost=st.integers(0, 3),
     )
     @settings(max_examples=60, deadline=None)
     def test_chosen_channel_delay_equals_the_game(
-        self, carriers, m_needed, errors
+        self, carriers, m_needed, errors, tuning_cost
     ):
-        # Every drawn program carries f0; the client picks among them.
+        # Every drawn program carries f0; the client picks among them,
+        # hearing every carrier but its tuned one tuning_cost slots late.
         assert outcome(
-            lambda: chosen_channel_delay(carriers, "f0", m_needed, errors)
+            lambda: chosen_channel_delay(
+                carriers, "f0", m_needed, errors, tuning_cost=tuning_cost
+            )
         ) == outcome(
             lambda: delay_reference.chosen_channel_delay(
-                carriers, "f0", m_needed, errors
+                carriers, "f0", m_needed, errors, tuning_cost=tuning_cost
             )
         )
 
@@ -174,6 +178,12 @@ class TestErrors:
     def test_no_carrier_is_a_simulation_error(self):
         with pytest.raises(SimulationError, match="no channel"):
             chosen_channel_delay((), "A", 1, 1)
+
+    def test_negative_tuning_cost_is_a_simulation_error(
+        self, figure6_program
+    ):
+        with pytest.raises(SimulationError, match="tuning_cost must be"):
+            chosen_channel_delay((figure6_program,), "A", 5, 1, tuning_cost=-1)
 
 
 class TestWindows:

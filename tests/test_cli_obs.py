@@ -144,7 +144,7 @@ class TestObsSummarize:
     def test_summarize_renders_export(self, tmp_path, capsys):
         out = tmp_path / "tel"
         main([
-            "traffic", scenario_path(tmp_path),
+            "traffic", scenario_path(tmp_path), "--engine", "object",
             "--workers", "2", "--telemetry", str(out),
         ])
         capsys.readouterr()

@@ -2,7 +2,7 @@
 
 A *closed* population of non-thinking clients (one request each, no
 cache) is just a batch of independent retrievals at known start slots -
-exactly what :mod:`repro.sim.reference` computes by walking every slot.
+exactly what :mod:`tests.oracles.sim_reference` computes by walking every slot.
 The traffic path must agree latency-for-latency: the kernel, the
 occurrence-walking retriever, and the fault-free phase memoization are
 pure optimizations.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
-from repro.sim import reference
+from tests.oracles import sim_reference as reference
 from repro.sim.faults import BernoulliFaults
 from repro.traffic import TrafficSpec, simulate_traffic
 

@@ -13,7 +13,7 @@ from repro.rtdb import (
 )
 from repro.traffic import TrafficMetrics, TrafficSpec, simulate_traffic
 from repro.traffic.simulate import _VersionedRetriever, simulate_traffic_shard
-from repro.sim.faults import BernoulliFaults, NoFaults
+from repro.sim.faults import NoFaults
 
 
 def make_program():
@@ -90,19 +90,6 @@ class TestVersionedRetriever:
             assert age == direct.age_at_completion
             assert torn == direct.torn_discards
             assert finish == direct.finish_slot
-
-    def test_memo_is_only_used_fault_free(self):
-        program = make_program()
-        server = UpdatingServer({"A": 64, "B": 40})
-        fault_free = _VersionedRetriever(
-            program, {"A": 5, "B": 3}, server, NoFaults(), None
-        )
-        faulty = _VersionedRetriever(
-            program, {"A": 5, "B": 3}, server,
-            BernoulliFaults(0.3, seed=1), None,
-        )
-        assert fault_free._memo is not None
-        assert faulty._memo is None
 
     def test_abort_reports_horizon_finish(self):
         program = make_program()
