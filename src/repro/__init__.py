@@ -18,8 +18,8 @@ Database Systems" (BU-CS TR-1996-023 / ICDE 1997), organized as:
   delay analysis (Lemmas 1-2, Figure 7), workloads, and metrics;
 * :mod:`repro.rtdb` - temporal consistency, data items, operation modes,
   and read transactions;
-* :mod:`repro.traffic` - discrete-event traffic simulation: open-loop
-  client populations (arrival processes, session state machines,
+* :mod:`repro.traffic` - traffic simulation: open-loop client
+  populations (arrival processes, popularity laws, think times,
   streaming metrics) sharded across cores;
 * :mod:`repro.api` - the declarative front door: :class:`Scenario`
   specifications (JSON-round-trippable), the :class:`BroadcastEngine`

@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", choices=TRAFFIC_ENGINES, default="soa",
         help=(
             "shard engine: the vectorized structure-of-arrays engine "
-            "('soa', the default) or per-client session objects "
+            "('soa', the default) or one plain loop per client "
             "('object', the executable spec); results are bit-identical"
         ),
     )

@@ -25,9 +25,11 @@ without going dark.  The lifecycle of one accepted mutation:
 
 Traffic populations run *through* the server - the same arrival
 processes, RNG substreams, and single-receiver discipline as the
-offline simulator, driven by one :class:`~repro.traffic.kernel.
-EventKernel` - so client sessions experience splices live, and metrics
-accumulate into per-epoch accumulators (split exactly at splice slots).
+offline client loop - as live sessions on one
+:class:`~repro.traffic.kernel.EventKernel` (the kernel's only user: a
+completion event must be able to move when a splice lands), so client
+sessions experience splices live, and metrics accumulate into
+per-epoch accumulators (split exactly at splice slots).
 
 Drive it programmatically (``apply()`` / ``advance()`` / ``close()``)
 or from a scripted mutation timeline (:mod:`repro.server.script`, the

@@ -1,6 +1,8 @@
 """Client sessions that live *through* splices.
 
-The offline traffic simulator (:mod:`repro.traffic.clients`) computes a
+The offline traffic simulator's object engine
+(:func:`repro.traffic.simulate.simulate_traffic` with
+``engine="object"``) is one plain loop per client: it computes a
 retrieval's outcome and records its metrics at issue time - sound,
 because the program it walks can never change.  An online server's can:
 a splice committed after a request was issued rewrites the channel from
@@ -14,14 +16,16 @@ completion event when the outcome moved.  Metrics are recorded at
 *completion* into the epoch the completion slot falls in - which is
 what splits them pre/post-splice.
 
-Determinism parity: a live session draws from its RNG in the same order
-as its offline counterpart (file/transaction draw at issue, think draw
-immediately after - think times consume no entropy from retrievals), so
-a run with zero mutations is bit-identical to
-:func:`repro.traffic.simulate.simulate_traffic` on the same scenario.
-The one divergence is harmless: the live session draws the final
-request's think time too (the offline one skips it); nothing downstream
-consumes it.
+Deferred completions are why the sessions here run over the
+:class:`~repro.traffic.kernel.EventKernel` - the server is its only
+driver.  Determinism parity: a live session draws from its RNG in the
+same order as the offline client loop (file/transaction draw at issue,
+think draw immediately after - retrievals consume no entropy from the
+client's stream), so a run with zero mutations is bit-identical to
+:func:`repro.traffic.simulate.simulate_traffic` on the same scenario,
+with either engine.  The one divergence is harmless: the live session
+draws the final request's think time too (the offline loop skips it);
+nothing downstream consumes it.
 """
 
 from __future__ import annotations
@@ -72,11 +76,10 @@ class RespliceOutcome:
 class LiveSession:
     """One open-loop client running against the live server.
 
-    The online counterpart of
-    :class:`~repro.traffic.clients.ClientSession`: same RNG discipline,
-    same single-receiver chaining, but outcomes are provisional until
-    the completion event fires and metrics land in the completion
-    epoch.
+    The online counterpart of one client of the offline loop: same
+    RNG discipline, same single-receiver chaining, but outcomes are
+    provisional until the completion event fires and metrics land in
+    the completion epoch.
     """
 
     __slots__ = (
@@ -192,13 +195,12 @@ class LiveSession:
 class LiveTransactionSession:
     """One open-loop client issuing read transactions against the server.
 
-    The online counterpart of
-    :class:`~repro.traffic.clients.TransactionSession`: items are
-    fetched sequentially, but each item is its own deferred completion
-    event, so exactly the item actually in flight is re-walked when a
-    splice lands.  The transaction draw and the think draw happen at
-    issue time, preserving the offline RNG stream (retrievals consume
-    no entropy).
+    The online counterpart of one temporal client of the offline loop:
+    items are fetched sequentially, but each item is its own deferred
+    completion event, so exactly the item actually in flight is
+    re-walked when a splice lands.  The transaction draw and the think
+    draw happen at issue time, preserving the offline RNG stream
+    (retrievals consume no entropy).
     """
 
     __slots__ = (

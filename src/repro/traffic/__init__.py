@@ -1,28 +1,26 @@
 """Open-loop traffic simulation: client populations at scale.
 
 Where :mod:`repro.sim.runner` replays a fixed, closed list of requests,
-this subpackage models *sustained load*: populations of client sessions
-arriving over time, each a small state machine issuing requests against
-the shared broadcast channel.  The pieces:
+this subpackage models *sustained load*: populations of clients
+arriving over time, each issuing a bounded run of requests against the
+shared broadcast channel, one retrieval at a time.  The pieces:
 
-* :mod:`repro.traffic.kernel` - the discrete-event kernel: an event
-  heap keyed on broadcast slots;
 * :mod:`repro.traffic.arrivals` - arrival processes (Poisson,
   deterministic, bursty) and popularity laws (uniform, Zipf, hot/cold)
   over per-client seeded RNG substreams;
-* :mod:`repro.traffic.clients` - session state machines with
-  think-time, optional client caching, and the single-receiver
-  constraint;
 * :mod:`repro.traffic.metrics` - streaming metrics: exact latency,
   age and quorum histograms with exact shard merging;
 * :mod:`repro.traffic.spec` - the declarative, JSON-round-trippable
   :class:`TrafficSpec` that :class:`repro.api.Scenario` embeds;
 * :mod:`repro.traffic.simulate` - :func:`simulate_traffic`: run the
   population on the vectorized :mod:`repro.traffic.engine_soa` (the
-  default) or on the session objects (``engine="object"``, the
+  default) or as one plain loop per client (``engine="object"``, the
   executable spec), sharding it across processes for multi-core runs
   (pooled vectorized shards receive the parent's retrieval tables
-  pickled).
+  pickled);
+* :mod:`repro.traffic.kernel` - a discrete-event kernel, an event heap
+  keyed on broadcast slots, which the online server
+  (:mod:`repro.server`) drives its live sessions with.
 
 Quickstart::
 
@@ -48,16 +46,12 @@ from repro.traffic.arrivals import (
     popularity_weights,
     think_slots,
 )
-from repro.traffic.clients import (
-    ClientSession,
-    RequestRecord,
-    TransactionSession,
-)
 from repro.traffic.kernel import EventKernel
 from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.spec import CACHE_KINDS, TrafficSpec
 from repro.traffic.simulate import (
     ENGINES,
+    RequestRecord,
     TrafficResult,
     shard_bounds,
     simulate_traffic,
@@ -69,13 +63,11 @@ __all__ = [
     "CACHE_KINDS",
     "ENGINES",
     "POPULARITY_KINDS",
-    "ClientSession",
     "EventKernel",
     "RequestRecord",
     "TrafficMetrics",
     "TrafficResult",
     "TrafficSpec",
-    "TransactionSession",
     "arrival_rng",
     "arrival_slot",
     "client_rng",

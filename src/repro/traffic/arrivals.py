@@ -10,7 +10,8 @@ change a single outcome.
 The streams are counter-based (:mod:`repro.traffic.substreams`): every
 draw is a pure function of ``(seed, purpose, client index, position)``,
 so stream creation is O(1) and the vectorized engine can materialize
-whole draw matrices that agree bit-for-bit with the scalar sessions.
+whole draw matrices that agree bit-for-bit with the object engine's
+scalar draws.
 
 Arrival kinds (``clients`` sessions over ``duration`` slots):
 
@@ -180,8 +181,9 @@ def popularity_cdf(
 
     Keyed on the full parameter tuple and computed once per distinct
     spec - population setup is O(catalogue), not O(clients x catalogue).
-    Sessions pass the shared tuple straight to ``choices(cum_weights=)``;
-    draws are bit-identical to accumulating raw weights per session.
+    The object engine passes the shared tuple straight to
+    ``choices(cum_weights=)``; draws are bit-identical to accumulating
+    raw weights per client.
     The returned tuple is shared and must not be mutated.
     """
     return _popularity_cdf(kind, count, zipf_skew, hot_fraction, hot_weight)

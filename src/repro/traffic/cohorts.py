@@ -2,12 +2,12 @@
 
 The structure-of-arrays engine (:mod:`repro.traffic.engine_soa`) never
 visits one client at a time: it advances whole *cohorts* - every client
-whose next event lands inside the current slot window - per numpy batch.
+with requests left, each at its own next slot - per numpy batch.
 This module provides the batching primitives and the precomputed
 retrieval tables the engine resolves requests against:
 
 * :func:`cohort_waves` - the wave iterator over the population's
-  next-event array;
+  request budgets;
 * :class:`RetrievalTables` - the per-``(file, phase)`` fault-free
   retrieval lookup derived from :class:`~repro.bdisk.program_index.ProgramIndex`:
   flat occurrence arrays plus, per occurrence, the slot at which a
@@ -18,7 +18,7 @@ retrieval tables the engine resolves requests against:
   draws, bit-identical to :mod:`repro.traffic.arrivals` by construction
   (same uniforms, same float expressions).
 
-Everything here requires numpy; the scalar engine never imports this
+Everything here requires numpy; the object engine never imports this
 module.
 """
 
@@ -355,38 +355,21 @@ class MultiChannelTables:
         return channel, listen, latency, finish
 
 
-def cohort_waves(
-    next_slot: np.ndarray,
-    remaining: np.ndarray,
-    window: int,
-) -> Iterator[np.ndarray]:
-    """Yield cohorts: index arrays of clients whose next event lies in
-    the current slot window.
+def cohort_waves(remaining: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield cohorts: index arrays of every client with requests left.
 
-    The caller owns ``next_slot`` and ``remaining`` and mutates them
-    between waves (advancing served clients, decrementing their request
-    budgets); the iterator re-reads them each round.  A window is
-    drained before moving on: clients whose follow-up events land inside
-    the same window are served again before the window advances to the
-    earliest pending event.  Event *order inside a wave is irrelevant*
-    because clients are independent and the metrics accumulators are
-    order-independent - that is the whole trick.
+    The caller owns ``remaining`` and decrements the served clients'
+    budgets between waves; the iterator re-reads it each round, so a
+    wave serves each live client's next request wherever its slot lies.
+    Event *order across clients is irrelevant* because clients are
+    independent and the metrics accumulators are order-independent -
+    that is the whole trick.
     """
-    if window < 1:
-        raise SpecificationError(f"cohort window must be >= 1: {window}")
     while True:
-        alive = remaining > 0
-        if not alive.any():
+        members = np.flatnonzero(remaining > 0)
+        if members.size == 0:
             return
-        window_end = next_slot[alive].min() + window
-        while True:
-            members = np.nonzero(alive & (next_slot < window_end))[0]
-            if members.size == 0:
-                break  # window drained: jump to the next pending event
-            yield members
-            alive = remaining > 0
-            if not alive.any():
-                return
+        yield members
 
 
 # ----------------------------------------------------------------------

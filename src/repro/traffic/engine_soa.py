@@ -4,14 +4,14 @@
 engine's shard runner (``repro.traffic.simulate._simulate_shard``):
 same inputs, same :class:`~repro.traffic.metrics.TrafficMetrics` out,
 bit-identical - but client state lives in flat numpy arrays (next-event
-slot, remaining requests) instead of one session object per client, and
-whole *cohorts* advance per batch instead of one heap event per client.
+slot, remaining requests) instead of loop locals, and whole *cohorts*
+advance per batch instead of one client's request at a time.
 
 One cohort loop serves every population kind.  It owns what the kinds
 share: uniforms pre-drawn from the counter-based substreams
 (:func:`repro.traffic.substreams.uniform_matrix` - request ``r`` of
-client ``i`` reads a fixed matrix cell, exactly the draw the scalar
-session would have made), each wave member's pick and think time, and
+client ``i`` reads a fixed matrix cell, exactly the draw the object
+engine's client loop makes), each wave member's pick and think time, and
 recording through :meth:`TrafficMetrics.record_many` - the accumulator
 is order-independent, which is what makes any-order batch accumulation
 legal.  Each kind adds only its per-block state and a wave step:
@@ -50,7 +50,6 @@ from repro.rtdb.spec import TemporalSpec
 from repro.rtdb.updates import versioned_listen_horizon
 from repro.sim.faults import FaultModel, NoFaults, lost_in
 from repro.traffic.arrivals import popularity_cdf, popularity_weights
-from repro.traffic.clients import RequestRecord
 from repro.traffic.cohorts import (
     MultiChannelTables,
     RetrievalTables,
@@ -61,19 +60,15 @@ from repro.traffic.cohorts import (
 )
 from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.simulate import (
+    RequestRecord,
     _build_fault_model,
     _channel_fault_models,
+    _popularity,
     _record_shard_metrics,
     _temporal_mix,
 )
 from repro.traffic.spec import TrafficSpec
 from repro.traffic.substreams import TAG_CLIENT, uniform_matrix
-
-#: Default cohort window (slots).  Correctness never depends on the
-#: window - clients are independent and the accumulators are
-#: order-independent - so the default is "everything", which maximizes
-#: batch width; tests shrink it to exercise the wave machinery.
-_DEFAULT_WINDOW = 1 << 61
 
 #: Uniform draws budgeted per client block (bounds peak memory).
 _BLOCK_BUDGET = 1 << 22
@@ -433,25 +428,12 @@ def _retrievals(tel: Any, kind: str) -> Any:
     )
 
 
-def _popularity(
-    law: Callable[..., Sequence[float]], spec: TrafficSpec, count: int
-) -> Sequence[float]:
-    """The spec's popularity ``law`` (weights or their running totals)."""
-    return law(
-        spec.popularity,
-        count,
-        zipf_skew=spec.zipf_skew,
-        hot_fraction=spec.hot_fraction,
-        hot_weight=spec.hot_weight,
-    )
-
-
 class _Population:
     """One population kind's share of the cohort driver.
 
     A request for pick ``k`` records under ``names[k]`` against
     ``deadlines[k]``; picks bisect the running weight totals, as the
-    scalar sessions' ``choices`` draw does.  By default the picks are
+    object engine's ``choices`` draw does.  By default the picks are
     the catalogue's files under the spec's popularity law.  ``step``
     resolves one wave to ``(latency, finish, cache_hit)``: ``latency``
     is ``-1`` on an abort, ``finish`` the last slot listened to either
@@ -946,7 +928,7 @@ def simulate_shard_soa(
         next_slot = arrival_vector(spec, block_lo, block_hi)
         left = np.full(n, requests, dtype=np.int64)
         kind.begin_block(n)
-        for members in cohort_waves(next_slot, left, _DEFAULT_WINDOW):
+        for members in cohort_waves(left):
             if c_waves is not None:
                 c_waves.add()
                 h_cohort.observe(len(members))

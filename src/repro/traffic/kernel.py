@@ -1,13 +1,17 @@
 """The discrete-event simulation kernel.
 
-A traffic run is a population of independent client sessions sharing one
-broadcast channel.  Nothing forces the simulator to visit every slot:
-all state changes happen at *events* (a session issuing a request, a
-retrieval finishing, a think-time expiring), and retrieval outcomes are
-computed analytically by jumping service-to-service along the program's
-occurrence index.  The kernel therefore reduces to the classic
-event-heap loop: a priority queue of ``(slot, action)`` pairs keyed on
-absolute broadcast slots, popped in slot order.
+The online server (:mod:`repro.server`) runs its live client sessions
+on this kernel: a splice can move an in-flight retrieval's completion,
+so completions are events that can be cancelled and rescheduled.  (The
+offline traffic engines need no kernel - clients are independent.)
+
+Nothing forces the server to visit every slot: all state changes happen
+at *events* (a session issuing a request, a retrieval finishing, a
+think-time expiring), and retrieval outcomes are computed analytically
+by jumping service-to-service along the program's occurrence index.
+The kernel therefore reduces to the classic event-heap loop: a priority
+queue of ``(slot, action)`` pairs keyed on absolute broadcast slots,
+popped in slot order.
 
 Determinism: events at the same slot run in scheduling order (a
 monotonic sequence number breaks heap ties), so a run is a pure function

@@ -137,7 +137,7 @@ class TrafficMetrics:
         _count(self._counts, values)
 
     def record_cache(self, hits: int, misses: int, evictions: int) -> None:
-        """Fold in one session's cache statistics."""
+        """Fold in one client's cache statistics."""
         self.cache_hits += hits
         self.cache_misses += misses
         self.cache_evictions += evictions

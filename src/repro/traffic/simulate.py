@@ -3,13 +3,13 @@
 :func:`simulate_traffic` runs a :class:`repro.traffic.spec.TrafficSpec`
 population against a designed :class:`~repro.bdisk.program.BroadcastProgram`:
 
-1. each client gets an independent seeded RNG substream, an arrival
-   slot, and a session state machine;
+1. each client gets an independent seeded RNG substream and an arrival
+   slot;
 2. requests retrieve in cohorts over flat tables (the default ``"soa"``
    engine, :mod:`repro.traffic.engine_soa`) or, in the ``"object"``
-   engine, one session at a time, each request one call of the scalar
-   walker (:func:`repro.sim.client.retrieve` and its versioned and
-   multichannel kin) - the receiver model written out plainly;
+   engine, in one plain loop per client, each request one call of a
+   scalar walker (:func:`repro.sim.client.retrieve` and its versioned
+   and multichannel kin) - the receiver model written out plainly;
 3. metrics stream into exact integer histograms - nothing per-request
    is retained unless tracing is requested.
 
@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from itertools import accumulate
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import SimulationError, SpecificationError
 from repro.fields import check_int
@@ -38,7 +39,6 @@ from repro.obs import telemetry as obs
 from repro.rtdb.spec import TemporalSpec
 from repro.rtdb.transactions import ReadTransaction
 from repro.rtdb.updates import (
-    UpdatingServer,
     retrieve_versioned,
     retrieve_versioned_quorum,
     versioned_listen_horizon,
@@ -51,28 +51,24 @@ from repro.sim.client import (
 )
 from repro.sim.faults import FaultModel, NoFaults
 from repro.sim.metrics import LatencySummary
+from repro.sim.workload import sample_accesses
 from repro.traffic.arrivals import (
     arrival_rng,
     arrival_slot,
     client_rng,
     popularity_cdf,
     popularity_weights,
+    think_slots,
 )
-from repro.traffic.clients import (
-    ClientSession,
-    RequestRecord,
-    TransactionSession,
-)
-from repro.traffic.kernel import EventKernel
 from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.spec import TrafficSpec
 
 #: Shard-engine implementations ``simulate_traffic`` can run:
 #: ``"soa"``, the default, is the vectorized structure-of-arrays engine
-#: (:mod:`repro.traffic.engine_soa`); ``"object"`` is the per-client
-#: session/event-kernel engine, the executable spec that the tests, CI
-#: and the end-to-end benchmark's checks compare it against -
-#: bit-identical results, an order of magnitude slower.
+#: (:mod:`repro.traffic.engine_soa`); ``"object"`` is one plain loop
+#: per client, the executable spec that the tests, CI and the
+#: end-to-end benchmark's checks compare it against - bit-identical
+#: results, an order of magnitude slower.
 ENGINES = ("object", "soa")
 
 
@@ -115,205 +111,6 @@ def _record_shard_metrics(metrics: TrafficMetrics, engine: str) -> None:
     hist = tel.histogram("traffic.latency_slots", unit="slots", engine=engine)
     for value, count in sorted(metrics.counts.items()):
         hist.observe(value, count)
-
-
-class _Retriever:
-    """The retrieval oracle plain sessions call: one
-    :func:`~repro.sim.client.retrieve` per request.
-
-    Returns ``(latency, finish_slot)``; ``latency`` is ``None`` on an
-    abort, and ``finish_slot`` is the last slot listened to either way.
-    Cache-enabled sessions route their misses through
-    :class:`~repro.sim.cache.CachingClient` instead.
-    """
-
-    __slots__ = ("_program", "_sizes", "_faults", "_max_slots")
-
-    def __init__(
-        self,
-        program: BroadcastProgram,
-        file_sizes: Mapping[str, int],
-        faults: FaultModel,
-        max_slots: int | None,
-    ) -> None:
-        self._program = program
-        self._sizes = file_sizes
-        self._faults = faults
-        self._max_slots = max_slots
-
-    def __call__(self, file: str, start: int) -> tuple[int | None, int]:
-        m_needed = self._sizes[file]
-        result = retrieve(
-            self._program,
-            file,
-            m_needed,
-            start=start,
-            faults=self._faults,
-            max_slots=self._max_slots,
-        )
-        if result.latency is None:
-            horizon = (
-                self._max_slots
-                if self._max_slots is not None
-                else default_horizon(self._program, m_needed)
-            )
-            return None, start + horizon - 1
-        return result.latency, result.finish_slot
-
-
-class _VersionedRetriever:
-    """The version-consistent retrieval oracle transaction sessions
-    call: one :func:`~repro.rtdb.updates.retrieve_versioned` per item.
-
-    Returns ``(latency, finish_slot, age, torn_discards)`` per the
-    :data:`repro.traffic.clients.VersionedRetriever` convention.
-    ``max_slots`` passes through verbatim: ``None`` lets the walker
-    derive its default, so the :data:`~repro.rtdb.updates.MAX_DEFAULT_HORIZON`
-    guard stays in force.
-    """
-
-    __slots__ = ("_program", "_sizes", "_server", "_faults", "_max_slots")
-
-    def __init__(
-        self,
-        program: BroadcastProgram,
-        file_sizes: Mapping[str, int],
-        server: UpdatingServer,
-        faults: FaultModel,
-        max_slots: int | None,
-    ) -> None:
-        self._program = program
-        self._sizes = file_sizes
-        self._server = server
-        self._faults = faults
-        self._max_slots = max_slots
-
-    def __call__(
-        self, file: str, start: int
-    ) -> tuple[int | None, int, int | None, int]:
-        m_needed = self._sizes[file]
-        result = retrieve_versioned(
-            self._program,
-            self._server,
-            file,
-            m_needed,
-            start=start,
-            faults=self._faults,
-            max_slots=self._max_slots,
-        )
-        finish = result.finish_slot
-        if finish is None:
-            finish = start + versioned_listen_horizon(
-                self._program,
-                file,
-                m_needed,
-                self._server.period(file),
-                max_slots=self._max_slots,
-            ) - 1
-        return (
-            result.latency, finish, result.age_at_completion,
-            result.torn_discards,
-        )
-
-
-class _MultiRetriever:
-    """Per-session adapter: one
-    :func:`~repro.sim.client.retrieve_multichannel` per request.
-
-    Each session holds its own tuned channel - clients sign on tuned to
-    channel 0, and the tuned channel persists across the session's
-    requests.  Re-tunes are charged to the metrics as they happen.
-    """
-
-    __slots__ = ("_channels", "_sizes", "_faults", "_max_slots",
-                 "_metrics", "_tuned")
-
-    def __init__(
-        self,
-        channels: ChannelSet,
-        file_sizes: Mapping[str, int],
-        faults: Sequence[FaultModel] | None,
-        max_slots: int | None,
-        metrics: TrafficMetrics,
-    ) -> None:
-        self._channels = channels
-        self._sizes = file_sizes
-        self._faults = faults
-        self._max_slots = max_slots
-        self._metrics = metrics
-        self._tuned = 0
-
-    def __call__(self, file: str, start: int) -> tuple[int | None, int]:
-        result = retrieve_multichannel(
-            self._channels,
-            file,
-            self._sizes[file],
-            start=start,
-            tuned=self._tuned,
-            faults=self._faults,
-            max_slots=self._max_slots,
-        )
-        if result.switched:
-            self._tuned = result.channel
-            self._metrics.record_channel_switches(1)
-        return result.latency, result.finish_slot
-
-
-class _QuorumRetriever:
-    """Per-session adapter: quorum reads as a ``VersionedRetriever``.
-
-    Each transaction item runs one r-of-k
-    :func:`~repro.rtdb.updates.retrieve_versioned_quorum` assembly; the
-    session's tuned channel carries over between items and requests
-    (clients sign on tuned to channel 0).  Quorum outcomes and re-tunes
-    feed the metrics here, so sessions stay protocol-agnostic.
-    """
-
-    __slots__ = (
-        "_channels", "_sizes", "_server", "_faults", "_max_slots",
-        "_metrics", "_tuned",
-    )
-
-    def __init__(
-        self,
-        channels: ChannelSet,
-        file_sizes: Mapping[str, int],
-        server: UpdatingServer,
-        faults: Sequence[FaultModel] | None,
-        max_slots: int | None,
-        metrics: TrafficMetrics,
-    ) -> None:
-        self._channels = channels
-        self._sizes = file_sizes
-        self._server = server
-        self._faults = faults
-        self._max_slots = max_slots
-        self._metrics = metrics
-        self._tuned = 0
-
-    def __call__(
-        self, file: str, start: int
-    ) -> tuple[int | None, int, int | None, int]:
-        read = retrieve_versioned_quorum(
-            self._channels,
-            self._server,
-            file,
-            self._sizes[file],
-            start=start,
-            tuned=self._tuned,
-            faults=self._faults,
-            max_slots=self._max_slots,
-        )
-        if read.switches:
-            self._metrics.record_channel_switches(read.switches)
-        self._metrics.record_quorum(read.outcome, read.latency)
-        self._tuned = read.tuned
-        return (
-            read.latency if read.completed else None,
-            read.finish_slot,
-            read.age_at_completion,
-            read.torn_discards,
-        )
 
 
 def _channel_fault_models(
@@ -371,6 +168,19 @@ def _validate_channels(channels: Any, spec: TrafficSpec) -> None:
         )
 
 
+def _popularity(
+    law: Callable[..., Sequence[float]], spec: TrafficSpec, count: int
+) -> Sequence[float]:
+    """The spec's popularity ``law`` (weights or their running totals)."""
+    return law(
+        spec.popularity,
+        count,
+        zipf_skew=spec.zipf_skew,
+        hot_fraction=spec.hot_fraction,
+        hot_weight=spec.hot_weight,
+    )
+
+
 def _temporal_mix(
     temporal: TemporalSpec,
     catalogue: tuple[str, ...],
@@ -382,7 +192,7 @@ def _temporal_mix(
     An explicit mix is used verbatim with its declared weights; without
     one, every catalogue file becomes a single-item transaction whose
     deadline is the file's design deadline, weighted by the traffic
-    spec's popularity law - the versioned analogue of plain sessions.
+    spec's popularity law - the versioned analogue of plain requests.
     """
     if temporal.transactions:
         return (
@@ -593,110 +403,49 @@ def _simulate_shard(
     *,
     channels: ChannelSet | None = None,
 ) -> tuple[TrafficMetrics, list[RequestRecord]]:
-    """Simulate clients ``[lo, hi)`` - one shard of the population.
+    """Simulate clients ``[lo, hi)`` with the object engine.
 
-    Module-level so process pools can pickle it.  Clients derive all
-    behaviour from their index, so the shard layout cannot change any
-    outcome.
+    One loop per client, the paper's receiver model written out: the
+    client arrives, and each request draws its pick, makes one call of
+    a scalar walker (or of the client's cache) from the issue slot and
+    is recorded; while requests remain, the client thinks and issues
+    the next one at ``finish + 1 + think`` - one retrieval at a time.
+    A temporal request is a read transaction: its items are fetched in
+    order, each from the slot after the one before, and the first item
+    that aborts aborts the transaction.  Clients are independent and
+    the metrics accumulator is order-independent, so serving them one
+    after another is exact for any shard layout.  Module-level so
+    process pools can pickle it.
     """
+    fault_model: FaultModel | None = None
+    channel_faults: list[FaultModel] | None = None
     if channels is not None:
         channel_faults = _channel_fault_models(faults, channels.count)
-        fault_model: FaultModel | None = None
     else:
-        channel_faults = None
         fault_model = _build_fault_model(faults)
-    weights = popularity_weights(
-        spec.popularity,
-        len(catalogue),
-        zipf_skew=spec.zipf_skew,
-        hot_fraction=spec.hot_fraction,
-        hot_weight=spec.hot_weight,
-    )
-    # The memoized running totals: computed once per distinct popularity
-    # tuple and shared by every session in the shard.
-    cum_weights = popularity_cdf(
-        spec.popularity,
-        len(catalogue),
-        zipf_skew=spec.zipf_skew,
-        hot_fraction=spec.hot_fraction,
-        hot_weight=spec.hot_weight,
-    )
-    metrics = TrafficMetrics()
-    records: list[RequestRecord] | None = [] if trace else None
-
-    if temporal is not None:
-        versioned: Any
+    weights = _popularity(popularity_weights, spec, len(catalogue))
+    if temporal is None:
+        cum_weights = _popularity(popularity_cdf, spec, len(catalogue))
+    else:
         server = temporal.server()
-        if channels is not None:
-            versioned = None  # per-session retrievers carry tuned state
-        else:
-            versioned = _VersionedRetriever(
-                program,
-                file_sizes,
-                server,
-                fault_model,
-                spec.max_slots,
-            )
+        max_age = temporal.max_age_slots()
         mix, mix_weights = _temporal_mix(
             temporal, catalogue, deadlines, weights
         )
-        max_age = temporal.max_age_slots()
-        kernel = EventKernel()
-        for index in range(lo, hi):
-            TransactionSession(
-                index,
-                client_rng(spec.seed, index),
-                mix,
-                mix_weights,
-                max_age,
-                requests=spec.requests_per_client,
-                think_mean=spec.think_time,
-                retriever=(
-                    versioned
-                    if channels is None
-                    else _QuorumRetriever(
-                        channels, file_sizes, server, channel_faults,
-                        spec.max_slots, metrics,
-                    )
-                ),
-                metrics=metrics,
-                trace=records,
-            ).begin(
-                kernel,
-                arrival_slot(
-                    spec.arrival,
-                    arrival_rng(spec.seed, index),
-                    index,
-                    spec.clients,
-                    spec.duration,
-                    bursts=spec.bursts,
-                    burst_width=spec.burst_width,
-                ),
-            )
-        kernel.run()
-        _record_shard_metrics(metrics, "object")
-        return metrics, records if records is not None else []
-
-    retriever: _Retriever | None = None
-    if channels is None:
-        retriever = _Retriever(
-            program, file_sizes, fault_model, spec.max_slots
-        )
-
+        cum_weights = list(accumulate(mix_weights))
     pix: PixCache | None = None
     if spec.cache == "pix":
         # PIX is stateless (probability over frequency), so one instance
-        # serves every session in the shard.
+        # serves every client in the shard.
         pix = PixCache.for_program(
-            program,
-            dict(zip(catalogue, weights)),
-            file_sizes,
+            program, dict(zip(catalogue, weights)), file_sizes
         )
+    metrics = TrafficMetrics()
+    records: list[RequestRecord] = []
 
-    kernel = EventKernel()
     for index in range(lo, hi):
         rng = client_rng(spec.seed, index)
-        arrival = arrival_slot(
+        now = arrival_slot(
             spec.arrival,
             arrival_rng(spec.seed, index),
             index,
@@ -705,6 +454,7 @@ def _simulate_shard(
             bursts=spec.bursts,
             burst_width=spec.burst_width,
         )
+        tuned = 0  # clients sign on tuned to channel 0
         cache: CachingClient | None = None
         if spec.cache is not None:
             cache = CachingClient(
@@ -715,30 +465,134 @@ def _simulate_shard(
                 faults=fault_model,
                 max_slots=spec.max_slots,
             )
-        ClientSession(
-            index,
-            rng,
-            catalogue,
-            None,
-            deadlines,
-            requests=spec.requests_per_client,
-            think_mean=spec.think_time,
-            retriever=(
-                retriever
-                if channels is None
-                else _MultiRetriever(
-                    channels, file_sizes, channel_faults, spec.max_slots,
-                    metrics,
+        # ``left``: the requests still to come after this one.
+        for left in reversed(range(spec.requests_per_client)):
+            pick = sample_accesses(rng, None, 1, cum_weights=cum_weights)[0]
+            hit = False
+            if temporal is not None:
+                txn = mix[pick]
+                name, deadline = txn.name, txn.deadline_slots
+                clock = now
+                for item in txn.items:
+                    if channels is not None:
+                        read = retrieve_versioned_quorum(
+                            channels,
+                            server,
+                            item,
+                            file_sizes[item],
+                            start=clock,
+                            tuned=tuned,
+                            faults=channel_faults,
+                            max_slots=spec.max_slots,
+                        )
+                        metrics.record_channel_switches(read.switches)
+                        metrics.record_quorum(read.outcome, read.latency)
+                        tuned = read.tuned
+                        latency = read.latency if read.completed else None
+                        finish = read.finish_slot
+                    else:
+                        read = retrieve_versioned(
+                            program,
+                            server,
+                            item,
+                            file_sizes[item],
+                            start=clock,
+                            faults=fault_model,
+                            max_slots=spec.max_slots,
+                        )
+                        latency, finish = read.latency, read.finish_slot
+                        if finish is None:  # aborted: heard the horizon
+                            finish = clock + versioned_listen_horizon(
+                                program,
+                                item,
+                                file_sizes[item],
+                                server.period(item),
+                                max_slots=spec.max_slots,
+                            ) - 1
+                    age = read.age_at_completion
+                    metrics.record_versioned_read(
+                        age,
+                        age is not None and age <= max_age[item],
+                        read.torn_discards,
+                    )
+                    if latency is None:
+                        break
+                    clock = finish + 1
+                else:  # every item read: the transaction's response time
+                    latency = finish - now + 1
+            else:
+                name = catalogue[pick]
+                deadline = deadlines[name]
+                if cache is not None:
+                    result = cache.access(name, now)
+                    hit = result is None  # answered locally, zero slots
+                    if hit:
+                        latency, finish = 0, now
+                    else:
+                        latency, finish = result.latency, result.finish_slot
+                        if finish is None:
+                            finish = now + cache.horizon(name) - 1
+                elif channels is not None:
+                    result = retrieve_multichannel(
+                        channels,
+                        name,
+                        file_sizes[name],
+                        start=now,
+                        tuned=tuned,
+                        faults=channel_faults,
+                        max_slots=spec.max_slots,
+                    )
+                    if result.switched:
+                        tuned = result.channel
+                        metrics.record_channel_switches(1)
+                    latency, finish = result.latency, result.finish_slot
+                else:
+                    result = retrieve(
+                        program,
+                        name,
+                        file_sizes[name],
+                        start=now,
+                        faults=fault_model,
+                        max_slots=spec.max_slots,
+                    )
+                    latency, finish = result.latency, result.finish_slot
+                    if latency is None:  # aborted: heard the horizon
+                        horizon = spec.max_slots or default_horizon(
+                            program, file_sizes[name]
+                        )
+                        finish = now + horizon - 1
+            metrics.record(name, latency, deadline)
+            if trace:
+                records.append(
+                    RequestRecord(index, name, now, latency, deadline, hit)
                 )
-            ),
-            metrics=metrics,
-            cache=cache,
-            trace=records,
-            cum_weights=cum_weights,
-        ).begin(kernel, arrival)
-    kernel.run()
+            if left:
+                now = finish + 1 + think_slots(rng, spec.think_time)
+        if cache is not None:
+            stats = cache.stats
+            metrics.record_cache(stats.hits, stats.misses, stats.evictions)
     _record_shard_metrics(metrics, "object")
-    return metrics, records if records is not None else []
+    return metrics, records
+
+
+@dataclass(frozen=True, slots=True)
+class RequestRecord:
+    """One request's trace entry (collected only when tracing)."""
+
+    client: int
+    file: str
+    issued: int
+    latency: int | None
+    deadline: int
+    cache_hit: bool
+
+    @property
+    def completed(self) -> bool:
+        return self.latency is not None
+
+    @property
+    def met_deadline(self) -> bool:
+        return self.latency is not None and self.latency <= self.deadline
 
 
 @dataclass(frozen=True)
@@ -750,7 +604,7 @@ class TrafficResult:
     the whole run including any process-pool overhead, which makes
     :attr:`requests_per_sec` the *sustained* simulated request rate.
     ``temporal`` records whether the population ran version-consistent
-    transaction sessions - it keeps the freshness block in reports and
+    read transactions - it keeps the freshness block in reports and
     records even when every read aborted (item_reads of zero must read
     as "nothing ever completed", not "not a temporal run").
     """
@@ -1002,8 +856,7 @@ def simulate_traffic(
         observe the same channel.
     temporal:
         Optional :class:`~repro.rtdb.TemporalSpec`.  When given, the
-        population runs :class:`~repro.traffic.clients.TransactionSession`
-        clients: requests draw read transactions from the spec's mix
+        population's requests draw read transactions from the spec's mix
         (or single-item reads without one), items are retrieved
         version-consistently against the spec's update clocks, and the
         metrics gain the staleness dimension (ages, consistency rate,
@@ -1035,8 +888,8 @@ def simulate_traffic(
     engine:
         ``"soa"`` (default) runs the vectorized structure-of-arrays
         engine (:mod:`repro.traffic.engine_soa`); ``"object"`` runs
-        per-client session objects over the event kernel, the
-        executable spec the SoA engine is checked against.
+        one plain loop per client, each request one scalar-walker
+        call - the executable spec the SoA engine is checked against.
         Metrics and traces are bit-identical between the two - the
         engine is purely a performance choice.  Pooled non-temporal
         ``"soa"`` runs build the retrieval tables once in the parent

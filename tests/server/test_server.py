@@ -12,7 +12,7 @@ from repro.server.mutations import AddFile, ModeChange
 from repro.server.server import BroadcastServer
 from repro.server.sessions import LiveSession, RespliceOutcome
 from repro.sweep.cache import SolveCache
-from repro.traffic.simulate import simulate_traffic
+from repro.traffic.simulate import ENGINES, simulate_traffic
 from repro.traffic.spec import TrafficSpec
 
 import random
@@ -87,46 +87,61 @@ PARITY_CHANNELS = (
 
 
 def offline_and_live(scenario):
-    """Metrics of the offline traffic run and of a mutation-free live
-    server run of ``scenario``, both on the scenario's channel."""
+    """Metrics of the offline traffic run on each engine and of a
+    mutation-free live server run of ``scenario``, all on the
+    scenario's channel."""
     engine = BroadcastEngine(scenario)
     design = engine.design()
-    offline = simulate_traffic(
-        design.program,
-        [spec.name for spec in scenario.files],
-        scenario.traffic,
-        file_sizes={s.name: s.blocks for s in scenario.files},
-        deadlines=engine._deadlines(design),
-        faults=scenario.faults,
-        temporal=scenario.temporal,
-    )
+    offline = {
+        name: simulate_traffic(
+            design.program,
+            [spec.name for spec in scenario.files],
+            scenario.traffic,
+            file_sizes={s.name: s.blocks for s in scenario.files},
+            deadlines=engine._deadlines(design),
+            faults=scenario.faults,
+            temporal=scenario.temporal,
+            engine=name,
+        ).metrics
+        for name in ENGINES
+    }
     server = BroadcastServer(scenario)
     server.advance()
-    return offline.metrics, server.close().metrics
+    return offline, server.close().metrics
 
 
 class TestZeroMutationParity:
+    """With nothing mutating, live sessions replay both offline
+    engines exactly."""
+
     def test_plain_traffic_is_bit_identical_to_offline(self):
         for faults in PARITY_CHANNELS:
-            om, lm = offline_and_live(traffic_scenario(faults=faults))
-            assert (lm.requests, lm.completions, lm.aborts,
-                    lm.deadline_misses) == (
-                om.requests, om.completions, om.aborts, om.deadline_misses
-            ), faults.kind
-            assert lm.counts == om.counts, faults.kind
-            assert lm.summary() == om.summary(), faults.kind
+            offline, lm = offline_and_live(traffic_scenario(faults=faults))
+            for engine, om in offline.items():
+                case = (faults.kind, engine)
+                assert (lm.requests, lm.completions, lm.aborts,
+                        lm.deadline_misses) == (
+                    om.requests, om.completions, om.aborts,
+                    om.deadline_misses,
+                ), case
+                assert lm.counts == om.counts, case
+                assert lm.summary() == om.summary(), case
 
     def test_temporal_traffic_is_bit_identical_to_offline(self):
         for faults in PARITY_CHANNELS:
-            om, lm = offline_and_live(temporal_scenario(faults=faults))
-            assert (lm.requests, lm.completions, lm.aborts,
-                    lm.deadline_misses) == (
-                om.requests, om.completions, om.aborts, om.deadline_misses
-            ), faults.kind
-            assert (lm.item_reads, lm.stale_reads, lm.torn_discards) == (
-                om.item_reads, om.stale_reads, om.torn_discards
-            ), faults.kind
-            assert lm.counts == om.counts, faults.kind
+            offline, lm = offline_and_live(temporal_scenario(faults=faults))
+            for engine, om in offline.items():
+                case = (faults.kind, engine)
+                assert (lm.requests, lm.completions, lm.aborts,
+                        lm.deadline_misses) == (
+                    om.requests, om.completions, om.aborts,
+                    om.deadline_misses,
+                ), case
+                assert (lm.item_reads, lm.stale_reads,
+                        lm.torn_discards) == (
+                    om.item_reads, om.stale_reads, om.torn_discards
+                ), case
+                assert lm.counts == om.counts, case
             # Not vacuous: versioned walks complete, and some tear.
             assert lm.completions > 0, faults.kind
             assert lm.item_reads > 0, faults.kind

@@ -1,10 +1,11 @@
 """The vectorized engine is a bit-identical drop-in for the object one.
 
-``repro.traffic.clients`` stays the executable specification; the SoA
-engine (:mod:`repro.traffic.engine_soa`) must replay it decision for
-decision.  Every test here runs both engines on the same population and
-compares the *full* observable surface - metrics counters, the exact
-latency histogram, per-file tallies, and (where traced) every
+The object engine's client loop (``engine="object"``) stays the
+executable specification; the SoA engine
+(:mod:`repro.traffic.engine_soa`) must replay it decision for decision.
+Every test here runs both engines on the same population and compares
+the *full* observable surface - metrics counters, the exact latency
+histogram, per-file tallies, and (where traced) every
 :class:`RequestRecord` - for exact equality, never approximate.
 """
 
@@ -218,7 +219,7 @@ class TestLookupForms:
 
 
 class TestTemporalEquivalence:
-    """TransactionSession populations replay identically too."""
+    """Read-transaction populations replay identically too."""
 
     def make_temporal(self, **overrides):
         payload = dict(
@@ -448,12 +449,10 @@ def test_resolver_accepts_wrapped_fault_models(fault, wrapper):
 
 
 class TestCohortEdgeCases:
-    """Satellite: batching boundaries where cohorts could drift."""
+    """Batching boundaries where cohorts could drift."""
 
-    def run_soa(self, spec, *, window=None, cache=None, world=aida_world):
-        program, catalogue, sizes = world()
-        if cache is not None:
-            spec = TrafficSpec(**{**spec.to_dict(), "cache": cache})
+    def run_soa(self, spec):
+        program, catalogue, sizes = aida_world()
         kwargs = dict(
             file_sizes=sizes,
             deadlines={name: 10_000 for name in catalogue},
@@ -462,32 +461,16 @@ class TestCohortEdgeCases:
         obj = simulate_traffic(
             program, catalogue, spec, engine="object", **kwargs
         )
-        if window is None:
-            soa = simulate_traffic(
-                program, catalogue, spec, engine="soa", **kwargs
-            )
-            assert fingerprint(soa.metrics) == fingerprint(obj.metrics)
-            assert soa.trace == obj.trace
-        else:
-            from repro.traffic import engine_soa
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(engine_soa, "_DEFAULT_WINDOW", window)
-                metrics, records = engine_soa.simulate_shard_soa(
-                    program, catalogue, spec, sizes,
-                    {name: 10_000 for name in catalogue},
-                    None, None, 0, spec.clients, True,
-                )
-            assert fingerprint(metrics) == fingerprint(obj.metrics)
-            assert sorted(
-                records, key=lambda r: (r.issued, r.client)
-            ) == list(obj.trace)
-        return obj
+        soa = simulate_traffic(
+            program, catalogue, spec, engine="soa", **kwargs
+        )
+        assert fingerprint(soa.metrics) == fingerprint(obj.metrics)
+        assert soa.trace == obj.trace
 
     def test_simultaneous_events_in_one_slot(self):
-        # Deterministic arrivals with duration == clients collapses many
-        # arrivals into coincident slots; think 0 keeps every follow-up
-        # in the same wave.
+        # Deterministic arrivals over fewer slots than clients put four
+        # arrivals in every slot; think 0 chains each follow-up back to
+        # back.
         self.run_soa(
             TrafficSpec(
                 clients=24, duration=6, arrival="deterministic",
@@ -534,15 +517,6 @@ class TestCohortEdgeCases:
                 clients=37, duration=37, arrival="deterministic",
                 requests_per_client=2, think_time=1, seed=13,
             )
-        )
-
-    def test_window_of_one_slot_changes_nothing(self):
-        self.run_soa(
-            TrafficSpec(
-                clients=15, duration=80, arrival="poisson",
-                requests_per_client=3, think_time=4, seed=8,
-            ),
-            window=1,
         )
 
 

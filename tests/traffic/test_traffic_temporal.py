@@ -1,4 +1,4 @@
-"""Tests for the temporal traffic layer: metrics, sessions, simulator."""
+"""Tests for the temporal traffic layer: metrics, client loop, simulator."""
 
 import pytest
 
@@ -12,8 +12,7 @@ from repro.rtdb import (
     retrieve_versioned,
 )
 from repro.traffic import TrafficMetrics, TrafficSpec, simulate_traffic
-from repro.traffic.simulate import _VersionedRetriever, simulate_traffic_shard
-from repro.sim.faults import NoFaults
+from repro.traffic.simulate import simulate_traffic_shard
 
 
 def make_program():
@@ -75,34 +74,59 @@ class TestVersionedMetrics:
 
 
 class TestVersionedRetriever:
+    """A one-client temporal population through the object engine: each
+    single-item transaction is one ``retrieve_versioned`` call."""
+
+    def run_one_client(self, temporal, *, requests, max_slots=None):
+        return simulate_traffic(
+            make_program(),
+            ["A", "B"],
+            TrafficSpec(
+                clients=1, duration=1, requests_per_client=requests,
+                seed=4, max_slots=max_slots,
+            ),
+            file_sizes={"A": 5, "B": 3},
+            deadlines={"A": 100, "B": 50},
+            temporal=temporal,
+            engine="object",
+            trace=True,
+        )
+
     def test_matches_direct_retrieval(self):
         program = make_program()
-        server = UpdatingServer({"A": 64, "B": 40})
-        oracle = _VersionedRetriever(
-            program, {"A": 5, "B": 3}, server, NoFaults(), None
+        # Short periods: updates land mid-read, so some reads tear.
+        periods = {"A": 30, "B": 13}
+        server = UpdatingServer(periods)
+        result = self.run_one_client(
+            make_temporal(update_periods=periods), requests=8
         )
-        for start in (0, 3, 17, 64, 129):
-            latency, finish, age, torn = oracle("B", start)
+        assert len(result.trace) == 8
+        # Think 0 chains the reads: each starts the slot after the last.
+        start, age_sum, torn = 0, 0, 0
+        for record in result.trace:
             direct = retrieve_versioned(
-                program, server, "B", 3, start=start
+                program, server, record.file,
+                {"A": 5, "B": 3}[record.file], start=start,
             )
-            assert latency == direct.latency
-            assert age == direct.age_at_completion
-            assert torn == direct.torn_discards
-            assert finish == direct.finish_slot
+            assert record.issued == start
+            assert record.latency == direct.latency
+            age_sum += direct.age_at_completion
+            torn += direct.torn_discards
+            start = direct.finish_slot + 1
+        assert {record.file for record in result.trace} == {"A", "B"}
+        assert result.metrics.age_sum == age_sum
+        assert result.metrics.torn_discards == torn > 0
 
     def test_abort_reports_horizon_finish(self):
-        program = make_program()
         # Period 2: every version dies before 3 B-blocks can air.
-        server = UpdatingServer({"A": 2, "B": 2})
-        oracle = _VersionedRetriever(
-            program, {"A": 5, "B": 3}, server, NoFaults(), 50
-        )
-        latency, finish, age, torn = oracle("B", 7)
-        assert latency is None
-        assert age is None
-        assert finish == 7 + 50 - 1
-        assert torn > 0
+        temporal = make_temporal(update_periods={"A": 2, "B": 2})
+        result = self.run_one_client(temporal, requests=4, max_slots=50)
+        assert [record.latency for record in result.trace] == [None] * 4
+        assert result.metrics.item_reads == 0
+        assert result.metrics.torn_discards > 0
+        # An abort holds the receiver for the whole 50-slot horizon.
+        for earlier, later in zip(result.trace, result.trace[1:]):
+            assert later.issued == earlier.issued + 50
 
 
 class TestTemporalSimulation:
