@@ -376,7 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--until", type=int, default=None, metavar="SLOT",
-        help="stop the kernel at SLOT (default: drain every event)",
+        help=(
+            "serve clients up to SLOT and stop (default: serve every "
+            "request)"
+        ),
     )
     server.add_argument(
         "--log", default=None, metavar="PATH",

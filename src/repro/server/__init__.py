@@ -20,10 +20,10 @@ The moving parts:
   search;
 * :mod:`~repro.server.asrun` - the JSONL as-run log (planned vs aired,
   mutations, splice points, re-solve provenance);
-* :mod:`~repro.server.sessions` - client sessions that live *through*
-  splices via deferred, reschedulable completion events;
 * :mod:`~repro.server.server` - :class:`BroadcastServer` itself, with
-  programmatic ``apply()`` / ``advance()`` / ``close()``;
+  programmatic ``apply()`` / ``advance()`` / ``close()``; its live
+  clients are one record each, served one client at a time, and a
+  splice re-walks the in-flight reads it reaches;
 * :mod:`~repro.server.script` - scripted JSON mutation timelines (the
   ``repro server`` CLI driver).
 """
@@ -47,11 +47,6 @@ from repro.server.mutations import (
 )
 from repro.server.script import MutationScript, ScriptEntry, run_script
 from repro.server.server import BroadcastServer, ServerResult
-from repro.server.sessions import (
-    LiveSession,
-    LiveTransactionSession,
-    RespliceOutcome,
-)
 from repro.server.splice import (
     SpliceRequirement,
     SpliceViolation,
@@ -82,9 +77,6 @@ __all__ = [
     "run_script",
     "BroadcastServer",
     "ServerResult",
-    "LiveSession",
-    "LiveTransactionSession",
-    "RespliceOutcome",
     "SpliceRequirement",
     "SpliceViolation",
     "check_splice",

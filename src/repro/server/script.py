@@ -12,15 +12,15 @@ mutation that cannot apply to the scenario airing at its slot - a
 twice, a temporal item or file whose shape the airing scenario rejects
 - fails before anything airs too: :func:`run_script` applies every
 entry at the spec level first, then stands a
-:class:`~repro.server.server.BroadcastServer` up, schedules every entry
-as a kernel event, drains the run, and returns the
-:class:`~repro.server.server.ServerResult`.
+:class:`~repro.server.server.BroadcastServer` up, drives it through the
+entries, and returns the :class:`~repro.server.server.ServerResult`.
 
-Determinism note: entries are scheduled *before* the kernel runs, so a
-mutation at slot ``t`` carries an earlier sequence number than any
-session event at ``t`` and is applied first - the splice decision for
-slot ``t`` never depends on which same-slot client event the heap
-happened to pop first.
+Determinism note: a run is the ``advance(until=at_slot);
+apply(mutation)`` loop over the entries, so the mutation at slot ``t``
+is applied after every client event at or before ``t`` - issues and
+finishes alike - and a scripted run equals the same loop driven by
+hand.  A read issued at ``t`` is therefore in flight when the mutation
+lands, and is re-walked if it reaches the splice.
 """
 
 from __future__ import annotations
@@ -112,11 +112,12 @@ def run_script(
     (:func:`~repro.server.server.successor`): one that cannot apply
     raises :class:`~repro.errors.SpecificationError` naming
     ``mutations[i]`` before the server signs on, so nothing airs and no
-    log is written.  Then every entry is scheduled as a kernel event,
-    the kernel is drained (bounded by ``until``), and the server signs
-    off.  The returned :class:`~repro.server.server.ServerResult`
-    carries per-epoch metrics, mutation provenance, splice slots, and
-    the solve-cache counters.
+    log is written.  Then the server serves every client up to each
+    entry's slot and applies the entry there, serves the rest (up to
+    ``until``, or to the last request), and signs off.  The returned
+    :class:`~repro.server.server.ServerResult` carries per-epoch
+    metrics, mutation provenance, splice slots, and the solve-cache
+    counters.
     """
     airing = scenario
     for index, entry in enumerate(script.entries):
@@ -134,6 +135,9 @@ def run_script(
         max_boundaries=max_boundaries,
     )
     for entry in script.entries:
-        server.schedule_mutation(entry.at_slot, entry.mutation)
+        if until is not None and entry.at_slot > until:
+            break
+        server.advance(until=entry.at_slot)
+        server.apply(entry.mutation)
     server.advance(until=until)
     return server.close()

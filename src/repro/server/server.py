@@ -15,21 +15,23 @@ without going dark.  The lifecycle of one accepted mutation:
    data-cycle boundaries for the earliest one the splice-safety
    predicate blesses, and the new program is committed there (never
    before the next slot - the past is immutable);
-4. every in-flight client retrieval whose provisional completion lies
-   at or beyond the boundary is re-walked over the spliced timeline and
-   its completion event rescheduled; a retrieval that met its contract
-   and no longer does is a *splice violation* (zero, by the predicate,
-   on fault-free channels);
+4. every in-flight client retrieval whose provisional finish lies at or
+   beyond the boundary is re-walked over the spliced timeline; a
+   retrieval that met its contract and no longer does is a *splice
+   violation* (zero, by the predicate, on fault-free channels);
 5. the as-run log records the mutation, the splice point with a
    planned-vs-aired divergence witness, and any violations.
 
 Traffic populations run *through* the server - the same arrival
 processes, RNG substreams, and single-receiver discipline as the
-offline client loop - as live sessions on one
-:class:`~repro.traffic.kernel.EventKernel` (the kernel's only user: a
-completion event must be able to move when a splice lands), so client
-sessions experience splices live, and metrics accumulate into
-per-epoch accumulators (split exactly at splice slots).
+offline client loop - one record per client, served one client at a
+time up to the slot :meth:`BroadcastServer.advance` names.  Clients are
+independent, and the timeline changes only inside
+:meth:`BroadcastServer.apply`, at a boundary after ``now``, so no
+global event order is needed: a read's outcome is provisional until
+its finish slot is served, a splice re-walks the reads it reaches, and
+metrics land at the finish in the epoch the finish falls in (split
+exactly at splice slots).
 
 Drive it programmatically (``apply()`` / ``advance()`` / ``close()``)
 or from a scripted mutation timeline (:mod:`repro.server.script`, the
@@ -38,12 +40,14 @@ or from a scripted mutation timeline (:mod:`repro.server.script`, the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import SpecificationError
+from repro.fields import check_int
 from repro.obs import telemetry as obs
 from repro.rtdb.transactions import ReadTransaction
 from repro.bdisk.builder import ProgramDesign
@@ -56,8 +60,8 @@ from repro.traffic.arrivals import (
     arrival_slot,
     client_rng,
     popularity_weights,
+    think_slots,
 )
-from repro.traffic.kernel import EventKernel
 from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.simulate import _temporal_mix, _validate_temporal
 from repro.sim.faults import FaultModel
@@ -65,7 +69,6 @@ from repro.sim.workload import sample_accesses
 from repro.server.airing import AirSchedule, Segment, SplicedRetrieval
 from repro.server.asrun import ASRUN_WINDOW, AsRunLog, planned_vs_aired
 from repro.server.mutations import Mutation
-from repro.server.sessions import LiveSession, LiveTransactionSession
 from repro.server.splice import SpliceRequirement, find_splice_slot
 
 
@@ -227,6 +230,39 @@ class _Epoch:
         return payload
 
 
+class _Client:
+    """One live client: its RNG, requests left, and what it is doing.
+
+    With ``read`` in flight (walked from ``start`` for the request or
+    transaction issued at ``issued``; ``txn`` and ``item`` name a
+    transaction's item) the next event is ``read``'s finish; otherwise
+    it is the issue at ``due``.
+    """
+
+    __slots__ = (
+        "rng", "left", "due", "issued", "start", "think", "read", "txn",
+        "item",
+    )
+
+    def __init__(self, rng: Any, requests: int, arrival: int) -> None:
+        self.rng = rng
+        self.left = requests
+        self.due = arrival
+        self.issued = arrival
+        self.start = arrival
+        self.think = 0
+        self.read: SplicedRetrieval | None = None
+        self.txn: ReadTransaction | None = None
+        self.item = 0
+
+
+def _kept(read: SplicedRetrieval, budget: int, versioned: bool) -> bool:
+    """Whether ``read`` met its contract: a plain read finished within
+    ``budget`` slots, a versioned one no older than ``budget``."""
+    value = read.age_at_completion if versioned else read.latency
+    return value is not None and value <= budget
+
+
 @dataclass(frozen=True)
 class ServerResult:
     """The structured outcome of one online server run."""
@@ -322,6 +358,7 @@ class BroadcastServer:
         window: int = ASRUN_WINDOW,
         max_boundaries: int = 64,
     ) -> None:
+        check_int(max_boundaries, "max_boundaries", minimum=1)
         if scenario.traffic is not None and scenario.traffic.cache:
             raise SpecificationError(
                 f"scenario {scenario.name!r}: client caches are not "
@@ -337,12 +374,12 @@ class BroadcastServer:
                 f"every channel but drives sessions on one"
             )
         self._cache = cache if cache is not None else SolveCache()
-        self._kernel = EventKernel()
         self._log = AsRunLog(log_path)
         self._window = window
         self._max_boundaries = max_boundaries
         self._fault_model: FaultModel = scenario.faults.build()
-        self._inflight: dict[Any, None] = {}
+        self._now = 0
+        self._events = 0
         self._mutations: list[dict[str, Any]] = []
         self._violations: list[dict[str, Any]] = []
         self._resplices = 0
@@ -391,16 +428,28 @@ class BroadcastServer:
         if multi:
             on_air["channels"] = design.count
         self._log.record("on-air", 0, **on_air)
-        self._spawn_traffic(scenario)
+        spec = scenario.traffic
+        self._think_mean = 0 if spec is None else spec.think_time
+        self._clients = [] if spec is None else [
+            _Client(
+                client_rng(spec.seed, index),
+                spec.requests_per_client,
+                arrival_slot(
+                    spec.arrival,
+                    arrival_rng(spec.seed, index),
+                    index,
+                    spec.clients,
+                    spec.duration,
+                    bursts=spec.bursts,
+                    burst_width=spec.burst_width,
+                ),
+            )
+            for index in range(spec.clients)
+        ]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def kernel(self) -> EventKernel:
-        """The event kernel driving sessions and scripted mutations."""
-        return self._kernel
 
     @property
     def schedule(self) -> AirSchedule:
@@ -424,8 +473,10 @@ class BroadcastServer:
 
     @property
     def now(self) -> int:
-        """The kernel's current slot."""
-        return self._kernel.now
+        """The slot served up to: the latest ``until`` :meth:`advance`
+        was given, or the last event of a run that served every
+        client."""
+        return self._now
 
     @property
     def scenario(self) -> Scenario:
@@ -441,26 +492,8 @@ class BroadcastServer:
         return self._epochs[self._schedule.epoch_of(slot)]
 
     # ------------------------------------------------------------------
-    # Session services (the live retrieval/recording surface)
+    # Live clients
     # ------------------------------------------------------------------
-
-    def draw_file(self, rng: Any, slot: int) -> str:
-        """Draw a request's file from the epoch-at-``slot`` catalogue."""
-        epoch = self._epoch_at(slot)
-        assert epoch.cum_weights is not None
-        return epoch.catalogue[
-            sample_accesses(rng, None, 1, cum_weights=epoch.cum_weights)[0]
-        ]
-
-    def draw_transaction(self, rng: Any, slot: int) -> ReadTransaction:
-        """Draw a transaction from the epoch-at-``slot`` weighted mix."""
-        epoch = self._epoch_at(slot)
-        assert epoch.mix is not None and epoch.mix_cum_weights is not None
-        return epoch.mix[
-            sample_accesses(
-                rng, None, 1, cum_weights=epoch.mix_cum_weights
-            )[0]
-        ]
 
     def live_retrieve(self, file: str, start: int) -> SplicedRetrieval:
         """Walk one distinct-block retrieval over the live timeline."""
@@ -488,92 +521,100 @@ class BroadcastServer:
             max_slots=None if spec is None else spec.max_slots,
         )
 
-    def deadline_at(self, slot: int, file: str) -> int:
-        """The file's latency budget under the epoch active at ``slot``."""
-        return self._epoch_at(slot).deadlines[file]
+    def _walk(
+        self, client: _Client, file: str, start: int
+    ) -> SplicedRetrieval:
+        """Walk ``client``'s read of ``file`` from ``start``: versioned
+        inside a transaction, plain otherwise."""
+        if client.txn is None:
+            return self.live_retrieve(file, start)
+        return self.live_retrieve_versioned(file, start)
 
-    def max_age_at(self, slot: int, item: str) -> int:
-        """The item's staleness budget under the epoch at ``slot``."""
-        epoch = self._epoch_at(slot)
+    def _budget(self, client: _Client, file: str) -> int:
+        """The contract of ``client``'s read of ``file``, from the epoch
+        it issued in: a staleness budget inside a transaction, a
+        deadline otherwise."""
+        epoch = self._epoch_at(client.issued)
+        if client.txn is None:
+            return epoch.deadlines[file]
         assert epoch.max_age is not None
-        return epoch.max_age[item]
+        return epoch.max_age[file]
 
-    def register_inflight(self, session: Any) -> None:
-        """Track a session whose completion event is provisional."""
-        self._inflight[session] = None
+    def _serve(self, client: _Client, until: float) -> int:
+        """Run ``client``'s events at slots up to ``until``; count them.
 
-    def unregister_inflight(self, session: Any) -> None:
-        """Drop a session whose retrieval completed."""
-        self._inflight.pop(session, None)
-
-    def record_read(
-        self, file: str, issued: int, outcome: SplicedRetrieval
-    ) -> None:
-        """Record a completed plain read into its completion epoch."""
-        deadline = self.deadline_at(issued, file)
-        epoch = self._epoch_at(outcome.finish_slot)
-        epoch.metrics.record(file, outcome.latency, deadline)
-
-    def record_versioned_read(
-        self, item: str, issued: int, outcome: SplicedRetrieval
-    ) -> None:
-        """Record a versioned item read into its completion epoch."""
-        budget = self.max_age_at(issued, item)
-        age = outcome.age_at_completion
-        epoch = self._epoch_at(outcome.finish_slot)
-        epoch.metrics.record_versioned_read(
-            age, age is not None and age <= budget, outcome.torn_discards
-        )
-
-    def record_transaction(
-        self,
-        txn: ReadTransaction,
-        issued: int,
-        response: int | None,
-        finish: int,
-    ) -> None:
-        """Record a finished transaction into its completion epoch."""
-        epoch = self._epoch_at(finish)
-        epoch.metrics.record(txn.name, response, txn.deadline_slots)
+        An issue draws the file (or transaction) from the epoch airing
+        then, and then the think time, and walks the live timeline from
+        the client's clock.  A finish records the read into the epoch it
+        falls in, against the budget of the issue's epoch; a
+        transaction's next item starts the slot after, and the client's
+        next request issues at ``finish + 1 + think``.
+        """
+        ran = 0
+        while True:
+            read = client.read
+            if read is None:
+                now = client.due
+                if not client.left or now > until:
+                    return ran
+                epoch = self._epoch_at(now)
+                if epoch.mix is not None:
+                    client.txn = epoch.mix[
+                        sample_accesses(
+                            client.rng, None, 1,
+                            cum_weights=epoch.mix_cum_weights,
+                        )[0]
+                    ]
+                    client.item = 0
+                    file = client.txn.items[0]
+                else:
+                    file = epoch.catalogue[
+                        sample_accesses(
+                            client.rng, None, 1,
+                            cum_weights=epoch.cum_weights,
+                        )[0]
+                    ]
+                client.think = think_slots(client.rng, self._think_mean)
+                client.issued = client.start = now
+                client.read = self._walk(client, file, now)
+                ran += 1
+                continue
+            finish = read.finish_slot
+            if finish > until:
+                return ran
+            ran += 1
+            self._now = max(self._now, finish)
+            metrics = self._epoch_at(finish).metrics
+            budget = self._budget(client, read.file)
+            txn = client.txn
+            if txn is None:
+                metrics.record(read.file, read.latency, budget)
+            else:
+                metrics.record_versioned_read(
+                    read.age_at_completion,
+                    _kept(read, budget, True),
+                    read.torn_discards,
+                )
+                client.item += 1
+                if read.completed and client.item < len(txn.items):
+                    client.start = finish + 1
+                    client.read = self._walk(
+                        client, txn.items[client.item], finish + 1
+                    )
+                    continue
+                metrics.record(
+                    txn.name,
+                    finish - client.issued + 1 if read.completed else None,
+                    txn.deadline_slots,
+                )
+                client.txn = None
+            client.read = None
+            client.left -= 1
+            client.due = finish + 1 + client.think
 
     # ------------------------------------------------------------------
     # The mutation path
     # ------------------------------------------------------------------
-
-    def _spawn_traffic(self, scenario: Scenario) -> None:
-        spec = scenario.traffic
-        if spec is None:
-            return
-        temporal = scenario.temporal is not None
-        for index in range(spec.clients):
-            rng = client_rng(spec.seed, index)
-            arrival = arrival_slot(
-                spec.arrival,
-                arrival_rng(spec.seed, index),
-                index,
-                spec.clients,
-                spec.duration,
-                bursts=spec.bursts,
-                burst_width=spec.burst_width,
-            )
-            session: LiveSession | LiveTransactionSession
-            if temporal:
-                session = LiveTransactionSession(
-                    index,
-                    rng,
-                    self,
-                    requests=spec.requests_per_client,
-                    think_mean=spec.think_time,
-                )
-            else:
-                session = LiveSession(
-                    index,
-                    rng,
-                    self,
-                    requests=spec.requests_per_client,
-                    think_mean=spec.think_time,
-                )
-            session.begin(self._kernel, arrival)
 
     def _requirements(
         self, outgoing: _Epoch, carried: Sequence[str]
@@ -611,7 +652,7 @@ class BroadcastServer:
             raise SpecificationError(
                 "server is closed; no further mutations"
             )
-        now = self._kernel.now
+        now = self._now
         outgoing = self._epochs[-1]
         scenario = successor(outgoing.scenario, mutation)
         multi = scenario.channels is not None
@@ -656,7 +697,7 @@ class BroadcastServer:
 
             commit_span = obs.span("server.mutation.splice_commit")
             commit_span.__enter__()
-            # Commit: timeline first, then the epoch tables sessions read.
+            # Commit: timeline first, then the epoch tables clients read.
             self._schedule = candidate
             self._schedules = [candidate]
             epoch = _Epoch(
@@ -711,19 +752,26 @@ class BroadcastServer:
 
             respliced = 0
             violations: list[dict[str, Any]] = []
-            for session in list(self._inflight):
-                if session.pending_finish < splice_slot:
-                    continue  # completes strictly before the boundary
-                moved = session.resplice(self._kernel)
+            for client in self._clients:
+                read = client.read
+                if read is None or read.finish_slot < splice_slot:
+                    continue  # idle, or finishes before the boundary
+                versioned = client.txn is not None
+                budget = self._budget(client, read.file)
+                moved = client.read = self._walk(
+                    client, read.file, client.start
+                )
                 respliced += 1
-                if moved.violated:
+                if _kept(read, budget, versioned) and not _kept(
+                    moved, budget, versioned
+                ):
                     entry = {
                         "splice_slot": splice_slot,
-                        "file": moved.file,
-                        "start": moved.start,
-                        "budget_slots": moved.budget_slots,
-                        "old_latency": moved.old_latency,
-                        "new_latency": moved.new_latency,
+                        "file": read.file,
+                        "start": client.start,
+                        "budget_slots": budget,
+                        "old_latency": read.latency,
+                        "new_latency": moved.latency,
                     }
                     violations.append(entry)
                     self._violations.append(entry)
@@ -904,23 +952,24 @@ class BroadcastServer:
         self._mutations.append(record)
         return record
 
-    def schedule_mutation(self, at_slot: int, mutation: Mutation) -> int:
-        """Apply ``mutation`` when the kernel reaches ``at_slot``.
-
-        Returns the kernel event id (cancellable until it fires).
-        """
-        return self._kernel.schedule(
-            at_slot, lambda _kernel: self.apply(mutation)
-        )
-
     def advance(self, *, until: int | None = None) -> int:
-        """Drive the kernel (sessions and scheduled mutations).
+        """Serve every client up to slot ``until``; count the events.
 
-        ``until`` bounds the run as in
-        :meth:`~repro.traffic.kernel.EventKernel.run`; ``None`` drains
-        every pending event.  Returns how many events ran.
+        An event is a request issue or a read's finish (one per
+        transaction item).  ``None`` serves every client to its last
+        request.  Raises :class:`~repro.errors.SpecificationError` once
+        the server is closed.
         """
-        return self._kernel.run(until=until)
+        if self._closed:
+            raise SpecificationError("server is closed; nothing more airs")
+        if until is not None:
+            check_int(until, "until", minimum=0)
+        bound = math.inf if until is None else until
+        ran = sum(self._serve(client, bound) for client in self._clients)
+        self._events += ran
+        if until is not None:
+            self._now = max(self._now, until)
+        return ran
 
     def close(self) -> ServerResult:
         """Sign off: final log record, close the log, summarize."""
@@ -943,7 +992,7 @@ class BroadcastServer:
         )
         self._log.record(
             "sign-off",
-            self._kernel.now,
+            self._now,
             epochs=len(self._epochs),
             mutations=len(self._mutations),
             splices=list(splice_slots),
@@ -954,8 +1003,8 @@ class BroadcastServer:
         self._log.close()
         return ServerResult(
             scenario=self._epochs[0].scenario.name,
-            final_slot=self._kernel.now,
-            events_processed=self._kernel.processed,
+            final_slot=self._now,
+            events_processed=self._events,
             epochs=tuple(epoch.summary() for epoch in self._epochs),
             mutations=tuple(self._mutations),
             splice_slots=splice_slots,
@@ -971,6 +1020,6 @@ class BroadcastServer:
     def __repr__(self) -> str:
         return (
             f"BroadcastServer(scenario={self._epochs[-1].scenario.name!r}, "
-            f"now={self._kernel.now}, epochs={len(self._epochs)}, "
-            f"inflight={len(self._inflight)})"
+            f"now={self._now}, epochs={len(self._epochs)}, "
+            f"inflight={sum(c.read is not None for c in self._clients)})"
         )

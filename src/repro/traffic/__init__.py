@@ -17,10 +17,11 @@ shared broadcast channel, one retrieval at a time.  The pieces:
   default) or as one plain loop per client (``engine="object"``, the
   executable spec), sharding it across processes for multi-core runs
   (pooled vectorized shards receive the parent's retrieval tables
-  pickled);
-* :mod:`repro.traffic.kernel` - a discrete-event kernel, an event heap
-  keyed on broadcast slots, which the online server
-  (:mod:`repro.server`) drives its live sessions with.
+  pickled).
+
+Clients are independent, so no engine needs a global event heap; the
+online server (:mod:`repro.server`) serves its live clients one at a
+time in the same way.
 
 Quickstart::
 
@@ -46,7 +47,6 @@ from repro.traffic.arrivals import (
     popularity_weights,
     think_slots,
 )
-from repro.traffic.kernel import EventKernel
 from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.spec import CACHE_KINDS, TrafficSpec
 from repro.traffic.simulate import (
@@ -63,7 +63,6 @@ __all__ = [
     "CACHE_KINDS",
     "ENGINES",
     "POPULARITY_KINDS",
-    "EventKernel",
     "RequestRecord",
     "TrafficMetrics",
     "TrafficResult",

@@ -1,5 +1,6 @@
 """Tests for scripted mutation timelines and the AWACS acceptance run."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.ida.aida import RedundancyPolicy
 from repro.server.asrun import read_asrun
 from repro.server.mutations import FaultBudgetBump, ModeChange
 from repro.server.script import MutationScript, ScriptEntry, run_script
+from repro.server.server import BroadcastServer, ServerResult
 from repro.sweep.cache import SolveCache
 from repro.traffic.spec import TrafficSpec
 
@@ -144,6 +146,33 @@ class TestRunScript:
         # Result payload and report stay JSON-able / printable.
         json.dumps(result.to_dict())
         assert "splices at" in result.report()
+
+    @pytest.mark.parametrize("until", [None, 50, 320])
+    def test_equals_the_advance_apply_loop(self, until):
+        script = MutationScript.from_payload(TIMELINE + [
+            {"at_slot": 400,
+             "mutation": {"kind": "fault_budget", "name": "map",
+                          "delta": 1}},
+        ])
+        scripted = run_script(awacs_scenario(), script, until=until)
+        server = BroadcastServer(awacs_scenario())
+        for entry in script.entries:
+            if until is not None and entry.at_slot > until:
+                break
+            server.advance(until=entry.at_slot)
+            server.apply(entry.mutation)
+        server.advance(until=until)
+        by_hand = server.close()
+        for field in dataclasses.fields(ServerResult):
+            if field.name == "metrics":
+                assert vars(scripted.metrics) == vars(by_hand.metrics)
+            else:
+                assert getattr(scripted, field.name) == getattr(
+                    by_hand, field.name
+                ), field.name
+        # Every client event counts once; mutations are not events.
+        if until is None:
+            assert scripted.events_processed == 2 * 12 * 20
 
     def test_runtime_only_mutation_is_a_guaranteed_hit(self):
         # A fault-budget bump that the design absorbs without a new

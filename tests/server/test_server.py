@@ -1,5 +1,8 @@
 """End-to-end tests for the online broadcast server."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.api.engine import BroadcastEngine
@@ -8,14 +11,17 @@ from repro.bdisk.file import FileSpec
 from repro.errors import SpecificationError
 from repro.ida.aida import RedundancyPolicy
 from repro.rtdb.spec import TemporalItemSpec, TemporalSpec, TransactionSpec
-from repro.server.mutations import AddFile, ModeChange
+from repro.server.mutations import (
+    AddFile,
+    FaultBudgetBump,
+    ModeChange,
+    RemoveFile,
+    TemporalEdit,
+)
 from repro.server.server import BroadcastServer
-from repro.server.sessions import LiveSession, RespliceOutcome
 from repro.sweep.cache import SolveCache
 from repro.traffic.simulate import ENGINES, simulate_traffic
 from repro.traffic.spec import TrafficSpec
-
-import random
 
 
 def traffic_scenario(**overrides) -> Scenario:
@@ -200,72 +206,139 @@ class TestModeChangeRun:
 
 
 class TestResplice:
-    def test_inflight_retrieval_is_rewalked_across_the_splice(
-        self, monkeypatch
-    ):
-        # One client whose retrieval provisionally finishes exactly at
-        # the boundary; scheduling the mutation at the same slot (after
-        # the issue event) guarantees the request is in flight when the
-        # splice commits.  The auto-spawned population is suppressed so
-        # the test controls the issue slot: a retrieval of 2 distinct
-        # blocks starting on the cycle's last slot must span the next
-        # boundary, where find_splice_slot lands (not_before = issue+1).
-        monkeypatch.setattr(
-            BroadcastServer, "_spawn_traffic", lambda self, scn: None
-        )
+    def test_inflight_retrieval_is_rewalked_across_the_splice(self):
+        # One non-thinking client on one file of m = 2 blocks aired as
+        # 3 in rotation (cycle 3): its first read finishes at slot 1,
+        # so its second issues at slot 2 = cycle - 1 and must span the
+        # boundary at slot 3, where the splice lands (not_before = 3).
         scenario = Scenario(
             name="solo",
-            files=(FileSpec("a", 2, 4),),
+            files=(FileSpec("a", 2, 4, fault_budget=1),),
             traffic=TrafficSpec(
-                clients=1, requests_per_client=1, duration=10,
-                think_time=0, seed=1,
+                clients=1, requests_per_client=2, duration=10,
+                think_time=0, seed=1, arrival="deterministic",
             ),
         )
         server = BroadcastServer(scenario)
-        session = LiveSession(
-            0, random.Random(1), server, requests=1, think_mean=0
-        )
         cycle = server.schedule.on_air.program.data_cycle_length
-        issue_at = cycle - 1
-        session.begin(server.kernel, issue_at)
-
-        records = []
-        server.kernel.schedule(
-            issue_at,
-            lambda k: records.append(
-                server.apply(
-                    AddFile({"name": "b", "blocks": 2, "latency": 8})
-                )
-            ),
+        # Issue, finish, and the issue at cycle - 1.
+        assert server.advance(until=cycle - 1) == 3
+        record = server.apply(
+            AddFile({"name": "b", "blocks": 2, "latency": 8})
         )
+        assert record["splice_slot"] == cycle
+        assert record["respliced"] == 1
+        assert record["violations"] == []
         server.advance()
         result = server.close()
-        assert records[0]["respliced"] == 1
         assert result.resplices == 1
-        # The session still completed and recorded its read.
-        assert result.metrics.requests == 1
+        # The re-walked read still completed and was recorded.
+        assert result.metrics.requests == 2
         assert result.metrics.aborts == 0
+        assert result.events_processed == 4
 
     def test_violations_are_accounted_and_logged(self):
-        class StubSession:
-            pending_finish = 10**9
-
-            def resplice(self, kernel):
-                return RespliceOutcome(
-                    file="pos", start=40, budget_slots=5,
-                    old_latency=4, new_latency=9,
-                    was_ok=True, now_ok=False,
-                )
-
-        server = BroadcastServer(moded_scenario(traffic=None))
-        server.register_inflight(StubSession())
-        record = server.apply(ModeChange("combat"))
-        assert record["respliced"] == 1
-        assert len(record["violations"]) == 1
-        assert server.violations[0]["file"] == "pos"
-        assert any(
-            r["type"] == "violation" for r in server.log.records
+        # Every client reads "a" (all the popularity mass is on it).
+        # Client 1 arrives at slot 9 and its read would finish at 14,
+        # within the budget of 6; removing "a" at slot 9 is not checked
+        # by the predicate (only carried files are), so the splice
+        # lands at the next boundary, 12, and the re-walked read aborts.
+        scenario = Scenario(
+            name="pair",
+            files=(FileSpec("a", 2, 6), FileSpec("b", 1, 4)),
+            traffic=TrafficSpec(
+                clients=2, requests_per_client=1, duration=18,
+                think_time=0, seed=1, arrival="deterministic",
+                popularity="hotcold", hot_fraction=0.5, hot_weight=1.0,
+            ),
         )
+        server = BroadcastServer(scenario)
+        assert server.schedule.on_air.program.data_cycle_length == 12
+        server.advance(until=9)
+        record = server.apply(RemoveFile("a"))
+        violation = {
+            "splice_slot": 12, "file": "a", "start": 9,
+            "budget_slots": 6, "old_latency": 6, "new_latency": None,
+        }
+        assert record["splice_slot"] == 12
+        assert record["respliced"] == 1
+        assert record["violations"] == [violation]
+        assert server.violations == (violation,)
+        logged = [r for r in server.log.records if r["type"] == "violation"]
+        assert logged == [{"type": "violation", "slot": 12, **violation}]
+        server.advance()
+        result = server.close()
+        assert result.violations == (violation,)
+        assert result.metrics.requests == 2
+        assert result.metrics.aborts == 1
+
+
+def pinned_runs():
+    """Advance/apply runs over both population kinds, all three
+    channels and every mutation kind, with re-walks and a violation."""
+    pair = Scenario(
+        name="pair",
+        files=(FileSpec("a", 2, 6), FileSpec("b", 1, 4)),
+        faults=FaultSpec("bernoulli", probability=0.05, seed=9),
+        traffic=TrafficSpec(
+            clients=12, requests_per_client=5, duration=60,
+            think_time=1, seed=4, arrival="deterministic",
+        ),
+    )
+    return {
+        "modes-clean": (moded_scenario(), [
+            (50, ModeChange("combat")),
+            (200, FaultBudgetBump("map", 1)),
+            (300, ModeChange("surveillance")),
+        ]),
+        "catalogue-bernoulli": (traffic_scenario(faults=PARITY_CHANNELS[1]), [
+            (40, FaultBudgetBump("b", 1)),
+            (100, AddFile({"name": "c", "blocks": 1, "latency": 18})),
+            (220, RemoveFile("a")),
+        ]),
+        "temporal-burst": (temporal_scenario(faults=PARITY_CHANNELS[2]), [
+            (30, TemporalEdit("terrain", update_period=150)),
+            (120, AddFile(
+                {"name": "weather", "blocks": 1, "max_age_ms": 3000},
+                update_period=150,
+            )),
+            (250, RemoveFile("weather")),
+        ]),
+        "removal-bernoulli": (pair, [
+            (9, RemoveFile("a")),
+            (30, AddFile({"name": "a", "blocks": 2, "latency": 6})),
+            (45, FaultBudgetBump("b", 1)),
+        ]),
+    }
+
+
+#: sha256 of each pinned run's sorted-key ``ServerResult.to_dict()``
+#: JSON, recorded on the event-heap implementation the per-client loop
+#: replaced.
+PINNED_DIGESTS = {
+    "modes-clean":
+        "f7ad81b115e266d7c60f1fb1293dfccc004f09dac4d89cf059ee52ee6b299fe6",
+    "catalogue-bernoulli":
+        "ba1fd0ee663849c5af5382abcf4ee7f6d88a377468cda8bc28f0afc26f17f984",
+    "temporal-burst":
+        "69eb1206996cc6cb5554ced3bf17fbd869fc88fe49c005c346874d95eccac5cb",
+    "removal-bernoulli":
+        "b4c39ccac3c5f649ba03156160db87fe22b4f70ffcd26a77c6c65d63ff284606",
+}
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_result_digest_is_pinned(self, name):
+        scenario, steps = pinned_runs()[name]
+        server = BroadcastServer(scenario)
+        for slot, mutation in steps:
+            server.advance(until=slot)
+            server.apply(mutation)
+        server.advance()
+        payload = json.dumps(server.close().to_dict(), sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[name]
 
 
 class TestLifecycle:
@@ -283,6 +356,33 @@ class TestLifecycle:
             server.apply(ModeChange("combat"))
         with pytest.raises(SpecificationError, match="closed"):
             server.close()
+
+    def test_advance_after_close_rejected(self):
+        server = BroadcastServer(moded_scenario())
+        server.advance(until=50)
+        result = server.close()
+        with pytest.raises(SpecificationError, match="closed"):
+            server.advance()
+        with pytest.raises(SpecificationError, match="closed"):
+            server.advance(until=100)
+        # Nothing was served after sign-off; the live walker stays
+        # callable for inspection.
+        assert server.now == result.final_slot == 50
+        assert server.live_retrieve("pos", 60).completed
+
+    @pytest.mark.parametrize("until", [-5, -1, 2.5, "10", True])
+    def test_until_must_be_a_slot(self, until):
+        server = BroadcastServer(moded_scenario())
+        with pytest.raises(SpecificationError, match="until"):
+            server.advance(until=until)
+        assert server.now == 0
+
+    @pytest.mark.parametrize("bound", [0, -1, 1.5])
+    def test_max_boundaries_must_be_positive(self, bound):
+        with pytest.raises(SpecificationError, match="max_boundaries"):
+            BroadcastServer(
+                moded_scenario(traffic=None), max_boundaries=bound
+            )
 
     def test_asrun_log_records_lifecycle(self, tmp_path):
         from repro.server.asrun import read_asrun
