@@ -1,4 +1,4 @@
-"""The online broadcast server: live re-scheduling on one channel.
+"""The online broadcast server: live re-scheduling on one channel or a set.
 
 Everything else in this repository solves offline; this subpackage is
 the paper's motivating scenario made operational - an AWACS broadcast
@@ -21,8 +21,10 @@ The moving parts:
 * :mod:`~repro.server.asrun` - the JSONL as-run log (planned vs aired,
   mutations, splice points, re-solve provenance);
 * :mod:`~repro.server.server` - :class:`BroadcastServer` itself, with
-  programmatic ``apply()`` / ``advance()`` / ``close()``; its live
-  clients are one record each, served one client at a time, and a
+  programmatic ``apply()`` / ``advance()`` / ``close()``; one channel
+  is a channel set of one, so every mutation takes one path that
+  splices each channel's timeline; its live clients (single channel
+  only) are one record each, served one client at a time, and a
   splice re-walks the in-flight reads it reaches;
 * :mod:`~repro.server.script` - scripted JSON mutation timelines (the
   ``repro server`` CLI driver).

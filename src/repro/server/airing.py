@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram, SlotContent
-from repro.sim.client import default_horizon, fault_batches
+from repro.sim.client import fault_batches, listen_horizon
 from repro.sim.faults import FaultModel
 from repro.rtdb.updates import versioned_listen_horizon
 
@@ -235,11 +235,7 @@ class AirSchedule:
         """
         first = self.epoch_of(start)
         home = self._home(file, start, first)
-        horizon = (
-            max_slots
-            if max_slots is not None
-            else default_horizon(home.program, m_needed)
-        )
+        horizon = listen_horizon(home.program, m_needed, max_slots)
         return self._walk(
             file, m_needed, start, first, horizon, faults, False
         )

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import SpecificationError
-from repro.fields import Int, ListOf, Spec, check_fields, spec_field
+from repro.fields import Int, ListOf, Spec, check_fields, check_int, spec_field
 from repro.api.scenario import Scenario
 from repro.sweep.cache import SolveCache
 from repro.server.asrun import ASRUN_WINDOW
@@ -117,8 +117,11 @@ def run_script(
     ``until``, or to the last request), and signs off.  The returned
     :class:`~repro.server.server.ServerResult` carries per-epoch
     metrics, mutation provenance, splice slots, and the solve-cache
-    counters.
+    counters.  A negative or non-integer ``until`` is rejected before
+    anything airs too.
     """
+    if until is not None:
+        check_int(until, "until", minimum=0)
     airing = scenario
     for index, entry in enumerate(script.entries):
         if until is not None and entry.at_slot > until:

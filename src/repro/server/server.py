@@ -1,9 +1,12 @@
-"""The online broadcast server: live re-scheduling over one channel.
+"""The online broadcast server: live re-scheduling on one channel or a set.
 
-:class:`BroadcastServer` owns the airing program for a
-:class:`~repro.api.Scenario` and keeps it mutable *while on air* - the
-paper's AWACS station switching from surveillance to combat mode
-without going dark.  The lifecycle of one accepted mutation:
+:class:`BroadcastServer` owns the airing programs for a
+:class:`~repro.api.Scenario` and keeps them mutable *while on air* -
+the paper's AWACS station switching from surveillance to combat mode
+without going dark.  A single channel is a channel set of one: the
+server keeps one :class:`~repro.server.airing.AirSchedule` per channel,
+and every mutation takes the same path whatever their number.  The
+lifecycle of one accepted mutation:
 
 1. the mutation's delta produces the successor scenario (every
    constructor invariant re-validates eagerly);
@@ -11,21 +14,22 @@ without going dark.  The lifecycle of one accepted mutation:
    :class:`~repro.sweep.cache.SolveCache` - an unchanged design
    fingerprint is a warm-start cache hit, and the hit/miss provenance
    goes into the as-run log;
-3. :func:`~repro.server.splice.find_splice_slot` scans outgoing
-   data-cycle boundaries for the earliest one the splice-safety
-   predicate blesses, and the new program is committed there (never
-   before the next slot - the past is immutable);
+3. :func:`~repro.server.splice.find_splice_slot` scans each channel's
+   outgoing data-cycle boundaries for the earliest one the
+   splice-safety predicate blesses, and once every channel has one the
+   new programs are committed there together (never before the next
+   slot - the past is immutable);
 4. every in-flight client retrieval whose provisional finish lies at or
    beyond the boundary is re-walked over the spliced timeline; a
    retrieval that met its contract and no longer does is a *splice
    violation* (zero, by the predicate, on fault-free channels);
-5. the as-run log records the mutation, the splice point with a
-   planned-vs-aired divergence witness, and any violations.
+5. the as-run log records the mutation, each channel's splice point
+   with a planned-vs-aired divergence witness, and any violations.
 
-Traffic populations run *through* the server - the same arrival
-processes, RNG substreams, and single-receiver discipline as the
-offline client loop - one record per client, served one client at a
-time up to the slot :meth:`BroadcastServer.advance` names.  Clients are
+Traffic populations run *through* a single-channel server - the same
+arrival processes, RNG substreams, and single-receiver discipline as
+the offline client loop - one record per client, served one client at
+a time up to the slot :meth:`BroadcastServer.advance` names.  Clients are
 independent, and the timeline changes only inside
 :meth:`BroadcastServer.apply`, at a boundary after ``now``, so no
 global event order is needed: a read's outcome is provisional until
@@ -63,7 +67,11 @@ from repro.traffic.arrivals import (
     think_slots,
 )
 from repro.traffic.metrics import TrafficMetrics
-from repro.traffic.simulate import _temporal_mix, _validate_temporal
+from repro.traffic.simulate import (
+    _popularity,
+    _temporal_mix,
+    _validate_temporal,
+)
 from repro.sim.faults import FaultModel
 from repro.sim.workload import sample_accesses
 from repro.server.airing import AirSchedule, Segment, SplicedRetrieval
@@ -127,20 +135,23 @@ def _metrics_dict(metrics: TrafficMetrics) -> dict[str, Any]:
 class _Epoch:
     """One scenario's tenure: its design, derived tables, and metrics.
 
-    A multi-channel epoch airs one :class:`Segment` per channel (all
-    committed by the same mutation, each at its own channel's earliest
-    safe boundary); ``segment`` stays the channel-0 view so the
-    single-channel bookkeeping reads unchanged.
+    A single design airs one program and a channel set one per channel.
+    Every mutation splices one segment into each channel's timeline
+    (each at that channel's earliest safe boundary), so epoch ``i``
+    aired segment ``i`` of every timeline.
     """
 
     __slots__ = (
         "index",
         "scenario",
-        "design",
-        "segments",
         "cache_hit",
+        "fingerprint",
+        "programs",
+        "method",
+        "channels",
         "catalogue",
         "file_sizes",
+        "update_periods",
         "deadlines",
         "cum_weights",
         "mix",
@@ -154,18 +165,29 @@ class _Epoch:
         index: int,
         scenario: Scenario,
         design: ProgramDesign | MultiChannelDesign,
-        segments: Sequence[Segment],
         cache_hit: bool,
     ) -> None:
         self.index = index
         self.scenario = scenario
-        self.design = design
-        self.segments = tuple(segments)
         self.cache_hit = cache_hit
+        self.fingerprint = scenario.design_fingerprint()
+        # ``channels`` is what a channel set adds to its records.
+        self.channels: dict[str, int] = {}
+        if isinstance(design, MultiChannelDesign):
+            self.programs = design.channel_set.programs
+            self.method = design.designs[0].report.method
+            self.channels = {"channels": design.count}
+        else:
+            self.programs = (design.program,)
+            self.method = design.report.method
         self.catalogue = tuple(spec.name for spec in scenario.files)
         self.file_sizes = {
             spec.name: spec.blocks for spec in scenario.files
         }
+        temporal = scenario.temporal
+        self.update_periods = (
+            None if temporal is None else dict(temporal.update_periods)
+        )
         engine = BroadcastEngine(scenario, design=design)
         self.deadlines = engine._deadlines(design)
         self.cum_weights: list[float] | None = None
@@ -174,59 +196,41 @@ class _Epoch:
         self.max_age: dict[str, int] | None = None
         spec = scenario.traffic
         self.metrics = TrafficMetrics()
-        if scenario.temporal is not None:
-            self.max_age = scenario.temporal.max_age_slots()
+        if temporal is not None:
+            self.max_age = temporal.max_age_slots()
         if spec is None:
             return
-        weights = popularity_weights(
-            spec.popularity,
-            len(self.catalogue),
-            zipf_skew=spec.zipf_skew,
-            hot_fraction=spec.hot_fraction,
-            hot_weight=spec.hot_weight,
-        )
-        if scenario.temporal is not None:
-            _validate_temporal(scenario.temporal, spec, self.catalogue)
+        weights = _popularity(popularity_weights, spec, len(self.catalogue))
+        if temporal is not None:
+            _validate_temporal(temporal, spec, self.catalogue)
             mix, mix_weights = _temporal_mix(
-                scenario.temporal, self.catalogue, self.deadlines, weights
+                temporal, self.catalogue, self.deadlines, weights
             )
             self.mix = mix
             self.mix_cum_weights = list(accumulate(mix_weights))
         else:
             self.cum_weights = list(accumulate(weights))
 
-    @property
-    def segment(self) -> Segment:
-        """The channel-0 segment (the only one, single-channel)."""
-        return self.segments[0]
-
-    @property
-    def multichannel(self) -> bool:
-        return isinstance(self.design, MultiChannelDesign)
-
-    def summary(self) -> dict[str, Any]:
-        """The epoch's as-run/result record."""
-        multi = self.multichannel
-        head = self.design.designs[0] if multi else self.design
+    def summary(self, schedules: Sequence[AirSchedule]) -> dict[str, Any]:
+        """The epoch's as-run/result record, read from the server's
+        timelines (this epoch aired segment :attr:`index` of each)."""
+        segments = [schedule.segments[self.index] for schedule in schedules]
         payload = {
             "epoch": self.index,
-            "start_slot": self.segment.start,
+            "start_slot": segments[0].start,
             "scenario": self.scenario.name,
             "mode": _mode_of(self.scenario),
-            "fingerprint": self.segment.fingerprint,
-            "label": self.segment.label,
+            "fingerprint": self.fingerprint,
+            "label": segments[0].label,
             "cache_hit": self.cache_hit,
-            "method": head.report.method,
-            "data_cycle": (
-                self.design.channel_set.programs[0].data_cycle_length
-                if multi
-                else self.design.program.data_cycle_length
-            ),
+            "method": self.method,
+            "data_cycle": self.programs[0].data_cycle_length,
             "metrics": _metrics_dict(self.metrics),
         }
-        if multi:
-            payload["channels"] = self.design.count
-            payload["start_slots"] = [s.start for s in self.segments]
+        if self.channels:
+            payload.update(
+                self.channels, start_slots=[s.start for s in segments]
+            )
         return payload
 
 
@@ -385,49 +389,32 @@ class BroadcastServer:
         self._resplices = 0
         self._closed = False
 
-        design, cache_hit = self._cache.design_for(scenario)
-        fingerprint = scenario.design_fingerprint()
-        multi = isinstance(design, MultiChannelDesign)
-        programs = (
-            design.channel_set.programs if multi else (design.program,)
-        )
-        segments = tuple(
-            Segment(
-                start=0,
-                program=program,
-                fingerprint=fingerprint,
-                update_periods=(
-                    dict(scenario.temporal.update_periods)
-                    if scenario.temporal is not None
-                    else None
-                ),
-                dispersal={
-                    spec.name: spec.blocks for spec in scenario.files
-                },
-                label="sign-on",
-            )
-            for program in programs
-        )
-        self._epochs: list[_Epoch] = [
-            _Epoch(0, scenario, design, segments, cache_hit)
-        ]
+        epoch = _Epoch(0, scenario, *self._cache.design_for(scenario))
+        self._epochs: list[_Epoch] = [epoch]
         self._schedules: list[AirSchedule] = [
-            AirSchedule([segment]) for segment in segments
+            AirSchedule([
+                Segment(
+                    start=0,
+                    program=program,
+                    fingerprint=epoch.fingerprint,
+                    update_periods=epoch.update_periods,
+                    dispersal=epoch.file_sizes,
+                    label="sign-on",
+                )
+            ])
+            for program in epoch.programs
         ]
-        self._schedule = self._schedules[0]
-        on_air: dict[str, Any] = dict(
+        self._log.record(
+            "on-air",
+            0,
             scenario=scenario.name,
             mode=_mode_of(scenario),
-            fingerprint=fingerprint,
-            cache_hit=cache_hit,
-            method=(
-                design.designs[0] if multi else design
-            ).report.method,
-            data_cycle=programs[0].data_cycle_length,
+            fingerprint=epoch.fingerprint,
+            cache_hit=epoch.cache_hit,
+            method=epoch.method,
+            data_cycle=epoch.programs[0].data_cycle_length,
+            **epoch.channels,
         )
-        if multi:
-            on_air["channels"] = design.count
-        self._log.record("on-air", 0, **on_air)
         spec = scenario.traffic
         self._think_mean = 0 if spec is None else spec.think_time
         self._clients = [] if spec is None else [
@@ -453,8 +440,9 @@ class BroadcastServer:
 
     @property
     def schedule(self) -> AirSchedule:
-        """The committed airing timeline (channel 0's, multi-channel)."""
-        return self._schedule
+        """Channel 0's committed airing timeline: the one live clients
+        walk, and the only one of a single-channel server."""
+        return self._schedules[0]
 
     @property
     def schedules(self) -> tuple[AirSchedule, ...]:
@@ -489,7 +477,7 @@ class BroadcastServer:
         return tuple(self._violations)
 
     def _epoch_at(self, slot: int) -> _Epoch:
-        return self._epochs[self._schedule.epoch_of(slot)]
+        return self._epochs[self._schedules[0].epoch_of(slot)]
 
     # ------------------------------------------------------------------
     # Live clients
@@ -499,7 +487,7 @@ class BroadcastServer:
         """Walk one distinct-block retrieval over the live timeline."""
         epoch = self._epoch_at(start)
         spec = epoch.scenario.traffic
-        return self._schedule.retrieve(
+        return self._schedules[0].retrieve(
             file,
             epoch.file_sizes[file],
             start=start,
@@ -513,7 +501,7 @@ class BroadcastServer:
         """Walk one version-consistent retrieval over the live timeline."""
         epoch = self._epoch_at(start)
         spec = epoch.scenario.traffic
-        return self._schedule.retrieve_versioned(
+        return self._schedules[0].retrieve_versioned(
             file,
             epoch.file_sizes[file],
             start=start,
@@ -621,9 +609,9 @@ class BroadcastServer:
     ) -> list[SpliceRequirement]:
         """Splice-safety requirements for the files in ``carried``.
 
-        ``carried`` is the incoming program's file set (one channel's,
-        multi-channel); the outgoing catalogue filter keeps only files
-        the outgoing epoch also promised, in catalogue order.
+        ``carried`` is what one channel airs on both sides of the
+        splice; the outgoing catalogue filter keeps only files the
+        outgoing epoch also promised, in catalogue order.
         """
         versioned = outgoing.scenario.temporal is not None
         carried_set = set(carried)
@@ -641,12 +629,14 @@ class BroadcastServer:
     def apply(self, mutation: Mutation) -> dict[str, Any]:
         """Accept one runtime mutation; return its provenance record.
 
-        Re-solves, finds the earliest safe data-cycle boundary strictly
-        after ``now``, commits the splice, re-walks affected in-flight
-        retrievals, and logs everything.  Raises
+        Re-solves, finds each channel's earliest safe data-cycle
+        boundary strictly after ``now`` (the channels' cycles are not
+        aligned, so the slots may differ), commits every channel's
+        splice at once, re-walks affected in-flight retrievals, and
+        logs everything.  Raises
         :class:`~repro.errors.SpecificationError` for a malformed delta
-        and :class:`~repro.errors.SimulationError` when no safe
-        boundary exists - in either case nothing was committed.
+        and :class:`~repro.errors.SimulationError` when some channel has
+        no safe boundary - in either case nothing was committed.
         """
         if self._closed:
             raise SpecificationError(
@@ -655,12 +645,9 @@ class BroadcastServer:
         now = self._now
         outgoing = self._epochs[-1]
         scenario = successor(outgoing.scenario, mutation)
-        multi = scenario.channels is not None
-        mutation_span = obs.span(
+        with obs.span(
             "server.mutation", kind=type(mutation).__name__, at_slot=now
-        )
-        mutation_span.__enter__()
-        try:
+        ):
             # Snapshot/diff brackets make the per-mutation cache
             # accounting exact even though the SolveCache counters are
             # lifetime-monotonic across epochs.
@@ -668,289 +655,157 @@ class BroadcastServer:
             with obs.span("server.mutation.resolve"):
                 design, cache_hit = self._cache.design_for(scenario)
             cache_delta = self._cache.diff(cache_before)
-            fingerprint = scenario.design_fingerprint()
-            if multi:
-                return self._commit_multichannel(
-                    mutation, now, outgoing, scenario, design,
-                    cache_hit, cache_delta, fingerprint,
+            epoch = _Epoch(len(self._epochs), scenario, design, cache_hit)
+            # A channel set labels its per-channel spans and records.
+            tags = [
+                {"channel": channel} for channel in range(len(epoch.programs))
+            ] if epoch.channels else [{}]
+            plans = []
+            for channel, program in enumerate(epoch.programs):
+                # A requirement is only checkable where both the outgoing
+                # and the incoming channel carry the file; a file moving
+                # between channels is a (clean) drop-and-reappear, not a
+                # splice, exactly like a file leaving the catalogue.
+                aired = outgoing.programs[channel].files
+                checked = self._requirements(
+                    outgoing, [file for file in program.files if file in aired]
                 )
-            with obs.span("server.mutation.splice_search"):
-                candidate, splice_slot, attempts = find_splice_slot(
-                    self._schedule,
-                    design.program,
-                    not_before=now + 1,
-                    requirements=self._requirements(
-                        outgoing, design.program.files
-                    ),
-                    fingerprint=fingerprint,
-                    update_periods=(
-                        dict(scenario.temporal.update_periods)
-                        if scenario.temporal is not None
-                        else None
-                    ),
-                    dispersal={
-                        spec.name: spec.blocks for spec in scenario.files
-                    },
-                    label=mutation.describe(),
-                    max_boundaries=self._max_boundaries,
-                )
-
-            commit_span = obs.span("server.mutation.splice_commit")
-            commit_span.__enter__()
-            # Commit: timeline first, then the epoch tables clients read.
-            self._schedule = candidate
-            self._schedules = [candidate]
-            epoch = _Epoch(
-                len(self._epochs), scenario, design, (candidate.on_air,),
-                cache_hit,
-            )
-            self._epochs.append(epoch)
-
-            self._log.record(
-                "mutation",
-                now,
-                mutation=mutation.to_dict(),
-                scenario=scenario.name,
-                mode=_mode_of(scenario),
-                fingerprint=fingerprint,
-                cache_hit=cache_hit,
-                cache_delta=cache_delta,
-                method=design.report.method,
-            )
-            self._log.record(
-                "splice",
-                splice_slot,
-                outgoing_fingerprint=outgoing.segment.fingerprint,
-                incoming_fingerprint=fingerprint,
-                phase_offset=candidate.on_air.phase_offset,
-                rejected_boundaries=[
-                    {
-                        "slot": slot,
-                        "violations": [v.to_dict() for v in violations],
-                    }
-                    for slot, violations in attempts
-                ],
-                checked_files=sorted(
-                    file
-                    for file in outgoing.catalogue
-                    if file in design.program.files
-                ),
-                window=planned_vs_aired(
-                    candidate, splice_slot, self._window
-                ),
-            )
-            self._log.record(
-                "on-air",
-                splice_slot,
-                scenario=scenario.name,
-                mode=_mode_of(scenario),
-                fingerprint=fingerprint,
-                cache_hit=cache_hit,
-                method=design.report.method,
-                data_cycle=design.program.data_cycle_length,
-            )
-
-            respliced = 0
-            violations: list[dict[str, Any]] = []
-            for client in self._clients:
-                read = client.read
-                if read is None or read.finish_slot < splice_slot:
-                    continue  # idle, or finishes before the boundary
-                versioned = client.txn is not None
-                budget = self._budget(client, read.file)
-                moved = client.read = self._walk(
-                    client, read.file, client.start
-                )
-                respliced += 1
-                if _kept(read, budget, versioned) and not _kept(
-                    moved, budget, versioned
+                with obs.span(
+                    "server.mutation.splice_search", **tags[channel]
                 ):
-                    entry = {
-                        "splice_slot": splice_slot,
-                        "file": read.file,
-                        "start": client.start,
-                        "budget_slots": budget,
-                        "old_latency": read.latency,
-                        "new_latency": moved.latency,
-                    }
-                    violations.append(entry)
-                    self._violations.append(entry)
-                    self._log.record("violation", splice_slot, **entry)
-            self._resplices += respliced
-            commit_span.__exit__(None, None, None)
+                    candidate, slot, attempts = find_splice_slot(
+                        self._schedules[channel],
+                        program,
+                        not_before=now + 1,
+                        requirements=checked,
+                        fingerprint=epoch.fingerprint,
+                        update_periods=epoch.update_periods,
+                        dispersal=epoch.file_sizes,
+                        label=mutation.describe(),
+                        max_boundaries=self._max_boundaries,
+                    )
+                plans.append((candidate, slot, attempts, checked))
 
+            with obs.span("server.mutation.splice_commit", **epoch.channels):
+                # Commit: timelines first, then the epoch tables clients
+                # read.
+                self._schedules = [plan[0] for plan in plans]
+                self._epochs.append(epoch)
+                self._log.record(
+                    "mutation",
+                    now,
+                    mutation=mutation.to_dict(),
+                    scenario=scenario.name,
+                    mode=_mode_of(scenario),
+                    fingerprint=epoch.fingerprint,
+                    cache_hit=cache_hit,
+                    cache_delta=cache_delta,
+                    method=epoch.method,
+                    **epoch.channels,
+                )
+                for tag, (candidate, slot, attempts, checked) in zip(
+                    tags, plans
+                ):
+                    self._log.record(
+                        "splice",
+                        slot,
+                        **tag,
+                        outgoing_fingerprint=outgoing.fingerprint,
+                        incoming_fingerprint=epoch.fingerprint,
+                        phase_offset=candidate.on_air.phase_offset,
+                        rejected_boundaries=[
+                            {
+                                "slot": at,
+                                "violations": [v.to_dict() for v in found],
+                            }
+                            for at, found in attempts
+                        ],
+                        checked_files=sorted(r.file for r in checked),
+                        window=planned_vs_aired(
+                            candidate, slot, self._window
+                        ),
+                    )
+                    self._log.record(
+                        "on-air",
+                        slot,
+                        **tag,
+                        scenario=scenario.name,
+                        mode=_mode_of(scenario),
+                        fingerprint=epoch.fingerprint,
+                        cache_hit=cache_hit,
+                        method=epoch.method,
+                        data_cycle=(
+                            candidate.on_air.program.data_cycle_length
+                        ),
+                    )
+                    if tag:
+                        obs.inc("server.channel.splices", **tag)
+                slots = [plan[1] for plan in plans]
+                respliced, violations = self._rewalk(slots[0])
+
+            rejected = [[at for at, _ in plan[2]] for plan in plans]
             obs.inc("server.mutations")
             obs.inc("server.resplices", respliced)
             obs.inc("server.splice_violations", len(violations))
-            obs.inc("server.rejected_boundaries", len(attempts))
+            obs.inc("server.rejected_boundaries", sum(map(len, rejected)))
 
-            record = {
+            record: dict[str, Any] = {
                 "at_slot": now,
                 "mutation": mutation.to_dict(),
-                "splice_slot": splice_slot,
-                "phase_offset": candidate.on_air.phase_offset,
-                "fingerprint": fingerprint,
+                "splice_slot": slots[0],
+                "channel_splice_slots": slots,
+                "phase_offset": plans[0][0].on_air.phase_offset,
+                "fingerprint": epoch.fingerprint,
                 "cache_hit": cache_hit,
                 "cache_delta": cache_delta,
-                "method": design.report.method,
-                "rejected_boundaries": [slot for slot, _ in attempts],
+                "method": epoch.method,
+                "rejected_boundaries": rejected,
                 "respliced": respliced,
                 "violations": violations,
             }
+            if not epoch.channels:
+                # One channel's record names its one splice directly.
+                del record["channel_splice_slots"]
+                record["rejected_boundaries"] = rejected[0]
             self._mutations.append(record)
             return record
-        finally:
-            mutation_span.__exit__(None, None, None)
 
-    def _commit_multichannel(
-        self,
-        mutation: Mutation,
-        now: int,
-        outgoing: _Epoch,
-        scenario: Scenario,
-        design: MultiChannelDesign,
-        cache_hit: bool,
-        cache_delta: dict[str, int],
-        fingerprint: str,
-    ) -> dict[str, Any]:
-        """The multi-channel leg of :meth:`apply`.
+    def _rewalk(self, splice_slot: int) -> tuple[int, list[dict[str, Any]]]:
+        """Re-walk every in-flight read that reaches ``splice_slot`` over
+        the spliced timeline; return how many, and the violations found
+        (reads that met their contract and no longer do), each logged.
 
-        Every channel's timeline gets its own splice search (its
-        earliest safe data-cycle boundary - the channels' cycles are
-        not aligned, so the slots differ); nothing commits until every
-        channel has found one, so a single infeasible channel aborts
-        the whole mutation with all timelines untouched.  There are no
-        live sessions on a multi-channel server (populations are
-        rejected at sign-on), so the re-walk leg is empty by
-        construction.
+        Only a single-channel server has live clients, so on a channel
+        set this re-walks nothing.
         """
-        programs = design.channel_set.programs
-        update_periods = (
-            dict(scenario.temporal.update_periods)
-            if scenario.temporal is not None
-            else None
-        )
-        dispersal = {spec.name: spec.blocks for spec in scenario.files}
-        label = mutation.describe()
-        method = design.designs[0].report.method
-        planned = []
-        for channel, program in enumerate(programs):
-            # A requirement is only checkable where both the outgoing
-            # and the incoming channel carry the file; a file moving
-            # between channels is a (clean) drop-and-reappear, not a
-            # splice, exactly like a file leaving the catalogue.
-            carried = [
-                file
-                for file in program.files
-                if file in outgoing.segments[channel].program.files
-            ]
-            requirements = self._requirements(outgoing, carried)
-            with obs.span(
-                "server.mutation.splice_search", channel=channel
+        respliced = 0
+        violations: list[dict[str, Any]] = []
+        for client in self._clients:
+            read = client.read
+            if read is None or read.finish_slot < splice_slot:
+                continue  # idle, or finishes before the boundary
+            versioned = client.txn is not None
+            budget = self._budget(client, read.file)
+            moved = client.read = self._walk(
+                client, read.file, client.start
+            )
+            respliced += 1
+            if _kept(read, budget, versioned) and not _kept(
+                moved, budget, versioned
             ):
-                candidate, splice_slot, attempts = find_splice_slot(
-                    self._schedules[channel],
-                    program,
-                    not_before=now + 1,
-                    requirements=requirements,
-                    fingerprint=fingerprint,
-                    update_periods=update_periods,
-                    dispersal=dispersal,
-                    label=label,
-                    max_boundaries=self._max_boundaries,
-                )
-            planned.append(
-                (candidate, splice_slot, attempts, requirements)
-            )
-
-        with obs.span(
-            "server.mutation.splice_commit", channels=design.count
-        ):
-            self._schedules = [plan[0] for plan in planned]
-            self._schedule = self._schedules[0]
-            epoch = _Epoch(
-                len(self._epochs),
-                scenario,
-                design,
-                tuple(plan[0].on_air for plan in planned),
-                cache_hit,
-            )
-            self._epochs.append(epoch)
-
-        self._log.record(
-            "mutation",
-            now,
-            mutation=mutation.to_dict(),
-            scenario=scenario.name,
-            mode=_mode_of(scenario),
-            fingerprint=fingerprint,
-            cache_hit=cache_hit,
-            cache_delta=cache_delta,
-            method=method,
-            channels=design.count,
-        )
-        rejected_total = 0
-        for channel, (candidate, splice_slot, attempts, requirements) in (
-            enumerate(planned)
-        ):
-            rejected_total += len(attempts)
-            self._log.record(
-                "splice",
-                splice_slot,
-                channel=channel,
-                outgoing_fingerprint=(
-                    outgoing.segments[channel].fingerprint
-                ),
-                incoming_fingerprint=fingerprint,
-                phase_offset=candidate.on_air.phase_offset,
-                rejected_boundaries=[
-                    {
-                        "slot": slot,
-                        "violations": [v.to_dict() for v in violations],
-                    }
-                    for slot, violations in attempts
-                ],
-                checked_files=sorted(r.file for r in requirements),
-                window=planned_vs_aired(
-                    candidate, splice_slot, self._window
-                ),
-            )
-            self._log.record(
-                "on-air",
-                splice_slot,
-                channel=channel,
-                scenario=scenario.name,
-                mode=_mode_of(scenario),
-                fingerprint=fingerprint,
-                cache_hit=cache_hit,
-                method=method,
-                data_cycle=programs[channel].data_cycle_length,
-            )
-            obs.inc("server.channel.splices", channel=channel)
-
-        obs.inc("server.mutations")
-        obs.inc("server.resplices", 0)
-        obs.inc("server.splice_violations", 0)
-        obs.inc("server.rejected_boundaries", rejected_total)
-
-        record = {
-            "at_slot": now,
-            "mutation": mutation.to_dict(),
-            "splice_slot": planned[0][1],
-            "channel_splice_slots": [plan[1] for plan in planned],
-            "phase_offset": planned[0][0].on_air.phase_offset,
-            "fingerprint": fingerprint,
-            "cache_hit": cache_hit,
-            "cache_delta": cache_delta,
-            "method": method,
-            "rejected_boundaries": [
-                [slot for slot, _ in plan[2]] for plan in planned
-            ],
-            "respliced": 0,
-            "violations": [],
-        }
-        self._mutations.append(record)
-        return record
+                entry = {
+                    "splice_slot": splice_slot,
+                    "file": read.file,
+                    "start": client.start,
+                    "budget_slots": budget,
+                    "old_latency": read.latency,
+                    "new_latency": moved.latency,
+                }
+                violations.append(entry)
+                self._violations.append(entry)
+                self._log.record("violation", splice_slot, **entry)
+        self._resplices += respliced
+        return respliced, violations
 
     def advance(self, *, until: int | None = None) -> int:
         """Serve every client up to slot ``until``; count the events.
@@ -1005,7 +860,9 @@ class BroadcastServer:
             scenario=self._epochs[0].scenario.name,
             final_slot=self._now,
             events_processed=self._events,
-            epochs=tuple(epoch.summary() for epoch in self._epochs),
+            epochs=tuple(
+                epoch.summary(self._schedules) for epoch in self._epochs
+            ),
             mutations=tuple(self._mutations),
             splice_slots=splice_slots,
             violations=tuple(self._violations),

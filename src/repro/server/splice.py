@@ -36,6 +36,10 @@ from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram
 from repro.server.airing import AirSchedule, Segment
 
+#: Phase rotations of the incoming cycle tried at each boundary (all of
+#: them when the cycle is shorter).
+MAX_OFFSETS = 64
+
 
 @dataclass(frozen=True)
 class SpliceRequirement:
@@ -213,13 +217,12 @@ def find_splice_slot(
     dispersal: Mapping[str, int] | None = None,
     label: str = "",
     max_boundaries: int = 64,
-    max_offsets: int = 64,
 ) -> tuple[AirSchedule, int, list[tuple[int, tuple[SpliceViolation, ...]]]]:
     """The earliest safe data-cycle boundary to splice ``incoming`` in.
 
     Scans outgoing data-cycle boundaries at or after ``not_before``
     (at most ``max_boundaries`` of them), and at each boundary up to
-    ``max_offsets`` phase rotations of the incoming cycle - a cyclic
+    :data:`MAX_OFFSETS` phase rotations of the incoming cycle - a cyclic
     program has no distinguished origin, so every rotation keeps the
     incoming design's own guarantees while shifting which occurrences
     land right after the boundary.  Returns the committed candidate
@@ -235,7 +238,7 @@ def find_splice_slot(
     cycle = outgoing.program.data_cycle_length
     gap = max(not_before - outgoing.start, 1)
     boundary = outgoing.start + -(-gap // cycle) * cycle
-    offsets = range(min(incoming.data_cycle_length, max(max_offsets, 1)))
+    offsets = range(min(incoming.data_cycle_length, MAX_OFFSETS))
     attempts: list[tuple[int, tuple[SpliceViolation, ...]]] = []
     for _ in range(max_boundaries):
         for offset in offsets:

@@ -26,7 +26,7 @@ from typing import Mapping, Protocol
 
 from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
-from repro.sim.client import RetrievalResult, default_horizon, retrieve
+from repro.sim.client import RetrievalResult, listen_horizon, retrieve
 from repro.sim.faults import FaultModel, NoFaults
 
 
@@ -204,9 +204,9 @@ class CachingClient:
 
     def horizon(self, name: str) -> int:
         """Slots a miss on ``name`` listens before giving up."""
-        if self.max_slots is not None:
-            return self.max_slots
-        return default_horizon(self.program, self.file_sizes[name])
+        return listen_horizon(
+            self.program, self.file_sizes[name], self.max_slots
+        )
 
     @property
     def resident(self) -> frozenset[str]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.errors import BlockCodecError, SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
 from repro.ida.blocks import Block, decode_block, encode_block
-from repro.sim.client import default_horizon
+from repro.sim.client import listen_horizon
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,7 @@ def broadcast_retrieve(
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
     supply = blocks_on_air[file]
-    horizon = (
-        max_slots
-        if max_slots is not None
-        else default_horizon(program, m_needed)
-    )
-    end = start + horizon
+    end = start + listen_horizon(program, m_needed, max_slots)
     held: dict[int, Block] = {}
     log: list[FrameResult] = []
     for t, block_index in program.index.occurrences_from(file, start):

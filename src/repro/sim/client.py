@@ -58,12 +58,27 @@ _NEVER_LOST = repeat(False)
 def default_horizon(program: BroadcastProgram, m_needed: int) -> int:
     """The default listening horizon: ``(m_needed + 2)`` data cycles.
 
-    The single source of the convention shared by :func:`retrieve`,
-    :func:`repro.sim.channel.broadcast_retrieve`, the caching client,
-    and the traffic retriever - a client that has heard that many cycles
-    without reconstructing gives up (the channel is effectively dark).
+    A client that has heard that many cycles without reconstructing
+    gives up (the channel is effectively dark).
     """
     return (m_needed + 2) * program.data_cycle_length
+
+
+def listen_horizon(
+    program: BroadcastProgram, m_needed: int, max_slots: int | None
+) -> int:
+    """The slots a plain retrieval listens: ``max_slots`` when given,
+    else :func:`default_horizon`.
+
+    The single source of the rule shared by :func:`retrieve`,
+    :func:`best_channel`, :func:`repro.sim.channel.broadcast_retrieve`,
+    the caching client, the spliced timeline, the retrieval tables and
+    the traffic loop - the plain twin of
+    :func:`repro.rtdb.updates.versioned_listen_horizon`.
+    """
+    if max_slots is not None:
+        return max_slots
+    return default_horizon(program, m_needed)
 
 
 def fault_batches(
@@ -211,11 +226,7 @@ def retrieve(
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
-    horizon = (
-        max_slots
-        if max_slots is not None
-        else default_horizon(program, m_needed)
-    )
+    horizon = listen_horizon(program, m_needed, max_slots)
     seen: set[int] = set()
     arrival_order: list[int] = []
     lost: list[int] = []
@@ -347,11 +358,7 @@ def best_channel(
     for candidate in candidates:
         listen = channels.listen_start(start, tuned, candidate)
         program = channels.programs[candidate]
-        horizon = (
-            max_slots
-            if max_slots is not None
-            else default_horizon(program, m_needed)
-        )
+        horizon = listen_horizon(program, m_needed, max_slots)
         if not need_distinct:
             finish = retrieve(
                 program,

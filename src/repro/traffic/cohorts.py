@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import SpecificationError
 from repro.bdisk.program import BroadcastProgram
-from repro.sim.client import default_horizon
+from repro.sim.client import listen_horizon
 from repro.traffic.arrivals import think_quantiles
 from repro.traffic.spec import TrafficSpec
 from repro.traffic.substreams import TAG_ARRIVAL, uniform_matrix
@@ -153,11 +153,7 @@ class RetrievalTables:
             all_blocks.extend(blocks)
             offsets.append(len(all_slots))
             finish.extend(index.finish_table(file, size))
-            horizons.append(
-                max_slots
-                if max_slots is not None
-                else default_horizon(program, size)
-            )
+            horizons.append(listen_horizon(program, size, max_slots))
             m_needed.append(size)
             counts.append(len(slots))
             sched_total.append(program.schedule.total(file))

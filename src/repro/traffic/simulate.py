@@ -45,7 +45,7 @@ from repro.rtdb.updates import (
 )
 from repro.sim.cache import CachingClient, LruCache, PixCache
 from repro.sim.client import (
-    default_horizon,
+    listen_horizon,
     retrieve,
     retrieve_multichannel,
 )
@@ -557,8 +557,8 @@ def _simulate_shard(
                     )
                     latency, finish = result.latency, result.finish_slot
                     if latency is None:  # aborted: heard the horizon
-                        horizon = spec.max_slots or default_horizon(
-                            program, file_sizes[name]
+                        horizon = listen_horizon(
+                            program, file_sizes[name], spec.max_slots
                         )
                         finish = now + horizon - 1
             metrics.record(name, latency, deadline)

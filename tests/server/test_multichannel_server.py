@@ -1,11 +1,20 @@
 """Online server over a channel set: per-channel schedules and splices."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.api.scenario import ChannelSpec, Scenario
+from repro.api.scenario import ChannelSpec, FaultSpec, Scenario
 from repro.bdisk.file import FileSpec
-from repro.errors import SpecificationError
-from repro.server.mutations import AddFile, RemoveFile
+from repro.errors import ReproError, SpecificationError
+from repro.ida.aida import RedundancyPolicy
+from repro.server.mutations import (
+    AddFile,
+    FaultBudgetBump,
+    ModeChange,
+    RemoveFile,
+)
 from repro.server.server import BroadcastServer
 from repro.traffic.spec import TrafficSpec
 
@@ -139,3 +148,113 @@ class TestAsRun:
         assert mutation["channels"] == 2
         signoff = records[-1]
         assert signoff["splices"] == list(result.splice_slots)
+
+
+def pinned_runs():
+    """Advance/apply runs over striped and replicated sets of two and
+    three channels, with every catalogue mutation kind and a refusal."""
+    bernoulli = FaultSpec("bernoulli", probability=0.05, seed=3)
+    added = AddFile(file={"name": "e", "blocks": 2, "latency": 25})
+    policy = RedundancyPolicy({
+        "surveillance": {"a": 0},
+        "combat": {"d": 1},
+    })
+    return {
+        "striped-2-clean": (multichannel_scenario(), 64, [
+            (10, added),
+            (60, FaultBudgetBump("b", 1)),
+            (150, RemoveFile("e")),
+        ]),
+        "striped-3-bernoulli": (
+            multichannel_scenario(
+                channels=ChannelSpec(count=3), faults=bernoulli
+            ),
+            64,
+            [
+                (10, added),
+                (60, FaultBudgetBump("b", 1)),
+                (150, RemoveFile("e")),
+                (200, FaultBudgetBump("a", 2)),
+            ],
+        ),
+        "replicated-3-refusal": (
+            multichannel_scenario(
+                channels=ChannelSpec(count=3, assignment="replicated"),
+                faults=bernoulli,
+            ),
+            2,
+            [
+                (10, added),
+                (60, FaultBudgetBump("b", 1)),
+                (150, FaultBudgetBump("b", -1)),
+            ],
+        ),
+        "replicated-2-modes": (
+            multichannel_scenario(
+                channels=ChannelSpec(count=2, assignment="replicated"),
+                redundancy=policy,
+                mode="surveillance",
+            ),
+            64,
+            [
+                (20, ModeChange("combat")),
+                (130, FaultBudgetBump("d", 1)),
+                (260, ModeChange("surveillance")),
+            ],
+        ),
+    }
+
+
+def drive(name):
+    """One pinned run: its result, every ``apply()`` outcome (the
+    record, or the refusal's type and text), and the as-run records."""
+    scenario, max_boundaries, steps = pinned_runs()[name]
+    server = BroadcastServer(scenario, max_boundaries=max_boundaries)
+    applied = []
+    for slot, mutation in steps:
+        server.advance(until=slot)
+        try:
+            applied.append(server.apply(mutation))
+        except ReproError as error:
+            applied.append(f"{type(error).__name__}: {error}")
+    server.advance()
+    result = server.close().to_dict()
+    result["asrun"] = None
+    return result, applied, server.log.records
+
+
+#: sha256 of each pinned run's ``[result, applied, log records]`` JSON,
+#: keys in the order the server wrote them, recorded on the server
+#: whose channel sets took their own mutation path.
+PINNED_DIGESTS = {
+    "striped-2-clean":
+        "9220ef129c7206cf3c11f9ae2f24f76bef5a77ad5d3f997df66443cb4fd43129",
+    "striped-3-bernoulli":
+        "48a0608fba3936f8c1fc3f4a5c8b2ada655a5207921ae7027a0e226abf9e7032",
+    "replicated-3-refusal":
+        "dc2220e5f7b92277aaede6ea9706ef7e1abba6b4a48948b7eac451d451878bb8",
+    "replicated-2-modes":
+        "5ae665acf9463452e879e841b221da2bce80d1a41da711bab5ad60e9307305c0",
+}
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_run_digest_is_pinned(self, name):
+        payload = json.dumps(list(drive(name)))
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[name]
+
+    def test_refusal_text_is_pinned(self):
+        _, applied, _ = drive("replicated-3-refusal")
+        assert applied[0] == (
+            "SimulationError: no safe splice boundary within 2 data "
+            "cycles of slot 11 (cycle 60 slots, up to 64 phase rotations "
+            "each); first rejection: a from slot 54 aborts, budget 10"
+        )
+        assert applied[1]["channel_splice_slots"] == [120, 120, 120]
+        assert applied[1]["rejected_boundaries"] == [[120], [120], [120]]
+        assert applied[2].startswith(
+            "SimulationError: no safe splice boundary within 2 data "
+            "cycles of slot 151 (cycle 60 slots, up to 60 phase rotations"
+        )

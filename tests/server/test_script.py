@@ -247,6 +247,16 @@ class TestRunScript:
             run_script(awacs_scenario(), script, log_path=log)
         assert not log.exists()
 
+    def test_negative_until_fails_before_airing(self, tmp_path):
+        log = tmp_path / "asrun.jsonl"
+        with pytest.raises(SpecificationError) as raised:
+            run_script(
+                awacs_scenario(), MutationScript.from_payload(TIMELINE),
+                log_path=log, until=-5,
+            )
+        assert str(raised.value) == "until must be >= 0: -5"
+        assert not log.exists()
+
     def test_entries_past_until_are_not_checked(self):
         script = MutationScript.from_payload([
             {"at_slot": 400, "mutation": {

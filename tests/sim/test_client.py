@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.sim.client import retrieve
+from repro.sim.client import default_horizon, listen_horizon, retrieve
 from repro.sim.faults import AdversarialFaults, BernoulliFaults
 from repro.errors import SimulationError
+
+
+class TestListenHorizon:
+    def test_max_slots_when_given_else_the_default(self, figure6_program):
+        assert listen_horizon(figure6_program, 3, 7) == 7
+        assert listen_horizon(figure6_program, 3, None) == (
+            default_horizon(figure6_program, 3)
+        ) == 5 * figure6_program.data_cycle_length
 
 
 class TestFaultFree:
