@@ -649,9 +649,7 @@ class Scenario(Spec):
         Unlike :meth:`design_fingerprint`, this covers runtime knobs
         too - faults, traffic, simulation seeds - so two scenarios with
         equal fingerprints produce identical results end to end, not
-        just the same broadcast program.  The distributed sweep keys
-        its work units with it (plus the cell key), which is how a
-        worker can verify it received the exact cell it was addressed.
+        just the same broadcast program.
         """
         from repro.core.fingerprint import fingerprint
 

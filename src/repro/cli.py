@@ -67,11 +67,10 @@ invalid.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ReproError
 from repro.obs import telemetry as obs
@@ -318,12 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "expand a sweep spec (base scenario x axes) and run every "
             "cell, with a schedule solve-cache and a resumable run store"
-        ),
-        epilog=(
-            "Distributed mode: 'repro sweep serve SPEC --workers N' "
-            "coordinates the same grid across worker processes "
-            "('repro sweep work --connect HOST:PORT' joins from "
-            "anywhere); see each verb's --help."
         ),
     )
     sweep.add_argument("spec", help="path to a SweepSpec JSON file")
@@ -602,21 +595,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
             return 0
     axes = ", ".join(axis.field for axis in spec.axes) or "(no axes)"
     print(f"sweep     : {spec.name} ({result.cells} cells over {axes})")
-    _print_sweep_counters(result, resume=args.resume)
-    print()
-    print(result.table())
-    return 0
-
-
-def _print_sweep_counters(result: Any, *, resume: bool) -> None:
-    """The summary lines ``repro sweep`` and ``repro sweep serve`` share
-    (``result`` is a :class:`~repro.sweep.SweepResult`)."""
     print(f"store     : {result.store_path}")
     print(
         f"cells     : {result.executed} executed, "
         f"{result.resumed} resumed"
     )
-    if resume:
+    if args.resume:
         print(
             f"re-run    : {result.rerun_drift} fingerprint drift "
             f"(stored scenario changed), "
@@ -630,244 +614,8 @@ def _print_sweep_counters(result: Any, *, resume: bool) -> None:
         f"elapsed   : {result.elapsed:.2f}s "
         f"({result.workers} worker{'s' if result.workers != 1 else ''})"
     )
-
-
-def _sweep_serve(argv: Sequence[str]) -> int:
-    """``repro sweep serve``: coordinate one distributed sweep."""
-    from pathlib import Path
-
-    from repro.sweep import SweepSpec
-    from repro.sweep.distributed import (
-        SweepCoordinator,
-        parse_address,
-        spawn_worker,
-        wait_for_workers,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro sweep serve",
-        description=(
-            "Expand a sweep into content-addressed work units and "
-            "serve them to workers ('repro sweep work') over a socket "
-            "protocol with crash-safe leases.  Rows stream into the "
-            "run store exactly as 'repro sweep' would write them."
-        ),
-    )
-    parser.add_argument("spec", help="path to a SweepSpec JSON file")
-    parser.add_argument(
-        "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="listen address (port 0 picks an ephemeral port)",
-    )
-    parser.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help=(
-            "write the bound host:port to PATH once listening (how "
-            "scripts discover an ephemeral port)"
-        ),
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="JSONL run store (default: <spec>.runs.jsonl)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse stored rows whose scenario payload still matches",
-    )
-    parser.add_argument(
-        "--lease-seconds", type=float, default=15.0, metavar="S",
-        help=(
-            "heartbeat budget: a worker silent this long forfeits its "
-            "leased cells back to the queue (default: 15)"
-        ),
-    )
-    parser.add_argument(
-        "--batch", type=int, default=16, metavar="N",
-        help="max work units per grant (default: 16)",
-    )
-    parser.add_argument(
-        "--workers", type=_workers_flag, default=None, metavar="N",
-        help=(
-            "also spawn N local worker processes against the bound "
-            "port (omit to serve remote workers only)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "shared solve-cache directory for spawned workers "
-            "(default: <spec>.solve-cache); point remote workers at a "
-            "shared mount for cluster-wide single-flight"
-        ),
-    )
-    parser.add_argument(
-        "--no-rows",
-        action="store_true",
-        help=(
-            "drop rows after storing/aggregating them (bounds memory "
-            "on huge grids; the summary then shows marginals, not the "
-            "full table)"
-        ),
-    )
-    parser.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="export coordinator telemetry (plus worker registries) to DIR",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit a machine-readable JSON summary",
-    )
-    args = parser.parse_args(argv)
-
-    spec_path = Path(args.spec)
-    spec = SweepSpec.from_file(spec_path)
-    store = (
-        args.store
-        if args.store is not None
-        else str(spec_path.with_suffix(".runs.jsonl"))
-    )
-    cache_dir = (
-        args.cache_dir
-        if args.cache_dir is not None
-        else str(spec_path.with_suffix(".solve-cache"))
-    )
-    coordinator = SweepCoordinator(
-        spec,
-        bind=parse_address(args.bind),
-        store_path=store,
-        resume=args.resume,
-        lease_seconds=args.lease_seconds,
-        batch=args.batch,
-        keep_rows=not args.no_rows,
-    )
-    host, port = coordinator.address
-    if args.port_file is not None:
-        Path(args.port_file).write_text(f"{host}:{port}\n")
-    if not args.as_json:
-        print(f"serving   : {spec.name} on {host}:{port}")
-    children = []
-    with _telemetry_capture(args) as tel:
-        try:
-            # No more workers than cells left to run (see
-            # run_distributed_sweep).
-            pending = coordinator.pending_cells()
-            for index in range(min(args.workers or 0, pending)):
-                children.append(
-                    spawn_worker(
-                        (host, port),
-                        cache_dir=cache_dir,
-                        name=f"local-{index}",
-                    )
-                )
-            result = coordinator.serve()
-        finally:
-            coordinator.close()
-            wait_for_workers(children)
-        if children:
-            # The spawned workers shared this solve-cache directory.
-            result = dataclasses.replace(result, cache_dir=cache_dir)
-        if args.as_json:
-            payload = result.to_dict()
-            if tel is not None:
-                embed(tel, payload)
-            print(json.dumps(payload, indent=2))
-            return 0
-    _print_sweep_counters(result, resume=args.resume)
-    print(
-        f"cluster   : {result.solves} solved cluster-wide, "
-        f"{result.cross_hits} cross-worker cache hits"
-    )
-    print(
-        f"leases    : {result.requeued} requeued "
-        f"({result.lease_expiries} by expiry), "
-        f"{result.duplicates} duplicate rows deduped"
-    )
-    if result.failures:
-        print(f"failures  : {len(result.failures)} cells")
-        for failure in result.failures:
-            print(f"  {failure['key']}: {failure['error']}")
     print()
-    if args.no_rows:
-        from repro.sweep.aggregate import render_table
-
-        for field, table in result.marginals.items():
-            print(f"marginal over {field}:")
-            print(render_table(table))
-            print()
-    else:
-        print(result.table())
-    return 0 if not result.failures else 1
-
-
-def _sweep_work(argv: Sequence[str]) -> int:
-    """``repro sweep work``: one worker process for a served sweep."""
-    from repro.sweep.distributed import parse_address, run_worker
-
-    parser = argparse.ArgumentParser(
-        prog="repro sweep work",
-        description=(
-            "Lease cells from a 'repro sweep serve' coordinator, run "
-            "them, and stream the rows back until the grid completes."
-        ),
-    )
-    parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator's address",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "shared solve-cache directory (same path on every worker "
-            "=> each distinct design solves exactly once cluster-wide)"
-        ),
-    )
-    parser.add_argument(
-        "--name", default=None, metavar="NAME",
-        help="worker name in coordinator stats (default: host-pid)",
-    )
-    parser.add_argument(
-        "--max-units", type=int, default=None, metavar="N",
-        help="stop after computing N cells (default: run to completion)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="units to request per round trip",
-    )
-    parser.add_argument(
-        "--connect-timeout", type=float, default=10.0, metavar="S",
-        help="give up dialing the coordinator after S seconds",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the final worker stats as JSON",
-    )
-    args = parser.parse_args(argv)
-
-    host, port = parse_address(args.connect)
-    try:
-        stats = run_worker(
-            host,
-            port,
-            cache_dir=args.cache_dir,
-            name=args.name,
-            max_units=args.max_units,
-            batch=args.batch,
-            connect_timeout=args.connect_timeout,
-        )
-    except EOFError:
-        # The coordinator vanished mid-run.  Completed batches are
-        # already acked and durable; exiting non-zero tells a
-        # supervisor to retry against the restarted coordinator.
-        print("error: lost connection to coordinator", file=sys.stderr)
-        return 1
-    if args.as_json:
-        print(json.dumps(stats, indent=2))
-    else:
-        print(
-            f"worker done: {stats['cells']} cells "
-            f"({stats['solves']} solves, {stats['cross_hits']} "
-            f"cross-worker hits, {stats['failed']} failed)"
-        )
+    print(result.table())
     return 0
 
 
@@ -928,22 +676,7 @@ def _run_delay_table(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    # 'sweep serve' / 'sweep work' are verb-style subcommands routed
-    # ahead of argparse, so the existing positional form
-    # ('repro sweep spec.json') keeps working unchanged.
-    try:
-        if argv[:2] == ["sweep", "serve"]:
-            return _sweep_serve(argv[2:])
-        if argv[:2] == ["sweep", "work"]:
-            return _sweep_work(argv[2:])
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "run": _run_scenario,
         "traffic": _run_traffic,

@@ -17,21 +17,17 @@ one-command cheap:
 * :mod:`repro.sweep.store` - :class:`RunStore`: a resumable JSONL
   stream of finished cells, and the one rule that decides which stored
   rows a resumed sweep reuses;
-* :mod:`repro.sweep.orchestrate` - :func:`run_sweep`: one shared
-  process pool over cells and traffic shards, submit-order-stable,
-  streaming to the store; its ``run_cell`` runs every sweep cell;
+* :mod:`repro.sweep.orchestrate` - :func:`run_sweep`: a serial loop
+  or one shared process pool over cells and traffic shards,
+  submit-order-stable, streaming to the store; its ``run_cell`` runs
+  every sweep cell;
 * :mod:`repro.sweep.aggregate` - tidy per-cell records, per-axis
   marginals (batch and streaming), and plain-text tables for
-  EXPERIMENTS.md;
-* :mod:`repro.sweep.distributed` - the coordinator/worker fan-out
-  service: content-addressed work units over a socket protocol,
-  crash-safe leases, and a shared solve-cache namespace, scaling one
-  sweep across processes or hosts (``repro sweep serve`` /
-  ``repro sweep work``).
+  EXPERIMENTS.md.
 
-The process pool and the coordinator are two transports under one
-pipeline: the same cell runner, resume rule and result type
-(:class:`DistributedSweepResult` is a :class:`SweepResult`).
+A killed sweep is finished by running it again with ``resume=True``:
+every cell the store holds a row for from the same scenario is reused,
+and only the rest run.
 
 Quickstart::
 
@@ -69,29 +65,19 @@ from repro.sweep.aggregate import (
     tidy_rows,
 )
 from repro.sweep.orchestrate import SweepResult, run_sweep
-from repro.sweep.distributed import (
-    DistributedSweepResult,
-    SweepCoordinator,
-    run_distributed_sweep,
-    run_worker,
-)
 
 __all__ = [
-    "DistributedSweepResult",
     "MarginalAccumulator",
     "RunStore",
     "SolveCache",
     "SweepAxis",
     "SweepCell",
-    "SweepCoordinator",
     "SweepResult",
     "SweepSpec",
     "apply_overrides",
     "marginals",
     "render_table",
-    "run_distributed_sweep",
     "run_sweep",
-    "run_worker",
     "set_dotted",
     "tidy_row",
     "tidy_rows",

@@ -185,12 +185,13 @@ def _sort_key(value: Any) -> tuple:
 class MarginalAccumulator:
     """Streaming per-axis marginals, one row at a time.
 
-    The distributed coordinator folds every completed row in as it
-    lands, so live progress can show "mean miss rate by fault
-    probability so far" without re-reading the store - at 10^5 cells,
-    re-running :func:`tidy_rows` + :func:`marginals` per update would
-    be quadratic.  :meth:`summary` produces, per axis field, the record
-    list :func:`marginals` returns for the same records.
+    Rows fold in as they arrive, so a caller streaming a store can show
+    "mean miss rate by fault probability so far" without keeping the
+    rows or re-reading them - re-running :func:`tidy_rows` +
+    :func:`marginals` per update would be quadratic.  :func:`marginals`
+    is one pass of it over one field.  :meth:`summary` produces, per
+    axis field, the record list :func:`marginals` returns for the same
+    records.
     """
 
     def __init__(

@@ -25,11 +25,11 @@ The disk tier is also a **cross-process single-flight**: a miss takes an
 ``O_CREAT | O_EXCL`` lockfile (``<fingerprint>.lock``, holding the
 owner's pid) around the solve-and-put, and every other process that
 misses the same fingerprint *waits for the entry* instead of re-running
-the solver.  With N sweep workers sharing one cache directory, each
-distinct design therefore solves exactly once cluster-wide; the waiters
-come back with a disk hit and a bumped ``lock_waits`` counter.  A lock
-whose owner died mid-solve is broken (the pid is probed), so a killed
-worker never wedges the rest of the fleet.
+the solver.  With N pool workers sharing one cache directory, each
+distinct design therefore solves exactly once; the waiters come
+back with a disk hit and a bumped ``lock_waits`` counter.  A lock whose
+owner died mid-solve is broken (the pid is probed), so a killed worker
+never wedges the others.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class SolveCache:
                 obs.inc("solve_cache.lock_waits", stability="shape")
             if time.monotonic() >= deadline:
                 # Safety valve: a live-but-wedged owner must not hang
-                # the fleet forever.  Solve without the lock; the put
+                # the other workers forever.  Solve without the lock; the put
                 # is content-addressed, so a duplicate write is benign.
                 return self._solve_and_put(scenario, fingerprint), False
             time.sleep(self.LOCK_POLL_SECONDS)

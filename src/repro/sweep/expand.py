@@ -6,7 +6,7 @@ A sweep axis names any scenario field by its dotted JSON path -
 path.  It copies every container on the path before writing into it,
 and a built spec it meets becomes its JSON form one level deep
 (:func:`repro.fields.open_spec`), so the same rule edits a scenario's
-dict form (the distributed sweep's work units) and a built scenario.
+dict form and a built scenario.
 
 :func:`overridden` builds a cell's scenario from a built base: it opens
 the base one level, writes every override, and loads the result through

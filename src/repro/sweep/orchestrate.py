@@ -28,8 +28,8 @@ finished grid:
    unfinished batches (at most ``workers + 1``, :data:`BATCH_MAX` cells
    each) and the finished ones still waiting behind the oldest of them.
 
-Every cell runs through :func:`run_cell`, here and in the distributed
-worker alike.  Batches are collected in submission order (the same
+Every cell runs through :func:`run_cell`, in the serial loop and in
+the pool alike.  Batches are collected in submission order (the same
 structural guarantee as :func:`repro.api.engine.run_scenarios`), so
 rows come out in cell order no matter how workers interleave.  A cell
 that raises stops the sweep the way it stops the serial loop: the rows
@@ -100,8 +100,8 @@ def run_cell(
     ``use_cache=False`` arm) under a ``sweep.cell.solve`` span, and the
     engine runs with it injected under ``sweep.cell.simulate``.  Returns
     ``(row, solved)``, where ``solved`` says this call ran the solver.
-    The serial loop, the pool's cell task and the distributed worker
-    all run cells through here, so their rows agree field for field.
+    The serial loop and the pool's cell task both run cells through
+    here, so their rows agree field for field.
     """
     begin = time.perf_counter()
     with obs.span("sweep.cell.solve"):
@@ -270,10 +270,10 @@ class SweepResult:
     design lookup ran the solver this invocation, and ``cache_hits`` is
     ``executed - solves`` - the design fetches the cache absorbed.  With
     one shared cache, single-flight keeps ``solves <= distinct_designs``
-    and both counts agree across serial, pooled and distributed runs of
-    the same sweep.  (Each row's ``cache_hit`` flag is observational:
-    the miss lands on whichever task solved its design, which in a pool
-    depends on scheduling.)
+    and both counts agree across serial and pooled runs of the same
+    sweep.  (Each row's ``cache_hit`` flag is observational: the miss
+    lands on whichever task solved its design, which in a pool depends
+    on scheduling.)
     """
 
     spec: SweepSpec
@@ -334,13 +334,11 @@ class SweepResult:
         return {"summary": self.summary(), "records": self.records()}
 
 
-#: Most cells one pool task carries.  It is also
-#: :class:`~repro.sweep.distributed.SweepCoordinator`'s default ``batch``,
-#: the number of rows the distributed transport already fsyncs at once.
-#: On sweep-grid's 120-cell grid at two workers (2 vCPUs, medians of six
-#: interleaved runs) the grid took 0.36 s in tasks of one cell, 0.26 s
-#: in tasks of 8 and 0.25 s in tasks of 15; tasks of 30 or 60 bought
-#: nothing more (0.23-0.25 s), and larger batches lose more to a kill.
+#: Most cells one pool task carries.  On sweep-grid's 120-cell grid at
+#: two workers (2 vCPUs, medians of six interleaved runs) the grid took
+#: 0.36 s in tasks of one cell, 0.26 s in tasks of 8 and 0.25 s in tasks
+#: of 15; tasks of 30 or 60 bought nothing more (0.23-0.25 s), and
+#: larger batches lose more to a kill.
 BATCH_MAX = 16
 
 

@@ -2,13 +2,13 @@
 
 Every completed sweep cell is stored as one JSON line, and every write
 is flushed and fsynced before it returns: the serial loop appends each
-row as its cell finishes, while the process pool and the distributed
-coordinator append each finished batch of rows with one group commit
-(:meth:`RunStore.append_many`: one lock, one fsync).  A killed sweep
-keeps every row written before the kill.  Re-invoking with
-``resume=True`` reads the store back, reuses every cell that has a row
-produced by the same concrete scenario (see :class:`ResumeIndex`, the
-one rule both sweep executors apply), and runs only the rest.
+row as its cell finishes, while the process pool appends each finished
+batch of rows with one group commit (:meth:`RunStore.append_many`: one
+lock, one fsync).  A killed sweep keeps every row written before the
+kill.  Re-invoking with ``resume=True`` reads the store back, reuses
+every cell that has a row produced by the same concrete scenario (see
+:class:`ResumeIndex`, the rule the serial loop and the pool share), and
+runs only the rest.
 
 Robustness over a kill mid-append: a torn *final* line (the only kind a
 crash can produce, since writes are appended serially) is ignored on
@@ -80,9 +80,9 @@ class RunStore:
         """The store file, opened for appending, under an advisory lock.
 
         ``fcntl.flock`` (exclusive) serializes whole append batches, so
-        multiple *processes* can safely share one store - the
-        distributed sweep coordinator and any local writers interleave
-        at row granularity, never mid-line.  The lock is advisory: only
+        multiple *processes* can safely share one store - two sweeps
+        pointed at one file interleave at row granularity, never
+        mid-line.  The lock is advisory: only
         cooperating ``RunStore`` instances honor it, which is exactly
         the contract the sweep stack needs.  On platforms without
         ``fcntl`` the store degrades to the historical lock-free
@@ -153,11 +153,10 @@ class RunStore:
         """Append a batch of rows with one lock + one fsync (group
         commit).
 
-        The local pool commits each finished batch of cells here, and
-        the distributed coordinator each result batch from its workers;
-        paying one fsync per batch instead of one per row keeps the
-        store off the critical path while every *completed* batch stays
-        exactly as durable as a single :meth:`append`.  Serialization
+        The pool commits each finished batch of cells here; paying one
+        fsync per batch instead of one per row keeps the store off the
+        critical path while every *completed* batch stays exactly as
+        durable as a single :meth:`append`.  Serialization
         happens before the lock is taken, so a non-JSON row cannot
         poison the file.
         """
@@ -186,25 +185,31 @@ class RunStore:
         vanish.  Reader and healer agree: unterminated means torn.
         Rows are written as single ``line + newline`` writes, so a kill
         can never leave a *terminated* malformed line - that means
-        external corruption, and it raises rather than being silently
-        skipped (and then stranded mid-file by the next append).
+        external corruption, and it raises
+        :class:`~repro.errors.SimulationError` naming the line rather
+        than being silently skipped (and then stranded mid-file by the
+        next append).  The file is split on newline bytes before any
+        line is decoded, so bytes that are not UTF-8, JSON nested past
+        the parser's recursion limit and integers past Python's digit
+        limit fail that way too, and a torn tail is ignored whatever
+        its bytes.
         """
         try:
-            text = self._path.read_text(encoding="utf-8")
+            data = self._path.read_bytes()
         except FileNotFoundError:
             return []
         rows: list[dict[str, Any]] = []
-        lines = text.splitlines()
-        if lines and not text.endswith("\n"):
-            lines = lines[:-1]
-            data = text.encode("utf-8")
-            self._report_torn(data.rfind(b"\n") + 1, len(data), healed=False)
+        lines = data.split(b"\n")
+        # What follows the last newline: nothing, or a torn append.
+        tail = lines.pop()
+        if tail:
+            self._report_torn(len(data) - len(tail), len(data), healed=False)
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as error:
+                row = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as error:
                 raise SimulationError(
                     f"{self._path}:{number}: malformed run-store line: "
                     f"{error}"
@@ -265,8 +270,8 @@ class ResumeIndex:
 
         ``scenario`` returns the cell's scenario payload in
         :meth:`~repro.api.Scenario.to_dict` form; it is called only when
-        ``key`` has stored rows, so lazily expanded grids pay for the
-        normalization only where a row could match.  The reused row's
+        ``key`` has stored rows, so a resumed grid pays for the
+        serialization only where a row could match.  The reused row's
         positional ``index`` is rewritten to ``index``: the key pins the
         axis values but not the position, and the grid may have gained
         cells since the row was written.

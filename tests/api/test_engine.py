@@ -161,6 +161,15 @@ class TestDesignFingerprintAndInjection:
             assert (
                 scenario.design_fingerprint() == base.design_fingerprint()
             )
+            # The whole-scenario fingerprint covers them all.
+            assert (
+                scenario.scenario_fingerprint()
+                != base.scenario_fingerprint()
+            )
+        assert (
+            small_scenario().scenario_fingerprint()
+            == base.scenario_fingerprint()
+        )
 
     def test_fingerprint_tracks_design_inputs(self):
         base = small_scenario()

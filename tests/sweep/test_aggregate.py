@@ -127,8 +127,8 @@ class TestRenderTable:
 
 class TestMarginalAccumulator:
     """The streaming accumulator must reproduce ``marginals`` exactly -
-    the distributed coordinator's live view is not allowed to drift
-    from the batch computation."""
+    a view folded in row by row is not allowed to drift from the batch
+    computation."""
 
     def test_matches_batch_marginals(self, grid_result):
         from repro.sweep import MarginalAccumulator

@@ -3,15 +3,13 @@
 :mod:`expand_reference` keeps the round trip every cell used to pay:
 serialize the base, write the overrides into the dict form, parse it
 again.  The expander must build the same cells - equal scenarios with
-byte-identical dict forms and fingerprints, the same keys and work-unit
-uids - and raise the same error, word for word, for every malformed
-override.
+byte-identical dict forms and fingerprints, and the same keys - and
+raise the same error, word for word, for every malformed override.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import itertools
 import json
 import random
@@ -20,15 +18,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expand_reference import (
-    reference_apply_overrides,
-    reference_set_dotted,
-)
+from expand_reference import reference_apply_overrides
 from repro.api.scenario import FAULT_KINDS, FaultSpec, Scenario
 from repro.bdisk.file import FileSpec
 from repro.errors import SpecificationError
 from repro.sweep import SweepAxis, SweepSpec, apply_overrides
-from repro.sweep.distributed.units import iter_units
 from repro.sweep.expand import normalized, overridden
 from repro.sweep.spec import _value_key
 
@@ -73,26 +67,6 @@ def reference_key(overrides) -> str:
         f"{field}={json.dumps(value, sort_keys=True, separators=(',', ':'))}"
         for field, value in overrides
     )
-
-
-def reference_uids(spec: SweepSpec) -> list[str]:
-    # The canonical text of {key, scenario} built by the parent's
-    # whole-payload rule; json.dumps with sort_keys is that text here,
-    # since every key of a scenario payload is a string.
-    base = json.loads(json.dumps(spec.base.to_dict()))
-    uids = []
-    for cell in spec.cells():
-        payload = copy.deepcopy(base)
-        for field, value in cell.overrides:
-            reference_set_dotted(payload, field, copy.deepcopy(value))
-        text = json.dumps(
-            {"key": reference_key(cell.overrides), "scenario": payload},
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-        uids.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-    return uids
 
 
 def grid_catalogue(files: int) -> list[dict]:
@@ -162,31 +136,6 @@ class TestEveryCell:
                 assert cell.scenario.scenario_fingerprint() == (
                     reference.scenario_fingerprint()
                 )
-
-    def test_work_unit_uids_are_unchanged(self):
-        for name, make in SPECS.items():
-            spec = make()
-            assert [unit.uid for unit in iter_units(spec)] == (
-                reference_uids(spec)
-            ), name
-
-    def test_unit_payloads_are_written_apart(self):
-        # Units share every container no override writes into; building
-        # each unit's scenario, as a worker does, and expanding the
-        # whole grid leaves every payload and the base as declared.
-        for name, make in SPECS.items():
-            spec = make()
-            before = json.dumps(spec.base.to_dict())
-            units = list(iter_units(spec))
-            for unit in units:
-                Scenario.from_dict(unit.scenario)
-            base = json.loads(before)
-            for unit in units:
-                expected = copy.deepcopy(base)
-                for field, value in unit.overrides:
-                    reference_set_dotted(expected, field, copy.deepcopy(value))
-                assert unit.scenario == expected, (name, unit.key)
-            assert json.dumps(spec.base.to_dict()) == before, name
 
     def test_untouched_subtrees_are_shared_with_the_base(self):
         spec = grid_spec()

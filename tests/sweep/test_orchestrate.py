@@ -6,13 +6,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.errors import SpecificationError
-from repro.sweep import (
-    RunStore,
-    SweepAxis,
-    SweepSpec,
-    run_distributed_sweep,
-    run_sweep,
-)
+from repro.sweep import RunStore, SweepAxis, SweepSpec, run_sweep
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -339,14 +333,11 @@ class TestValidation:
 class TestResumeRerunReasons:
     """``--resume`` must say *why* a stored row re-ran: the scenario
     payload drifted (stored row from a different base) vs. the key was
-    simply never completed.  ``run`` is the executor under test; the
-    subclass below runs every case through the distributed one."""
-
-    run = staticmethod(run_sweep)
+    simply never completed."""
 
     def test_missing_key_is_classified(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        self.run(
+        run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -355,7 +346,7 @@ class TestResumeRerunReasons:
         with open(store_path, "w", encoding="utf-8") as handle:
             for row in rows[:4]:
                 handle.write(json.dumps(row) + "\n")
-        resumed = self.run(
+        resumed = run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -371,14 +362,14 @@ class TestResumeRerunReasons:
 
     def test_fingerprint_drift_is_classified(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        self.run(
+        run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
         )
         # Same keys, different base scenario: every stored row is
         # stale by drift, none by absence.
-        resumed = self.run(
+        resumed = run_sweep(
             fault_grid(workload={"requests": 12, "horizon": 60,
                                  "seed": 4}),
             store_path=store_path,
@@ -395,7 +386,7 @@ class TestResumeRerunReasons:
 
     def test_mixed_reasons(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        self.run(
+        run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -411,7 +402,7 @@ class TestResumeRerunReasons:
                     row = json.loads(json.dumps(row))
                     row["result"]["scenario"]["name"] = "stale"
                 handle.write(json.dumps(row) + "\n")
-        resumed = self.run(
+        resumed = run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -423,7 +414,7 @@ class TestResumeRerunReasons:
 
     def test_non_object_results_rerun_as_drift(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        self.run(
+        run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -435,7 +426,7 @@ class TestResumeRerunReasons:
         with open(store_path, "w", encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
-        resumed = self.run(
+        resumed = run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -447,14 +438,14 @@ class TestResumeRerunReasons:
 
     def test_matching_row_survives_a_later_stale_one(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
-        self.run(
+        run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
         )
         # Resuming under a renamed base re-runs every cell, so each key
         # now holds its matching row followed by a stale one.
-        renamed = self.run(
+        renamed = run_sweep(
             fault_grid(name="renamed"),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -463,7 +454,7 @@ class TestResumeRerunReasons:
         assert renamed.rerun_drift == 6
         # Rows are deterministic: the earlier matching row is still a
         # valid result for the original base.
-        resumed = self.run(
+        resumed = run_sweep(
             fault_grid(),
             store_path=store_path,
             cache_dir=tmp_path / "cache",
@@ -475,7 +466,7 @@ class TestResumeRerunReasons:
         assert names == {"base"}
 
     def test_no_resume_reports_zero(self, tmp_path):
-        result = self.run(
+        result = run_sweep(
             fault_grid(),
             store_path=tmp_path / "runs.jsonl",
             cache_dir=tmp_path / "cache",
@@ -486,10 +477,3 @@ class TestResumeRerunReasons:
             "missing_key": 0,
         }
 
-
-class TestDistributedResumeRerunReasons(TestResumeRerunReasons):
-    """The same cases through the distributed coordinator."""
-
-    @staticmethod
-    def run(spec, **kwargs):
-        return run_distributed_sweep(spec, workers=1, **kwargs)

@@ -114,6 +114,15 @@ class TestDottedOverrides:
         set_dotted(payload, "a", 2)
         set_dotted(payload, "b", 3)
         assert payload == {"a": 2, "b": 3}
+        # A dict payload that shares its nested containers with another
+        # gets copies of them on the written paths, so the other stays
+        # as it was.
+        base = {"faults": {"seed": 1}, "files": [{"blocks": 2}]}
+        payload = dict(base)
+        set_dotted(payload, "faults.seed", 2)
+        set_dotted(payload, "files.0.blocks", 3)
+        assert payload == {"faults": {"seed": 2}, "files": [{"blocks": 3}]}
+        assert base == {"faults": {"seed": 1}, "files": [{"blocks": 2}]}
 
 
 class TestSweepSpec:

@@ -1,9 +1,12 @@
 """Tests for the resumable JSONL run store."""
 
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sweep import RunStore
@@ -44,6 +47,10 @@ class TestRobustness:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "c", "res')  # killed mid-append
         assert store.completed_keys() == {"a", "b"}
+        # A torn tail is ignored whatever its bytes.
+        path.write_bytes(json.dumps(row("a")).encode() + b"\n\xff\xfe")
+        with pytest.warns(RuntimeWarning, match="torn final run-store"):
+            assert store.completed_keys() == {"a"}
 
     def test_unterminated_final_line_is_torn_even_when_parseable(
         self, tmp_path
@@ -87,13 +94,17 @@ class TestRobustness:
 
     def test_malformed_interior_line_raises(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        path.write_text(
-            json.dumps(row("a")) + "\nnot json\n" + json.dumps(row("b"))
-            + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(SimulationError, match="malformed run-store"):
-            RunStore(path).rows()
+        # Not JSON; not UTF-8; nested past the parser's recursion limit;
+        # an integer past Python's digit limit.
+        for bad in (b"not json", b"\xff\xfe", b"[" * 200_000, b"1" * 5_000):
+            path.write_bytes(
+                json.dumps(row("a")).encode() + b"\n" + bad + b"\n"
+                + json.dumps(row("b")).encode() + b"\n"
+            )
+            with pytest.raises(
+                SimulationError, match=":2: malformed run-store line: "
+            ):
+                RunStore(path).rows()
 
     def test_non_object_row_raises(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -108,6 +119,83 @@ class TestRobustness:
             encoding="utf-8",
         )
         assert RunStore(path).completed_keys() == {"a", "b"}
+
+
+#: Line bodies that are not a run-store row, one strategy per kind.
+CORRUPTIONS = {
+    "invalid utf-8": st.sampled_from([
+        b"\xff\xfe", b'{"key": "\xc3("}', b"\xed\xa0\x80", b"\x80",
+    ]),
+    "deep nesting": st.sampled_from([b"[" * 200_000, b'{"a":' * 5_000]),
+    "huge integer": st.sampled_from([
+        b"1" * 5_000, b'{"key": "a", "index": ' + b"7" * 5_000 + b"}",
+    ]),
+    "non-object json": st.sampled_from([b"[1, 2]", b'"x"', b"null", b"3"]),
+}
+
+ROWS = st.lists(
+    st.fixed_dictionaries({
+        "key": st.text(max_size=8),
+        "index": st.integers(-10, 10**6),
+        "result": st.dictionaries(
+            st.text(max_size=4),
+            st.one_of(st.integers(), st.floats(allow_nan=False,
+                                               allow_infinity=False),
+                      st.text(max_size=6), st.none()),
+            max_size=3,
+        ),
+    }),
+    max_size=5,
+)
+
+
+def encoded(rows) -> list[bytes]:
+    return [
+        json.dumps(row, separators=(",", ":")).encode("utf-8")
+        for row in rows
+    ]
+
+
+class TestCorruptLines:
+    """Whatever bytes a store holds, ``rows()`` returns rows or raises
+    :class:`SimulationError`; an unterminated final line is torn."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ROWS, st.data())
+    def test_drawn_corruption_is_typed_or_torn(self, rows, data):
+        lines = encoded(rows)
+        kind = data.draw(st.sampled_from([*CORRUPTIONS, "truncation"]))
+        if kind == "truncation":
+            # A strict, non-empty prefix of a row never parses.
+            whole = data.draw(st.sampled_from(encoded([
+                {"key": "k", "index": 3, "result": {"x": 1.5}},
+            ]) + lines))
+            bad = whole[:data.draw(st.integers(1, len(whole) - 1))]
+        else:
+            bad = data.draw(CORRUPTIONS[kind])
+        at = data.draw(st.integers(0, len(lines)))
+        torn = at == len(lines) and data.draw(st.booleans())
+        body = b"".join(line + b"\n" for line in lines[:at]) + bad
+        if not torn:
+            body += b"\n" + b"".join(line + b"\n" for line in lines[at:])
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "runs.jsonl"
+            path.write_bytes(body)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = RunStore(path).rows()
+                except SimulationError as error:
+                    assert not torn
+                    assert str(error).startswith(f"{path}:{at + 1}: ")
+                else:
+                    assert torn
+                    assert got == rows
+            assert [w.category for w in caught] == (
+                [RuntimeWarning] if torn else []
+            )
+            if torn:
+                assert "torn final run-store line" in str(caught[0].message)
 
 
 class TestAppendMany:
@@ -141,9 +229,9 @@ class TestAppendMany:
 
 class TestConcurrentAppenders:
     def test_two_processes_interleave_without_loss(self, tmp_path):
-        """Satellite regression: the advisory flock means two local
-        writers (e.g. a coordinator and a stray serial run) can append
-        to one store with zero torn or lost rows."""
+        """The advisory flock means two local writers (e.g. two sweeps
+        pointed at one store) can append to it with zero torn or lost
+        rows."""
         import subprocess
         import sys
 

@@ -1,12 +1,19 @@
 """Tests for the ``repro sweep`` subcommand."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.sweep import RunStore, SweepSpec, run_sweep
+from repro.sweep.orchestrate import _batch_size
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
@@ -81,6 +88,27 @@ class TestSweep:
         record = json.loads(capsys.readouterr().out)
         assert record["summary"]["executed"] == 0
         assert record["summary"]["resumed"] == 3
+        # The text summary says the same, and why nothing re-ran.
+        assert main(["sweep", path, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "cells     : 0 executed, 3 resumed" in out
+        assert (
+            "re-run    : 0 fingerprint drift (stored scenario "
+            "changed), 0 missing key (never completed)" in out
+        )
+
+    def test_corrupt_store_line_is_one_error_line(self, tmp_path, capsys):
+        path = sweep_path(tmp_path)
+        store = tmp_path / "sweep.runs.jsonl"
+        assert main(["sweep", path]) == 0
+        with open(store, "ab") as handle:
+            handle.write(b"\xff\xfe\n")
+        capsys.readouterr()
+        status = main(["sweep", path, "--resume"])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith(f"error: {store}:4: malformed run-store line")
+        assert err.count("\n") == 1
 
     def test_workers_flag_runs_pool(self, tmp_path, capsys):
         status = main(["sweep", sweep_path(tmp_path), "--workers", "2",
@@ -143,115 +171,94 @@ class TestSweep:
         assert "sweep     : fault-grid" in out
 
 
-class TestSweepServe:
-    def test_serve_with_local_workers(self, tmp_path, capsys):
-        status = main(
-            [
-                "sweep", "serve", sweep_path(tmp_path),
-                "--workers", "2",
-                "--lease-seconds", "10",
-            ]
+
+def killed_grid(tmp_path) -> Path:
+    """sweep_fault_grid.json's base, 400 requests a cell, over 4 loss
+    probabilities x 30 fault seeds: 120 cells of one design."""
+    spec = json.loads(
+        (EXAMPLES_DIR / "sweep_fault_grid.json").read_text(encoding="utf-8")
+    )
+    spec["base"]["workload"]["requests"] = 400
+    spec["axes"] = [
+        {"field": "faults.kind", "values": ["bernoulli"]},
+        {"field": "faults.probability", "values": [0.0, 0.02, 0.05, 0.1]},
+        {"field": "faults.seed", "values": list(range(1, 31))},
+    ]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
+
+
+def stored_lines(path: Path) -> int:
+    try:
+        return path.read_bytes().count(b"\n")
+    except FileNotFoundError:
+        return 0
+
+
+class TestKilledPool:
+    def test_sigkilled_pool_resumes_to_the_serial_rows(self, tmp_path):
+        # A crash mid-sweep is a SIGKILL of the whole process group,
+        # parent and pool workers alike; --resume then runs only the
+        # cells whose batch never reached the store.
+        grid = killed_grid(tmp_path)
+        spec = SweepSpec.from_file(grid)
+        cells = spec.total_cells
+        store = tmp_path / "runs.jsonl"
+        command = [
+            sys.executable, "-m", "repro", "sweep", str(grid),
+            "--workers", "2", "--store", str(store),
+            "--cache-dir", str(tmp_path / "cache"), "--json",
+        ]
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        }
+        sweep = subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "serving   : cli-grid on 127.0.0.1:" in out
-        assert "cells     : 3 executed, 0 resumed" in out
-        assert "1 solved cluster-wide" in out
-        assert (tmp_path / "sweep.runs.jsonl").exists()
+        try:
+            deadline = time.monotonic() + 120
+            while (
+                stored_lines(store) < _batch_size(cells, 2)
+                and sweep.poll() is None
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        finally:
+            # A sweep that finished first has no group left to kill.
+            with suppress(ProcessLookupError):
+                os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait()
+        # The kill must land mid-sweep; a grid that finishes first is
+        # too small for this host and must grow, not be skipped.
+        assert sweep.returncode == -signal.SIGKILL
+        killed_at = stored_lines(store)
+        assert 0 < killed_at < cells
 
-    def test_port_file_and_external_worker(self, tmp_path, capsys):
-        import threading
-
-        port_file = tmp_path / "port.txt"
-        outcome = {}
-
-        def serve():
-            outcome["status"] = main(
-                [
-                    "sweep", "serve", sweep_path(tmp_path),
-                    "--port-file", str(port_file),
-                    "--json",
-                ]
-            )
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-        deadline = 50
-        while not port_file.exists() and deadline:
-            import time
-
-            time.sleep(0.1)
-            deadline -= 1
-        address = port_file.read_text().strip()
-        status = main(
-            [
-                "sweep", "work",
-                "--connect", address,
-                "--cache-dir", str(tmp_path / "cache"),
-                "--json",
-            ]
+        resumed = subprocess.run(
+            [*command, "--resume"], env=env, capture_output=True,
+            text=True, timeout=300,
         )
-        server.join(timeout=60.0)
-        assert status == 0
-        assert outcome["status"] == 0
-        out = capsys.readouterr().out
-        # Both JSON payloads landed (print order between the serve
-        # thread and the worker is not guaranteed): the worker's
-        # stats and the coordinator's summary.
-        assert '"cells": 3' in out
-        assert '"solves": 1' in out
+        assert resumed.returncode == 0, resumed.stderr
+        summary = json.loads(resumed.stdout)["summary"]
+        assert summary["resumed"] == killed_at
+        assert summary["executed"] + summary["resumed"] == cells
+        assert summary["solves"] == 0
 
-    def test_serve_resume_reports_reasons(self, tmp_path, capsys):
-        spec = sweep_path(tmp_path)
-        assert main(["sweep", "serve", spec, "--workers", "1"]) == 0
-        capsys.readouterr()
-        status = main(["sweep", "serve", spec, "--resume"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "cells     : 0 executed, 3 resumed" in out
-        assert (
-            "re-run    : 0 fingerprint drift (stored scenario "
-            "changed), 0 missing key (never completed)" in out
-        )
+        rows = RunStore(store).rows()
+        keys = [row["key"] for row in rows]
+        assert len(keys) == len(set(keys)) == cells
 
-    def test_all_resumed_serve_spawns_no_workers(self, tmp_path, capsys):
-        # Every cell resumes, so serve() returns at once: a worker
-        # spawned anyway would dial the closed listener until its
-        # connect timeout (10 s) before the command could exit.
-        spec = sweep_path(tmp_path)
-        assert main(["sweep", "serve", spec, "--workers", "1"]) == 0
-        capsys.readouterr()
-        begin = time.monotonic()
-        status = main(["sweep", "serve", spec, "--resume", "--workers", "2"])
-        assert status == 0
-        assert time.monotonic() - begin < 5.0
-        assert "cells     : 0 executed, 3 resumed" in capsys.readouterr().out
+        def steady(row):
+            return {
+                field: value for field, value in row.items()
+                if field not in ("elapsed", "cache_hit")
+            }
 
-    def test_no_rows_prints_marginals(self, tmp_path, capsys):
-        status = main(
-            [
-                "sweep", "serve", sweep_path(tmp_path),
-                "--workers", "1",
-                "--no-rows",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "marginal over faults.probability:" in out
-
-    def test_work_bad_address_fails_cleanly(self, capsys):
-        status = main(
-            [
-                "sweep", "work",
-                "--connect", "127.0.0.1:1",
-                "--connect-timeout", "0.3",
-            ]
-        )
-        assert status == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_positional_sweep_form_still_works(self, tmp_path, capsys):
-        # The verb routing must not shadow 'repro sweep spec.json'.
-        status = main(["sweep", sweep_path(tmp_path)])
-        assert status == 0
-        assert "sweep     : cli-grid" in capsys.readouterr().out
+        serial = run_sweep(spec)
+        by_key = {row["key"]: steady(row) for row in rows}
+        assert [by_key[row["key"]] for row in serial.rows] == [
+            steady(row) for row in serial.rows
+        ]
