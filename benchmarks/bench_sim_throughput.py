@@ -11,8 +11,9 @@ seed slot-walking implementations preserved in
 :mod:`tests.oracles.sim_reference` - after first asserting, request by request,
 that both paths produce bit-identical retrievals.
 
-Results are recorded in ``BENCH_sim_throughput.json`` at the repo root
-so the speedup is tracked in the bench trajectory.  Set
+Results are recorded in ``BENCH_sim_throughput.json`` at the repo root,
+stamped with their provenance (commit, CPU count, Python and numpy
+versions), so the speedup is tracked in the bench trajectory.  Set
 ``REPRO_BENCH_SMOKE=1`` for a tiny CI-friendly configuration (no JSON
 record, no speedup floor - machines vary; correctness is still
 asserted).
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import random
 import time
 from pathlib import Path
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, provenance
 from repro.bdisk.file import FileSpec
 from repro.bdisk.multidisk import build_multidisk_program, config_from_demand
 from tests.oracles import sim_reference as reference
@@ -179,7 +179,7 @@ def test_runner_throughput_and_record():
                     "seed": SEED,
                     "faults": "none",
                 },
-                "python": platform.python_version(),
+                "provenance": provenance(),
                 "naive": {
                     "requests_per_sec": round(naive_rps),
                     "slots_per_sec": round(naive_sps),

@@ -134,9 +134,11 @@ class ProgramIndex:
         """Files with occurrence tables (= the program's files)."""
         return tuple(self._slots)
 
-    def _occurrence_arrays(
+    def occurrence_arrays(
         self, file: str
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """:meth:`occurrence_slots` and :meth:`occurrence_blocks` in one
+        lookup."""
         try:
             return self._slots[file], self._blocks[file]
         except KeyError:
@@ -150,20 +152,20 @@ class ProgramIndex:
 
     def occurrence_slots(self, file: str) -> tuple[int, ...]:
         """Slots of one data cycle at which ``file`` is served (sorted)."""
-        return self._occurrence_arrays(file)[0]
+        return self.occurrence_arrays(file)[0]
 
     def occurrence_blocks(self, file: str) -> tuple[int, ...]:
         """Block indices aligned with :meth:`occurrence_slots`."""
-        return self._occurrence_arrays(file)[1]
+        return self.occurrence_arrays(file)[1]
 
     def occurrences(self, file: str) -> tuple[tuple[int, int], ...]:
         """``(slot, block_index)`` pairs of one data cycle, in slot order."""
-        slots, blocks = self._occurrence_arrays(file)
+        slots, blocks = self.occurrence_arrays(file)
         return tuple(zip(slots, blocks))
 
     def occurrences_per_cycle(self, file: str) -> int:
         """Services of ``file`` per data cycle."""
-        return len(self._occurrence_arrays(file)[0])
+        return len(self.occurrence_arrays(file)[0])
 
     def next_occurrence(self, file: str, t: int) -> tuple[int, int]:
         """First ``(slot, block_index)`` of ``file`` at a slot >= ``t``.
@@ -172,7 +174,7 @@ class ProgramIndex:
         """
         if t < 0:
             raise SpecificationError(f"slot index must be >= 0, got {t}")
-        slots, blocks = self._occurrence_arrays(file)
+        slots, blocks = self.occurrence_arrays(file)
         if not slots:
             raise ProgramError(f"file {file!r} never appears in the program")
         base, within = divmod(t, self._cycle)
@@ -194,7 +196,7 @@ class ProgramIndex:
         """
         if start < 0:
             raise SpecificationError(f"slot index must be >= 0, got {start}")
-        slots, blocks = self._occurrence_arrays(file)
+        slots, blocks = self.occurrence_arrays(file)
         if not slots:
             return
         cycle = self._cycle
@@ -229,7 +231,7 @@ class ProgramIndex:
         key = (file, need)
         table = self._finish.get(key)
         if table is None:
-            slots = self._occurrence_arrays(file)[0]
+            slots = self.occurrence_arrays(file)[0]
             if need > self._widths[file]:
                 table = (-1,) * len(slots)
             else:

@@ -17,16 +17,14 @@ line of work it cites).  This module models that loop:
 * the value's **age at completion** is ``finish - version_write_slot``;
   temporal consistency holds when that age fits the item's constraint.
 
-:func:`retrieve_versioned` implements the client as an *occurrence
-walker*: it jumps service-to-service along the program's precomputed
-occurrence index (:attr:`BroadcastProgram.index`), pulling services and
-batched fault decisions from :func:`repro.sim.client.fault_batches`,
-the same source :func:`repro.sim.client.retrieve` uses.  Slots carrying
-other files never affected the outcome and fault decisions are
-deterministic per ``(seed, slot)``, so the result is bit-identical to
-the seed slot-walking loop (kept in ``tests/oracles/rtdb_reference.py``
-as the executable spec); benches sweep update periods to show the
-feasibility frontier between update rate and the retrieval window.
+:func:`retrieve_versioned` is one call of the scalar walker of
+:mod:`repro.sim.client`, on the program as a timeline of one segment
+whose version clock is the item's update period.  Slots carrying other
+files never affected the outcome and fault decisions are deterministic
+per ``(seed, slot)``, so the result is bit-identical to the seed
+slot-walking loop (kept in ``tests/oracles/rtdb_reference.py`` as the
+executable spec); benches sweep update periods to show the feasibility
+frontier between update rate and the retrieval window.
 """
 
 from __future__ import annotations
@@ -36,7 +34,12 @@ from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
-from repro.sim.client import best_channel, default_horizon, fault_batches
+from repro.sim.client import (
+    _FOREVER,
+    _walk_services,
+    best_channel,
+    default_horizon,
+)
 from repro.sim.faults import FaultModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -186,18 +189,17 @@ def retrieve_versioned(
     the version obtained, its age when retrieval completed, and how many
     blocks were thrown away to torn reads.
 
-    The client pulls its services from
-    :func:`repro.sim.client.fault_batches`; outcomes are bit-identical
-    to the slot walker preserved in
+    One call of the walker :func:`repro.sim.client.retrieve` uses;
+    outcomes are bit-identical to the slot walker preserved in
     ``tests/oracles/rtdb_reference.py``.
 
     Raises
     ------
     SimulationError
-        If ``file`` is not broadcast, ``start`` is negative, or no
-        ``max_slots`` was given and the derived default horizon exceeds
-        :data:`MAX_DEFAULT_HORIZON` (pass an explicit ``max_slots`` to
-        listen longer deliberately).
+        If ``file`` is not broadcast, ``start`` is negative, the horizon
+        is below one slot, or no ``max_slots`` was given and the derived
+        default horizon exceeds :data:`MAX_DEFAULT_HORIZON` (pass an
+        explicit ``max_slots`` to listen longer deliberately).
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
@@ -205,42 +207,17 @@ def retrieve_versioned(
     horizon = versioned_listen_horizon(
         program, file, m_needed, update_period, max_slots=max_slots
     )
-    held: set[int] = set()
-    held_version: int | None = None
-    discards = 0
-    for batch_slots, batch_blocks, decisions in fault_batches(
-        program.index, file, start, start + horizon, faults
-    ):
-        for slot, block, is_lost in zip(batch_slots, batch_blocks, decisions):
-            if is_lost:
-                continue
-            # A newer version discards everything held (the clock is
-            # monotone, so an older one never arrives).
-            version = slot // update_period
-            if version != held_version:
-                if held:
-                    discards += len(held)
-                    held = set()
-                held_version = version
-            held.add(block)
-            if len(held) >= m_needed:
-                return VersionedRetrieval(
-                    file=file,
-                    completed=True,
-                    finish_slot=slot,
-                    latency=slot - start + 1,
-                    version=version,
-                    age_at_completion=slot - version * update_period,
-                    torn_discards=discards,
-                )
+    finish, _, _, write, discards = _walk_services(
+        ((_FOREVER, program, 0, None, server.period),), file, m_needed,
+        start, horizon, faults, versioned=True,
+    )
+    # Positional: keywords cost a fifth of building the result.
     return VersionedRetrieval(
-        file=file,
-        completed=False,
-        finish_slot=None,
-        latency=None,
-        version=held_version,
-        age_at_completion=None,
-        torn_discards=discards,
+        file, finish is not None, finish,
+        None if finish is None else finish - start + 1,
+        None if write is None else write // update_period,
+        None if finish is None else finish - write,
+        discards,
     )
 
 

@@ -16,10 +16,10 @@ occurrences dovetail with the outgoing tail.
 
 The schedule is also the retrieval oracle for clients that live through
 splices: :meth:`retrieve` (distinct-block IDA reads) and
-:meth:`retrieve_versioned` (version-consistent temporal reads) share one
-walk that pulls each segment's services from
-:func:`repro.sim.client.fault_batches`, crossing segment boundaries
-transparently.  Cross-segment rules:
+:meth:`retrieve_versioned` (version-consistent temporal reads) hand
+their segments to the one scalar walker of :mod:`repro.sim.client`
+(a static program is a timeline of one segment), which crosses segment
+boundaries transparently.  Cross-segment rules:
 
 * **fault decisions are keyed on absolute slots** - the channel is one
   physical medium; a splice does not reshuffle its loss process;
@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram, SlotContent
-from repro.sim.client import fault_batches, listen_horizon
+from repro.sim.client import _FOREVER, _walk_services, listen_horizon
 from repro.sim.faults import FaultModel
 from repro.rtdb.updates import versioned_listen_horizon
 
@@ -134,7 +134,7 @@ class SplicedRetrieval:
 class AirSchedule:
     """An immutable timeline of broadcast programs spliced end to end."""
 
-    __slots__ = ("_segments", "_starts")
+    __slots__ = ("_segments", "_starts", "_rows")
 
     def __init__(self, segments: Sequence[Segment]) -> None:
         if not segments:
@@ -156,6 +156,11 @@ class AirSchedule:
                 )
         self._segments = tuple(segments)
         self._starts = tuple(segment.start for segment in segments)
+        # The scalar walker's rows (see repro.sim.client._walk_services).
+        self._rows = tuple(
+            (stop, s.program, s.absolute(0), s.dispersal_of, s.period)
+            for stop, s in zip(self._starts[1:] + (_FOREVER,), segments)
+        )
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -233,11 +238,8 @@ class AirSchedule:
         :class:`~repro.errors.SimulationError` when no segment from
         ``start`` onward ever airs the file.
         """
-        first = self.epoch_of(start)
-        home = self._home(file, start, first)
-        horizon = listen_horizon(home.program, m_needed, max_slots)
-        return self._walk(
-            file, m_needed, start, first, horizon, faults, False
+        return self._retrieval(
+            file, m_needed, start, faults, max_slots, versioned=False
         )
 
     def retrieve_versioned(
@@ -258,95 +260,47 @@ class AirSchedule:
         item's age nor tears a read by itself - only a genuine version
         boundary (or a re-dispersal) discards held blocks.
         """
-        first = self.epoch_of(start)
-        home = self._home(file, start, first)
-        horizon = versioned_listen_horizon(
-            home.program, file, m_needed, home.period(file),
-            max_slots=max_slots,
-        )
-        return self._walk(
-            file, m_needed, start, first, horizon, faults, True
+        return self._retrieval(
+            file, m_needed, start, faults, max_slots, versioned=True
         )
 
-    def _walk(
+    def _retrieval(
         self,
         file: str,
         m_needed: int,
         start: int,
-        first: int,
-        horizon: int,
         faults: FaultModel | None,
+        max_slots: int | None,
+        *,
         versioned: bool,
     ) -> SplicedRetrieval:
-        """The one spliced walk: :func:`~repro.sim.client.fault_batches`
-        per segment, at that segment's shift, over ``[start, start +
-        horizon)``; ``first`` is the epoch covering ``start``.
-
-        A change of ``m`` is judged at the first *heard* service of each
-        later segment, against the ``m`` of the last segment that had
-        one - a segment whose every service was lost changes nothing.
-        """
-        if horizon < 1:
-            raise SimulationError(f"horizon must be >= 1: {horizon}")
-        end = start + horizon
-        held: set[int] = set()
-        held_m: int | None = None
-        held_write: int | None = None
-        discards = 0
-        for epoch in range(first, len(self._segments)):
-            segment = self._segments[epoch]
-            lo = max(start, segment.start)
-            hi = (
-                min(end, self._starts[epoch + 1])
-                if epoch + 1 < len(self._starts)
-                else end
+        """Walk from ``start`` with the one scalar walker, over the
+        horizon of the first segment that airs ``file``; a walk that
+        runs out is busy through the horizon's last slot."""
+        first = self.epoch_of(start)
+        home = self._home(file, start, first)
+        if versioned:
+            horizon = versioned_listen_horizon(
+                home.program, file, m_needed, home.period(file),
+                max_slots=max_slots,
             )
-            if hi <= lo:
-                break
-            if file not in segment.program.files:
-                continue
-            # The IDA level m when declared, else the aired block count
-            # (conservative: it also moves when only the budget r does).
-            m_here = segment.dispersal_of(file)
-            if m_here is None:
-                m_here = segment.program.block_count(file)
-            period = segment.period(file) if versioned else 0
-            shift = segment.absolute(0)
-            for slots, blocks, decisions in fault_batches(
-                segment.program.index, file, lo - shift, hi - shift,
-                faults, shift=shift,
-            ):
-                for slot, block, dropped in zip(slots, blocks, decisions):
-                    if dropped:
-                        continue
-                    if m_here != held_m:
-                        discards += len(held)
-                        held.clear()
-                        held_m, held_write = m_here, None
-                    if versioned and slot - slot % period != held_write:
-                        discards += len(held)
-                        held.clear()
-                        held_write = slot - slot % period
-                    held.add(block)
-                    if len(held) >= m_needed:
-                        return SplicedRetrieval(
-                            file=file,
-                            completed=True,
-                            finish_slot=slot,
-                            latency=slot - start + 1,
-                            segments_crossed=epoch - first,
-                            age_at_completion=(
-                                slot - held_write if versioned else None
-                            ),
-                            torn_discards=discards,
-                        )
+        else:
+            horizon = listen_horizon(home.program, m_needed, max_slots)
+        finish, _, _, write, discards = _walk_services(
+            self._rows[first:], file, m_needed, start, horizon, faults,
+            versioned=versioned,
+        )
+        completed = finish is not None
+        last = finish if completed else start + horizon - 1
+        # Positional: keywords cost a fifth of building the result.
         return SplicedRetrieval(
-            file=file,
-            completed=False,
-            finish_slot=end - 1,
-            latency=None,
-            segments_crossed=self.epoch_of(end - 1) - first,
-            torn_discards=discards,
+            file,
+            completed,
+            last,
+            last - start + 1 if completed else None,
+            bisect_right(self._starts, last, first) - 1 - first,
+            last - write if completed and versioned else None,
+            discards,
         )
 
     def __len__(self) -> int:

@@ -18,9 +18,10 @@ The client is an *occurrence walker*: instead of scanning the program
 slot by slot, it jumps service-to-service along the program's
 precomputed occurrence index (:attr:`BroadcastProgram.index`), asking
 the fault model about whole batches of candidate slots at once
-(:func:`fault_batches`, the occurrence source it shares with the
-versioned and spliced-timeline walkers).  The retrieval outcome is
-bit-identical to the seed slot-walking loop (kept in
+(:func:`fault_batches`).  One walker, :func:`_walk_services`, owns
+that loop for ``retrieve``, the versioned read and the spliced
+timeline; a static program is a timeline of one segment.  The outcome
+is bit-identical to the seed slot-walking loop (kept in
 ``tests/oracles/sim_reference.py`` as the executable spec) because fault
 decisions are deterministic per ``(seed, slot)`` and slots carrying
 other files never affected the outcome.
@@ -28,6 +29,7 @@ other files never affected the outcome.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
@@ -87,21 +89,21 @@ def fault_batches(
     start: int,
     end: int,
     faults: FaultModel | None,
-    *,
     shift: int = 0,
 ) -> Iterator[tuple[list[int], list[int], Iterable[bool]]]:
     """Yield ``(slots, blocks, lost)`` batches covering the services of
     ``file`` in program slots ``[start, end)``, in slot order.
 
-    The one occurrence source of every scalar walker.  Slots are
-    reported, and decided, as ``program_slot + shift``: a program
-    spliced onto an airing timeline airs program slot ``s`` at absolute
-    slot ``s + shift``.  Each batch is decided by one :func:`lost_in`
-    call; widths grow geometrically from :data:`FAULT_BATCH_FIRST` to
-    :data:`FAULT_BATCH_MAX`.  A walker that finishes stops pulling, so
-    it decides at most about twice the occurrences it heard.  On the
-    clean channel (``None`` or :class:`NoFaults`) nothing is decided:
-    every batch shares one all-False stream.
+    The occurrence source of the one scalar walker,
+    :func:`_walk_services`, for each segment it walks.  Slots are
+    reported, and decided, as ``program_slot + shift``: a segment airs
+    program slot ``s`` at absolute slot ``s + shift``.  Each batch is
+    decided by one :func:`lost_in` call; widths grow geometrically from
+    :data:`FAULT_BATCH_FIRST` to :data:`FAULT_BATCH_MAX`.  A walker that
+    finishes stops pulling, so it decides at most about twice the
+    occurrences it heard.  On the clean channel (``None`` or
+    :class:`NoFaults`) nothing is decided: every batch shares one
+    all-False stream.
 
     Raises :class:`SimulationError` when ``start < 0`` - the channel
     has no slots before slot 0.
@@ -111,8 +113,7 @@ def fault_batches(
             f"a retrieval cannot start before slot 0: start={start}"
         )
     clean = faults is None or isinstance(faults, NoFaults)
-    occ_slots = index.occurrence_slots(file)
-    occ_blocks = index.occurrence_blocks(file)
+    occ_slots, occ_blocks = index.occurrence_arrays(file)
     count = len(occ_slots)
     cycle = index.data_cycle_length
     # Pointer (base, i): the next candidate occurrence is occurrence i of
@@ -145,6 +146,91 @@ def fault_batches(
             _NEVER_LOST if clean else lost_in(faults, batch_slots)
         )
         width = min(2 * width, FAULT_BATCH_MAX)
+
+
+#: The ``stop`` of a segment that nothing replaces, and the update
+#: period of a plain walk, whose version clock never ticks.
+_FOREVER = sys.maxsize
+
+
+def _walk_services(
+    segments: Sequence[tuple],
+    file: str,
+    m_needed: int,
+    start: int,
+    horizon: int,
+    faults: FaultModel | None,
+    need_distinct: bool = True,
+    versioned: bool = False,
+) -> tuple[int | None, dict[int, None], list[int], int | None, int]:
+    """The one scalar walker: hear ``file`` in ``[start, start +
+    horizon)`` until ``m_needed`` distinct blocks survive.
+
+    ``segments`` holds one row ``(stop, program, shift, dispersal_of,
+    period_of)`` per program on the air, in airing order, from the one
+    covering ``start``.  A row airs program slot ``s`` at slot
+    ``s + shift`` until slot ``stop``; ``dispersal_of(file)`` is the
+    file's IDA level ``m`` there (``None``: the aired block count) and
+    ``period_of(file)`` its update period.  A static program is the row
+    ``(_FOREVER, program, 0, None, period_of)``: one segment at shift 0,
+    with no dispersal rule since its ``m`` never changes.
+
+    Held blocks are dropped, as torn discards, when a heard service airs
+    under another ``m`` or past a version boundary (``versioned`` only);
+    a row whose every service is lost changes nothing.  The walk ends at
+    ``m_needed`` distinct blocks or, without ``need_distinct``, once it
+    holds every index below ``m_needed``.  Returns ``(finish, held,
+    lost, write, discards)``: the finish slot or ``None``, the held
+    blocks in arrival order, the lost slots, the held version's write
+    slot (``None`` if nothing was heard) and the torn discards.
+
+    Raises :class:`SimulationError` when ``horizon < 1`` or ``start <
+    0``.
+    """
+    if horizon < 1:
+        raise SimulationError(f"horizon must be >= 1: {horizon}")
+    end = start + horizon
+    # A specific-blocks walk must hold these indices, not just m blocks.
+    wanted = None if need_distinct else set(range(m_needed))
+    held: dict[int, None] = {}
+    need, lost, discards = m_needed, [], 0
+    held_m = held_write = None
+    lo = start
+    for stop, program, shift, dispersal_of, period_of in segments:
+        if lo >= end:
+            break
+        hi = stop if stop < end else end
+        if file in program.files:
+            m_here = dispersal_of and dispersal_of(file)
+            if m_here is None and dispersal_of:
+                m_here = program.block_count(file)
+            period = period_of(file) if versioned else _FOREVER
+            if not held:  # nothing to drop: count from lo's version
+                held_m, held_write = m_here, lo - lo % period
+                boundary = held_write + period
+            elif versioned or m_here != held_m:
+                boundary = -1  # the next heard service judges both
+            for slots, blocks, decisions in fault_batches(
+                program.index, file, lo - shift, hi - shift, faults, shift
+            ):
+                for slot, block, dropped in zip(slots, blocks, decisions):
+                    if dropped:
+                        lost.append(slot)
+                        continue
+                    if slot >= boundary:
+                        write = slot - slot % period
+                        boundary = write + period
+                        if write != held_write or m_here != held_m:
+                            discards += len(held)
+                            held, need = {}, m_needed
+                            held_m, held_write = m_here, write
+                    held[block] = None
+                    if len(held) >= need:
+                        if wanted is None or held.keys() >= wanted:
+                            return slot, held, lost, held_write, discards
+                        need = len(held) + 1
+        lo = hi
+    return None, held, lost, held_write if held else None, discards
 
 
 @dataclass(frozen=True)
@@ -222,48 +308,19 @@ def retrieve(
     SimulationError
         If ``file`` is not in the program (the retrieval could never
         finish, which is a configuration error rather than a timeout),
-        or ``start`` is negative.
+        ``start`` is negative, or the horizon is below one slot.
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
-    horizon = listen_horizon(program, m_needed, max_slots)
-    seen: set[int] = set()
-    arrival_order: list[int] = []
-    lost: list[int] = []
-    wanted = set(range(m_needed)) if not need_distinct else None
-    for batch_slots, batch_blocks, decisions in fault_batches(
-        program.index, file, start, start + horizon, faults
-    ):
-        for slot, block, is_lost in zip(batch_slots, batch_blocks, decisions):
-            if is_lost:
-                lost.append(slot)
-                continue
-            if block not in seen:
-                seen.add(block)
-                arrival_order.append(block)
-            done = (
-                len(seen) >= m_needed
-                if need_distinct
-                else wanted is not None and wanted <= seen
-            )
-            if done:
-                return RetrievalResult(
-                    file=file,
-                    start=start,
-                    completed=True,
-                    finish_slot=slot,
-                    latency=slot - start + 1,
-                    received=tuple(arrival_order),
-                    lost_slots=tuple(lost),
-                )
+    finish, held, lost, _, _ = _walk_services(
+        ((_FOREVER, program, 0, None, None),), file, m_needed, start,
+        listen_horizon(program, m_needed, max_slots), faults, need_distinct,
+    )
+    # Positional: keywords cost a fifth of building the result.
     return RetrievalResult(
-        file=file,
-        start=start,
-        completed=False,
-        finish_slot=None,
-        latency=None,
-        received=tuple(arrival_order),
-        lost_slots=tuple(lost),
+        file, start, finish is not None, finish,
+        None if finish is None else finish - start + 1,
+        tuple(held), tuple(lost),
     )
 
 

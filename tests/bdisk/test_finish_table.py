@@ -9,7 +9,7 @@ channel choice and the SoA retrieval tables rely on it agreeing with
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SpecificationError
+from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
@@ -46,6 +46,15 @@ def assert_lookup_matches_walk(program):
                     needed = finish - start + 1
                     horizons |= {needed - 1, needed, needed + 1}
                 for horizon in sorted(h for h in horizons if h >= 0):
+                    if horizon == 0:
+                        # No walk listens to fewer than one slot.
+                        with pytest.raises(
+                            SimulationError, match="horizon must be >= 1: 0"
+                        ):
+                            retrieve(
+                                program, file, m, start=start, max_slots=0
+                            )
+                        continue
                     walk = retrieve(
                         program, file, m, start=start, max_slots=horizon
                     )

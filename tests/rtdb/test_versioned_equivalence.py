@@ -9,10 +9,12 @@ These properties pin that down on randomized programs, fault models,
 update periods, and phases.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
+from repro.errors import SimulationError
 from tests.oracles import rtdb_reference as reference
 from repro.rtdb.items import DataItem
 from repro.rtdb.temporal import TemporalConstraint
@@ -82,6 +84,16 @@ class TestVersionedRetrievalEquivalence:
             )
         )
         server = UpdatingServer({file: period})
+        if max_slots == 0:
+            # The seed walked no slot; the walker refuses the horizon.
+            with pytest.raises(
+                SimulationError, match="^horizon must be >= 1: 0$"
+            ):
+                retrieve_versioned(
+                    program, server, file, m_needed,
+                    start=start, faults=faults(), max_slots=max_slots,
+                )
+            return
         expected = reference.retrieve_versioned(
             program, server, file, m_needed,
             start=start, faults=faults(), max_slots=max_slots,

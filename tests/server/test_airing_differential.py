@@ -1,8 +1,9 @@
 """Differential tests: spliced-timeline walkers vs a slot-by-slot oracle.
 
 :meth:`AirSchedule.retrieve` and :meth:`AirSchedule.retrieve_versioned`
-pull each segment's services from :func:`repro.sim.client.fault_batches`
-at that segment's shift.  The oracle here walks every absolute slot of
+hand their segments to the one scalar walker, which pulls each
+segment's services from :func:`repro.sim.client.fault_batches` at that
+segment's shift.  The oracle here walks every absolute slot of
 the horizon instead: it reads what airs from :meth:`AirSchedule.content`
 and :meth:`AirSchedule.segment_at`, asks the fault model one slot at a
 time, and applies the cross-segment rules as the module documents them
@@ -14,7 +15,10 @@ random timelines of one to three segments: splices on outgoing
 data-cycle boundaries with random phase offsets, the target absent from
 some segments, ``m`` and update periods changing across splices,
 none/Bernoulli/Burst/Adversarial faults (including whole segments
-blacked out), and starts and horizons that cross splices.
+blacked out), and starts and horizons that cross splices.  A timeline
+of one segment must also equal the static walkers,
+:func:`~repro.sim.client.retrieve` and
+:func:`~repro.rtdb.updates.retrieve_versioned`.
 """
 
 from dataclasses import fields
@@ -25,7 +29,9 @@ from hypothesis import given, settings, strategies as st
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
 from repro.errors import SimulationError
+from repro.rtdb.updates import UpdatingServer, retrieve_versioned
 from repro.server.airing import AirSchedule, Segment, SplicedRetrieval
+from repro.sim.client import retrieve
 from repro.sim.faults import (
     AdversarialFaults,
     BernoulliFaults,
@@ -290,3 +296,91 @@ class TestRedispersalJudgedAtFirstHeardService:
         assert as_fields(result) == as_fields(expected)
         assert result.completed and result.torn_discards == 0
         assert result.segments_crossed == 2
+
+
+@st.composite
+def static_faults(draw):
+    """A zero-argument factory: none, Bernoulli, burst or adversarial."""
+    kind = draw(st.sampled_from(["none", "bernoulli", "burst", "adversarial"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "none":
+        return lambda: None
+    if kind == "bernoulli":
+        p = draw(st.floats(0.0, 0.7))
+        return lambda: BernoulliFaults(p, seed=seed)
+    if kind == "burst":
+        p_enter = draw(st.floats(0.0, 0.4))
+        p_exit = draw(st.floats(0.2, 1.0))
+        return lambda: BurstFaults(p_enter, p_exit, seed=seed)
+    lost = draw(st.sets(st.integers(0, 200), max_size=40))
+    return lambda: AdversarialFaults(lost)
+
+
+def static_walk(program, data):
+    """A start, ``m`` and horizon for a walk of the target on one
+    program."""
+    cycle = program.data_cycle_length
+    start = data.draw(st.integers(0, 3 * cycle), label="start")
+    m_needed = data.draw(
+        st.integers(1, program.block_count(TARGET) + 1), label="m_needed"
+    )
+    max_slots = data.draw(
+        st.one_of(st.none(), st.integers(1, 4 * cycle)), label="max_slots"
+    )
+    return start, m_needed, max_slots
+
+
+class TestOneSegmentIsTheStaticProgram:
+    """A timeline of one segment at slot 0 is the static program: its
+    walks equal :func:`repro.sim.client.retrieve` and
+    :func:`repro.rtdb.updates.retrieve_versioned`."""
+
+    @given(
+        program=programs(carries=True),
+        faults=static_faults(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_retrieve(self, program, faults, data):
+        start, m_needed, max_slots = static_walk(program, data)
+        spliced = AirSchedule([Segment(0, program)]).retrieve(
+            TARGET, m_needed, start=start, faults=faults(),
+            max_slots=max_slots,
+        )
+        static = retrieve(
+            program, TARGET, m_needed, start=start, faults=faults(),
+            max_slots=max_slots,
+        )
+        assert spliced.completed == static.completed
+        assert spliced.latency == static.latency
+        if static.completed:
+            assert spliced.finish_slot == static.finish_slot
+
+    @given(
+        program=programs(carries=True),
+        faults=static_faults(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_retrieve_versioned(self, program, faults, data):
+        start, m_needed, max_slots = static_walk(program, data)
+        cycle = program.data_cycle_length
+        periods = {
+            name: data.draw(st.integers(1, 3 * cycle), label=name)
+            for name in program.files
+        }
+        timeline = AirSchedule([
+            Segment(0, program, update_periods=periods)
+        ])
+        spliced = timeline.retrieve_versioned(
+            TARGET, m_needed, start=start, faults=faults(),
+            max_slots=max_slots,
+        )
+        static = retrieve_versioned(
+            program, UpdatingServer(periods), TARGET, m_needed,
+            start=start, faults=faults(), max_slots=max_slots,
+        )
+        assert spliced.completed == static.completed
+        assert spliced.latency == static.latency
+        assert spliced.age_at_completion == static.age_at_completion
+        assert spliced.torn_discards == static.torn_discards

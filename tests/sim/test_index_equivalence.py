@@ -11,11 +11,13 @@ models, and requirements.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
+from repro.errors import SimulationError
 from repro.ida.dispersal import disperse
 from tests.oracles import sim_reference as reference
 from repro.sim.channel import ByteChannel, broadcast_retrieve
@@ -98,6 +100,17 @@ class TestRetrieveEquivalence:
                 st.integers(0, 4 * program.data_cycle_length),
             )
         )
+        if max_slots == 0:
+            # The seed walked no slot; the walker refuses the horizon.
+            with pytest.raises(
+                SimulationError, match="^horizon must be >= 1: 0$"
+            ):
+                retrieve(
+                    program, file, m_needed,
+                    start=start, faults=faults(),
+                    need_distinct=need_distinct, max_slots=max_slots,
+                )
+            return
         expected = reference.retrieve(
             program, file, m_needed,
             start=start, faults=faults(),

@@ -6,24 +6,36 @@ are arithmetic on a file's service counts (:mod:`repro.sim.delay`,
 with idle and shared slots they must equal the searches they replaced
 - the exhaustive adversary game of ``delay_reference`` and the seed
 slot walks of :mod:`tests.oracles.sim_reference` - value for value, and raise
-the same :class:`SimulationError` text wherever the game raises.
+the same :class:`SimulationError` text wherever the game raises.  The
+worst-case latency also bounds the scalar walker
+(:func:`repro.sim.client.retrieve`) under every placement of ``j``
+losses, and is reached.
 """
+
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import delay_reference
+from repro.api import Scenario
+from repro.api.engine import BroadcastEngine
 from repro.bdisk.flat import build_aida_flat_program
 from repro.bdisk.program import BroadcastProgram
 from repro.core.schedule import IDLE, Schedule
 from repro.errors import ProgramError, SimulationError
 from tests.oracles import sim_reference as reference
+from repro.sim.client import retrieve
 from repro.sim.delay import (
     chosen_channel_delay,
     fault_free_latency,
     worst_case_delay,
     worst_case_latency,
 )
+from repro.sim.faults import AdversarialFaults
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 @st.composite
@@ -207,3 +219,57 @@ class TestWindows:
         assert program.min_distinct_in_window("A", 8) == 5
         assert worst_case_delay(program, "A", 5, 2) == 4
         assert program._index is None
+
+
+def assert_certificate_bounds_the_walker(program, file, m_needed, errors,
+                                         distinct):
+    """Every phase of one data cycle, every set of at most ``errors`` of
+    the file's services in ``[phase, phase + L)``: the walker finishes
+    within ``L = worst_case_latency(...)`` at its default horizon, and
+    the worst of them takes exactly ``L``."""
+    bound = worst_case_latency(
+        program, file, m_needed, errors, need_distinct=distinct
+    )
+    worst = 0
+    for phase in range(program.data_cycle_length):
+        services = [
+            t for t in range(phase, phase + bound)
+            if (content := program.slot_content(t)) is not None
+            and content.file == file
+        ]
+        for count in range(errors + 1):
+            for lost in combinations(services, count):
+                result = retrieve(
+                    program, file, m_needed, start=phase,
+                    faults=AdversarialFaults(lost), need_distinct=distinct,
+                )
+                assert result.completed, (phase, lost)
+                assert result.latency <= bound, (phase, lost)
+                worst = max(worst, result.latency)
+    assert worst == bound
+
+
+class TestCertificateBoundsTheWalker:
+    """The paper's promise against the one scalar walker: within
+    ``d(j)`` slots despite any ``j`` losses, and no sooner in the worst
+    case."""
+
+    @given(program=programs(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_programs(self, program, data):
+        file = data.draw(st.sampled_from(program.files))
+        m_needed = data.draw(st.integers(1, program.block_count(file)))
+        errors = data.draw(st.integers(0, 2))
+        assert_certificate_bounds_the_walker(
+            program, file, m_needed, errors, data.draw(st.booleans())
+        )
+
+    @pytest.mark.parametrize("distinct", [True, False], ids=["ida", "specific"])
+    def test_scenario_awacs(self, distinct):
+        scenario = Scenario.from_file(EXAMPLES / "scenario_awacs.json")
+        program = BroadcastEngine(scenario).design().program
+        for spec in scenario.files:
+            for errors in range(scenario.delay_errors + 1):
+                assert_certificate_bounds_the_walker(
+                    program, spec.name, spec.blocks, errors, distinct
+                )

@@ -1,19 +1,31 @@
-"""The occurrence kernel shared by every scalar walker.
+"""The occurrence kernel of the one scalar walker.
 
 :func:`repro.sim.client.fault_batches` reports and decides shifted slots
 for spliced segments, decides nothing on the clean channel, and refuses
 a negative start - for :func:`~repro.sim.client.retrieve` in both modes
 and :func:`~repro.rtdb.updates.retrieve_versioned`, on every channel.
-(Batch widths and the decision bound are in ``test_fault_batches.py``.)
+Every entry that walks refuses a horizon below one slot.  (Batch widths
+and the decision bound are in ``test_fault_batches.py``.)
 """
+
+from pathlib import Path
 
 import pytest
 
+from repro.api import Scenario
+from repro.api.engine import BroadcastEngine
 from repro.bdisk.flat import build_aida_flat_program
 from repro.errors import SimulationError
-from repro.rtdb.updates import UpdatingServer, retrieve_versioned
-from repro.sim.client import fault_batches, retrieve
+from repro.rtdb.updates import (
+    UpdatingServer,
+    retrieve_versioned,
+    retrieve_versioned_quorum,
+)
+from repro.server.airing import AirSchedule, Segment
+from repro.sim.client import fault_batches, retrieve, retrieve_multichannel
 from repro.sim.faults import BernoulliFaults, BurstFaults, NoFaults
+from repro.sim.runner import simulate_requests, simulate_requests_multichannel
+from repro.sim.workload import Request
 
 
 class CountingFaults:
@@ -104,3 +116,77 @@ class TestNegativeStart:
         program = build_aida_flat_program([("A", 1, 1)])
         with pytest.raises(SimulationError, match="before slot 0"):
             next(fault_batches(program.index, "A", -1, 10, None))
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def _multichannel():
+    """examples/scenario_multichannel.json's aired channel set."""
+    scenario = Scenario.from_file(EXAMPLES / "scenario_multichannel.json")
+    return BroadcastEngine(scenario).design().channel_set
+
+
+def _entries():
+    """Every entry that walks, as ``name -> call(max_slots)``."""
+    program = build_aida_flat_program([("A", 2, 5), ("B", 3, 4)])
+    server = UpdatingServer({"A": 7, "B": 7})
+    timeline = AirSchedule([
+        Segment(0, program, update_periods={"A": 7, "B": 7})
+    ])
+    request = Request(time=3, file="A", deadline=20)
+    return {
+        "retrieve": lambda h: retrieve(program, "A", 2, max_slots=h),
+        "retrieve-specific": lambda h: retrieve(
+            program, "A", 2, need_distinct=False, max_slots=h
+        ),
+        "retrieve_versioned": lambda h: retrieve_versioned(
+            program, server, "A", 2, max_slots=h
+        ),
+        "retrieve_multichannel": lambda h: retrieve_multichannel(
+            _multichannel(), "air-tracks", 2, start=50, tuned=1,
+            max_slots=h,
+        ),
+        "retrieve_versioned_quorum": lambda h: retrieve_versioned_quorum(
+            _multichannel(), UpdatingServer({"air-tracks": 40}),
+            "air-tracks", 2, start=50, tuned=1, max_slots=h,
+        ),
+        "simulate_requests": lambda h: simulate_requests(
+            program, [request], file_sizes={"A": 2}, max_slots=h
+        ),
+        "simulate_requests_multichannel": lambda h: (
+            simulate_requests_multichannel(
+                _multichannel(),
+                [Request(time=3, file="air-tracks", deadline=20)],
+                file_sizes={"air-tracks": 2},
+                max_slots=h,
+            )
+        ),
+        "AirSchedule.retrieve": lambda h: timeline.retrieve(
+            "A", 2, start=3, max_slots=h
+        ),
+        "AirSchedule.retrieve_versioned": (
+            lambda h: timeline.retrieve_versioned(
+                "A", 2, start=3, max_slots=h
+            )
+        ),
+    }
+
+
+class TestHorizonRule:
+    """A listening horizon below one slot is refused at every entry
+    that walks, with one text - never walked as a silent abort (a
+    multi-channel client would report itself busy until before it
+    started, and a request would count as a deadline miss)."""
+
+    @pytest.mark.parametrize("max_slots", [0, -3])
+    @pytest.mark.parametrize("entry", sorted(_entries()))
+    def test_below_one_slot_raises(self, entry, max_slots):
+        with pytest.raises(
+            SimulationError, match=f"^horizon must be >= 1: {max_slots}$"
+        ):
+            _entries()[entry](max_slots)
+
+    @pytest.mark.parametrize("entry", sorted(_entries()))
+    def test_one_slot_walks(self, entry):
+        _entries()[entry](1)
