@@ -6,8 +6,9 @@ solve-cache (:mod:`repro.sweep.cache`) exactly one cell pays the
 designer - bandwidth planning, portfolio scheduling, verification - and
 every other cell injects the cached :class:`ProgramDesign` and pays only
 its own simulation.  This bench quantifies that on a 120-cell grid over
-a 40-file catalogue (expensive enough to design that the solver
-dominates a cell):
+a 60-file catalogue, expensive enough to design that the solver
+dominates a cell (at 40 files, since designs got cheaper, full runs
+read 3.3-5.3x):
 
 * **cache off** - every cell re-solves the identical instance;
 * **cache on** - one solve, every other cell a content-addressed hit.
@@ -34,7 +35,7 @@ from repro.api import Scenario
 from repro.sweep import SweepSpec, marginals, run_sweep
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-FILES = 6 if SMOKE else 40
+FILES = 6 if SMOKE else 60
 REQUESTS = 4 if SMOKE else 6
 PROBABILITIES = (0.0, 0.05) if SMOKE else (
     0.0, 0.01, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 0.3,

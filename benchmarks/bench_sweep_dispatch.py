@@ -5,7 +5,7 @@ A pooled sweep ships consecutive cells as one task
 (:func:`repro.sweep.orchestrate._batch_size`) and commits each batch with
 one group commit, and every cell's payload check multiplies over
 GF(2^8) by gathers from one product table.  This bench records both
-layers on ``bench_sweep``'s seeded 40-file, 120-cell grid at two
+layers on ``bench_sweep``'s seeded 60-file, 120-cell grid at two
 workers:
 
 * **grid** - wall, rows/s, the parent's CPU (``RUSAGE_SELF``), the

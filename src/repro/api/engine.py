@@ -30,9 +30,10 @@ from typing import Any, Iterable, Mapping
 
 from repro.errors import SpecificationError
 from repro.fields import check_int
+from repro.memo import ScopedMemo
 from repro.obs import telemetry as obs
 from repro.core.solver import SolveReport
-from repro.ida import AidaEncoder, reconstruct
+from repro.ida import AidaEncoder, Block, reconstruct
 from repro.bdisk.builder import (
     ProgramDesign,
     design_generalized_program,
@@ -56,6 +57,19 @@ from repro.traffic.simulate import (
     simulate_traffic_shard,
 )
 from repro.api.scenario import Scenario
+
+#: The dispersals :meth:`BroadcastEngine.payload_checks` shares, keyed
+#: by ``(file, payload, m, n_max)``.  A sweep opens it while it runs
+#: cells (:func:`repro.memo.opened`), so the scope, not the bound, is
+#: what keeps it from pinning payloads; outside that scope every check
+#: disperses its own.
+SHARED_DISPERSALS = ScopedMemo(4096)
+
+
+def _dispersal(key: tuple[str, bytes, int, int]) -> tuple[Block, ...]:
+    """The full AIDA dispersal of ``key``: file, payload, m, n_max."""
+    file, payload, m, n_max = key
+    return tuple(AidaEncoder(file, payload, m=m, n_max=n_max).blocks)
 
 
 @dataclass(frozen=True)
@@ -605,6 +619,14 @@ class BroadcastEngine:
         payload (at the scenario's ``block_size``) with AIDA, take the
         blocks that retrieval actually received over the fault channel,
         reconstruct, and compare bit-for-bit.
+
+        The dispersal depends only on ``(file, payload, m, n_max)``,
+        where ``n_max`` is the airing program's rotation width (for a
+        channel set, that of the channel the retrieval tuned).  While a
+        sweep runs cells, :data:`SHARED_DISPERSALS` holds one dispersal
+        per such key for all of them.  The verdict is never memoized:
+        every check reconstructs from its own received blocks and
+        compares the bytes.
         """
         if simulation is None:
             return None
@@ -627,20 +649,16 @@ class BroadcastEngine:
             if retrieval is None:
                 continue
             payload = spec.payload(scenario.block_size)
-            encoder = AidaEncoder(
-                spec.name,
-                payload,
-                m=spec.blocks,
-                # The dispersal width is the airing program's: for a
-                # multi-channel run, the channel this retrieval tuned.
-                n_max=(
-                    design.channel_set.programs[retrieval.channel]
-                    if multi
-                    else program
-                ).block_count(spec.name),
+            n_max = (
+                design.channel_set.programs[retrieval.channel]
+                if multi
+                else program
+            ).block_count(spec.name)
+            dispersal = SHARED_DISPERSALS.lookup(
+                (spec.name, payload, spec.blocks, n_max), _dispersal
             )
             blocks = [
-                encoder.blocks[index]
+                dispersal[index]
                 for index in retrieval.received[: spec.blocks]
             ]
             checks[spec.name] = reconstruct(blocks) == payload

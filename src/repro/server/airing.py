@@ -112,6 +112,31 @@ class Segment:
         return self.update_periods[file]
 
 
+def _check_splice(earlier: Segment, later: Segment) -> None:
+    """Raise unless ``later`` may follow ``earlier``: strictly later,
+    on a data-cycle boundary of the outgoing program."""
+    if later.start <= earlier.start:
+        raise SimulationError(
+            f"segment starts must be strictly increasing: "
+            f"{earlier.start} then {later.start}"
+        )
+    cycle = earlier.program.data_cycle_length
+    if (later.start - earlier.start) % cycle != 0:
+        raise SimulationError(
+            f"splice at slot {later.start} is not on a "
+            f"data-cycle boundary of the outgoing program "
+            f"(starts {earlier.start}, cycle {cycle} slots)"
+        )
+
+
+def _row(stop: int, segment: Segment) -> tuple:
+    """``segment``'s row of the scalar walker, airing until ``stop``."""
+    return (
+        stop, segment.program, segment.absolute(0), segment.dispersal_of,
+        segment.period,
+    )
+
+
 @dataclass(frozen=True)
 class SplicedRetrieval:
     """Outcome of a retrieval walked across an airing timeline.
@@ -142,23 +167,12 @@ class AirSchedule:
                 "an air schedule needs at least one segment"
             )
         for earlier, later in zip(segments, segments[1:]):
-            if later.start <= earlier.start:
-                raise SimulationError(
-                    f"segment starts must be strictly increasing: "
-                    f"{earlier.start} then {later.start}"
-                )
-            cycle = earlier.program.data_cycle_length
-            if (later.start - earlier.start) % cycle != 0:
-                raise SimulationError(
-                    f"splice at slot {later.start} is not on a "
-                    f"data-cycle boundary of the outgoing program "
-                    f"(starts {earlier.start}, cycle {cycle} slots)"
-                )
+            _check_splice(earlier, later)
         self._segments = tuple(segments)
         self._starts = tuple(segment.start for segment in segments)
         # The scalar walker's rows (see repro.sim.client._walk_services).
         self._rows = tuple(
-            (stop, s.program, s.absolute(0), s.dispersal_of, s.period)
+            _row(stop, s)
             for stop, s in zip(self._starts[1:] + (_FOREVER,), segments)
         )
 
@@ -199,10 +213,20 @@ class AirSchedule:
         """A new timeline with ``segment`` appended at its start slot.
 
         Validates the splice invariant (strictly later, on an outgoing
-        data-cycle boundary); the receiver is unchanged, so a rejected
-        candidate costs nothing.
+        data-cycle boundary) for the one new pair: the receiver's pairs
+        were validated when it was built.  The receiver is unchanged,
+        so a rejected candidate costs nothing, and an accepted one
+        reuses every row but the outgoing segment's, whose stop it sets.
         """
-        return AirSchedule(self._segments + (segment,))
+        outgoing = self._segments[-1]
+        _check_splice(outgoing, segment)
+        spliced = AirSchedule.__new__(AirSchedule)
+        spliced._segments = self._segments + (segment,)
+        spliced._starts = self._starts + (segment.start,)
+        spliced._rows = self._rows[:-1] + (
+            _row(segment.start, outgoing), _row(_FOREVER, segment),
+        )
+        return spliced
 
     # ------------------------------------------------------------------
     # Retrieval across segments

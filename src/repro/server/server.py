@@ -827,7 +827,14 @@ class BroadcastServer:
         return ran
 
     def close(self) -> ServerResult:
-        """Sign off: final log record, close the log, summarize."""
+        """Sign off: final log record, close the log, summarize.
+
+        The station airs through its last committed splice before it
+        signs off, so every epoch it reports went on air: the sign-off
+        (and ``final_slot``) is the later of :attr:`now` and the last
+        splice slot on any channel.  No client is served past ``now``
+        while the splices drain.
+        """
         if self._closed:
             raise SpecificationError("server is already closed")
         self._closed = True
@@ -845,9 +852,10 @@ class BroadcastServer:
                 }
             )
         )
+        sign_off = max([self._now, *splice_slots])
         self._log.record(
             "sign-off",
-            self._now,
+            sign_off,
             epochs=len(self._epochs),
             mutations=len(self._mutations),
             splices=list(splice_slots),
@@ -858,7 +866,7 @@ class BroadcastServer:
         self._log.close()
         return ServerResult(
             scenario=self._epochs[0].scenario.name,
-            final_slot=self._now,
+            final_slot=sign_off,
             events_processed=self._events,
             epochs=tuple(
                 epoch.summary(self._schedules) for epoch in self._epochs

@@ -109,7 +109,9 @@ def broadcast_retrieve(
     transmitted as a real frame through ``channel``; decoded blocks
     accumulate until ``m_needed`` distinct indices are held, at which
     point IDA reconstruction runs.  Returns ``(payload, frame_log)``;
-    payload is ``None`` when the horizon expires first.  Corruption is
+    payload is ``None`` when the horizon expires first, and a horizon
+    below one slot raises :class:`SimulationError`, as at every entry
+    that walks.  Corruption is
     deterministic per ``(seed, slot)``, so the walk is bit-identical to
     the seed slot-scanning loop.  Losses come from decoding each frame,
     not from a fault model, so this walk does not pull
@@ -125,7 +127,10 @@ def broadcast_retrieve(
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
     supply = blocks_on_air[file]
-    end = start + listen_horizon(program, m_needed, max_slots)
+    horizon = listen_horizon(program, m_needed, max_slots)
+    if horizon < 1:
+        raise SimulationError(f"horizon must be >= 1: {horizon}")
+    end = start + horizon
     held: dict[int, Block] = {}
     log: list[FrameResult] = []
     for t, block_index in program.index.occurrences_from(file, start):

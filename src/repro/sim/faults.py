@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.errors import SimulationError, SpecificationError
+from repro.memo import ScopedMemo
 from repro.obs import telemetry as obs
 
 #: Per-model memo bound: decisions are cached per slot up to this many
@@ -39,6 +40,24 @@ from repro.obs import telemetry as obs
 #: cache covers every realistic simulation; the bound keeps adversarially
 #: long runs from exhausting memory).
 DECISION_MEMO_LIMIT = 1 << 20
+
+#: The uniform draws :class:`BernoulliFaults` models share, keyed by
+#: ``(seed, slot)`` and bounded like each model's memo.  A sweep opens
+#: it while it runs cells (:func:`repro.memo.opened`); outside that
+#: scope every model draws for itself.
+SHARED_DRAWS = ScopedMemo(DECISION_MEMO_LIMIT)
+
+
+def _uniform(key: tuple[str, int]) -> float:
+    """The uniform a Bernoulli model draws for ``key``: its seed label
+    (the seed's text and a colon) and a slot.
+
+    String seeds hash through SHA-512 in CPython, so the draw is stable
+    across processes and interpreter runs.  A fresh instance per draw
+    keeps a model safe to share (no RNG state to tear).
+    """
+    label, t = key
+    return random.Random(f"{label}{t}").random()
 
 
 #: A batch of slots: a Python sequence, or a 1-D int64 ndarray.
@@ -112,13 +131,20 @@ class NoFaults:
 class BernoulliFaults:
     """Independent per-slot losses with probability ``p``.
 
-    Deterministic per slot: the decision for slot ``t`` hashes ``(seed,
-    t)``, so queries need not arrive in slot order and repeated queries
-    agree.  Decisions are memoized per slot, so the common simulation
-    pattern - many clients querying overlapping slot sets - pays the
-    SHA-seeded RNG construction at most once per distinct slot instead
-    of once per query; a memoized answer is by construction bit-identical
-    to seeding a fresh ``random.Random(f"{seed}:{t}")``.
+    Deterministic per slot: slot ``t`` is lost when the uniform of a
+    fresh ``random.Random(f"{seed}:{t}")`` falls below ``p``, so queries
+    need not arrive in slot order and repeated queries agree.  Decisions
+    are memoized per slot, so the common simulation pattern - many
+    clients querying overlapping slot sets - pays the SHA-seeded RNG
+    construction at most once per distinct slot instead of once per
+    query.
+
+    The uniform does not depend on ``p``; only the comparison does.
+    While a sweep runs cells, :data:`SHARED_DRAWS` is open and models
+    with the same seed share their uniforms, so a fault grid draws once
+    per distinct ``(seed, slot)`` however many probabilities it crosses.
+    Outside that scope each model draws its own.  Every decision is
+    bit-identical either way.
     """
 
     def __init__(self, probability: float, *, seed: int = 0) -> None:
@@ -128,20 +154,24 @@ class BernoulliFaults:
             )
         self.probability = probability
         self.seed = seed
+        # The shared draws are keyed by the seed's text, as the draw
+        # is: seeds 1 and 1.0 are equal keys but different draws.
+        self._label = f"{seed}:"
         self._decisions: dict[int, bool] = {}
 
     def _decide(self, t: int) -> bool:
         decisions = self._decisions
         cached = decisions.get(t)
         if cached is None:
-            # String seeds hash through SHA-512 in CPython, so the
-            # decision is stable across processes and interpreter runs.
-            # A fresh instance per memo miss keeps the model safe to
-            # share (no RNG state to tear); the dict makes misses rare.
-            cached = (
-                random.Random(f"{self.seed}:{t}").random()
-                < self.probability
+            key = (self._label, t)
+            # Outside a sweep, skip the lookup's frame: a decision-bound
+            # traffic run pays nothing for the table it never reads.
+            uniform = (
+                _uniform(key)
+                if SHARED_DRAWS.entries is None
+                else SHARED_DRAWS.lookup(key, _uniform)
             )
+            cached = uniform < self.probability
             if len(decisions) < DECISION_MEMO_LIMIT:
                 decisions[t] = cached
         return cached

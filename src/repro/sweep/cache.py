@@ -194,13 +194,16 @@ class SolveCache:
             pass
 
     def design_for(
-        self, scenario: Scenario
+        self, scenario: Scenario, fingerprint: str | None = None
     ) -> tuple[ProgramDesign | MultiChannelDesign, bool]:
         """The scenario's design, solving (and caching) on a miss.
 
         Returns ``(design, cache_hit)``.  The fingerprint covers exactly
         the inputs the designer consumes, so a hit is always safe to
-        inject into :class:`~repro.api.engine.BroadcastEngine`.
+        inject into :class:`~repro.api.engine.BroadcastEngine`.  A
+        caller that already holds the scenario's
+        :meth:`~repro.api.Scenario.design_fingerprint` passes it as
+        ``fingerprint`` instead of paying for it twice.
 
         With a disk tier, the miss path is single-flight *across
         processes*: the first process to take ``<fingerprint>.lock``
@@ -210,7 +213,8 @@ class SolveCache:
         design therefore solves exactly once per shared cache
         directory, no matter how many workers race it.
         """
-        fingerprint = scenario.design_fingerprint()
+        if fingerprint is None:
+            fingerprint = scenario.design_fingerprint()
         design = self.get(fingerprint)
         if design is not None:
             return design, True

@@ -12,7 +12,9 @@ finished grid:
    workers share its disk tier, whose single-flight lock solves each
    distinct :meth:`~repro.api.Scenario.design_fingerprint` exactly once
    however many tasks miss it together, and every other cell injects
-   the cached design and pays only its simulation;
+   the cached design and pays only its simulation - of which the fault
+   draws and payload dispersals earlier cells made are shared too
+   (:data:`SHARED`);
 4. **fan out** - one shared process pool runs everything: batches of
    consecutive cells, one task each (see :func:`_batch_size`), *and*
    the traffic shards of cells with open-loop populations (when the
@@ -43,15 +45,18 @@ import shutil
 import tempfile
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import SpecificationError
 from repro.fields import check_int
-from repro.api.engine import BroadcastEngine
+from repro.memo import opened
+from repro.api.engine import SHARED_DISPERSALS, BroadcastEngine
 from repro.api.scenario import Scenario
 from repro.obs import telemetry as obs
+from repro.sim.faults import SHARED_DRAWS
 from repro.traffic.metrics import TrafficMetrics
 from repro.traffic.simulate import TrafficResult, shard_bounds
 from repro.sweep.aggregate import render_table, tidy_rows
@@ -80,11 +85,52 @@ def _worker_cache(
     return cache
 
 
-def _lookup(scenario: Scenario, cache: SolveCache | None):
+#: The memos a sweep shares across its cells, by the counter their hits
+#: go to: one uniform per distinct ``(fault seed, slot)`` and one AIDA
+#: dispersal per distinct ``(file, payload, m, n_max)``.  They are open
+#: only while :func:`run_sweep` runs cells - the serial loop's block,
+#: or the life of a pool worker, and the pool lives for one sweep - so
+#: traffic runs and servers outside a sweep never read them.
+SHARED = {
+    "sweep.shared_draws.hits": SHARED_DRAWS,
+    "sweep.shared_dispersals.hits": SHARED_DISPERSALS,
+}
+
+
+def _open_shared() -> None:
+    """Pool initializer: open the sweep's memos for the worker's life."""
+    for memo in SHARED.values():
+        memo.entries = {}
+
+
+@contextmanager
+def _shared_hits_counted() -> Iterator[None]:
+    """Count the block's hits on the sweep's memos, with telemetry on.
+
+    Hits are tallied per cell (or traffic shard), so with telemetry off
+    a cell pays one global read for them.  Which cells share a table
+    depends on how the pool hands out batches, so the counts are
+    ``shape`` instruments.
+    """
+    tel = obs.current()
+    if tel is None:
+        yield
+        return
+    before = [memo.hits for memo in SHARED.values()]
+    yield
+    for (name, memo), hits in zip(SHARED.items(), before):
+        tel.inc(name, memo.hits - hits, stability="shape")
+
+
+def _lookup(
+    scenario: Scenario,
+    cache: SolveCache | None,
+    fingerprint: str | None = None,
+):
     """``(design, solved)`` for one scenario; ``cache=None`` solves."""
     if cache is None:
         return BroadcastEngine(scenario).design(), True
-    design, hit = cache.design_for(scenario)
+    design, hit = cache.design_for(scenario, fingerprint)
     return design, not hit
 
 
@@ -96,24 +142,29 @@ def run_cell(
 ) -> tuple[dict[str, Any], bool]:
     """Run one cell's pipeline and shape its run-store row.
 
-    The design comes from ``cache`` (``None`` solves directly - the
+    The cell's design fingerprint is computed once: it keys the
+    solve-cache lookup and is the row's ``fingerprint``.  The design
+    comes from ``cache`` (``None`` solves directly - the
     ``use_cache=False`` arm) under a ``sweep.cell.solve`` span, and the
-    engine runs with it injected under ``sweep.cell.simulate``.  Returns
-    ``(row, solved)``, where ``solved`` says this call ran the solver.
-    The serial loop and the pool's cell task both run cells through
-    here, so their rows agree field for field.
+    engine runs with it injected under ``sweep.cell.simulate``.  Inside
+    a sweep, the run reuses the draws and dispersals of earlier cells
+    (:data:`SHARED`), and with telemetry on it counts those hits.
+    Returns ``(row, solved)``, where ``solved`` says this call ran the
+    solver.  The serial loop and the pool's cell task both run cells
+    through here, so their rows agree field for field.
     """
     begin = time.perf_counter()
     with obs.span("sweep.cell.solve"):
-        design, solved = _lookup(cell.scenario, cache)
+        fingerprint = cell.scenario.design_fingerprint()
+        design, solved = _lookup(cell.scenario, cache, fingerprint)
     engine = BroadcastEngine(cell.scenario, design=design)
-    with obs.span("sweep.cell.simulate"):
+    with obs.span("sweep.cell.simulate"), _shared_hits_counted():
         result = engine.run(include_traffic=include_traffic)
     row = {
         "key": cell.key,
         "index": cell.index,
         "overrides": [list(pair) for pair in cell.overrides],
-        "fingerprint": cell.scenario.design_fingerprint(),
+        "fingerprint": fingerprint,
         "cache_hit": not solved,
         "elapsed": round(time.perf_counter() - begin, 6),
         "result": result.to_dict(),
@@ -180,7 +231,8 @@ def _pool_shard(
     with obs.span("sweep.traffic_shard", lo=lo, hi=hi):
         design, solved = _lookup(scenario, _worker_cache(cache_dir, True))
         shard = BroadcastEngine(scenario, design=design)
-        return shard.run_traffic_shard(lo, hi), solved
+        with _shared_hits_counted():
+            return shard.run_traffic_shard(lo, hi), solved
 
 
 def _submit_batch(
@@ -469,16 +521,17 @@ def run_sweep(
             # A fresh cache per call: its memory tier memoizes within
             # this sweep even when no directory is named.
             cache = SolveCache(cache_dir_str) if use_cache else None
-            for cell in pending:
-                cell_begin = time.perf_counter()
-                with obs.span("sweep.cell", key=cell.key):
-                    row, solved = run_cell(cell, cache)
-                    if store is not None:
-                        with obs.span("sweep.cell.store"):
-                            store.append(row)
-                solves += solved
-                rows_by_key[cell.key] = row
-                busy_seconds += time.perf_counter() - cell_begin
+            with opened(*SHARED.values()):
+                for cell in pending:
+                    cell_begin = time.perf_counter()
+                    with obs.span("sweep.cell", key=cell.key):
+                        row, solved = run_cell(cell, cache)
+                        if store is not None:
+                            with obs.span("sweep.cell.store"):
+                                store.append(row)
+                    solves += solved
+                    rows_by_key[cell.key] = row
+                    busy_seconds += time.perf_counter() - cell_begin
         elif pending:
             from concurrent.futures import (
                 FIRST_COMPLETED,
@@ -495,7 +548,9 @@ def run_sweep(
             window: deque[tuple] = deque()
             running: set[Any] = set()
             failed = False
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_open_shared
+            ) as pool:
                 while todo or window:
                     # Whenever a batch finishes, the pool is topped up to
                     # workers + 1 unfinished batches: one waits queued for

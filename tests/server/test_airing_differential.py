@@ -18,7 +18,9 @@ none/Bernoulli/Burst/Adversarial faults (including whole segments
 blacked out), and starts and horizons that cross splices.  A timeline
 of one segment must also equal the static walkers,
 :func:`~repro.sim.client.retrieve` and
-:func:`~repro.rtdb.updates.retrieve_versioned`.
+:func:`~repro.rtdb.updates.retrieve_versioned`, and a timeline grown one
+:meth:`AirSchedule.spliced` at a time must equal the timeline of all
+its segments.
 """
 
 from dataclasses import fields
@@ -384,3 +386,66 @@ class TestOneSegmentIsTheStaticProgram:
         assert spliced.latency == static.latency
         assert spliced.age_at_completion == static.age_at_completion
         assert spliced.torn_discards == static.torn_discards
+
+
+class TestSplicedChainIsTheWholeTimeline:
+    """A timeline grown one :meth:`AirSchedule.spliced` at a time is
+    the timeline of all its segments: the same segments, walker rows
+    and walks, and an invalid splice fails with the same text."""
+
+    @given(schedule=timelines(versioned=True), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walks_agree(self, schedule, data):
+        segments = schedule.segments
+        chain = AirSchedule(segments[:1])
+        for segment in segments[1:]:
+            chain = chain.spliced(segment)
+        assert chain.segments == segments
+        assert chain.splice_slots == schedule.splice_slots
+        assert chain._rows == schedule._rows
+        make_faults = data.draw(fault_factories(schedule), label="faults")
+        last = schedule.on_air
+        span = last.start + 2 * last.program.data_cycle_length
+        starts = data.draw(
+            st.lists(
+                st.integers(segments[0].start, span), min_size=1,
+                max_size=6,
+            ),
+            label="starts",
+        )
+        m_needed = data.draw(st.integers(1, 4), label="m_needed")
+        max_slots = data.draw(
+            st.one_of(st.none(), st.integers(1, span + 12)),
+            label="max_slots",
+        )
+        for start in starts:
+            for walk in ("retrieve", "retrieve_versioned"):
+                outcomes = []
+                for timeline in (chain, schedule):
+                    try:
+                        outcomes.append(as_fields(getattr(timeline, walk)(
+                            TARGET, m_needed, start=start,
+                            faults=make_faults(), max_slots=max_slots,
+                        )))
+                    except SimulationError as error:
+                        outcomes.append(str(error))
+                assert outcomes[0] == outcomes[1]
+
+    @given(schedule=timelines(versioned=False), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_invalid_splice_fails_alike(self, schedule, data):
+        last = schedule.on_air
+        cycle = last.program.data_cycle_length
+        start = data.draw(
+            st.integers(0, last.start + 3 * cycle).filter(
+                lambda slot: slot <= last.start
+                or (slot - last.start) % cycle
+            ),
+            label="start",
+        )
+        bad = Segment(start, last.program)
+        with pytest.raises(SimulationError) as whole:
+            AirSchedule(schedule.segments + (bad,))
+        with pytest.raises(SimulationError) as chain:
+            schedule.spliced(bad)
+        assert str(chain.value) == str(whole.value)

@@ -149,6 +149,23 @@ class TestAsRun:
         signoff = records[-1]
         assert signoff["splices"] == list(result.splice_slots)
 
+    def test_sign_off_follows_every_on_air_record(self):
+        """A mutation whose splices land after ``now``: the station airs
+        through the last of them before it signs off."""
+        server = BroadcastServer(multichannel_scenario())
+        server.advance(until=5)
+        record = server.apply(
+            AddFile(file={"name": "e", "blocks": 2, "latency": 25})
+        )
+        result = server.close()
+        records = server.log.records
+        last = max(record["channel_splice_slots"])
+        assert last > server.now == 5
+        assert records[-1]["type"] == "sign-off"
+        assert records[-1]["slot"] == result.final_slot == last
+        on_air = [r["slot"] for r in records if r["type"] == "on-air"]
+        assert max(on_air) == last
+
 
 def pinned_runs():
     """Advance/apply runs over striped and replicated sets of two and
@@ -225,16 +242,19 @@ def drive(name):
 
 #: sha256 of each pinned run's ``[result, applied, log records]`` JSON,
 #: keys in the order the server wrote them, recorded on the server
-#: whose channel sets took their own mutation path.
+#: whose channel sets took their own mutation path.  Three were re-pinned
+#: when the sign-off moved to the last committed splice; only
+#: ``final_slot`` and the sign-off record's slot changed (150 -> 210,
+#: 200 -> 480 and 260 -> 300).
 PINNED_DIGESTS = {
     "striped-2-clean":
-        "9220ef129c7206cf3c11f9ae2f24f76bef5a77ad5d3f997df66443cb4fd43129",
+        "d74d6a1b5561683e7fa269f2c2553e6884576d6d72231fa47b6709a2fa021601",
     "striped-3-bernoulli":
-        "48a0608fba3936f8c1fc3f4a5c8b2ada655a5207921ae7027a0e226abf9e7032",
+        "fa23ab547f9a027d64e02ef158496212f09c91db28c14e6b7f2f62e9361649ce",
     "replicated-3-refusal":
         "dc2220e5f7b92277aaede6ea9706ef7e1abba6b4a48948b7eac451d451878bb8",
     "replicated-2-modes":
-        "5ae665acf9463452e879e841b221da2bce80d1a41da711bab5ad60e9307305c0",
+        "8f09ae9c70820e89d64c41da1de56729cd28a966520bca3d8edae3a1516ab290",
 }
 
 

@@ -314,14 +314,16 @@ def pinned_runs():
 
 #: sha256 of each pinned run's sorted-key ``ServerResult.to_dict()``
 #: JSON, recorded on the event-heap implementation the per-client loop
-#: replaced.
+#: replaced.  ``temporal-burst`` was re-pinned when the sign-off moved
+#: to the last committed splice: its ``final_slot`` went from 622 to
+#: 2720, and nothing else in the payload changed.
 PINNED_DIGESTS = {
     "modes-clean":
         "f7ad81b115e266d7c60f1fb1293dfccc004f09dac4d89cf059ee52ee6b299fe6",
     "catalogue-bernoulli":
         "ba1fd0ee663849c5af5382abcf4ee7f6d88a377468cda8bc28f0afc26f17f984",
     "temporal-burst":
-        "69eb1206996cc6cb5554ced3bf17fbd869fc88fe49c005c346874d95eccac5cb",
+        "1d440beec703e6954fb926d7de9222d3328ddfc7aa346d1dd184834f77745224",
     "removal-bernoulli":
         "b4c39ccac3c5f649ba03156160db87fe22b4f70ffcd26a77c6c65d63ff284606",
 }
@@ -369,6 +371,27 @@ class TestLifecycle:
         # callable for inspection.
         assert server.now == result.final_slot == 50
         assert server.live_retrieve("pos", 60).completed
+
+    def test_sign_off_airs_through_the_last_splice(self, tmp_path):
+        """The sign-off comes at the later of ``now`` and the last
+        committed splice, so every on-air record precedes it, and no
+        client is served past ``now`` while the splice drains."""
+        from repro.server.asrun import read_asrun
+
+        log_path = tmp_path / "asrun.jsonl"
+        server = BroadcastServer(moded_scenario(), log_path=log_path)
+        events = server.advance(until=5)
+        splice = server.apply(ModeChange("combat"))["splice_slot"]
+        assert splice > 5
+        result = server.close()
+        records = read_asrun(log_path)
+        assert records[-1]["type"] == "sign-off"
+        assert records[-1]["slot"] == result.final_slot == splice
+        assert all(
+            r["slot"] <= splice for r in records if r["type"] == "on-air"
+        )
+        assert server.now == 5
+        assert result.events_processed == events
 
     @pytest.mark.parametrize("until", [-5, -1, 2.5, "10", True])
     def test_until_must_be_a_slot(self, until):

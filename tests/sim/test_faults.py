@@ -7,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError, SpecificationError
+from repro.memo import opened
 from repro.sim.faults import (
+    DECISION_MEMO_LIMIT,
+    SHARED_DRAWS,
     AdversarialFaults,
     BernoulliFaults,
     BurstFaults,
@@ -368,3 +371,80 @@ class TestInKindBatches:
         answer = lost_in(model, np.zeros(0, dtype=np.int64))
         assert answer.dtype == bool and answer.shape == (0,)
         assert len(model._states) == 0
+
+
+class TestSharedDraws:
+    """While :data:`~repro.sim.faults.SHARED_DRAWS` is open, Bernoulli
+    models that share a seed share their uniforms: whatever their loss
+    probabilities, batch forms and the table's bound, every decision
+    equals a fresh model's outside the scope."""
+
+    @given(
+        seed=st.integers(0, 5),
+        probabilities=st.lists(PROBABILITIES, min_size=1, max_size=4),
+        batches=st.lists(SLOT_BATCHES, min_size=1, max_size=4),
+        forms=st.lists(st.booleans(), min_size=4, max_size=4),
+        limit=st.sampled_from([0, 1, 7, DECISION_MEMO_LIMIT]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_decisions_equal_fresh_ones(
+        self, seed, probabilities, batches, forms, limit
+    ):
+        assert SHARED_DRAWS.entries is None
+        expected = [
+            [
+                [BernoulliFaults(p, seed=seed).is_lost(t) for t in slots]
+                for slots in batches
+            ]
+            for p in probabilities
+        ]
+        bound = SHARED_DRAWS.limit
+        SHARED_DRAWS.limit = limit
+        try:
+            with opened(SHARED_DRAWS):
+                shared = []
+                for p in probabilities:
+                    model = BernoulliFaults(p, seed=seed)
+                    shared.append([
+                        list(map(bool, lost_in(
+                            model,
+                            np.asarray(slots, dtype=np.int64)
+                            if as_array else slots,
+                        )))
+                        for slots, as_array in zip(batches, forms)
+                    ])
+                    assert [
+                        [model.is_lost(t) for t in slots]
+                        for slots in batches
+                    ] == shared[-1]
+                assert len(SHARED_DRAWS.entries) <= limit
+        finally:
+            SHARED_DRAWS.limit = bound
+        assert shared == expected
+        assert SHARED_DRAWS.entries is None
+
+    def test_one_draw_per_seed_and_slot(self):
+        slots = list(range(10))
+        hits = SHARED_DRAWS.hits
+        with opened(SHARED_DRAWS):
+            for p in (0.1, 0.3, 0.6):
+                BernoulliFaults(p, seed=4).lost_in(slots)
+            assert sorted(SHARED_DRAWS.entries) == [
+                ("4:", t) for t in slots
+            ]
+        assert SHARED_DRAWS.hits - hits == 20
+
+    def test_keyed_by_the_seed_text(self):
+        """Seeds 1 and 1.0 are equal keys but different draws."""
+        slots = list(range(40))
+        fresh = [
+            BernoulliFaults(0.5, seed=seed).lost_in(slots)
+            for seed in (1, 1.0)
+        ]
+        assert fresh[0] != fresh[1]
+        with opened(SHARED_DRAWS):
+            shared = [
+                BernoulliFaults(0.5, seed=seed).lost_in(slots)
+                for seed in (1, 1.0)
+            ]
+        assert shared == fresh

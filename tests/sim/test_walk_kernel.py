@@ -16,12 +16,14 @@ from repro.api import Scenario
 from repro.api.engine import BroadcastEngine
 from repro.bdisk.flat import build_aida_flat_program
 from repro.errors import SimulationError
+from repro.ida.dispersal import disperse
 from repro.rtdb.updates import (
     UpdatingServer,
     retrieve_versioned,
     retrieve_versioned_quorum,
 )
 from repro.server.airing import AirSchedule, Segment
+from repro.sim.channel import ByteChannel, broadcast_retrieve
 from repro.sim.client import fault_batches, retrieve, retrieve_multichannel
 from repro.sim.faults import BernoulliFaults, BurstFaults, NoFaults
 from repro.sim.runner import simulate_requests, simulate_requests_multichannel
@@ -135,7 +137,11 @@ def _entries():
         Segment(0, program, update_periods={"A": 7, "B": 7})
     ])
     request = Request(time=3, file="A", deadline=20)
+    on_air = {"A": disperse(b"horizon", 2, program.block_count("A"))}
     return {
+        "broadcast_retrieve": lambda h: broadcast_retrieve(
+            program, on_air, "A", 2, ByteChannel(0.0), max_slots=h
+        ),
         "retrieve": lambda h: retrieve(program, "A", 2, max_slots=h),
         "retrieve-specific": lambda h: retrieve(
             program, "A", 2, need_distinct=False, max_slots=h
